@@ -34,13 +34,15 @@ _SAMPLE_COUNT = 200
 
 
 class LinearCode:
-    """A left linear code, fully enumerated."""
+    """A left linear code, fully enumerated: its words in sorted order,
+    and for each word one message x with x G equal to it."""
 
-    def __init__(self, ring, generator, words, table):
+    def __init__(self, ring, generator, words, messages, table):
         self.ring = ring
         self.generator = np.ascontiguousarray(generator, dtype=np.int32)
         self.k, self.n = self.generator.shape
         self.words = words
+        self.messages = messages
         self.word_keys = encode_vectors(words, ring.order)
         self.table = table
         self.word_numerators = table.word_numerator(words)
@@ -107,6 +109,20 @@ class LinearCode:
         return (f"LinearCode({self.ring.spec.text()}, k={self.k}, "
                 f"n={self.n}, size={self.size})")
 
+    @classmethod
+    def from_words(cls, ring, generator, words, messages, message_count):
+        """The code with the given sorted unique words and their
+        messages, after the checks every enumerated code gets: its size
+        divides the number of messages, and its zero-weight words are
+        closed under addition."""
+        code = cls(ring, generator, words, messages, weight_table(ring))
+        if message_count % code.size != 0:
+            raise IdentityCheckError(
+                "code size does not divide the message space",
+                witness={"size": code.size, "messages": message_count})
+        _check_zero_class_subgroup(code)
+        return code
+
 
 def build_code(ring, generator, cap=None):
     """Enumerate the left code generated by the rows of a k x n matrix."""
@@ -122,18 +138,10 @@ def build_code(ring, generator, cap=None):
             f"generator column {int(zero_cols[0])} is all-zero")
     X = enumerate_vectors(ring.order, G.shape[0], cap)
     all_words = combine_rows(ring, G, X)
-    keys = np.unique(encode_vectors(all_words, ring.order))
-    from .spans import decode_vectors
-
-    words = decode_vectors(keys, ring.order, G.shape[1])
-    table = weight_table(ring)
-    code = LinearCode(ring, G, words, table)
-    if len(X) % code.size != 0:
-        raise IdentityCheckError(
-            "code size does not divide the message space",
-            witness={"size": code.size, "messages": len(X)})
-    _check_zero_class_subgroup(code)
-    return code
+    _, first = np.unique(encode_vectors(all_words, ring.order),
+                         return_index=True)
+    return LinearCode.from_words(ring, G, all_words[first], X[first],
+                                 len(X))
 
 
 def _check_zero_class_subgroup(code):

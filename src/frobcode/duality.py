@@ -1,13 +1,21 @@
 """Dual two-weight codes and the certification of their parameters.
 
 The dual of a two-weight code collects the smaller-weight codewords as
-the rows of a matrix and takes the right code generated by its columns.
-Right codes are handled as left codes over the opposite ring, whose
-weight table coincides with the original (the unit group and character
-are shared).  Every claim about the dual is certified by direct
-enumeration: size, both weights, modularity of index one, the graph
-parameters, and the three-way classification of message vectors by the
-image of the primal generator.
+the rows of a matrix m1 and takes the right code generated by its
+columns.  Right codes are handled as left codes over the opposite ring,
+whose weight table coincides with the original (the unit group and
+character are shared).
+
+Nothing here enumerates R^n.  Each smaller-weight codeword has a
+message, so m1 = X1 G, and m1 y = X1 (G y) for every y in R^n: the dual
+word of y, and the class of y, depend only on z = G y.  As y runs over
+R^n, z runs over the column module Z of G (the right span of its
+columns, with |Z| = |C| elements), and each z is hit by a fibre of
+|ker G| = order^n / |Z| vectors.  The dual is therefore {X1 z : z in Z},
+and the three-way classification of message vectors by the image G y
+is counted on Z and scaled by the fibre size.  Every claim about the
+dual is certified on this enumeration: size, both weights, modularity
+of index one, the graph parameters, and the classification.
 """
 
 from __future__ import annotations
@@ -17,8 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, build_code, modular_index, two_weight_profile
-from .errors import IdentityCheckError, PreconditionError
+from .codes import (
+    LinearCode,
+    modular_index,
+    support_with_zero,
+    two_weight_profile,
+)
+from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
     build_coset_graph,
@@ -26,28 +39,105 @@ from .graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
-from .homweight import weight_table
 from .rings import opposite_ring
-from .spans import apply_matrix, encode_vectors, enumerate_vectors, span
+from .spans import (
+    _check_encodable,
+    apply_matrix,
+    combine_rows,
+    encode_vectors,
+    enum_cap,
+    span,
+)
+
+
+def _smaller_class_mask(code):
+    profile = two_weight_profile(code)
+    if profile is None:
+        raise PreconditionError("dual construction needs a two-weight code")
+    return code.word_numerators == int(profile.w1 * code.denominator)
 
 
 def smaller_class_matrix(code):
     """Rows of the matrix are the smaller-weight codewords in sorted
     word order."""
-    profile = two_weight_profile(code)
-    if profile is None:
-        raise PreconditionError("dual construction needs a two-weight code")
-    w1num = int(profile.w1 * code.denominator)
-    return code.words_of_numerator(w1num)
+    return code.words[_smaller_class_mask(code)]
+
+
+@dataclass(frozen=True)
+class _ColumnModule:
+    """The column module Z of a code's generator G, by ascending key,
+    with one preimage y (G y = z) per element z, the fibre size
+    |ker G|, and the dual word X1 z of each z."""
+    elements: np.ndarray
+    preimages: np.ndarray
+    fibre: int
+    dual_words: np.ndarray
+
+
+def _column_module(code, cap):
+    """The column module of the code's generator, enumerated once and
+    shared by the dual and the message classification.  Checks that the
+    messages X1 of the smaller-weight codewords give X1 G = m1, that
+    |Z| = |C|, and that |Z| divides order^n."""
+    ring, G = code.ring, code.generator
+    order = ring.order
+    k, n = G.shape
+    if cap is None:
+        cap = enum_cap()
+    mask = _smaller_class_mask(code)
+    m1, x1 = code.words[mask], code.messages[mask]
+    if not (combine_rows(ring, G, x1) == m1).all():
+        raise IdentityCheckError(
+            "smaller-weight messages do not reproduce their codewords",
+            witness={"ring": ring.spec.text()})
+    # dual words have length b1 and int64 keys: refuse before building
+    _check_encodable(order, len(m1))
+
+    # Close {0} under adding right multiples of each distinct column,
+    # carrying along the coefficient vector y of every element.
+    _, first = np.unique(encode_vectors(G.T, order), return_index=True)
+    scalars = np.arange(order, dtype=np.int32)
+    z = np.zeros((1, k), dtype=np.int32)
+    y = np.zeros((1, n), dtype=np.int32)
+    for j in np.sort(first):
+        multiples = ring.mul_table[G[:, j][None, :], scalars[:, None]]
+        sums = ring.add_table[z[:, None, :], multiples[None, :, :]]
+        sums = sums.reshape(-1, k)
+        _, at = np.unique(encode_vectors(sums, order), return_index=True)
+        if len(at) > cap:
+            raise CapExceededError(
+                f"column module grew past cap {cap}")
+        z = sums[at]
+        y = y[at // order]
+        y[:, j] = at % order
+    if len(z) != code.size:
+        raise IdentityCheckError(
+            "column module size differs from the code size",
+            witness={"column_module": len(z), "code": code.size})
+    fibre, rest = divmod(order ** n, len(z))
+    if rest:
+        raise IdentityCheckError(
+            "column module size does not divide the message space",
+            witness={"column_module": len(z), "messages": f"{order}**{n}"})
+    return _ColumnModule(z, y, fibre, apply_matrix(ring, x1, z))
+
+
+def _dual_code(code, module):
+    """The dual as a left code over the opposite ring with generator
+    m1^T: the word of message y is m1 y = X1 z."""
+    op = opposite_ring(code.ring)
+    words = module.dual_words
+    _, at = np.unique(encode_vectors(words, op.order), return_index=True)
+    return LinearCode.from_words(
+        op, smaller_class_matrix(code).T.copy(), words[at],
+        module.preimages[at], op.order ** code.n)
 
 
 def build_dual(code, cap=None):
     """The dual as a left code over the opposite ring: transposing the
     smaller-weight matrix turns its right column span into a left row
     span."""
-    m1 = smaller_class_matrix(code)
-    op = opposite_ring(code.ring)
-    return build_code(op, m1.T.copy(), cap)
+    return _dual_code(code, _column_module(code, cap))
 
 
 @dataclass(frozen=True)
@@ -74,7 +164,6 @@ def dual_pipeline(code, cap=None):
     if profile.b0 != 1:
         raise PreconditionError(
             "dual pipeline needs a trivial zero-weight subcode")
-    ring = code.ring
     r = profile.index
     n, w1, w2 = profile.n, profile.w1, profile.w2
     size = profile.size
@@ -87,7 +176,8 @@ def dual_pipeline(code, cap=None):
             witness={"first": str(w1_dual), "second": str(w1_dual_alt)})
     w2_dual = (w2 - n) * size / (w2 - w1)
 
-    dual = build_dual(code, cap)
+    module = _column_module(code, cap)
+    dual = _dual_code(code, module)
     if dual.size != size:
         raise IdentityCheckError(
             "dual size differs from the code size",
@@ -125,7 +215,7 @@ def dual_pipeline(code, cap=None):
                      "n": n})
 
     kernel_size, class_counts = _check_message_classification(
-        code, profile, w1_dual, w2_dual, cap)
+        code, module, w1_dual, w2_dual)
     _check_smaller_class_spans(code)
 
     return DualReport(
@@ -135,67 +225,35 @@ def dual_pipeline(code, cap=None):
         kernel_size=kernel_size, class_counts=class_counts)
 
 
-def _row_point_ids(ring, rows):
-    units = ring.units_array
-    orbits = ring.mul_table[rows[:, None, :], units[None, :, None]]
-    keys = encode_vectors(orbits, ring.order)
-    return keys.min(axis=1)
-
-
-def _check_message_classification(code, profile, w1_dual, w2_dual, cap):
-    """Every message vector lands in one of three classes: kernel of
-    the generator (dual word zero), generator image on an occurring
-    point (dual weight the smaller closed form), or neither (the larger
-    closed form)."""
-    from .spans import canonical_point_id
-
+def _check_message_classification(code, module, w1_dual, w2_dual):
+    """Every message vector y lands in one of three classes by its image
+    z = G y: zero (dual word zero), on an occurring column point (dual
+    weight the smaller closed form), or neither (the larger closed
+    form).  Each z in the column module stands for its whole fibre."""
     ring = code.ring
-    m1 = smaller_class_matrix(code)
-    table = weight_table(ring)
-    num = table.numerators
-    D = table.denominator
-    w1d_num = int(w1_dual * D)
-    w2d_num = int(w2_dual * D)
-    column_pids = np.unique(np.array(
-        [canonical_point_id(ring, code.generator[:, j], "right")
-         for j in range(code.n)], dtype=np.int64))
-
-    ys = enumerate_vectors(ring.order, code.n, cap)
-    counts = [0, 0, 0]
-    block = max(1, (1 << 21) // max(1, code.size))
-    for start in range(0, len(ys), block):
-        chunk = ys[start:start + block]
-        img = apply_matrix(ring, code.generator, chunk)
-        dual_words = apply_matrix(ring, m1, chunk)
-        wnum = num[dual_words].sum(axis=1)
-        img_zero = (img == 0).all(axis=1)
-        pids = _row_point_ids(ring, img)
-        on_point = np.isin(pids, column_pids) & ~img_zero
-        other = ~img_zero & ~on_point
-        bad = None
-        if (wnum[img_zero] != 0).any():
-            bad = ("kernel", int(np.flatnonzero(img_zero)[
-                np.flatnonzero(wnum[img_zero] != 0)[0]]))
-        elif (wnum[on_point] != w1d_num).any():
-            bad = ("on-point", int(np.flatnonzero(on_point)[
-                np.flatnonzero(wnum[on_point] != w1d_num)[0]]))
-        elif (wnum[other] != w2d_num).any():
-            bad = ("off-point", int(np.flatnonzero(other)[
-                np.flatnonzero(wnum[other] != w2d_num)[0]]))
-        if bad is not None:
-            cls, at = bad
+    D = code.denominator
+    wnum = code.table.word_numerator(module.dual_words)
+    keys = encode_vectors(module.elements, ring.order)
+    zero = keys == 0
+    on_point = np.isin(keys, encode_vectors(support_with_zero(code),
+                                            ring.order)) & ~zero
+    other = ~zero & ~on_point
+    for cls, mask, expected in (("kernel", zero, 0),
+                                ("on-point", on_point, int(w1_dual * D)),
+                                ("off-point", other, int(w2_dual * D))):
+        bad = np.flatnonzero(mask & (wnum != expected))
+        if len(bad):
             raise IdentityCheckError(
                 f"dual word weight disagrees with its {cls} class",
-                witness={"y": chunk[at].tolist(),
-                         "weight": str(Fraction(int(wnum[at]), D))})
-        counts[0] += int(img_zero.sum())
-        counts[1] += int(on_point.sum())
-        counts[2] += int(other.sum())
+                witness={"z": module.elements[bad[0]].tolist(),
+                         "weight": str(Fraction(int(wnum[bad[0]]), D))})
+    counts = tuple(module.fibre * int(mask.sum())
+                   for mask in (zero, on_point, other))
     if counts[1] == 0 or counts[2] == 0:
         raise IdentityCheckError(
             "one of the two dual weights never occurs",
-            witness={"counts": counts})
-    return counts[0], tuple(counts)
+            witness={"counts": list(counts)})
+    return counts[0], counts
 
 
 def _check_smaller_class_spans(code):

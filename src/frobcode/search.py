@@ -35,7 +35,7 @@ from .graphs import (
     measure_srg,
     predicted_srg,
 )
-from .spans import encode_vectors, enumerate_vectors
+from .spans import _check_encodable, encode_vectors, enumerate_vectors
 
 DEFAULT_POINT_GUARD = 24
 
@@ -100,14 +100,14 @@ def _admissible_indices(orbit_sizes, n_max, mult_cap, index_one):
     if index_one:
         return [Fraction(1)] if total <= n_max else []
     g = math.gcd(*orbit_sizes)
+    largest = max(orbit_sizes)
     found = set()
     for b in divisors(g):
-        for a in range(1, n_max * b // total + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            r = Fraction(a, b)
-            if all(r * s <= mult_cap for s in orbit_sizes):
-                found.add(r)
+        # r = a/b needs r * total <= n_max and r * largest <= mult_cap
+        top = min(n_max * b // total, mult_cap * b // largest)
+        for a in range(1, top + 1):
+            if math.gcd(a, b) == 1:
+                found.add(Fraction(a, b))
     return sorted(found)
 
 
@@ -139,6 +139,10 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
     if mult_cap is None:
         mult_cap = n_max
+    if not index_one:
+        # the single-point subsets reach every length up to
+        # min(n_max, mult_cap), and each codeword needs an int64 key
+        _check_encodable(ring.order, min(n_max, mult_cap))
     points = projective_points(ring, k, cap)
     if len(points) > point_guard:
         raise CapExceededError(

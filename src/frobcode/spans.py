@@ -20,14 +20,22 @@ DEFAULT_ENUM_CAP = 1 << 20
 
 
 def enum_cap():
+    """The enumeration cap: FROBCODE_CAP when set, else the default."""
     value = os.environ.get("FROBCODE_CAP")
     if value is None:
         return DEFAULT_ENUM_CAP
-    return int(value)
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise PreconditionError(
+            f"FROBCODE_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 def _check_encodable(order, n):
-    if int(order) ** int(n) > (1 << 62):
+    if int(n) > 62 or int(order) ** int(n) > (1 << 62):
         raise CapExceededError(
             f"vectors of length {n} over order {order} exceed int64 keys")
 

@@ -1,10 +1,15 @@
 """End-to-end command-line checks: frozen report text, exit codes,
 JSON emission, and determinism of repeated runs."""
 
+import hashlib
+import itertools
 import json
+import os
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,32 @@ F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
 Z4_ZERO_COLUMN = "ring: Z4\nk: 1 n: 2\n1 0\n"
 Z9_IDENTITY = "ring: Z9\nk: 2 n: 2\n1 0\n0 1\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def z4_srg256_code():
+    """Z4, k=4, n=30: one column per nonzero vector of the span of
+    e1, e2 and of the span of e3, e4; its graph is srg(256,30,14,2)."""
+    columns = []
+    for first, second in ((0, 1), (2, 3)):
+        for a, b in itertools.product(range(4), repeat=2):
+            if a or b:
+                column = [0] * 4
+                column[first], column[second] = a, b
+                columns.append(column)
+    rows = [" ".join(str(col[i]) for col in columns) for i in range(4)]
+    return "ring: Z4\nk: 4 n: 30\n" + "\n".join(rows) + "\n"
+
+
+def run_module(argv, timeout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "frobcode", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def run_cli(capsys, argv):
@@ -202,6 +233,64 @@ def test_dual_f3(capsys, tmp_path):
     assert payload["trivial"] is False
     assert len(payload["checks"]) == 8
     assert all(payload["checks"].values())
+
+
+def test_dual_z4_srg256(capsys, tmp_path):
+    # the dual enumerates the 256-element column module, not 4**30
+    # message vectors
+    path = write_code(tmp_path, "z4.code", z4_srg256_code())
+    rc, out, err = run_cli(capsys, ["dual", path])
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["srg_measured"] == [256, 30, 14, 2]
+    assert payload["srg_predicted"] == [256, 30, 14, 2]
+    assert all(payload["checks"].values())
+
+
+def test_dual_cap_below_code_size(capsys, tmp_path):
+    path = write_code(tmp_path, "z4.code", z4_srg256_code())
+    rc, out, err = run_cli(capsys, ["dual", path, "--cap", "255"])
+    assert rc == 2
+    assert "exceeds cap 255" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "1e3"])
+def test_env_cap_must_be_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("FROBCODE_CAP", value)
+    for argv in (["--help"], ["ring", "Z4"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: FROBCODE_CAP must be a positive integer, "
+                       f"got {value!r}\n")
+
+
+def test_search_huge_n_max_exits_fast():
+    start = time.monotonic()
+    proc = run_module(["search", "GF(2)", "k=2", "n_max=100000000"], 30)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: vectors of length 100000000 over order "
+                           "2 exceed int64 keys\n")
+    assert time.monotonic() - start < 10
+    # a small mult_cap bounds the lengths, so the search runs
+    proc = run_module(["search", "GF(2)", "k=2", "n_max=100000000",
+                       "mult_cap=3"], 30)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == (
+        "candidates: 21 (one-weight: 12, two-weight: 9, mixed: 0)")
+
+
+def test_search_z4_golden_digests(capsys, tmp_path):
+    # byte-identical stdout and JSON report: the digests recorded in
+    # bench/golden.json
+    path = tmp_path / "search.json"
+    rc, out, err = run_cli(capsys, ["search", "Z4", "k=2", "n_max=8",
+                                    "--json", str(path)])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fadce072b1418c7eec7d4bb0f4e79280c25c91d63a356dbbfcdecc3674e44bc5")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dee3afc31b14cbba7e6c1c25a9ca0889447806c5066ce117dc0d750a0615f6f8")
 
 
 def test_search_gf3(capsys):
