@@ -31,6 +31,7 @@ from .graphs import (
     SrgParams,
     build_coset_graph,
     cayley_graph,
+    coset_graph_srg,
     equivalence_check,
     measure_srg,
     pds_check,
@@ -68,6 +69,7 @@ __all__ = [
     "SearchRecord", "SpecParseError", "SrgParams", "TwoWeightProfile",
     "WeightTable", "ZeroColumnError", "build_code", "build_coset_graph",
     "build_dual", "build_ring", "cayley_graph", "column_space",
+    "coset_graph_srg",
     "dual_pipeline", "equivalence_check", "format_code_file",
     "measure_srg", "modular_index", "one_weight_characterization",
     "opposite_ring", "parse_code_file", "parse_ring_spec", "pds_check",

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import (
     build_coset_graph,
-    measure_srg,
+    coset_graph_srg,
     predicted_dual_srg,
     predicted_srg,
 )
@@ -258,7 +258,7 @@ def cmd_graph(args):
         raise PreconditionError(
             "graph construction needs a two-weight code")
     graph = build_coset_graph(code)
-    measured = measure_srg(graph.adjacency)
+    measured = coset_graph_srg(graph)
     predicted = predicted_srg(profile)
     if args.dot is not None:
         with open(args.dot, "w") as handle:

@@ -35,7 +35,7 @@ from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
     build_coset_graph,
-    measure_srg,
+    coset_graph_srg,
     predicted_dual_srg,
     predicted_srg,
 )
@@ -199,7 +199,7 @@ def dual_pipeline(code, cap=None):
 
     dual_profile = two_weight_profile(dual, require_modular=True)
     graph = build_coset_graph(dual)
-    measured = measure_srg(graph.adjacency)
+    measured = coset_graph_srg(graph)
     predicted = predicted_dual_srg(profile)
     also_predicted = predicted_srg(dual_profile)
     if measured != predicted or measured != also_predicted:

@@ -2,23 +2,35 @@
 
 The graph of a two-weight code has the cosets of the zero-weight
 subcode as vertices, two cosets being adjacent when their difference
-has the smaller weight.  Measured parameters come from brute-force
-common-neighbour counting; predicted parameters come from closed forms
-in the weights and frequencies.  The same machinery certifies partial
+has the smaller weight.  It is the Cayley graph of the quotient group
+whose connection set S is the set of smaller-weight cosets, so its
+measured parameters come from counting the differences s - t over
+S x S: lambda is the count on S, mu the count on the other nonzero
+cosets.  Predicted parameters come from closed forms in the weights
+and frequencies.  The same difference counts certify partial
 difference sets inside an ambient module and the equivalence between
-two-weight codes and such sets.
+two-weight codes and such sets.  ``measure_srg`` measures an explicit
+adjacency matrix by common-neighbour counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .codes import support_with_zero, two_weight_profile
-from .errors import IdentityCheckError, PreconditionError
-from .spans import decode_vectors, encode_vectors, is_submodule, span
+from .errors import CapExceededError, IdentityCheckError, PreconditionError
+from .spans import (
+    BLOCK_ENTRIES,
+    decode_vectors,
+    enum_cap,
+    encode_vectors,
+    is_submodule,
+    span,
+)
 
 
 @dataclass(frozen=True)
@@ -59,10 +71,15 @@ def measure_srg(adjacency):
     K = int(degrees[0])
     M = A @ A
     off = ~np.eye(N, dtype=bool)
-    adj = (A == 1) & off
-    non = (A == 0) & off
-    if adj.any():
-        lam_vals = np.unique(M[adj])
+    return _srg_from_counts(N, K, M[(A == 1) & off], M[(A == 0) & off])
+
+
+def _srg_from_counts(N, K, lam_counts, mu_counts):
+    """The parameters of a K-regular graph on N vertices from the
+    common-neighbour counts of its adjacent and of its nonadjacent
+    pairs; raises IdentityCheckError when either holds two values."""
+    if len(lam_counts):
+        lam_vals = np.unique(lam_counts)
         if len(lam_vals) != 1:
             raise IdentityCheckError(
                 "adjacent pairs disagree on common neighbours",
@@ -70,8 +87,8 @@ def measure_srg(adjacency):
         lam = int(lam_vals[0])
     else:
         lam = 0
-    if non.any():
-        mu_vals = np.unique(M[non])
+    if len(mu_counts):
+        mu_vals = np.unique(mu_counts)
         if len(mu_vals) != 1:
             raise IdentityCheckError(
                 "nonadjacent pairs disagree on common neighbours",
@@ -139,64 +156,102 @@ def predicted_dual_srg(profile):
 
 @dataclass
 class CosetGraph:
+    """The coset graph in Cayley form: the coset representatives (the
+    least member of each coset, ascending by key), the coset index of
+    every codeword, and the connection mask marking the smaller-weight
+    cosets."""
+
     code: object
     representatives: np.ndarray
-    adjacency: np.ndarray
+    coset_index: np.ndarray
+    connection: np.ndarray
     profile: object
+
+    def cosets_of(self, rows):
+        """Coset index of each given codeword."""
+        pos = np.searchsorted(self.code.word_keys,
+                              encode_vectors(rows, self.code.ring.order))
+        return self.coset_index[pos]
+
+    @cached_property
+    def adjacency(self):
+        """The 0/1 adjacency matrix over the representatives, built on
+        demand; refused past the enumeration cap on its entries."""
+        count = len(self.representatives)
+        cap = enum_cap()
+        if count * count > cap:
+            raise CapExceededError(
+                f"coset graph adjacency of {count}x{count} entries "
+                f"exceeds cap {cap}")
+        ring = self.code.ring
+        reps = self.representatives
+        neg_reps = ring.neg_table[reps]
+        adjacency = np.empty((count, count), dtype=np.int8)
+        block = max(1, BLOCK_ENTRIES // reps.size)
+        for start in range(0, count, block):
+            diffs = ring.add_table[reps[start:start + block, None, :],
+                                   neg_reps[None, :, :]]
+            cosets = self.cosets_of(diffs.reshape(-1, reps.shape[1]))
+            adjacency[start:start + block] = self.connection[
+                cosets].reshape(-1, count)
+        return adjacency
 
 
 def build_coset_graph(code):
     """The graph on cosets of the zero-weight subcode, adjacency given
-    by the smaller weight.  Verifies that adjacency does not depend on
-    the chosen representatives."""
+    by the smaller weight, in Cayley form.  Verifies that weights do
+    not depend on the chosen representatives, that the cosets tile the
+    code, and that the connection set is closed under negation."""
     profile = two_weight_profile(code)
     if profile is None:
         raise PreconditionError("coset graph needs a two-weight code")
     ring = code.ring
     num = code.table.numerators
-    D = code.denominator
     zero_words = code.zero_weight_words()
 
-    # shifting by a zero-weight word must not change any word's weight
+    # shifting by a zero-weight word must not change any word's weight;
+    # the least key over all shifts names each word's coset
+    least = code.word_keys.copy()
     for z in zero_words:
-        shifted = num[ring.add_table[code.words, z[None, :]]].sum(axis=1)
-        if not (shifted == code.word_numerators).all():
+        shifted = ring.add_table[code.words, z[None, :]]
+        if not (num[shifted].sum(axis=1) == code.word_numerators).all():
             raise IdentityCheckError(
                 "weights change under zero-weight shifts",
                 witness={"shift": z.tolist()})
+        np.minimum(least, encode_vectors(shifted, ring.order), out=least)
 
-    zero_keys = np.sort(encode_vectors(zero_words, ring.order))
-    all_keys = code.word_keys
-    # representative of each coset: lexicographically least member
-    coset_min = {}
-    for idx in range(code.size):
-        w = code.words[idx]
-        members = ring.add_table[zero_words, w[None, :]]
-        least = int(encode_vectors(members, ring.order).min())
-        if least == int(all_keys[idx]):
-            coset_min[least] = idx
-    reps_idx = np.array([coset_min[k] for k in sorted(coset_min)],
-                        dtype=np.int64)
-    reps = code.words[reps_idx]
+    is_rep = least == code.word_keys
+    reps = code.words[is_rep]
     if len(reps) * len(zero_words) != code.size:
         raise IdentityCheckError(
             "cosets of the zero-weight subcode do not tile the code",
             witness={"cosets": len(reps), "b0": len(zero_words)})
-
-    neg_reps = ring.neg_table[reps]
-    w1num = int(profile.w1 * D)
-    count = len(reps)
-    adjacency = np.zeros((count, count), dtype=np.int8)
-    block = max(1, (1 << 22) // max(1, count * code.n))
-    for start in range(0, count, block):
-        chunk = reps[start:start + block]
-        diffs = ring.add_table[chunk[:, None, :], neg_reps[None, :, :]]
-        wnum = num[diffs].sum(axis=2)
-        adjacency[start:start + block] = wnum == w1num
-    np.fill_diagonal(adjacency, 0)
-    if (adjacency != adjacency.T).any():
+    coset_index = np.searchsorted(code.word_keys[is_rep], least)
+    connection = (code.word_numerators[is_rep]
+                  == int(profile.w1 * code.denominator))
+    graph = CosetGraph(code, reps, coset_index, connection, profile)
+    if not connection[graph.cosets_of(ring.neg_table[reps[connection]])
+                      ].all():
         raise IdentityCheckError("coset adjacency is not symmetric")
-    return CosetGraph(code, reps, adjacency, profile)
+    return graph
+
+
+def coset_graph_srg(graph):
+    """Certify a coset graph as strongly regular by counting the
+    differences s - t of its connection set S: the common neighbours
+    of two cosets are the count of their difference, so lambda is read
+    on S and mu on the other nonzero cosets.  On a translation-invariant
+    graph these are the value sets measure_srg sees, so the messages,
+    witnesses and complete-graph convention are the same."""
+    code = graph.code
+    connection = graph.connection
+    N = len(connection)
+    K = int(connection.sum())
+    counts = _difference_counts(code.ring, graph.representatives[connection],
+                                code.word_keys, graph.coset_index, N)
+    others = ~connection
+    others[0] = False  # the zero coset: its representative has key 0
+    return _srg_from_counts(N, K, counts[connection], counts[others])
 
 
 def check_trivial_structure(graph):
@@ -257,6 +312,28 @@ class PdsCertificate:
                          self.mu, trivial)
 
 
+def _difference_counts(ring, rows, keys, labels, length):
+    """Count the nonzero differences a - b of the given rows by class:
+    a difference is found in the sorted keys and counted under the
+    label of its position.  The rows are taken in blocks, so memory
+    stays bounded.  Raises PreconditionError when a difference is not
+    among the keys."""
+    m, n = rows.shape
+    neg_rows = ring.neg_table[rows]
+    counts = np.zeros(length, dtype=np.int64)
+    block = max(1, BLOCK_ENTRIES // max(1, rows.size))
+    for start in range(0, m, block):
+        diffs = ring.add_table[rows[start:start + block, None, :],
+                               neg_rows[None, :, :]]
+        dkeys = encode_vectors(diffs.reshape(-1, n), ring.order)
+        dkeys = dkeys[dkeys != 0]
+        pos = np.searchsorted(keys, dkeys)
+        if (pos >= len(keys)).any() or (keys[pos] != dkeys).any():
+            raise PreconditionError("differences leave the group")
+        counts += np.bincount(labels[pos], minlength=length)
+    return counts
+
+
 def cayley_graph(ring, group_rows, connection_rows):
     """Adjacency matrix of the Cayley graph on the given abelian group
     of vectors with the given symmetric connection set."""
@@ -301,14 +378,8 @@ def pds_check(ring, group_rows, subset_rows):
     if not (encode_vectors(neg_rows, order) == skeys).all():
         return None
 
-    diffs = ring.add_table[subset_rows[:, None, :],
-                           ring.neg_table[subset_rows][None, :, :]]
-    dkeys = encode_vectors(diffs.reshape(m * m, -1), order)
-    dkeys = dkeys[dkeys != zero_key]
-    pos = np.searchsorted(gkeys, dkeys)
-    if (pos >= len(gkeys)).any() or (gkeys[pos] != dkeys).any():
-        raise PreconditionError("differences leave the group")
-    counts = np.bincount(pos, minlength=len(gkeys))
+    counts = _difference_counts(ring, subset_rows, gkeys,
+                                np.arange(len(gkeys)), len(gkeys))
 
     in_subset = np.isin(gkeys, skeys)
     is_zero = gkeys == zero_key

@@ -154,8 +154,9 @@ class OpSpec(RingSpec):
 
 
 class _Cursor:
-    def __init__(self, text):
+    def __init__(self, text, order_cap):
         self.text = text
+        self.order_cap = order_cap
         self.pos = 0
 
     def skip_ws(self):
@@ -193,6 +194,20 @@ class _Cursor:
     def fail(self, message):
         raise SpecParseError(message, position=self.pos)
 
+    def check_order(self, base, exponent):
+        """Refuse an order base**exponent past the order cap before any
+        work depends on it, without computing a power beyond the cap."""
+        cap = self.order_cap
+        if base < 2:
+            return
+        if exponent == 1 or (base <= cap and exponent <= cap.bit_length()):
+            order = base ** exponent
+            if order <= cap:
+                return
+        else:
+            order = f"{base}^{exponent}"
+        raise CapExceededError(f"ring order {order} exceeds cap {cap}")
+
 
 def _parse_spec(cur):
     if cur.startswith("prod("):
@@ -213,6 +228,7 @@ def _parse_spec(cur):
         cur.expect("(")
         base = _parse_gf(cur)
         cur.expect(")")
+        cur.check_order(base.order, m * m)
         return MatRing(m, base)
     if cur.peek() == "Z":
         cur.expect("Z")
@@ -232,14 +248,17 @@ def _parse_gf(cur):
         r = cur.read_int()
         if r < 1:
             cur.fail("field exponent must be at least 1")
+        cur.check_order(p, r)
         if not _is_prime(p):
             cur.fail(f"{p} is not prime")
-    elif not _is_prime(p):
-        # prime-power shorthand: GF(4) means GF(2^2)
-        decomposed = _prime_power(p)
-        if decomposed is None:
-            cur.fail(f"{p} is not a prime power")
-        p, r = decomposed
+    else:
+        cur.check_order(p, 1)
+        if not _is_prime(p):
+            # prime-power shorthand: GF(4) means GF(2^2)
+            decomposed = _prime_power(p)
+            if decomposed is None:
+                cur.fail(f"{p} is not a prime power")
+            p, r = decomposed
     poly = None
     if cur.peek() == ",":
         cur.expect(",")
@@ -253,10 +272,11 @@ def _parse_gf(cur):
     return GF(p, r, poly)
 
 
-def parse_ring_spec(text):
+def parse_ring_spec(text, *, order_cap=DEFAULT_ORDER_CAP):
     """Parse the ring spec grammar: Z<m>, GF(p^r[,poly=c0,c1,..]),
-    M<m>(GF(..)), prod(spec,..)."""
-    cur = _Cursor(text)
+    M<m>(GF(..)), prod(spec,..).  A field or matrix ring whose order
+    exceeds order_cap is refused here, before its primality tests."""
+    cur = _Cursor(text, order_cap)
     spec = _parse_spec(cur)
     if not cur.at_end():
         cur.fail("trailing characters after ring spec")
@@ -787,8 +807,8 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
 
 
 def ring_from_text(text, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
-    return build_ring(parse_ring_spec(text), order_cap=order_cap,
-                      verify=verify)
+    return build_ring(parse_ring_spec(text, order_cap=order_cap),
+                      order_cap=order_cap, verify=verify)
 
 
 def opposite_ring(ring):

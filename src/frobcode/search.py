@@ -31,8 +31,8 @@ from .graphs import (
     EquivalenceReport,
     SrgParams,
     build_coset_graph,
+    coset_graph_srg,
     equivalence_check,
-    measure_srg,
     predicted_srg,
 )
 from .spans import _check_encodable, encode_vectors, enumerate_vectors
@@ -185,7 +185,7 @@ def _certify_candidate(ring, k, subset, index, with_dual, with_equivalence,
         profile = two_weight_profile(code, require_modular=True)
         predicted = predicted_srg(profile)
         graph = build_coset_graph(code)
-        srg = measure_srg(graph.adjacency)
+        srg = coset_graph_srg(graph)
         if srg != predicted:
             raise IdentityCheckError(
                 "measured graph parameters disagree with the closed forms",

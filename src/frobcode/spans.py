@@ -18,6 +18,11 @@ from .errors import CapExceededError, PreconditionError
 
 DEFAULT_ENUM_CAP = 1 << 20
 
+# Entries of one block of pairwise sums or differences: a pairwise pass
+# over m rows takes its left operand in blocks of rows, so its memory
+# stays bounded whatever m is.
+BLOCK_ENTRIES = 1 << 18
+
 
 def enum_cap():
     """The enumeration cap: FROBCODE_CAP when set, else the default."""
@@ -251,14 +256,19 @@ def is_submodule(ring, vectors, side="left"):
 
     if not covered(np.zeros((1, vectors.shape[1]), dtype=np.int32)):
         return False
-    sums = ring.add_table[vectors[:, None, :], vectors[None, :, :]]
-    if not covered(sums):
-        return False
+    block = max(1, BLOCK_ENTRIES // max(1, vectors.size))
+    for start in range(0, len(vectors), block):
+        sums = ring.add_table[vectors[start:start + block, None, :],
+                              vectors[None, :, :]]
+        if not covered(sums):
+            return False
     all_scalars = np.arange(ring.order, dtype=np.int32)
-    if side == "left":
-        scaled = ring.mul_table[all_scalars[:, None, None],
-                                vectors[None, :, :]]
-    else:
-        scaled = ring.mul_table[vectors[None, :, :],
-                                all_scalars[:, None, None]]
-    return covered(scaled)
+    for start in range(0, ring.order, block):
+        scalars = all_scalars[start:start + block, None, None]
+        if side == "left":
+            scaled = ring.mul_table[scalars, vectors[None, :, :]]
+        else:
+            scaled = ring.mul_table[vectors[None, :, :], scalars]
+        if not covered(scaled):
+            return False
+    return True

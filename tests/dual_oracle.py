@@ -16,7 +16,6 @@ import numpy as np
 from frobcode.codes import build_code, two_weight_profile
 from frobcode.duality import DualReport, smaller_class_matrix
 from frobcode.errors import IdentityCheckError
-from frobcode.graphs import build_coset_graph, measure_srg
 from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring
 from frobcode.spans import (
@@ -25,6 +24,7 @@ from frobcode.spans import (
     encode_vectors,
     enumerate_vectors,
 )
+from srg_oracle import oracle_srg
 
 
 def oracle_build_dual(code, cap=None):
@@ -85,7 +85,7 @@ def oracle_dual_report(code, cap=None):
     w2_dual = (w2 - n) * size / (w2 - w1)
     dual = oracle_build_dual(code, cap)
     dual_profile = two_weight_profile(dual, require_modular=True)
-    srg = measure_srg(build_coset_graph(dual).adjacency)
+    srg = oracle_srg(dual)
     kernel_size, counts = oracle_message_classification(
         code, w1_dual, w2_dual, cap)
     return dual, DualReport(

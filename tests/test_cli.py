@@ -213,6 +213,47 @@ def test_graph_dot_output(capsys, tmp_path):
     assert text.count("[label=") == 9
 
 
+# sha256 of `graph` stdout and of the `graph --dot` file, recorded
+# before the coset graph was measured in Cayley form
+GRAPH_GOLDEN = {
+    "f3": (F3_IDENTITY,
+           "68794c09e1a5cb60cd577672c4bc8db355e20cef807ab291b870edc80fc4c1bf",
+           "60bc7c306c96bb3d6a5bb768cdf61b9b3a564bd6923e5cbfa5176a91584e9814"),
+    "z4": (z4_srg256_code(),
+           "3e522ef9625c00b611f37aed7e7b7f15d5d9858e617ce6a2ee03a7273ebeb5d6",
+           "aec9574226bf100596be433724430f6d7777ee518afac7277c7042bd5c5efb01"),
+    # b0 = 2: the vertices are cosets of a nontrivial zero-weight subcode
+    "p22": ("ring: prod(Z2,Z2)\nk: 2 n: 4\n3 0 2 1\n1 1 1 1\n",
+            "712006d7f644407171c4aa6a47be0d45d46cef7a5d116e62090cfb8faf770de7",
+            "8e53fd295b845b6c46c008e2ce36e4f4881ddcfb514b922e1cbff469b91e741e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN))
+def test_graph_golden_digests(capsys, tmp_path, name):
+    text, stdout_digest, dot_digest = GRAPH_GOLDEN[name]
+    path = write_code(tmp_path, f"{name}.code", text)
+    rc, out, err = run_cli(capsys, ["graph", path])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    dot = tmp_path / f"{name}.dot"
+    rc, out, err = run_cli(capsys, ["graph", path, "--dot", str(dot)])
+    assert rc == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
+def test_graph_dot_respects_cap(capsys, tmp_path, monkeypatch):
+    # the dot file needs the 9 x 9 adjacency matrix; measuring does not
+    path = write_code(tmp_path, "f3.code", F3_IDENTITY)
+    monkeypatch.setenv("FROBCODE_CAP", "80")
+    rc, out, err = run_cli(capsys, ["graph", path])
+    assert rc == 0
+    rc, out, err = run_cli(capsys, ["graph", path, "--dot",
+                                    str(tmp_path / "f3.dot")])
+    assert rc == 2
+    assert err == "error: coset graph adjacency of 9x9 entries exceeds cap 80\n"
+
+
 def test_graph_rejects_one_weight(capsys, tmp_path):
     path = write_code(tmp_path, "ow.code", Z4_ONE_WEIGHT)
     rc, out, err = run_cli(capsys, ["graph", path])
@@ -278,6 +319,21 @@ def test_search_huge_n_max_exits_fast():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == (
         "candidates: 21 (one-weight: 12, two-weight: 9, mixed: 0)")
+
+
+@pytest.mark.parametrize("spec,order", [
+    ("GF(1000000000000000003)", "1000000000000000003"),
+    ("GF(2^100000000)", "2^100000000"),
+    ("M100000(GF(2))", "2^10000000000"),
+])
+def test_huge_ring_order_exits_fast(spec, order):
+    # the order cap is checked before primality tests or the order's
+    # digits are computed
+    start = time.monotonic()
+    proc = run_module(["ring", spec], 30)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: ring order {order} exceeds cap 4096\n"
+    assert time.monotonic() - start < 10
 
 
 def test_search_z4_golden_digests(capsys, tmp_path):

@@ -3,19 +3,25 @@ sets, and the two-weight equivalence, with textbook graphs as oracles.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from frobcode.codes import build_code, two_weight_profile
-from frobcode.errors import IdentityCheckError, PreconditionError
+from frobcode.errors import (
+    CapExceededError,
+    IdentityCheckError,
+    PreconditionError,
+)
 from frobcode.graphs import (
     SrgParams,
     build_coset_graph,
     cayley_graph,
     check_trivial_structure,
     column_module,
+    coset_graph_srg,
     equivalence_check,
     measure_srg,
     pds_check,
@@ -23,6 +29,9 @@ from frobcode.graphs import (
     predicted_srg,
 )
 from frobcode.rings import ring_from_text
+from frobcode.search import generator_for_record, search_modular_codes
+from frobcode.spans import encode_vectors, row_space
+from srg_oracle import oracle_coset_graph
 
 
 def make(text, rows):
@@ -139,6 +148,141 @@ def test_trivial_graph_structure():
     check_trivial_structure(graph)
     profile = two_weight_profile(code, require_modular=True)
     assert predicted_srg(profile) == measured
+
+
+def test_coset_graph_cayley_form():
+    ring, code = make("prod(Z2,Z2)", [[3, 0, 2, 1], [1, 1, 1, 1]])
+    assert code.b0 == 2
+    graph = build_coset_graph(code)
+    reps = graph.representatives
+    assert len(reps) == 8
+    assert (np.diff(encode_vectors(reps, ring.order)) > 0).all()
+    # each word differs from its coset's representative by a zero-weight
+    # word, and every coset has b0 members
+    offsets = ring.add_table[code.words,
+                             ring.neg_table[reps[graph.coset_index]]]
+    assert (code.table.word_numerator(offsets) == 0).all()
+    assert np.bincount(graph.coset_index).tolist() == [2] * 8
+    assert graph.connection.tolist() == [False] + [True] * 6 + [False]
+    assert coset_graph_srg(graph).as_tuple() == (8, 6, 4, 6)
+
+
+def test_adjacency_is_refused_past_the_cap(monkeypatch):
+    ring, code = make("GF(3)", [[1, 0], [0, 1]])
+    monkeypatch.setenv("FROBCODE_CAP", "80")
+    graph = build_coset_graph(code)
+    assert coset_graph_srg(graph).as_tuple() == (9, 4, 1, 2)
+    with pytest.raises(CapExceededError):
+        graph.adjacency
+    monkeypatch.setenv("FROBCODE_CAP", "81")
+    assert graph.adjacency.shape == (9, 9)
+
+
+def halves_code(spec, k):
+    """One column per nonzero vector of the span of the first k/2 unit
+    vectors and of the span of the rest: a two-weight code."""
+    ring = ring_from_text(spec)
+    basis = np.eye(k, dtype=np.int32)
+    columns = []
+    for part in (basis[:k // 2], basis[k // 2:]):
+        words = row_space(ring, part)
+        columns.append(words[(words != 0).any(axis=1)])
+    generator = np.ascontiguousarray(np.concatenate(columns).T)
+    return build_code(ring, generator)
+
+
+def test_coset_graph_measurement_memory_is_bounded():
+    # srg(1024,62,30,2): the dense A @ A path peaked at 50.6 MiB on it
+    code = halves_code("GF(2)", 10)
+    tracemalloc.start()
+    try:
+        params = coset_graph_srg(build_coset_graph(code))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.as_tuple() == (1024, 62, 30, 2)
+    assert peak < 4 * 2 ** 20
+
+
+# ------------------------------------------ agreement with the dense oracle
+
+
+def srg_outcome(measure):
+    """The parameters, or the message and witness of the failure."""
+    try:
+        return measure()
+    except IdentityCheckError as exc:
+        return str(exc), exc.witness
+
+
+def assert_matches_srg_oracle(code):
+    """The Cayley-form graph has the dense oracle's representatives and
+    adjacency, and its measurement gives the same parameters or fails
+    with the same message and witness.  Returns that outcome."""
+    reps, dense = oracle_coset_graph(code)
+    graph = build_coset_graph(code)
+    assert (graph.representatives == reps).all()
+    assert (graph.adjacency == dense).all()
+    expected = srg_outcome(lambda: measure_srg(dense))
+    assert srg_outcome(lambda: coset_graph_srg(graph)) == expected
+    return expected
+
+
+SEARCH_CASES = [
+    ("GF(2)", 2, 6), ("GF(3)", 2, 6), ("GF(4)", 2, 6), ("Z4", 2, 6),
+    ("Z8", 1, 6), ("Z9", 1, 6), ("prod(GF(2),GF(3))", 1, 7),
+    ("M2(GF(2))", 1, 6),
+]
+
+
+@pytest.mark.parametrize("spec,k,n_max", SEARCH_CASES,
+                         ids=[case[0] for case in SEARCH_CASES])
+def test_every_search_hit_matches_srg_oracle(spec, k, n_max):
+    ring = ring_from_text(spec)
+    records = search_modular_codes(ring, k, n_max, with_dual=False,
+                                   with_equivalence=False)
+    hits = [rec for rec in records if rec.classification == "two-weight"]
+    assert hits
+    for rec in hits:
+        code = build_code(ring, generator_for_record(ring, rec))
+        assert assert_matches_srg_oracle(code) == rec.srg
+
+
+# Random generators with k <= 2 and n <= 4 over products of chain rings,
+# where nonzero words can have weight zero (b0 > 1): the parameters each
+# ring must show with b0 > 1, and the failures it must show.
+PRODUCT_CASES = {
+    "prod(Z2,Z2)": ({(4, 2, 0, 2), (8, 6, 4, 6)}, set()),
+    "prod(Z2,Z2,Z2)": ({(4, 2, 0, 2)}, set()),
+    "prod(Z4,Z2)": ({(8, 6, 4, 6), (16, 6, 2, 2)},
+                    {"adjacent pairs disagree on common neighbours",
+                     "nonadjacent pairs disagree on common neighbours"}),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PRODUCT_CASES))
+def test_random_product_ring_codes_match_srg_oracle(spec):
+    ring = ring_from_text(spec)
+    rng = np.random.default_rng(0)
+    with_fat_zero = set()
+    failures = set()
+    for _ in range(300):
+        k, n = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        generator = rng.integers(0, ring.order, size=(k, n)).astype(np.int32)
+        if (generator == 0).all(axis=0).any():
+            continue
+        code = build_code(ring, generator)
+        if two_weight_profile(code) is None:
+            continue
+        outcome = assert_matches_srg_oracle(code)
+        if isinstance(outcome, SrgParams):
+            if code.b0 > 1:
+                with_fat_zero.add(outcome.as_tuple())
+        else:
+            failures.add(outcome[0])
+    params, messages = PRODUCT_CASES[spec]
+    assert params <= with_fat_zero
+    assert failures == messages
 
 
 # --------------------------------------------------- difference sets

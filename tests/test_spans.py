@@ -6,9 +6,14 @@ incremental span builder.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frobcode import spans
 
 from frobcode.errors import CapExceededError, IdentityCheckError
 from frobcode.rings import ring_from_text
@@ -24,6 +29,7 @@ from frobcode.spans import (
     is_submodule,
     right_kernel,
     row_space,
+    scalar_orbit,
     span,
     unit_orbit,
 )
@@ -167,3 +173,77 @@ def test_is_submodule():
     assert not is_submodule(z4, missing_zero, "left")
     not_closed = np.array([[0, 0], [1, 0]], dtype=np.int32)
     assert not is_submodule(z4, not_closed, "left")
+
+
+def unchunked_is_submodule(ring, vectors, side):
+    """is_submodule with every pair sum and every scalar multiple built
+    at once, as it was before the pair sums were taken in blocks."""
+    vectors = np.asarray(vectors, dtype=np.int32)
+    if vectors.ndim != 2 or len(vectors) == 0:
+        return False
+    keys = np.sort(encode_vectors(vectors, ring.order))
+
+    def covered(rows):
+        rk = encode_vectors(rows.reshape(-1, vectors.shape[1]), ring.order)
+        pos = np.clip(np.searchsorted(keys, rk), 0, len(keys) - 1)
+        return bool((keys[pos] == rk).all())
+
+    all_scalars = np.arange(ring.order, dtype=np.int32)
+    if side == "left":
+        scaled = ring.mul_table[all_scalars[:, None, None],
+                                vectors[None, :, :]]
+    else:
+        scaled = ring.mul_table[vectors[None, :, :],
+                                all_scalars[:, None, None]]
+    return (covered(np.zeros((1, vectors.shape[1]), dtype=np.int32))
+            and covered(ring.add_table[vectors[:, None, :],
+                                       vectors[None, :, :]])
+            and covered(scaled))
+
+
+SUBMODULE_RINGS = {spec: ring_from_text(spec)
+                   for spec in ("Z4", "GF(4)", "prod(Z2,Z2)", "M2(GF(2))")}
+
+
+def additive_closure(ring, rows):
+    while True:
+        sums = ring.add_table[rows[:, None, :], rows[None, :, :]]
+        closed = np.unique(
+            np.concatenate([rows, sums.reshape(-1, rows.shape[1])]), axis=0)
+        if len(closed) == len(rows):
+            return rows
+        rows = closed
+
+
+@st.composite
+def row_sets(draw):
+    """Random rows over a small ring: as drawn, closed under addition
+    only, closed under the scalar action only, or closed into the span
+    they generate, so that every check of is_submodule decides some
+    cases."""
+    ring = SUBMODULE_RINGS[draw(st.sampled_from(sorted(SUBMODULE_RINGS)))]
+    n = draw(st.integers(1, 2))
+    side = draw(st.sampled_from(["left", "right"]))
+    rows = draw(st.lists(st.lists(st.integers(0, ring.order - 1),
+                                  min_size=n, max_size=n),
+                         min_size=1, max_size=12))
+    rows = np.array(rows, dtype=np.int32)
+    closure = draw(st.sampled_from(["none", "additive", "scalar", "span"]))
+    if closure == "additive":
+        rows = additive_closure(ring, rows)
+    elif closure == "scalar":
+        scalars = np.arange(ring.order, dtype=np.int32)
+        rows = np.unique(np.concatenate(
+            [scalar_orbit(ring, scalars, row, side) for row in rows]), axis=0)
+    elif closure == "span":
+        rows = span(ring, rows, side=side).elements
+    return ring, rows, side
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(row_sets(), st.integers(1, 64))
+def test_is_submodule_blocks_match_unchunked(case, block_entries):
+    ring, rows, side = case
+    with mock.patch.object(spans, "BLOCK_ENTRIES", block_entries):
+        chunked = is_submodule(ring, rows, side)
+    assert chunked == unchunked_is_submodule(ring, rows, side)
