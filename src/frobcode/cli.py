@@ -400,16 +400,6 @@ def cmd_search(args):
     records = search_modular_codes(
         ring, params["k"], params["n_max"], index_one=args.index1,
         mult_cap=params["mult_cap"], cap=args.cap)
-    if args.dedupe:
-        seen = set()
-        kept = []
-        for rec in records:
-            sig = (rec.point_ids, rec.index)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            kept.append(rec)
-        records = kept
     counts = {"one-weight": 0, "two-weight": 0, "mixed": 0}
     for rec in records:
         counts[rec.classification] += 1
@@ -439,10 +429,11 @@ def build_parser():
                     "two-weight codes, and their graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag=True):
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap override (default: "
-                            f"{enum_cap()}, env FROBCODE_CAP)")
+    def common(p, cap_flag=True, json_flag=True):
+        if cap_flag:
+            p.add_argument("--cap", type=int, default=None,
+                           help="enumeration cap override (default: "
+                                f"{enum_cap()}, env FROBCODE_CAP)")
         if json_flag:
             p.add_argument("--json", metavar="PATH", nargs="?", const="",
                            default=None,
@@ -451,12 +442,12 @@ def build_parser():
 
     p = sub.add_parser("ring", help="inspect a ring and its weight table")
     p.add_argument("spec")
-    common(p)
+    common(p, cap_flag=False)
     p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("weights", help="print the weight table")
     p.add_argument("spec")
-    common(p, json_flag=False)
+    common(p, cap_flag=False, json_flag=False)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("verify", help="run the weight identity suite")
@@ -499,9 +490,6 @@ def build_parser():
                    help="k=K (default 2), n_max=N (default 4), mult_cap=M")
     p.add_argument("--index1", action="store_true",
                    help="restrict to modular index 1")
-    p.add_argument("--dedupe", action="store_true",
-                   help="drop candidates with a repeated column-multiset "
-                        "signature (approximates monomial-class dedupe)")
     common(p)
     p.set_defaults(func=cmd_search)
 

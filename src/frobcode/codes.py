@@ -27,6 +27,7 @@ from .spans import (
     encode_vectors,
     enumerate_vectors,
     is_submodule,
+    point_ids,
     unit_orbit,
 )
 
@@ -90,19 +91,12 @@ class LinearCode:
         """Column points: list of (point id, representative column,
         orbit size, multiplicity)."""
         if self._points is None:
-            from .spans import canonical_point_id
-
-            ring = self.ring
-            seen = {}
-            for j in range(self.n):
-                col = self.generator[:, j]
-                pid = canonical_point_id(ring, col, "right")
-                if pid in seen:
-                    seen[pid][3] += 1
-                else:
-                    orbit = unit_orbit(ring, col, "right")
-                    seen[pid] = [pid, col.copy(), len(orbit), 1]
-            self._points = [tuple(v) for _, v in sorted(seen.items())]
+            pids, sizes = point_ids(self.ring, self.generator.T)
+            uniq, first, mult = np.unique(pids, return_index=True,
+                                          return_counts=True)
+            self._points = [
+                (int(pid), self.generator[:, j].copy(), int(sizes[j]),
+                 int(m)) for pid, j, m in zip(uniq, first, mult)]
         return list(self._points)
 
     def __repr__(self):
@@ -237,8 +231,13 @@ def support_with_zero(code):
 
 def one_weight_characterization(code):
     """Check the equivalence: a code is one-weight exactly when it is
-    modular and the occurring points fill a right submodule.  Returns
-    (is_one_weight, is_modular, support_is_submodule)."""
+    modular and the occurring points fill a right submodule.  Needs a
+    trivial zero-weight subcode.  Returns (is_one_weight, is_modular,
+    support_is_submodule)."""
+    if code.b0 != 1:
+        raise PreconditionError(
+            "one-weight characterization needs a trivial zero-weight "
+            "subcode")
     nonzero = [v for v in code.weight_values() if v != 0]
     is_one = len(nonzero) == 1
     is_mod = modular_index(code) is not None

@@ -31,7 +31,7 @@ from .codes import (
     support_with_zero,
     two_weight_profile,
 )
-from .errors import CapExceededError, IdentityCheckError, PreconditionError
+from .errors import IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
     build_coset_graph,
@@ -43,9 +43,9 @@ from .rings import opposite_ring
 from .spans import (
     _check_encodable,
     apply_matrix,
+    column_module,
     combine_rows,
     encode_vectors,
-    enum_cap,
     span,
 )
 
@@ -80,10 +80,7 @@ def _column_module(code, cap):
     messages X1 of the smaller-weight codewords give X1 G = m1, that
     |Z| = |C|, and that |Z| divides order^n."""
     ring, G = code.ring, code.generator
-    order = ring.order
-    k, n = G.shape
-    if cap is None:
-        cap = enum_cap()
+    order, n = ring.order, code.n
     mask = _smaller_class_mask(code)
     m1, x1 = code.words[mask], code.messages[mask]
     if not (combine_rows(ring, G, x1) == m1).all():
@@ -93,23 +90,7 @@ def _column_module(code, cap):
     # dual words have length b1 and int64 keys: refuse before building
     _check_encodable(order, len(m1))
 
-    # Close {0} under adding right multiples of each distinct column,
-    # carrying along the coefficient vector y of every element.
-    _, first = np.unique(encode_vectors(G.T, order), return_index=True)
-    scalars = np.arange(order, dtype=np.int32)
-    z = np.zeros((1, k), dtype=np.int32)
-    y = np.zeros((1, n), dtype=np.int32)
-    for j in np.sort(first):
-        multiples = ring.mul_table[G[:, j][None, :], scalars[:, None]]
-        sums = ring.add_table[z[:, None, :], multiples[None, :, :]]
-        sums = sums.reshape(-1, k)
-        _, at = np.unique(encode_vectors(sums, order), return_index=True)
-        if len(at) > cap:
-            raise CapExceededError(
-                f"column module grew past cap {cap}")
-        z = sums[at]
-        y = y[at // order]
-        y[:, j] = at % order
+    z, y = column_module(ring, G, cap)
     if len(z) != code.size:
         raise IdentityCheckError(
             "column module size differs from the code size",

@@ -25,11 +25,11 @@ from .codes import support_with_zero, two_weight_profile
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .spans import (
     BLOCK_ENTRIES,
+    column_module,
     decode_vectors,
     enum_cap,
     encode_vectors,
     is_submodule,
-    span,
 )
 
 
@@ -407,13 +407,6 @@ class EquivalenceReport:
     ambient_size: int
 
 
-def column_module(code):
-    """The right submodule of R^k generated by the generator columns."""
-    cols = [tuple(int(v) for v in code.generator[:, j])
-            for j in range(code.n)]
-    return span(code.ring, cols, side="right")
-
-
 def equivalence_check(code):
     """Certify the two-way correspondence for a modular code with
     trivial zero-weight subcode: the code is two-weight exactly when
@@ -432,22 +425,20 @@ def equivalence_check(code):
         raise PreconditionError(
             "equivalence check needs a trivial zero-weight subcode")
 
-    module = column_module(code)
+    module, _ = column_module(ring, code.generator)
+    module_keys = encode_vectors(module, ring.order)
     supp0 = support_with_zero(code)
     supp0_keys = encode_vectors(supp0, ring.order)
     omega = supp0[supp0_keys != 0]
 
-    if not module.contains_keys(np.sort(supp0_keys)).all():
+    if not np.isin(supp0_keys, module_keys).all():
         raise IdentityCheckError(
             "occurring points leave the column module",
             witness={"generator": code.generator.tolist()})
 
-    cert = pds_check(ring, module.elements, omega)
+    cert = pds_check(ring, module, omega)
     omega_sub = is_submodule(ring, supp0, "right")
-    module_keys = module.keys
-    comp_mask = ~np.isin(module_keys, np.sort(encode_vectors(omega,
-                                                             ring.order)))
-    complement = module.elements[comp_mask]
+    complement = module[~np.isin(module_keys, supp0_keys[supp0_keys != 0])]
     # the bare zero module (points fill the ambient module) is the
     # degenerate case belonging to one-weight codes; the submodule test
     # here asks for a nonzero submodule
@@ -499,4 +490,4 @@ def equivalence_check(code):
         two_weight=is_two, pds=cert,
         omega_with_zero_submodule=omega_sub,
         complement_submodule=comp_sub,
-        omega_size=len(omega), ambient_size=module.size)
+        omega_size=len(omega), ambient_size=len(module))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
-from .rings import gf_matrix_rank, order2_socle_part
-from .spans import enumerate_vectors
+from .rings import order2_socle_part
+from .spans import enumerate_vectors, point_ids
 
 _IDEAL_COUNT_CAP = 4096
 
@@ -117,7 +117,8 @@ def whom_word(ring, word):
 
 def whom_on_socle(factors, ranks):
     """Closed-form weight of a socle element from the simple-factor
-    parameters [(q_i, m_i), ...] and its per-factor matrix ranks."""
+    parameters [(q_i, m_i), ...] and its per-factor matrix ranks, as
+    rings.socle_rank_data gives them."""
     prod = Fraction(1)
     for (q, m), l in zip(factors, ranks):
         denom = 1
@@ -125,73 +126,6 @@ def whom_on_socle(factors, ranks):
             denom *= q ** (m - j) - 1
         prod *= Fraction((-1) ** l, denom)
     return 1 - prod
-
-
-def socle_rank_data(ring):
-    """(factors, ranks) where factors are the simple-factor parameters
-    of the socle and ranks[x] is the per-factor rank tuple of x, or
-    None when x lies outside the socle.  Only defined for the built-in
-    constructions; returns None for anything else."""
-    factors = _socle_factors(ring)
-    if factors is None:
-        return None
-    ranks = [_socle_ranks(ring, x) for x in range(ring.order)]
-    return factors, ranks
-
-
-def _socle_factors(ring):
-    from .rings import GF, MatRing, Product, Zm, _prime_factors
-
-    spec = ring.spec
-    if isinstance(spec, GF):
-        return [(spec.order, 1)]
-    if isinstance(spec, MatRing):
-        return [(spec.base.order, spec.m)]
-    if isinstance(spec, Zm):
-        return [(p, 1) for p in _prime_factors(spec.m)]
-    if isinstance(spec, Product):
-        out = []
-        for f in ring.meta["factor_rings"]:
-            part = _socle_factors(f)
-            if part is None:
-                return None
-            out.extend(part)
-        return out
-    return None
-
-
-def _socle_ranks(ring, x):
-    from .rings import GF, MatRing, Product, Zm, _prime_factors
-
-    spec = ring.spec
-    if isinstance(spec, GF):
-        return (0 if x == 0 else 1,)
-    if isinstance(spec, MatRing):
-        m = ring.meta["mat_m"]
-        base = ring.meta["base_ring"]
-        ent = ring.meta["entries"][x]
-        mat = [[int(ent[i * m + j]) for j in range(m)] for i in range(m)]
-        return (gf_matrix_rank(base, mat),)
-    if isinstance(spec, Zm):
-        primes = _prime_factors(spec.m)
-        rad = 1
-        for p in primes:
-            rad *= p
-        step = spec.m // rad
-        if x % step != 0:
-            return None
-        y = x // step
-        return tuple(0 if y % p == 0 else 1 for p in primes)
-    if isinstance(spec, Product):
-        comps = ring.meta["components"]
-        out = []
-        for f, fr in enumerate(ring.meta["factor_rings"]):
-            part = _socle_ranks(fr, int(comps[x, f]))
-            if part is None:
-                return None
-            out.extend(part)
-        return tuple(out)
-    return None
 
 
 # ---------------------------------------------------- ideal enumeration
@@ -394,38 +328,17 @@ def _dot_table(ring, k, cap=None):
     return vecs, T.astype(np.int64)
 
 
-def right_orbit_point_ids(ring, vecs):
-    """Canonical id (minimal encoded orbit member) and orbit size of
-    each vector's right unit orbit."""
-    from .spans import encode_vectors
-
-    order = ring.order
-    units = ring.units_array
-    n = vecs.shape[1]
-    orbits = ring.mul_table[vecs[:, None, :], units[None, :, None]]
-    keys = encode_vectors(orbits.reshape(len(vecs), len(units), n), order)
-    pids = keys.min(axis=1)
-    sizes = np.array([len(np.unique(keys[i])) for i in range(len(vecs))],
-                     dtype=np.int64)
-    return pids, sizes
-
-
 def correlation_vectors_rhs(ring, g, h, s, k=None, table=None):
     """Predicted sum over x in R^k of w(x.g) w(x.h + s): the words g, h
     either share a right unit orbit (extra term scaled by the orbit
     size) or do not (flat |R|^k)."""
-    from .spans import canonical_point_id, unit_orbit
-
     table = table if table is not None else weight_table(ring)
-    g = np.asarray(g)
-    h = np.asarray(h)
     k = len(g) if k is None else k
     total = ring.order ** k
-    if canonical_point_id(ring, g, "right") != canonical_point_id(
-            ring, h, "right"):
+    pids, sizes = point_ids(ring, [g, h])
+    if pids[0] != pids[1]:
         return Fraction(total)
-    orbit_size = len(unit_orbit(ring, g, "right"))
-    return total + Fraction(total, orbit_size) * (1 - table.value(s))
+    return total + Fraction(total, int(sizes[0])) * (1 - table.value(s))
 
 
 def check_correlation_vectors(ring, k, table=None, cap=None):
@@ -437,7 +350,7 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
     order = ring.order
     total = order ** k
     vecs, T = _dot_table(ring, k, cap)
-    pids, sizes = right_orbit_point_ids(ring, vecs)
+    pids, sizes = point_ids(ring, vecs)
     W = num[T].astype(np.float64)
     nz = slice(1, None)
     max_num = int(num.max())

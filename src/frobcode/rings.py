@@ -34,6 +34,10 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
+# Digits of the longest integer the spec parser reads, unless the order
+# cap itself has more digits.
+_MAX_INT_DIGITS = 100
+
 _FULL_AXIOM_LIMIT = 256
 _AXIOM_SAMPLES = 200_000
 
@@ -183,8 +187,16 @@ class _Cursor:
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
+        digits = self.text[start:self.pos].lstrip("-")
+        if not digits:
             self.fail("expected an integer")
+        # an integer this long exceeds the order cap, and int() would
+        # refuse it (past 4300 digits) or take quadratic time: refuse it
+        # before parsing; shorter ones reach check_order's message
+        if len(digits) > max(_MAX_INT_DIGITS, len(str(self.order_cap))):
+            raise SpecParseError(
+                f"integer of {len(digits)} digits exceeds the order cap "
+                f"{self.order_cap}", position=start)
         return int(self.text[start:self.pos])
 
     def at_end(self):
@@ -799,7 +811,6 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
     meta = dict(arrays)
     if base_ring is not None:
         meta["base_ring"] = base_ring
-        meta["mat_m"] = spec.m
     if factor_rings is not None:
         meta["factor_rings"] = factor_rings
     return FiniteRing(spec, labels, add, mul, exps, e, meta=meta,
@@ -829,21 +840,6 @@ def opposite_ring(ring):
 
 
 # --------------------------------------------------- structural helpers
-
-
-def principal_ideal(ring, x, side="left"):
-    """The principal left ideal Rx (or right ideal xR) as a span of
-    ambient dimension 1."""
-    from .spans import RingModuleSpan
-
-    if side == "left":
-        elems = np.unique(ring.mul_table[:, x])
-    elif side == "right":
-        elems = np.unique(ring.mul_table[x, :])
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    elements = elems.astype(np.int32)[:, None]
-    return RingModuleSpan(ring, 1, side, ((int(x),),), elements)
 
 
 def order2_socle_part(ring):
@@ -876,85 +872,46 @@ def order2_socle_part(ring):
     return gens, frozenset(s0)
 
 
+def socle_rank_data(ring):
+    """(factors, ranks) for the built-in constructions: factors lists
+    the simple factors (q_i, m_i) of the socle, M_{m_i}(GF(q_i)), and
+    ranks[x] is the per-factor matrix rank tuple of x, or None when x
+    lies outside the socle.  None for any other ring."""
+    spec = ring.spec
+    if isinstance(spec, GF):
+        return [(spec.order, 1)], [(int(x != 0),) for x in range(ring.order)]
+    if isinstance(spec, MatRing):
+        m = spec.m
+        base = ring.meta["base_ring"]
+        entries = np.asarray(ring.meta["entries"]).reshape(-1, m, m)
+        return [(base.order, m)], [(gf_matrix_rank(base, mat.tolist()),)
+                                   for mat in entries]
+    if isinstance(spec, Zm):
+        primes = _prime_factors(spec.m)
+        step = spec.m // math.prod(primes)
+        return [(p, 1) for p in primes], [
+            None if x % step else tuple(int(x // step % p != 0)
+                                        for p in primes)
+            for x in range(spec.m)]
+    if isinstance(spec, Product):
+        parts = [socle_rank_data(f) for f in ring.meta["factor_rings"]]
+        if any(part is None for part in parts):
+            return None
+        ranks = []
+        for comps in ring.meta["components"]:
+            tuples = [part[1][int(c)] for part, c in zip(parts, comps)]
+            ranks.append(None if None in tuples else sum(tuples, ()))
+        return [f for part in parts for f in part[0]], ranks
+    return None
+
+
 def structural_socle(ring):
     """Element set of the socle for constructions where it is known
     structurally, else None."""
-    spec = ring.spec
-    if isinstance(spec, (GF, MatRing)):
-        return frozenset(range(ring.order))
-    if isinstance(spec, Zm):
-        m = spec.m
-        rad = 1
-        for p in _prime_factors(m):
-            rad *= p
-        step = m // rad
-        return frozenset(i for i in range(m) if i % step == 0)
-    if isinstance(spec, Product):
-        factor_rings = ring.meta["factor_rings"]
-        socles = [structural_socle(f) for f in factor_rings]
-        if any(s is None for s in socles):
-            return None
-        comps = ring.meta["components"]
-        keep = []
-        for x in range(ring.order):
-            if all(int(comps[x, f]) in socles[f]
-                   for f in range(len(factor_rings))):
-                keep.append(x)
-        return frozenset(keep)
-    return None
-
-
-def semisimple_factors(ring):
-    """For rings built as products of matrix rings over fields (and for
-    squarefree Z_m), the simple factor parameters [(q_i, m_i), ...];
-    otherwise None."""
-    spec = ring.spec
-    if isinstance(spec, GF):
-        return [(spec.order, 1)]
-    if isinstance(spec, MatRing):
-        return [(spec.base.order, spec.m)]
-    if isinstance(spec, Zm):
-        primes = _prime_factors(spec.m)
-        sq = 1
-        for p in primes:
-            sq *= p
-        if sq != spec.m:
-            return None
-        return [(p, 1) for p in primes]
-    if isinstance(spec, Product):
-        out = []
-        for f in ring.meta["factor_rings"]:
-            part = semisimple_factors(f)
-            if part is None:
-                return None
-            out.extend(part)
-        return out
-    return None
-
-
-def semisimple_ranks(ring, x):
-    """Per-simple-factor matrix rank of element x; requires a ring for
-    which semisimple_factors is defined."""
-    spec = ring.spec
-    if isinstance(spec, GF):
-        return (0 if x == 0 else 1,)
-    if isinstance(spec, MatRing):
-        m = ring.meta["mat_m"]
-        base = ring.meta["base_ring"]
-        ent = ring.meta["entries"][x]
-        mat = [[int(ent[i * m + j]) for j in range(m)] for i in range(m)]
-        return (gf_matrix_rank(base, mat),)
-    if isinstance(spec, Zm):
-        primes = _prime_factors(spec.m)
-        return tuple(0 if x % p == 0 else 1 for p in primes)
-    if isinstance(spec, Product):
-        comps = ring.meta["components"]
-        out = []
-        for f, fr in enumerate(ring.meta["factor_rings"]):
-            out.extend(semisimple_ranks(fr, int(comps[x, f])))
-        return tuple(out)
-    raise RingConstructionError(
-        f"no semisimple decomposition for {spec.text()}")
+    data = socle_rank_data(ring)
+    if data is None:
+        return None
+    return frozenset(x for x, rank in enumerate(data[1]) if rank is not None)
 
 
 def gf_matrix_rank(field, rows):

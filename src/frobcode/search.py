@@ -35,7 +35,7 @@ from .graphs import (
     equivalence_check,
     predicted_srg,
 )
-from .spans import _check_encodable, encode_vectors, enumerate_vectors
+from .spans import _check_encodable, enumerate_vectors, point_ids
 
 DEFAULT_POINT_GUARD = 24
 
@@ -51,27 +51,16 @@ class PointInfo:
 
 
 def projective_points(ring, k, cap=None):
-    """All points of the rank-k free module, by ascending canonical id.
-
-    Vectors are visited in encoded order, so the first unseen member of
-    each right unit orbit is its minimum, which serves as the id.
-    """
+    """All points of the rank-k free module, by ascending canonical id:
+    the nonzero vectors that are the least member of their right unit
+    orbit."""
     vectors = enumerate_vectors(ring.order, k, cap)
-    units = ring.units_array
-    seen = np.zeros(len(vectors), dtype=bool)
-    seen[0] = True
-    points = []
-    for i in range(1, len(vectors)):
-        if seen[i]:
-            continue
-        orbit = ring.mul_table[vectors[i][None, :], units[:, None]]
-        keys = np.unique(encode_vectors(orbit, ring.order))
-        seen[keys] = True
-        points.append(PointInfo(
-            pid=i,
-            representative=tuple(int(v) for v in vectors[i]),
-            orbit_size=len(keys)))
-    return points
+    pids, sizes = point_ids(ring, vectors)
+    return [PointInfo(pid=int(i),
+                      representative=tuple(int(v) for v in vectors[i]),
+                      orbit_size=int(sizes[i]))
+            for i in np.flatnonzero(pids == np.arange(len(vectors)))
+            if i > 0]
 
 
 @dataclass(frozen=True)
@@ -174,12 +163,14 @@ def _certify_candidate(ring, k, subset, index, with_dual, with_equivalence,
     equivalence = None
     if len(nonzero) == 1:
         classification = "one-weight"
-        is_one, is_mod, is_sub = one_weight_characterization(code)
-        if not (is_one and is_mod and is_sub):
-            raise IdentityCheckError(
-                "one-weight candidate fails its support characterization",
-                witness={"one": is_one, "modular": is_mod,
-                         "support_submodule": is_sub})
+        if code.b0 == 1:
+            is_one, is_mod, is_sub = one_weight_characterization(code)
+            if not (is_one and is_mod and is_sub):
+                raise IdentityCheckError(
+                    "one-weight candidate fails its support "
+                    "characterization",
+                    witness={"one": is_one, "modular": is_mod,
+                             "support_submodule": is_sub})
     elif len(nonzero) == 2:
         classification = "two-weight"
         profile = two_weight_profile(code, require_modular=True)

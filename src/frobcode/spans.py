@@ -95,7 +95,6 @@ class RingModuleSpan:
     def __post_init__(self):
         if self.keys is None:
             self.keys = encode_vectors(self.elements, self.ring.order)
-        self._key_set = None
 
     @property
     def size(self):
@@ -106,16 +105,6 @@ class RingModuleSpan:
                                  self.ring.order)[0])
         pos = np.searchsorted(self.keys, key)
         return pos < len(self.keys) and self.keys[pos] == key
-
-    def contains_keys(self, keys):
-        pos = np.searchsorted(self.keys, keys)
-        pos = np.clip(pos, 0, len(self.keys) - 1)
-        return self.keys[pos] == keys
-
-    def scalars(self):
-        if self.dim != 1:
-            raise PreconditionError("scalars() needs ambient dimension 1")
-        return self.elements[:, 0].copy()
 
 
 def scalar_orbit(ring, scalars, vector, side="left"):
@@ -162,11 +151,24 @@ def unit_orbit(ring, vector, side="left"):
     return rows
 
 
-def canonical_point_id(ring, vector, side="left"):
-    """Encoded key of the lexicographically least element of the unit
-    orbit of vector; constant on orbits."""
-    orbit = scalar_orbit(ring, ring.units_array, vector, side)
-    return int(encode_vectors(orbit, ring.order).min())
+def point_ids(ring, vectors):
+    """The point of each row v: the least encoded member of its right
+    unit orbit {v u : u a unit} (constant on orbits), and the orbit
+    size.  Rows are taken in blocks of at most BLOCK_ENTRIES orbit
+    keys."""
+    vectors = np.asarray(vectors, dtype=np.int32)
+    units = ring.units_array
+    pids = np.empty(len(vectors), dtype=np.int64)
+    sizes = np.empty(len(vectors), dtype=np.int64)
+    block = max(1, BLOCK_ENTRIES // len(units))
+    for start in range(0, len(vectors), block):
+        rows = vectors[start:start + block]
+        orbits = ring.mul_table[rows[:, None, :], units[None, :, None]]
+        keys = np.sort(encode_vectors(orbits, ring.order), axis=1)
+        pids[start:start + block] = keys[:, 0]
+        sizes[start:start + block] = 1 + (np.diff(keys, axis=1) != 0).sum(
+            axis=1)
+    return pids, sizes
 
 
 def combine_rows(ring, matrix, coefficients):
@@ -203,15 +205,39 @@ def row_space(ring, matrix, cap=None):
     return out
 
 
+def column_module(ring, matrix, cap=None):
+    """The column module {G y : y in R^n} of a k x n matrix G, as rows
+    sorted by key, and one preimage y with G y = z for each element z.
+
+    Closes {0} under adding right multiples of each distinct column,
+    carrying the coefficient vector y of every element along, so the
+    work is bounded by the module size rather than order**n."""
+    if cap is None:
+        cap = enum_cap()
+    G = np.asarray(matrix, dtype=np.int32)
+    order = ring.order
+    k, n = G.shape
+    _, first = np.unique(encode_vectors(G.T, order), return_index=True)
+    scalars = np.arange(order, dtype=np.int32)
+    z = np.zeros((1, k), dtype=np.int32)
+    y = np.zeros((1, n), dtype=np.int32)
+    for j in np.sort(first):
+        multiples = ring.mul_table[G[:, j][None, :], scalars[:, None]]
+        sums = ring.add_table[z[:, None, :], multiples[None, :, :]]
+        sums = sums.reshape(-1, k)
+        _, at = np.unique(encode_vectors(sums, order), return_index=True)
+        if len(at) > cap:
+            raise CapExceededError(f"column module grew past cap {cap}")
+        z = sums[at]
+        y = y[at // order]
+        y[:, j] = at % order
+    return z, y
+
+
 def column_space(ring, matrix, cap=None):
     """All products G @ y^T for y in R^n, as sorted unique rows of
-    length k."""
-    G = np.asarray(matrix, dtype=np.int32)
-    n = G.shape[1]
-    Y = enumerate_vectors(ring.order, n, cap)
-    cols = apply_matrix(ring, G, Y)
-    out, _ = _sorted_unique_rows(cols, ring.order)
-    return out
+    length k: the elements of the column module."""
+    return column_module(ring, matrix, cap)[0]
 
 
 def check_row_column_cardinality(ring, matrix, cap=None):

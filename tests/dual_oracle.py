@@ -20,7 +20,6 @@ from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring
 from frobcode.spans import (
     apply_matrix,
-    canonical_point_id,
     encode_vectors,
     enumerate_vectors,
 )
@@ -53,9 +52,7 @@ def oracle_message_classification(code, w1_dual, w2_dual, cap=None):
     D = table.denominator
     w1d_num = int(w1_dual * D)
     w2d_num = int(w2_dual * D)
-    column_pids = np.unique(np.array(
-        [canonical_point_id(ring, code.generator[:, j], "right")
-         for j in range(code.n)], dtype=np.int64))
+    column_pids = np.unique(_row_point_ids(ring, code.generator.T))
 
     ys = enumerate_vectors(ring.order, code.n, cap)
     img = apply_matrix(ring, code.generator, ys)

@@ -321,18 +321,23 @@ def test_search_huge_n_max_exits_fast():
         "candidates: 21 (one-weight: 12, two-weight: 9, mixed: 0)")
 
 
-@pytest.mark.parametrize("spec,order", [
-    ("GF(1000000000000000003)", "1000000000000000003"),
-    ("GF(2^100000000)", "2^100000000"),
-    ("M100000(GF(2))", "2^10000000000"),
-])
-def test_huge_ring_order_exits_fast(spec, order):
+@pytest.mark.parametrize("spec,message", [
+    ("GF(1000000000000000003)",
+     "ring order 1000000000000000003 exceeds cap 4096"),
+    ("GF(2^100000000)", "ring order 2^100000000 exceeds cap 4096"),
+    ("M100000(GF(2))", "ring order 2^10000000000 exceeds cap 4096"),
+    ("Z" + "9" * 5000,
+     "integer of 5000 digits exceeds the order cap 4096 (at position 1)"),
+], ids=["GF(1000000000000000003)-1000000000000000003",
+        "GF(2^100000000)-2^100000000", "M100000(GF(2))-2^10000000000",
+        "Z<5000 nines>"])
+def test_huge_ring_order_exits_fast(spec, message):
     # the order cap is checked before primality tests or the order's
-    # digits are computed
+    # digits are computed, and an over-long integer before int() reads it
     start = time.monotonic()
     proc = run_module(["ring", spec], 30)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: ring order {order} exceeds cap 4096\n"
+    assert proc.stderr == f"error: {message}\n"
     assert time.monotonic() - start < 10
 
 
@@ -378,11 +383,30 @@ def test_search_json(capsys, tmp_path):
             assert rec["equivalence"]["pds"] is not None
 
 
-def test_search_dedupe_is_stable(capsys):
-    _, plain, _ = run_cli(capsys, ["search", "Z4", "k=2", "n_max=3"])
-    _, deduped, _ = run_cli(capsys,
-                            ["search", "Z4", "k=2", "n_max=3", "--dedupe"])
-    assert plain == deduped
+def test_search_one_weight_with_zero_weight_words(capsys):
+    # over prod(Z2,Z2) the unit (1,1) has weight 0, so the code R has
+    # b0 = 2; the b0 = 1 support characterization does not apply to it
+    rc, out, err = run_cli(capsys, ["search", "prod(Z2,Z2)", "k=1",
+                                    "n_max=1"])
+    assert rc == 0, err
+    assert out.splitlines() == [
+        "[one-weight] points=1 r=1 n=1 |C|=4 b0=2 w=(2)",
+        "[one-weight] points=2 r=1 n=1 |C|=2 b0=1 w=(2) pds=(2,1,0,0)",
+        "[one-weight] points=3 r=1 n=1 |C|=2 b0=1 w=(2) pds=(2,1,0,0)",
+        "candidates: 3 (one-weight: 3, two-weight: 0, mixed: 0)",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "Z4", "k=2", "n_max=3", "--dedupe"],
+    ["ring", "Z4", "--cap", "10"],
+    ["weights", "Z4", "--cap", "10"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_index1(capsys):

@@ -85,6 +85,15 @@ def test_one_weight_characterization_negative():
     assert not is_one and is_mod and not is_sub
 
 
+def test_one_weight_characterization_needs_trivial_zero_class():
+    # the unit (1,1) of prod(Z2,Z2) has weight 0: a one-weight code with
+    # b0 = 2 whose support with zero is no submodule
+    ring, code = make("prod(Z2,Z2)", [[1]])
+    assert code.b0 == 2
+    with pytest.raises(PreconditionError):
+        one_weight_characterization(code)
+
+
 def test_non_modular_code():
     ring, code = make("Z4", [[1, 1, 1, 2]])
     assert modular_index(code) is None

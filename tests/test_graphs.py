@@ -20,7 +20,6 @@ from frobcode.graphs import (
     build_coset_graph,
     cayley_graph,
     check_trivial_structure,
-    column_module,
     coset_graph_srg,
     equivalence_check,
     measure_srg,
@@ -30,7 +29,7 @@ from frobcode.graphs import (
 )
 from frobcode.rings import ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import encode_vectors, row_space
+from frobcode.spans import column_module, encode_vectors, row_space
 from srg_oracle import oracle_coset_graph
 
 
@@ -406,5 +405,5 @@ def test_equivalence_needs_trivial_zero_class():
 
 def test_column_module_of_identity_code():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    module = column_module(code)
-    assert module.size == 9
+    module, preimages = column_module(ring, code.generator)
+    assert len(module) == 9

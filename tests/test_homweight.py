@@ -23,7 +23,6 @@ from frobcode.homweight import (
     correlation_ideal_lhs,
     correlation_ideal_rhs,
     run_identity_suite,
-    socle_rank_data,
     sum_of_squares_check,
     weight_table,
     whom,
@@ -33,6 +32,7 @@ from frobcode.homweight import (
 from frobcode.rings import (
     order2_socle_part,
     ring_from_text,
+    socle_rank_data,
     structural_socle,
 )
 

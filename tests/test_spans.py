@@ -19,14 +19,15 @@ from frobcode.errors import CapExceededError, IdentityCheckError
 from frobcode.rings import ring_from_text
 from frobcode.spans import (
     apply_matrix,
-    canonical_point_id,
     check_row_column_cardinality,
+    column_module,
     column_space,
     combine_rows,
     decode_vectors,
     encode_vectors,
     enumerate_vectors,
     is_submodule,
+    point_ids,
     right_kernel,
     row_space,
     scalar_orbit,
@@ -101,10 +102,10 @@ def test_unit_orbit_and_point_ids():
     z6 = ring_from_text("Z6")
     orbit = unit_orbit(z6, np.array([2, 0], dtype=np.int32), "right")
     assert sorted(tuple(r) for r in orbit.tolist()) == [(2, 0), (4, 0)]
-    # every member of an orbit shares the canonical id
-    for v in [(5, 0), (1, 0)]:
-        assert canonical_point_id(
-            z6, np.array(v, dtype=np.int32), "right") == 6
+    # every member of an orbit shares the canonical id and orbit size
+    pids, sizes = point_ids(z6, np.array([[5, 0], [1, 0], [2, 0], [4, 0]]))
+    assert pids.tolist() == [6, 6, 12, 12]
+    assert sizes.tolist() == [2, 2, 2, 2]
     # the id is the smallest encoded member: (1,0) encodes to 6
     assert int(encode_vectors(
         np.array([[1, 0]], dtype=np.int32), 6)[0]) == 6
@@ -136,6 +137,56 @@ def test_combine_and_apply_are_transposes():
         assert cols[i].tolist() == by_hand
 
 
+POINT_RINGS = {spec: ring_from_text(spec) for spec in
+               ("Z4", "Z6", "GF(4)", "M2(GF(2))", "prod(Z2,Z2)")}
+
+
+@st.composite
+def ring_rows(draw, max_rows):
+    """A small ring and random rows of length at most 3 over it."""
+    ring = POINT_RINGS[draw(st.sampled_from(sorted(POINT_RINGS)))]
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, ring.order - 1),
+                                  min_size=k, max_size=k),
+                         min_size=1, max_size=max_rows))
+    return ring, np.array(rows, dtype=np.int32)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(ring_rows(12), st.integers(1, 64))
+def test_point_ids_match_unit_orbits(case, block_entries):
+    # the point of a row is the least encoded member of its brute-force
+    # right unit orbit, and the orbit size its row count; blocks of a few
+    # orbit keys give the same answer as one block
+    ring, rows = case
+    with mock.patch.object(spans, "BLOCK_ENTRIES", block_entries):
+        pids, sizes = point_ids(ring, rows)
+    for row, pid, size in zip(rows, pids, sizes):
+        orbit = unit_orbit(ring, row, "right")
+        assert pid == encode_vectors(orbit, ring.order).min()
+        assert size == len(orbit)
+
+
+def rn_column_space(ring, matrix):
+    """{G y : y in R^n} as sorted unique rows, by enumerating R^n."""
+    ys = enumerate_vectors(ring.order, matrix.shape[1])
+    images = apply_matrix(ring, matrix, ys)
+    return np.unique(images, axis=0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(ring_rows(4))
+def test_column_module_matches_rn_oracle(case):
+    # rows of the drawn array are the columns of G (k <= 3, n <= 4)
+    ring, columns = case
+    G = columns.T.copy()
+    module, preimages = column_module(ring, G)
+    keys = encode_vectors(module, ring.order)
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(module, rn_column_space(ring, G))
+    assert np.array_equal(apply_matrix(ring, G, preimages), module)
+
+
 @pytest.mark.parametrize("text", ["Z4", "Z6", "GF(4)", "M2(GF(2))"])
 def test_row_and_column_spaces_same_size(text):
     ring = ring_from_text(text)
@@ -147,6 +198,7 @@ def test_row_and_column_spaces_same_size(text):
         rows = row_space(ring, mat)
         cols = column_space(ring, mat)
         assert len(rows) == len(cols)
+        assert np.array_equal(cols, rn_column_space(ring, mat))
         assert check_row_column_cardinality(ring, mat) == len(rows)
 
 
