@@ -6,7 +6,9 @@ these.  Elements are indices 0..order-1 with index 0 the zero element and
 index 1 the multiplicative identity; the remaining elements keep the
 constructor's natural order (residues for Z_m, coefficient-vector value
 for GF, row-major entry tuples for matrices, mixed-radix component tuples
-for products).
+for products).  The int32 operation tables are built, and checked at
+construction, in blocks of at most BLOCK_ENTRIES entries, directly in
+that order.
 
 Every ring carries a structurally built character, stored as an exponent
 map c with modulus e (the additive exponent), meaning x maps to the
@@ -40,6 +42,13 @@ _MAX_INT_DIGITS = 100
 
 _FULL_AXIOM_LIMIT = 256
 _AXIOM_SAMPLES = 200_000
+
+# Table passes work on row blocks of at most this many entries, so no
+# working array is order x order; an int64 one holds 8 MiB.
+BLOCK_ENTRIES = 1 << 20
+# Side of the square tiles the symmetry checks compare with their
+# transposes.
+_TILE = 128
 
 # Irreducible moduli for the small prime powers, ascending coefficients
 # including the leading 1.  These are the Conway polynomials.
@@ -380,24 +389,43 @@ class GeneratingCharacter:
         return self.exponents[x]
 
     def is_additive_homomorphism(self, ring):
-        e = self.modulus
-        exps = np.asarray(self.exponents, dtype=np.int64)
-        if exps[0] % e != 0:
+        ex, e = _reduced_exponents(self)
+        if ex[0] != 0:
             return False
-        lhs = exps[ring.add_table]
-        rhs = exps[:, None] + exps[None, :]
-        return bool((((lhs - rhs) % e) == 0).all())
+        return all(_additive_rows(ex, e, ring.add_table, rows)
+                   for rows in _row_blocks(ring.order, ring.order))
 
 
 def is_generating_character(ring, character):
     """True iff for every x != 0 some left multiple rx has a nonzero
     character exponent, i.e. the character kernel contains no nonzero
     left ideal."""
-    e = character.modulus
-    exps = np.asarray(character.exponents, dtype=np.int64)
-    nonzero = (exps[ring.mul_table] % e) != 0
-    hit = nonzero.any(axis=0)
+    ex, _ = _reduced_exponents(character)
+    nonzero = ex != 0
+    hit = np.zeros(ring.order, dtype=bool)
+    for rows in _row_blocks(ring.order, ring.order):
+        hit |= _nonzero_hits(nonzero, ring.mul_table, rows)
     return bool(hit[1:].all())
+
+
+def _reduced_exponents(character):
+    """The exponents mod the modulus e, as int32 while 2e fits in it."""
+    e = character.modulus
+    ex = np.asarray(character.exponents, dtype=np.int64) % e
+    return (ex.astype(np.int32) if 2 * e < 2 ** 31 else ex), e
+
+
+def _additive_rows(ex, e, add, rows):
+    """True iff ex[a + b] = ex[a] + ex[b] mod e for every a in rows."""
+    # ex[a + b] - ex[b] lies in (-e, e), so it must be ex[a] or ex[a] - e
+    diff = np.take(ex, add[rows]) - ex
+    own = ex[rows, None]
+    return bool(((diff == own) | (diff == own - e)).all())
+
+
+def _nonzero_hits(nonzero, mul, rows):
+    """Columns x for which nonzero[r x] holds for some r in rows."""
+    return np.take(nonzero, mul[rows]).any(axis=0)
 
 
 # ------------------------------------------------------------- the ring
@@ -420,26 +448,15 @@ class FiniteRing:
                                                    dtype=np.int64)
         self.exponent = int(exponent)
         self.character = GeneratingCharacter(
-            tuple(int(v) for v in self.char_exponents), self.exponent)
+            tuple(self.char_exponents.tolist()), self.exponent)
         self.zero = 0
         self.one = 1
 
-        counts = (self.add_table == 0).sum(axis=1)
-        if not (counts == 1).all():
-            raise RingConstructionError("additive inverses are not unique")
-        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.int32)
-
-        left_inv = self.mul_table == 1
-        two_sided = left_inv & left_inv.T
-        self.units_array = np.flatnonzero(two_sided.any(axis=1)).astype(np.int32)
-        self.units = frozenset(int(u) for u in self.units_array)
-
-        self._commutative = bool((self.mul_table == self.mul_table.T).all())
         self._op = None
         self.meta = meta or {}
-
+        facts = self._scan_tables(verify)
         if verify:
-            self._verify()
+            self._verify(*facts)
 
     # -- scalar conveniences ------------------------------------------
 
@@ -467,12 +484,48 @@ class FiniteRing:
 
     # -- construction-time verification -------------------------------
 
-    def _verify(self):
+    def _scan_tables(self, verify):
+        """One pass over both tables in row blocks.  Sets neg_table, the
+        units and commutativity; when verifying, also returns whether
+        addition commutes and whether the character is additive and
+        generating, for _verify to report in its order."""
+        n = self.order
+        add, mul = self.add_table, self.mul_table
+        neg = np.empty(n, dtype=np.int32)
+        unit = np.zeros(n, dtype=bool)
+        commutative = add_commutes = additive = True
+        if verify:
+            ex, e = _reduced_exponents(self.character)
+            nonzero = ex != 0
+            hit = np.zeros(n, dtype=bool)
+        for rows in _row_blocks(n, n):
+            zero = add[rows] == 0
+            if not (zero.sum(axis=1) == 1).all():
+                raise RingConstructionError("additive inverses are not unique")
+            neg[rows] = zero.argmax(axis=1)
+            # x is a unit iff x y = 1 = y x for some y
+            xs, ys = np.nonzero(mul[rows] == 1)
+            xs += rows.start
+            unit[xs[mul[ys, xs] == 1]] = True
+            commutative = commutative and _symmetric_rows(mul, rows)
+            if verify:
+                add_commutes = add_commutes and _symmetric_rows(add, rows)
+                additive = additive and _additive_rows(ex, e, add, rows)
+                hit |= _nonzero_hits(nonzero, mul, rows)
+        self.neg_table = neg
+        self.units_array = np.flatnonzero(unit).astype(np.int32)
+        self.units = frozenset(self.units_array.tolist())
+        self._commutative = commutative
+        if not verify:
+            return None
+        return add_commutes, additive, bool(hit[1:].all())
+
+    def _verify(self, add_commutes, additive, generating):
         n = self.order
         idx = np.arange(n)
         if not (self.add_table[0] == idx).all():
             raise RingConstructionError("0 is not an additive identity")
-        if not (self.add_table == self.add_table.T).all():
+        if not add_commutes:
             raise RingConstructionError("addition is not commutative")
         if not ((self.mul_table[1] == idx).all()
                 and (self.mul_table[:, 1] == idx).all()):
@@ -490,9 +543,9 @@ class FiniteRing:
         char = self.character
         if char.exponents[0] % char.modulus != 0:
             raise CharacterError("character does not vanish at 0")
-        if not char.is_additive_homomorphism(self):
+        if not additive:
             raise CharacterError("character exponent map is not additive")
-        if not is_generating_character(self, char):
+        if not generating:
             raise CharacterError(
                 f"character of {self.spec.text()} is not generating")
         if 1 not in self.units:
@@ -503,18 +556,19 @@ class FiniteRing:
         for a in range(self.order):
             add_a = add[a]
             mul_a = mul[a]
-            if not (add[add_a][:, :] == add_a[add]).all():
+            if not (add[add_a] == np.take(add_a, add)).all():
                 raise RingConstructionError(f"addition not associative at {a}")
-            if not (mul[mul_a][:, :] == mul_a[mul]).all():
+            if not (mul[mul_a] == np.take(mul_a, mul)).all():
                 raise RingConstructionError(
                     f"multiplication not associative at {a}")
-            # a(b+c) == ab + ac
-            if not (mul_a[add] == add[mul_a[:, None], mul_a[None, :]]).all():
+            # a(b+c) == ab + ac; add[x][:, x][b, c] is add[x[b], x[c]]
+            if not (np.take(mul_a, add)
+                    == np.take(add[mul_a], mul_a, axis=1)).all():
                 raise RingConstructionError(
                     f"left distributivity fails at {a}")
             # (b+c)a == ba + ca
             col = mul[:, a]
-            if not (col[add] == add[col[:, None], col[None, :]]).all():
+            if not (np.take(col, add) == np.take(add[col], col, axis=1)).all():
                 raise RingConstructionError(
                     f"right distributivity fails at {a}")
 
@@ -574,22 +628,56 @@ def _prime_factors(n):
 # ------------------------------------------------------------- builders
 
 
-def _pin_identity(labels, add, mul, exps, one_idx, arrays):
-    """Reorder elements so the multiplicative identity sits at index 1."""
-    n = len(labels)
-    if one_idx == 1:
-        return labels, add, mul, exps, arrays
-    perm = np.array(
-        [0, one_idx] + [i for i in range(n) if i not in (0, one_idx)],
-        dtype=np.int64)
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    add2 = inv[add[np.ix_(perm, perm)]]
-    mul2 = inv[mul[np.ix_(perm, perm)]]
-    exps2 = np.asarray(exps)[perm]
-    labels2 = [labels[i] for i in perm]
-    arrays2 = {k: np.asarray(v)[perm] for k, v in arrays.items()}
-    return labels2, add2, mul2, exps2, arrays2
+def _row_blocks(n, width):
+    """Slices covering rows 0..n-1, each at least one row and otherwise
+    at most BLOCK_ENTRIES entries of the given row width."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [slice(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+def _symmetric_rows(table, rows):
+    """True iff table[i, j] == table[j, i] for i in rows and j from
+    rows.start on; over all row blocks that is the whole symmetry
+    check.  Square tiles keep the transposed reads in cache."""
+    r0, r1 = rows.start, rows.stop
+    return all((table[r0:r1, c:c + _TILE] == table[c:c + _TILE, r0:r1].T).all()
+               for c in range(r0, len(table), _TILE))
+
+
+def _pinned_order(n, one):
+    """Natural indices in identity-pinned order (zero, the identity,
+    then the rest in natural order), and the int32 inverse map."""
+    perm = np.concatenate(([0, one], np.arange(1, one), np.arange(one + 1, n)))
+    inv = np.empty(n, dtype=np.int32)
+    inv[perm] = np.arange(n, dtype=np.int32)
+    return perm, inv
+
+
+def _radix_table(n, row_parts, keys, inv):
+    """The n x n int32 table whose entry (a, b) is the natural index
+    sum_f part_f[a, keys_f[b]], mapped through inv, where the parts
+    are row_parts(rows): small per-row lookup tables already scaled by
+    their radix.  Built one row block at a time."""
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in _row_blocks(n, n):
+        parts = row_parts(rows)
+        acc = np.take(parts[0], keys[0], axis=1)
+        for part, key in zip(parts[1:], keys[1:]):
+            acc += np.take(part, key, axis=1)
+        # indices are in range by construction; clip mode writes
+        # straight into the table
+        np.take(inv, acc, out=table[rows], mode="clip")
+    return table
+
+
+def _component_table(n, tables, comps, radix, inv):
+    """Table of a componentwise operation: tables[f] acts on component
+    f of the elements, whose rows comps holds in pinned order."""
+    scaled = [np.asarray(tab * int(r), dtype=np.int32)
+              for tab, r in zip(tables, radix)]
+    return _radix_table(
+        n, lambda rows: [s[comps[rows, f]] for f, s in enumerate(scaled)],
+        [comps[:, f] for f in range(len(scaled))], inv)
 
 
 def _realize_zm(spec):
@@ -597,10 +685,17 @@ def _realize_zm(spec):
     if m < 2:
         raise RingConstructionError("Z_m needs m >= 2")
     idx = np.arange(m, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % m
-    mul = (idx[:, None] * idx[None, :]) % m
+    add = np.empty((m, m), dtype=np.int32)
+    mul = np.empty((m, m), dtype=np.int32)
+    for rows in _row_blocks(m, m):
+        block = np.add.outer(idx[rows], idx)
+        np.subtract(block, m, out=block, where=block >= m)
+        add[rows] = block
+        np.multiply.outer(idx[rows], idx, out=block)
+        np.remainder(block, m, out=block)
+        mul[rows] = block
     labels = [str(i) for i in range(m)]
-    return labels, add, mul, idx.copy(), m, 1, {}
+    return labels, add, mul, idx.copy(), m, {}
 
 
 def _realize_gf(spec):
@@ -611,8 +706,8 @@ def _realize_gf(spec):
         raise RingConstructionError("extension degree must be >= 1")
     q = p ** r
     if r == 1:
-        labels, add, mul, exps, _, one, _ = _realize_zm(Zm(p))
-        return labels, add, mul, exps, p, one, {"digits": np.arange(p)[:, None]}
+        labels, add, mul, exps, _, _ = _realize_zm(Zm(p))
+        return labels, add, mul, exps, p, {"digits": np.arange(p)[:, None]}
 
     poly = spec.resolved_poly()
     if len(poly) != r + 1 or poly[-1] != 1:
@@ -624,63 +719,33 @@ def _realize_gf(spec):
 
     idx = np.arange(q, dtype=np.int64)
     digits = np.stack([(idx // p ** j) % p for j in range(r)], axis=1)
+    pows = p ** np.arange(r, dtype=np.int64)
 
-    add = np.zeros((q, q), dtype=np.int64)
-    pows = np.array([p ** j for j in range(r)], dtype=np.int64)
-    for a in range(q):
-        add[a] = ((digits[a][None, :] + digits) % p) @ pows
+    zp = np.arange(p)
+    zp_add = (zp[:, None] + zp[None, :]) % p
+    # the identity x^0 is already at index 1
+    add = _component_table(q, [zp_add] * r, digits, pows,
+                           _pinned_order(q, 1)[1])
 
-    # x^t mod poly for t in [r, 2r-2], as digit rows
-    red = []
-    cur = [(-poly[j]) % p for j in range(r)]
-    red.append(list(cur))
-    for _ in range(r - 2):
-        nxt = [0] + cur[:-1]
-        carry = cur[-1]
-        if carry:
-            for j in range(r):
-                nxt[j] = (nxt[j] + carry * red[0][j]) % p
-        cur = nxt
-        red.append(list(cur))
+    # column j of mx[a] holds the digits of a x^j, so mx[a] is the
+    # F_p-matrix of b -> a b; x^r = -(poly[0] + ... + poly[r-1] x^(r-1))
+    reduce_top = np.array([(-c) % p for c in poly[:r]], dtype=np.int64)
+    columns = [digits]
+    for _ in range(r - 1):
+        prev = columns[-1]
+        shifted = np.concatenate(
+            [np.zeros((q, 1), dtype=np.int64), prev[:, :-1]], axis=1)
+        columns.append((shifted + prev[:, -1:] * reduce_top) % p)
+    mx = np.stack(columns, axis=2)
 
-    mul = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        da = digits[a]
-        prod = np.zeros((q, 2 * r - 1), dtype=np.int64)
-        for i in range(r):
-            if da[i]:
-                prod[:, i:i + r] += da[i] * digits
-        for t in range(2 * r - 2, r - 1, -1):
-            carry = prod[:, t]
-            if carry.any():
-                prod[:, :r] += carry[:, None] * np.array(red[t - r])[None, :]
-                prod[:, t] = 0
-        mul[a] = (prod[:, :r] % p) @ pows
+    mul = np.empty((q, q), dtype=np.int32)
+    for rows in _row_blocks(q, q * r):
+        mul[rows] = pows @ (np.matmul(mx[rows], digits.T) % p)
 
-    # trace to the prime subfield via Frobenius powers
-    exps = np.zeros(q, dtype=np.int64)
-    for a in range(q):
-        acc = a
-        y = a
-        for _ in range(r - 1):
-            y = _scalar_pow(mul, y, p)
-            acc = int(add[acc, y])
-        if acc >= p:
-            raise RingConstructionError("trace left the prime subfield")
-        exps[a] = acc
-    return ([str(i) for i in range(q)], add, mul, exps, p, 1,
+    # the trace to the prime subfield is the trace of b -> a b
+    exps = np.trace(mx, axis1=1, axis2=2) % p
+    return ([str(i) for i in range(q)], add, mul, exps, p,
             {"digits": digits})
-
-
-def _scalar_pow(mul, a, n):
-    result = 1
-    base = a
-    while n:
-        if n & 1:
-            result = int(mul[result, base])
-        n >>= 1
-        base = int(mul[base, base])
-    return result
 
 
 def _realize_mat(spec, order_cap, verify):
@@ -691,27 +756,36 @@ def _realize_mat(spec, order_cap, verify):
     q = base.order
     mm = m * m
     n = q ** mm
-    idx = np.arange(n, dtype=np.int64)
     # row-major entries, first entry most significant
-    entries = np.stack(
-        [(idx // q ** (mm - 1 - t)) % q for t in range(mm)], axis=1
-    ).astype(np.int32)
     radix = np.array([q ** (mm - 1 - t) for t in range(mm)], dtype=np.int64)
+    # the identity has a 1 at each diagonal entry i m + i
+    perm, inv = _pinned_order(n, int(radix[::m + 1].sum()))
+    entries = np.stack([(perm // radix[t]) % q for t in range(mm)],
+                       axis=1).astype(np.int32)
 
     badd, bmul = base.add_table, base.mul_table
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        ea = entries[a]
-        add[a] = badd[ea[None, :], entries].astype(np.int64) @ radix
-        cols = np.empty((n, mm), dtype=np.int64)
+    add = _component_table(n, [badd] * mm, entries, radix, inv)
+
+    # a b is a acting on each column of b: over the q^m column vectors
+    # v (first entry most significant), column k of a b contributes
+    # sum_i (a v)_i radix[i m + k] to the natural index
+    vecs = np.arange(q ** m)
+    vdig = [(vecs // q ** (m - 1 - j)) % q for j in range(m)]
+    col_keys = [sum(entries[:, j * m + k].astype(np.int64) * q ** (m - 1 - j)
+                    for j in range(m)) for k in range(m)]
+
+    def column_parts(rows):
+        ea = entries[rows]
+        av = []
         for i in range(m):
-            for k in range(m):
-                acc = bmul[ea[i * m + 0], entries[:, 0 * m + k]]
-                for j in range(1, m):
-                    acc = badd[acc, bmul[ea[i * m + j], entries[:, j * m + k]]]
-                cols[:, i * m + k] = acc
-        mul[a] = cols @ radix
+            acc = bmul[ea[:, i * m, None], vdig[0]]
+            for j in range(1, m):
+                acc = badd[acc, bmul[ea[:, i * m + j, None], vdig[j]]]
+            av.append(acc)
+        return [sum(av[i] * int(radix[i * m + k]) for i in range(m))
+                for k in range(m)]
+
+    mul = _radix_table(n, column_parts, col_keys, inv)
 
     # character: base character of the matrix trace
     tr = entries[:, 0]
@@ -719,19 +793,11 @@ def _realize_mat(spec, order_cap, verify):
         tr = badd[tr, entries[:, i * m + i]]
     exps = base.char_exponents[tr]
 
-    def label_of(row):
-        body = ";".join(
-            " ".join(base.labels[row[i * m + j]] for j in range(m))
-            for i in range(m))
-        return f"[{body}]"
-
-    labels = [label_of(entries[a]) for a in range(n)]
-    one_entries = np.zeros(mm, dtype=np.int64)
-    for i in range(m):
-        one_entries[i * m + i] = 1
-    one_idx = int(one_entries @ radix)
-    meta = {"entries": entries}
-    return labels, add, mul, exps, base.exponent, one_idx, meta, base
+    names = base.labels
+    labels = ["[" + ";".join(" ".join(names[c] for c in row[i * m:(i + 1) * m])
+                             for i in range(m)) + "]"
+              for row in entries.tolist()]
+    return labels, add, mul, exps, base.exponent, {"entries": entries}, base
 
 
 def _realize_product(spec, order_cap, verify):
@@ -741,29 +807,20 @@ def _realize_product(spec, order_cap, verify):
                for f in spec.factors]
     orders = [f.order for f in factors]
     t = len(factors)
-    n = 1
-    for o in orders:
-        n *= o
+    n = math.prod(orders)
     radix = np.empty(t, dtype=np.int64)
     acc = 1
     for f in range(t - 1, -1, -1):
         radix[f] = acc
         acc *= orders[f]
-    idx = np.arange(n, dtype=np.int64)
-    comps = np.stack([(idx // radix[f]) % orders[f] for f in range(t)],
+    perm, inv = _pinned_order(n, int(radix.sum()))
+    comps = np.stack([(perm // radix[f]) % orders[f] for f in range(t)],
                      axis=1).astype(np.int32)
 
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        ca = comps[a]
-        sa = np.zeros(n, dtype=np.int64)
-        sm = np.zeros(n, dtype=np.int64)
-        for f in range(t):
-            sa += factors[f].add_table[ca[f], comps[:, f]].astype(np.int64) * radix[f]
-            sm += factors[f].mul_table[ca[f], comps[:, f]].astype(np.int64) * radix[f]
-        add[a] = sa
-        mul[a] = sm
+    add = _component_table(n, [f.add_table for f in factors], comps, radix,
+                           inv)
+    mul = _component_table(n, [f.mul_table for f in factors], comps, radix,
+                           inv)
 
     e = 1
     for f in factors:
@@ -773,17 +830,15 @@ def _realize_product(spec, order_cap, verify):
         exps += factors[f].char_exponents[comps[:, f]] * (e // factors[f].exponent)
     exps %= e
 
-    labels = [
-        "(" + ",".join(factors[f].labels[comps[a, f]] for f in range(t)) + ")"
-        for a in range(n)
-    ]
-    one_idx = int(np.array([1] * t, dtype=np.int64) @ radix)
-    meta = {"components": comps}
-    return labels, add, mul, exps, e, one_idx, meta, factors
+    names = [f.labels for f in factors]
+    labels = ["(" + ",".join(lab[c] for lab, c in zip(names, row)) + ")"
+              for row in comps.tolist()]
+    return labels, add, mul, exps, e, {"components": comps}, factors
 
 
 def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
-    """Build the ring described by spec, with all invariants verified."""
+    """Build the ring described by spec, with all invariants verified.
+    The tables are built directly in identity-pinned order."""
     order = spec.order
     if order > order_cap:
         raise CapExceededError(
@@ -794,20 +849,18 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
     base_ring = None
     factor_rings = None
     if isinstance(spec, Zm):
-        labels, add, mul, exps, e, one, arrays = _realize_zm(spec)
+        labels, add, mul, exps, e, arrays = _realize_zm(spec)
     elif isinstance(spec, GF):
-        labels, add, mul, exps, e, one, arrays = _realize_gf(spec)
+        labels, add, mul, exps, e, arrays = _realize_gf(spec)
     elif isinstance(spec, MatRing):
-        labels, add, mul, exps, e, one, arrays, base_ring = _realize_mat(
+        labels, add, mul, exps, e, arrays, base_ring = _realize_mat(
             spec, order_cap, verify)
     elif isinstance(spec, Product):
-        labels, add, mul, exps, e, one, arrays, factor_rings = _realize_product(
+        labels, add, mul, exps, e, arrays, factor_rings = _realize_product(
             spec, order_cap, verify)
     else:
         raise RingConstructionError(f"cannot build from spec {spec!r}")
 
-    labels, add, mul, exps, arrays = _pin_identity(
-        labels, add, mul, exps, one, arrays)
     meta = dict(arrays)
     if base_ring is not None:
         meta["base_ring"] = base_ring
@@ -845,12 +898,21 @@ def opposite_ring(ring):
 def order2_socle_part(ring):
     """Generators of the order-2 principal left ideals, and the subgroup
     of sums of an even number of them."""
-    gens = []
-    for x in range(1, ring.order):
-        col = ring.mul_table[:, x]
-        vals = np.unique(col)
-        if len(vals) == 2 and vals[0] == 0 and vals[1] == x:
-            gens.append(x)
+    # x generates an order-2 left ideal iff column x of the
+    # multiplication table takes exactly the values 0 and x
+    n = ring.order
+    idx = np.arange(n, dtype=np.int32)
+    inside = np.ones(n, dtype=bool)
+    has_zero = np.zeros(n, dtype=bool)
+    has_self = np.zeros(n, dtype=bool)
+    for rows in _row_blocks(n, n):
+        block = ring.mul_table[rows]
+        zero = block == 0
+        same = block == idx
+        inside &= (zero | same).all(axis=0)
+        has_zero |= zero.any(axis=0)
+        has_self |= same.any(axis=0)
+    gens = (np.flatnonzero((inside & has_zero & has_self)[1:]) + 1).tolist()
 
     s0 = {0}
     frontier = [ring.add(gens[i], gens[j])

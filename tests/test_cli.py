@@ -397,6 +397,17 @@ def test_search_one_weight_with_zero_weight_words(capsys):
     ]
 
 
+def test_search_weight_vanishing_off_zero(capsys):
+    # points (0,1) and (1,0) give a trivial two-weight code whose
+    # complement in the column module is no submodule; the complement
+    # claim is only asserted when the weight vanishes only at 0
+    rc, out, err = run_cli(capsys, ["search", "prod(Z2,Z2)", "k=1",
+                                    "n_max=2"])
+    assert rc == 0, err
+    assert out.splitlines()[-1] == (
+        "candidates: 9 (one-weight: 6, two-weight: 3, mixed: 0)")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "Z4", "k=2", "n_max=3", "--dedupe"],
     ["ring", "Z4", "--cap", "10"],

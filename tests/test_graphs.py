@@ -396,6 +396,33 @@ def test_equivalence_trivial_two_weight_case():
     assert report.complement_submodule
 
 
+def test_complement_claim_reported_when_weight_vanishes_off_zero():
+    # over prod(Z2,Z2) the weight vanishes on the unit (1,1); the code
+    # with columns (0,1), (1,0) is trivial two-weight, but the
+    # complement {0, (1,1)} of its points is no submodule
+    ring, code = make("prod(Z2,Z2)", [[2, 3]])
+    assert code.table.zero_set() != {0}
+    report = equivalence_check(code)
+    assert report.two_weight
+    assert two_weight_profile(code).trivial
+    assert not report.complement_submodule
+
+
+@pytest.mark.parametrize("text,k,n_max", [("prod(Z2,Z2)", 2, 3),
+                                          ("prod(Z2,Z2,Z2)", 1, 3),
+                                          ("prod(Z4,Z2)", 1, 3)])
+def test_complement_claim_has_counterexamples(text, k, n_max):
+    # the search certifies every candidate; on these rings some b0 = 1
+    # candidates disagree with the complement claim, which therefore
+    # needs its hypothesis that the weight vanishes only at 0
+    ring = ring_from_text(text)
+    records = search_modular_codes(ring, k, n_max)
+    disagree = [r for r in records if r.equivalence is not None
+                and r.equivalence.complement_submodule
+                != (r.profile is not None and r.profile.trivial)]
+    assert disagree
+
+
 def test_equivalence_needs_trivial_zero_class():
     ring, code = make("prod(Z2,Z2)", [[1, 0], [0, 1]])
     assert code.b0 == 4
