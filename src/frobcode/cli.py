@@ -22,6 +22,7 @@ from .codes import (
     sweep_class_coset_sums,
     sweep_code_correlation,
     sweep_coordinate_identities,
+    sweep_shifts,
     two_weight_profile,
 )
 from .duality import dual_pipeline
@@ -40,13 +41,7 @@ from .graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
-from .homweight import (
-    IDENTITY_CHECKS,
-    check_correlation_vectors,
-    correlation_vectors_lhs,
-    correlation_vectors_rhs,
-    weight_table,
-)
+from .homweight import RING_CHECKS, SAMPLE_COUNT, identity_suite, weight_table
 from .rings import ring_from_text
 from .search import search_modular_codes
 from .spans import enum_cap
@@ -69,6 +64,12 @@ def _emit_json(payload, path):
             handle.write(text)
     else:
         print(text, end="")
+
+
+def _check_sample(sample):
+    if sample is not None and sample < 1:
+        raise PreconditionError(
+            f"--sample must be a positive integer, got {sample}")
 
 
 def _load_code(path, cap):
@@ -95,12 +96,10 @@ def cmd_ring(args):
         print(f"  {ring.labels[i]}: {table.value(i)}")
     print("zero-weight elements: "
           + " ".join(ring.labels[i] for i in zero_set))
-    names = []
-    for name, fn in IDENTITY_CHECKS:
-        if name in ("zero-set", "coset-sums"):
-            fn(ring, table)
-            names.append(name)
-            print(f"check {name}: pass")
+    checks = {}
+    for name, status in identity_suite(ring, table, RING_CHECKS, k_max=0):
+        checks[name] = True
+        print(f"check {name}: {status}")
     if args.json is not None:
         _emit_json({
             "ring": ring.spec.text(),
@@ -110,7 +109,7 @@ def cmd_ring(args):
             "weights": {ring.labels[i]: _rat(table.value(i))
                         for i in range(ring.order)},
             "zero_weight_elements": [ring.labels[int(i)] for i in zero_set],
-            "checks": {name: True for name in names},
+            "checks": checks,
         }, args.json)
     return 0
 
@@ -126,64 +125,25 @@ def cmd_weights(args):
 # ------------------------------------------------------------- verify
 
 
-def _sampled_word_correlation(ring, k, table, sample, seed):
-    rng = np.random.default_rng(seed)
-    order = ring.order
-    for _ in range(sample):
-        g = rng.integers(0, order, size=k)
-        h = rng.integers(0, order, size=k)
-        if not g.any() or not h.any():
-            continue
-        s = int(rng.integers(0, order))
-        lhs = correlation_vectors_lhs(ring, g, h, s, table)
-        rhs = correlation_vectors_rhs(ring, g, h, s, table=table)
-        if lhs != rhs:
-            raise IdentityCheckError(
-                "word correlation identity fails",
-                witness={"g": g.tolist(), "h": h.tolist(), "s": s,
-                         "lhs": str(lhs), "rhs": str(rhs)})
-
-
 def cmd_verify(args):
+    _check_sample(args.sample)
     ring = ring_from_text(args.spec)
     table = weight_table(ring)
     if args.inject_fault:
         for u in ring.units_array:
             table = table.with_bumped_numerator(int(u), 1)
-    results = []
-    for name, fn in IDENTITY_CHECKS:
-        fn(ring, table)
-        results.append((name, "pass"))
-        print(f"check {name}: pass")
-    for k in (1, 2):
-        name = f"word-correlation-k{k}"
-        try:
-            check_correlation_vectors(ring, k, table, args.cap)
-            status = "pass"
-        except CapExceededError:
-            if args.full:
-                raise
-            _sampled_word_correlation(ring, k, table, args.sample,
-                                      args.seed)
-            status = f"pass (sampled, n={args.sample}, seed={args.seed})"
-        results.append((name, status))
+    results = {}
+    for name, status in identity_suite(ring, table, cap=args.cap,
+                                       full=args.full, sample=args.sample,
+                                       seed=args.seed):
+        results[name] = status
         print(f"check {name}: {status}")
     if args.json is not None:
-        _emit_json({
-            "ring": ring.spec.text(),
-            "checks": {name: status for name, status in results},
-        }, args.json)
+        _emit_json({"ring": ring.spec.text(), "checks": results}, args.json)
     return 0
 
 
 # ------------------------------------------------------------- analyze
-
-
-def _full_sweeps(code, args):
-    full = args.full or code.ring.order ** code.n <= 4096
-    if args.sample is not None and not args.full:
-        full = False
-    return full
 
 
 def _profile_payload(profile):
@@ -203,17 +163,18 @@ def _profile_payload(profile):
 
 
 def cmd_analyze(args):
+    _check_sample(args.sample)
     ring, code = _load_code(args.file, args.cap)
     index = modular_index(code)
     profile = two_weight_profile(code, require_modular=index is not None)
     checks = {}
     if index is not None:
-        full = _full_sweeps(code, args)
-        sweep_code_correlation(code, full=full, seed=args.seed, cap=args.cap)
+        shifts = sweep_shifts(code, args.full, args.sample, args.seed,
+                              args.cap)
+        sweep_code_correlation(code, shifts)
         checks["code-correlation"] = True
         if profile is not None:
-            sweep_class_coset_sums(code, full=full, seed=args.seed,
-                                   cap=args.cap)
+            sweep_class_coset_sums(code, shifts)
             checks["class-coset-sums"] = True
             sweep_coordinate_identities(code)
             checks["coordinate-identities"] = True
@@ -454,8 +415,9 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--full", action="store_true",
                    help="insist on exhaustive sweeps (error if too large)")
-    p.add_argument("--sample", type=int, default=200,
-                   help="sample count for oversized sweeps (default 200)")
+    p.add_argument("--sample", type=int, default=SAMPLE_COUNT,
+                   help="sample count for oversized sweeps (default "
+                        f"{SAMPLE_COUNT})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help=argparse.SUPPRESS)

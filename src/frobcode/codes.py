@@ -21,9 +21,10 @@ from .errors import (
     SpecParseError,
     ZeroColumnError,
 )
-from .homweight import weight_table
+from .homweight import SAMPLE_COUNT, weight_table
 from .spans import (
     combine_rows,
+    decode_vectors,
     encode_vectors,
     enumerate_vectors,
     is_submodule,
@@ -31,7 +32,10 @@ from .spans import (
     unit_orbit,
 )
 
-_SAMPLE_COUNT = 200
+# The code sweeps check every shift in R^n up to this many, and take
+# their shifts in batches of at most _BATCH_ENTRIES summands.
+_EXHAUSTIVE_SHIFTS = 4096
+_BATCH_ENTRIES = 1 << 22
 
 
 class LinearCode:
@@ -224,8 +228,6 @@ def support_with_zero(code):
         rows.append(unit_orbit(code.ring, rep, "right"))
     stacked = np.concatenate(rows, axis=0)
     keys = np.unique(encode_vectors(stacked, code.ring.order))
-    from .spans import decode_vectors
-
     return decode_vectors(keys, code.ring.order, code.k)
 
 
@@ -254,168 +256,141 @@ def one_weight_characterization(code):
 
 
 # --------------------------------------- exact identity evaluation
+#
+# Each evaluator gives both sides of one identity for a batch of shifts,
+# as int64 numerators over one common denominator, which it returns too.
 
 
-def code_correlation(code, d):
-    """(lhs, rhs) of: sum over codewords c of w(c) w(c + d) equals
-    |C| (n^2 + rn - r w(d)), for a modular code of index r."""
+def code_correlation(code, ds):
+    """Both sides of: sum over codewords c of w(c) w(c + d) equals
+    |C| (n^2 + rn - r w(d)), for a modular code of index r = p/q and
+    each shift d in the rows of ds; numerators over q D^2."""
     index = modular_index(code)
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
-    d = np.asarray(d, dtype=np.int32)
     num = code.table.numerators
     D = code.denominator
-    shifted = num[code.ring.add_table[code.words, d[None, :]]].sum(axis=1)
-    lhs_num = int(code.word_numerators.astype(object) @ shifted.astype(object))
-    lhs = Fraction(lhs_num, D * D)
-    wd = code.table.word_value(d)
-    rhs = code.size * (code.n * code.n + index * code.n - index * wd)
-    return lhs, rhs
+    n = code.n
+    p, q = index.numerator, index.denominator
+    shifted = num[code.ring.add_table[code.words[:, None, :],
+                                      ds[None, :, :]]].sum(axis=2)
+    lhs = q * (code.word_numerators @ shifted)
+    rhs = code.size * (n * n * D * D * q + p * n * D * D
+                       - p * D * num[ds].sum(axis=1))
+    return lhs, rhs, q * D * D
 
 
-def class_coset_sum(code, d, which):
-    """(lhs, rhs) of the class-wise shifted weight sums for a modular
-    two-weight code: the smaller-weight class has the affine form in
-    w(d); the larger-weight class is determined by complementation."""
+def class_coset_sums(code, ds):
+    """Both sides of the class-wise shifted weight sums of a modular
+    two-weight code, for each shift d in the rows of ds: over the
+    smaller-weight class, the sum of w(c + d) equals
+    b1 w1 + (b1 - b1 w1 / n) w(d); over the larger-weight class, it is
+    n |C| - b0 w(d) minus that.  Returns [(lhs1, rhs1), (lhs2, rhs2)]
+    as numerators over n D^2, and that denominator."""
     profile = two_weight_profile(code, require_modular=True)
     if profile is None:
         raise PreconditionError("code is not two-weight")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    d = np.asarray(d, dtype=np.int32)
     num = code.table.numerators
     D = code.denominator
-    wd = code.table.word_value(d)
+    n, b1 = code.n, profile.b1
     w1num = int(profile.w1 * D)
-    class_num = w1num if which == 1 else int(profile.w2 * D)
-    rows = code.words_of_numerator(class_num)
-    shifted = num[code.ring.add_table[rows, d[None, :]]].sum(axis=1)
-    lhs = Fraction(int(shifted.sum()), D)
-    rhs1 = (profile.b1 * profile.w1
-            + (profile.b1 - Fraction(profile.b1 * profile.w1, profile.n))
-            * wd)
-    if which == 1:
-        return lhs, rhs1
-    rhs2 = code.n * code.size - profile.b0 * wd - rhs1
-    return lhs, rhs2
+    wd = num[ds].sum(axis=1)
+    rhs1 = b1 * w1num * n * D + (b1 * n * D - b1 * w1num) * wd
+    rhs2 = n * n * code.size * D * D - profile.b0 * n * D * wd - rhs1
+    sides = []
+    for weight, rhs in ((profile.w1, rhs1), (profile.w2, rhs2)):
+        rows = code.words_of_numerator(int(weight * D))
+        lhs = num[code.ring.add_table[rows[:, None, :],
+                                      ds[None, :, :]]].sum(axis=(0, 2))
+        sides.append((n * D * lhs, rhs))
+    return sides, n * D * D
 
 
-def coordinate_correlation(code, j, dj):
-    """(lhs, rhs) of: sum over c of w(c) w(c_j + d_j) equals
-    |C| (n + r - r w(d_j))."""
+def coordinate_correlation(code, js):
+    """Both sides of: sum over codewords c of w(c) w(c_j + d_j) equals
+    |C| (n + r - r w(d_j)), for a modular code of index r = p/q, each
+    coordinate j in js and every value d_j; (len(js), order)
+    numerators over q D^2."""
     index = modular_index(code)
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
     num = code.table.numerators
     D = code.denominator
-    col = code.ring.add_table[code.words[:, j], dj]
-    lhs_num = int(code.word_numerators.astype(object) @ num[col].astype(object))
-    lhs = Fraction(lhs_num, D * D)
-    wdj = code.table.value(dj)
-    rhs = code.size * (code.n + index - index * wdj)
-    return lhs, rhs
+    p, q = index.numerator, index.denominator
+    columns = num[code.ring.add_table[code.words[:, js], :]]
+    lhs = q * np.tensordot(code.word_numerators, columns, axes=1)
+    rhs = code.size * (code.n * D * D * q + p * D * D - p * D * num)
+    return lhs, np.broadcast_to(rhs, lhs.shape), q * D * D
 
 
-def coordinate_class_sum(code, j, dj):
-    """(lhs, rhs) of: sum over the smaller-weight class of w(c_j + d_j)
-    equals b1 w1 / n + (b1 - b1 w1 / n) w(d_j)."""
+def coordinate_class_sum(code, js):
+    """Both sides of: over the smaller-weight class of a modular
+    two-weight code, the sum of w(c_j + d_j) equals
+    b1 w1 / n + (b1 - b1 w1 / n) w(d_j), for each coordinate j in js
+    and every value d_j; (len(js), order) numerators over n D^2."""
     profile = two_weight_profile(code, require_modular=True)
     if profile is None:
         raise PreconditionError("code is not two-weight")
     num = code.table.numerators
     D = code.denominator
+    n, b1 = code.n, profile.b1
     w1num = int(profile.w1 * D)
     rows = code.words_of_numerator(w1num)
-    lhs = Fraction(int(num[code.ring.add_table[rows[:, j], dj]].sum()), D)
-    head = Fraction(profile.b1 * profile.w1, profile.n)
-    rhs = head + (profile.b1 - head) * code.table.value(dj)
-    return lhs, rhs
+    lhs = n * D * num[code.ring.add_table[rows[:, js], :]].sum(axis=0)
+    rhs = b1 * w1num * D + (b1 * n * D - b1 * w1num) * num
+    return lhs, np.broadcast_to(rhs, lhs.shape), n * D * D
 
 
 # ----------------------------------------------------- batched sweeps
 
 
-def _sweep_vectors(code, full, seed, cap=None):
+def sweep_shifts(code, full=False, sample=None, seed=0, cap=None):
+    """The shifts d that the code sweeps check: all of R^n with `full`,
+    or when no sample size is given and R^n has at most 4096 vectors;
+    otherwise `sample` (default 200) vectors from default_rng(seed)."""
     order = code.ring.order
-    if full:
-        return enumerate_vectors(order, code.n, cap), True
+    if full or (sample is None and order ** code.n <= _EXHAUSTIVE_SHIFTS):
+        return enumerate_vectors(order, code.n, cap)
     rng = np.random.default_rng(seed)
-    return rng.integers(0, order, size=(_SAMPLE_COUNT, code.n),
-                        endpoint=False).astype(np.int32), False
+    return rng.integers(0, order, size=(sample or SAMPLE_COUNT, code.n),
+                        endpoint=False).astype(np.int32)
 
 
-def sweep_code_correlation(code, full=True, seed=0, cap=None):
-    """Check the codeword correlation identity over all of R^n (or a
-    fixed-seed sample); returns the number of shifts checked."""
-    index = modular_index(code)
-    if index is None:
-        raise PreconditionError("correlation identity needs a modular code")
-    ds, _ = _sweep_vectors(code, full, seed, cap)
-    num = code.table.numerators
-    D = code.denominator
-    wn = code.word_numerators.astype(np.int64)
-    size, n = code.size, code.n
-    p, q = index.numerator, index.denominator
-    batch = max(1, (1 << 22) // max(1, size * n))
-    for start in range(0, len(ds), batch):
-        chunk = ds[start:start + batch]
-        shifted = num[code.ring.add_table[code.words[:, None, :],
-                                          chunk[None, :, :]]].sum(axis=2)
-        lhs = wn @ shifted
-        wdnum = num[chunk].sum(axis=1)
-        rhs = size * (n * n * D * D * q + p * n * D * D - p * wdnum * D)
-        if not (q * lhs == rhs).all():
-            bad = int(np.flatnonzero(q * lhs != rhs)[0])
-            d = chunk[bad]
+def _shift_batches(code, shifts):
+    batch = max(1, _BATCH_ENTRIES // max(1, code.size * code.n))
+    for start in range(0, len(shifts), batch):
+        yield shifts[start:start + batch]
+
+
+def sweep_code_correlation(code, shifts):
+    """Check the codeword correlation identity at every shift in the
+    rows of `shifts` (see sweep_shifts); returns the number checked."""
+    for chunk in _shift_batches(code, shifts):
+        lhs, rhs, den = code_correlation(code, chunk)
+        bad = np.flatnonzero(lhs != rhs)
+        if len(bad):
             raise IdentityCheckError(
                 "codeword correlation identity fails",
                 witness={"ring": code.ring.spec.text(),
-                         "d": d.tolist(),
-                         "lhs": str(Fraction(int(lhs[bad]), D * D))})
-    return len(ds)
+                         "d": chunk[bad[0]].tolist(),
+                         "lhs": str(Fraction(int(lhs[bad[0]]), den))})
+    return len(shifts)
 
 
-def sweep_class_coset_sums(code, full=True, seed=0, cap=None):
-    """Check both class-wise shifted weight sums over all of R^n (or a
-    fixed-seed sample); returns the number of shifts checked."""
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError("code is not two-weight")
-    ds, _ = _sweep_vectors(code, full, seed, cap)
-    num = code.table.numerators
-    D = code.denominator
-    size, n, b0, b1 = code.size, code.n, profile.b0, profile.b1
-    w1num = int(profile.w1 * D)
-    w2num = int(profile.w2 * D)
-    rows1 = code.words_of_numerator(w1num)
-    rows2 = code.words_of_numerator(w2num)
-    batch = max(1, (1 << 22) // max(1, size * n))
-    for start in range(0, len(ds), batch):
-        chunk = ds[start:start + batch]
-        wdnum = num[chunk].sum(axis=1)
-        lhs1 = num[code.ring.add_table[rows1[:, None, :],
-                                       chunk[None, :, :]]].sum(axis=(0, 2))
-        lhs2 = num[code.ring.add_table[rows2[:, None, :],
-                                       chunk[None, :, :]]].sum(axis=(0, 2))
-        # rhs1 = b1 w1 + (b1 - b1 w1 / n) w(d), all times n D^2
-        rhs1 = b1 * w1num * n * D + (b1 * n * D - b1 * w1num) * wdnum
-        if not (lhs1 * n * D == rhs1).all():
-            bad = int(np.flatnonzero(lhs1 * n * D != rhs1)[0])
-            raise IdentityCheckError(
-                "smaller-class shifted weight sum fails",
-                witness={"ring": code.ring.spec.text(),
-                         "d": chunk[bad].tolist(),
-                         "lhs": str(Fraction(int(lhs1[bad]), D))})
-        # rhs2 = n |C| - b0 w(d) - rhs1, all times n D^2
-        rhs2 = n * n * size * D * D - b0 * n * D * wdnum - rhs1
-        if not (lhs2 * n * D == rhs2).all():
-            bad = int(np.flatnonzero(lhs2 * n * D != rhs2)[0])
-            raise IdentityCheckError(
-                "larger-class shifted weight sum fails",
-                witness={"ring": code.ring.spec.text(),
-                         "d": chunk[bad].tolist(),
-                         "lhs": str(Fraction(int(lhs2[bad]), D))})
-    return len(ds)
+def sweep_class_coset_sums(code, shifts):
+    """Check both class-wise shifted weight sums at every shift in the
+    rows of `shifts` (see sweep_shifts); returns the number checked."""
+    for chunk in _shift_batches(code, shifts):
+        sides, den = class_coset_sums(code, chunk)
+        for label, (lhs, rhs) in zip(("smaller", "larger"), sides):
+            bad = np.flatnonzero(lhs != rhs)
+            if len(bad):
+                raise IdentityCheckError(
+                    f"{label}-class shifted weight sum fails",
+                    witness={"ring": code.ring.spec.text(),
+                             "d": chunk[bad[0]].tolist(),
+                             "lhs": str(Fraction(int(lhs[bad[0]]), den))})
+    return len(shifts)
 
 
 def sweep_coordinate_identities(code):
@@ -425,37 +400,27 @@ def sweep_coordinate_identities(code):
     profile = two_weight_profile(code, require_modular=True)
     if profile is None:
         raise PreconditionError("code is not two-weight")
-    index = profile.index
-    num = code.table.numerators
-    D = code.denominator
-    size, n, b1 = code.size, code.n, profile.b1
-    w1num = int(profile.w1 * D)
-    rows1 = code.words_of_numerator(w1num)
-    wn = code.word_numerators.astype(np.int64)
-    p, q = index.numerator, index.denominator
-    checked = 0
-    for j in range(code.n):
-        shifted = num[code.ring.add_table[code.words[:, j], :]]
-        lhs_corr = wn @ shifted
-        rhs_corr = size * (n * D * D * q + p * D * D - p * num * D)
-        if not (q * lhs_corr == rhs_corr).all():
-            dj = int(np.flatnonzero(q * lhs_corr != rhs_corr)[0])
-            raise IdentityCheckError(
-                "per-coordinate correlation identity fails",
-                witness={"ring": code.ring.spec.text(), "j": j, "dj": dj})
-        lhs_cls = num[code.ring.add_table[rows1[:, j], :]].sum(axis=0)
-        rhs_cls = b1 * w1num * D + (b1 * n * D - b1 * w1num) * num
-        if not (lhs_cls * n * D == rhs_cls).all():
-            dj = int(np.flatnonzero(lhs_cls * n * D != rhs_cls)[0])
-            raise IdentityCheckError(
-                "per-coordinate class sum identity fails",
-                witness={"ring": code.ring.spec.text(), "j": j, "dj": dj})
-        if int(lhs_cls[0]) * n != b1 * w1num:
-            raise IdentityCheckError(
-                "smaller-class column sum is not b1 w1 / n",
-                witness={"ring": code.ring.spec.text(), "j": j})
-        checked += code.ring.order
-    return checked
+    ring = code.ring.spec.text()
+    column_sum = profile.b1 * profile.w1 / code.n
+    block = max(1, _BATCH_ENTRIES // max(1, code.size * code.ring.order))
+    for start in range(0, code.n, block):
+        js = np.arange(start, min(start + block, code.n))
+        correlation = coordinate_correlation(code, js)
+        class_sum = coordinate_class_sum(code, js)
+        for i, j in enumerate(js.tolist()):
+            for (lhs, rhs, _), name in ((correlation, "correlation"),
+                                        (class_sum, "class sum")):
+                bad = np.flatnonzero(lhs[i] != rhs[i])
+                if len(bad):
+                    raise IdentityCheckError(
+                        f"per-coordinate {name} identity fails",
+                        witness={"ring": ring, "j": j, "dj": int(bad[0])})
+            lhs, _, den = class_sum
+            if Fraction(int(lhs[i, 0]), den) != column_sum:
+                raise IdentityCheckError(
+                    "smaller-class column sum is not b1 w1 / n",
+                    witness={"ring": ring, "j": j})
+    return code.n * code.ring.order
 
 
 # ------------------------------------------------------- file format

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import support_with_zero, two_weight_profile
+from .codes import modular_index, support_with_zero, two_weight_profile
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .spans import (
     BLOCK_ENTRIES,
@@ -420,8 +420,6 @@ def equivalence_check(code):
     fails (prod(Z2,Z2), k=1, columns (0,1) and (1,0): the code is trivial
     two-weight but the complement {0, (1,1)} is no submodule), so there
     the complement test is only reported."""
-    from .codes import modular_index
-
     ring = code.ring
     if modular_index(code) is None:
         raise PreconditionError("equivalence check needs a modular code")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, IdentityCheckError, PreconditionError
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -246,8 +246,6 @@ def check_row_column_cardinality(ring, matrix, cap=None):
     nrows = len(row_space(ring, matrix, cap))
     ncols = len(column_space(ring, matrix, cap))
     if nrows != ncols:
-        from .errors import IdentityCheckError
-
         raise IdentityCheckError(
             f"row space has {nrows} elements, column space {ncols}",
             witness={"matrix": np.asarray(matrix).tolist()})

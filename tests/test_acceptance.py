@@ -16,6 +16,7 @@ from frobcode.codes import (
     sweep_class_coset_sums,
     sweep_code_correlation,
     sweep_coordinate_identities,
+    sweep_shifts,
 )
 from frobcode.duality import dual_pipeline
 from frobcode.errors import (
@@ -176,9 +177,9 @@ def test_criterion_7_shift_identity_sweeps():
     with criterion(7, "shift identity sweeps", 300.0):
         for text, ring, rec in hits():
             code = build_code(ring, generator_for_record(ring, rec))
-            full = ring.order ** code.n <= 4096
-            sweep_code_correlation(code, full=full, seed=0)
-            sweep_class_coset_sums(code, full=full, seed=0)
+            shifts = sweep_shifts(code, seed=0)
+            sweep_code_correlation(code, shifts)
+            sweep_class_coset_sums(code, shifts)
             sweep_coordinate_identities(code)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from frobcode.cli import main
+from frobcode.codes import sweep_code_correlation
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
@@ -449,3 +450,93 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# GF(2), k=6, n=14: one column per nonzero vector of span(e1, e2, e3)
+# and of span(e4, e5, e6).  2^14 > 4096, so `analyze` samples shifts.
+GF2_HALVES = """ring: GF(2)
+k: 6 n: 14
+0 0 0 1 1 1 1 0 0 0 0 0 0 0
+0 1 1 0 0 1 1 0 0 0 0 0 0 0
+1 0 1 0 1 0 1 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 0 0 1 1 1 1
+0 0 0 0 0 0 0 0 1 1 0 0 1 1
+0 0 0 0 0 0 0 1 0 1 0 1 0 1
+"""
+EMPTY = hashlib.sha256(b"").hexdigest()
+PASS_7 = "4ba48b76ebeb307416b1f1520551558181b147a1e2cc778c4eaceb7953308bdc"
+
+# argv (an analyze run takes its code file last), exit code, and the
+# sha256 of stdout and of stderr, recorded before each weight identity
+# had one evaluator
+CLI_GOLDEN = {
+    "verify Z32": (["verify", "Z32"], 0, PASS_7, EMPTY),
+    "verify Z32 --json": (
+        ["verify", "Z32", "--json"], 0,
+        "7e570946b9c8626243da28b5745207dbb2ffe7da5e7355e9166734134091bd53",
+        EMPTY),
+    "verify prod(Z4,Z2)": (["verify", "prod(Z4,Z2)"], 0, PASS_7, EMPTY),
+    "verify sampled k=2": (
+        ["verify", "M2(GF(2))", "--cap", "255", "--seed", "3"], 0,
+        "d29613d6aa2e4aab7a9b8751e64f1de39565f2f729573ac323871c1bbdf88ad2",
+        EMPTY),
+    "verify --full past the cap": (
+        ["verify", "M2(GF(2))", "--cap", "255", "--full"], 2,
+        "51c4814182a0dfa5ae07e0f92b5dd85a1184b894314ddd3ee2f2544ad0f6cdc4",
+        "3f25d172a68ac14c185c648ab0c6a18e350ee287a20031d28a54c64c7d2a38d5"),
+    "verify --inject-fault": (
+        ["verify", "Z6", "--inject-fault"], 1,
+        "6cf668d20121019a688e46270e3f15c4bada4d76d47d5aaa882bff77731bf912",
+        "ab590200032ea3b3940916ced7428abe960e69fc50689c93feb0173ade7e4e13"),
+    "ring Z4 --json": (
+        ["ring", "Z4", "--json"], 0,
+        "7357a79301fd59035795e30318ea9a526ab407219d769b74f686663a194c489d",
+        EMPTY),
+    "analyze GF(3)": (
+        ["analyze", F3_IDENTITY], 0,
+        "ed2173bc1e86ea4705adebbd98a2f750f975d46f0b9affb94b1eba0781147c96",
+        EMPTY),
+    "analyze sampled GF(2)": (
+        ["analyze", GF2_HALVES], 0,
+        "ca7158be9cfd90b41b3692842b33ca07c9a3fbd978a4a387fd44b14c1dfcca2a",
+        EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_golden_digests(capsys, tmp_path, name):
+    argv, code, stdout_digest, stderr_digest = CLI_GOLDEN[name]
+    if argv[0] == "analyze":
+        argv = ["analyze", write_code(tmp_path, "x.code", argv[1])]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == stderr_digest
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("sample", ["-3", "0"])
+def test_sample_must_be_positive(capsys, tmp_path, command, sample):
+    target = ("M2(GF(2))" if command == "verify"
+              else write_code(tmp_path, "gf2.code", GF2_HALVES))
+    rc, out, err = run_cli(capsys, [command, target, "--cap", "255",
+                                    "--sample", sample])
+    assert rc == 2 and out == ""
+    assert err == f"error: --sample must be a positive integer, got {sample}\n"
+
+
+def test_analyze_sample_sets_the_shift_count(capsys, tmp_path, monkeypatch):
+    seen = []
+
+    def spy(code, shifts):
+        seen.append(len(shifts))
+        return sweep_code_correlation(code, shifts)
+
+    monkeypatch.setattr("frobcode.cli.sweep_code_correlation", spy)
+    gf2 = write_code(tmp_path, "gf2.code", GF2_HALVES)
+    f3 = write_code(tmp_path, "f3.code", F3_IDENTITY)
+    for argv in ([gf2, "--sample", "5"], [gf2], [gf2, "--full"],
+                 [f3], [f3, "--sample", "5"]):
+        rc, out, err = run_cli(capsys, ["analyze", *argv])
+        assert rc == 0, argv
+    assert seen == [5, 200, 2 ** 14, 9, 5]

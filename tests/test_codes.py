@@ -8,7 +8,7 @@ import pytest
 
 from frobcode.codes import (
     build_code,
-    class_coset_sum,
+    class_coset_sums,
     code_correlation,
     coordinate_class_sum,
     coordinate_correlation,
@@ -20,6 +20,7 @@ from frobcode.codes import (
     sweep_class_coset_sums,
     sweep_code_correlation,
     sweep_coordinate_identities,
+    sweep_shifts,
     two_weight_profile,
 )
 from frobcode.errors import (
@@ -103,7 +104,7 @@ def test_non_modular_code():
     with pytest.raises(PreconditionError):
         two_weight_profile(code, require_modular=True)
     with pytest.raises(PreconditionError):
-        sweep_code_correlation(code)
+        sweep_code_correlation(code, sweep_shifts(code))
 
 
 def test_zero_column_rejected():
@@ -136,36 +137,33 @@ def test_membership_and_points():
 
 def test_code_correlation_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    lhs, rhs = code_correlation(code, [0, 0])
-    assert lhs == rhs == 45
-    lhs, rhs = code_correlation(code, [1, 1])
-    assert lhs == rhs == Fraction(63, 2)
+    lhs, rhs, den = code_correlation(code, np.array([[0, 0], [1, 1]]))
+    assert [Fraction(int(v), den) for v in lhs] \
+        == [Fraction(int(v), den) for v in rhs] == [45, Fraction(63, 2)]
 
 
 def test_class_coset_sum_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
+    [(lhs1, rhs1), (lhs2, rhs2)], den = class_coset_sums(
+        code, np.array([[0, 0], [1, 1]]))
     # with no shift the smaller class sums its own weights: 4 * 3/2 = 6
-    lhs, rhs = class_coset_sum(code, [0, 0], 1)
-    assert lhs == rhs == 6
+    assert Fraction(int(lhs1[0]), den) == Fraction(int(rhs1[0]), den) == 6
     # shifting by a weight-3 word pushes the sum to b1 w1' forms: 9
-    lhs, rhs = class_coset_sum(code, [1, 1], 1)
-    assert lhs == rhs == 9
-    lhs2, rhs2 = class_coset_sum(code, [1, 1], 2)
-    assert lhs2 == rhs2 == 6
+    assert Fraction(int(lhs1[1]), den) == Fraction(int(rhs1[1]), den) == 9
+    assert Fraction(int(lhs2[1]), den) == Fraction(int(rhs2[1]), den) == 6
     # the classes and the zero word tile the whole-code shifted sum,
     # which a modular code pins at n |C|
     wd = code.table.word_value(np.array([1, 1], dtype=np.int32))
-    assert lhs + lhs2 + wd == code.n * code.size == 18
+    assert Fraction(int(lhs1[1] + lhs2[1]), den) + wd \
+        == code.n * code.size == 18
 
 
 def test_coordinate_identities_frozen():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    for j in (0, 1):
-        for dj in range(3):
-            lhs, rhs = coordinate_correlation(code, j, dj)
-            assert lhs == rhs
-            lhs, rhs = coordinate_class_sum(code, j, dj)
-            assert lhs == rhs
+    for evaluate in (coordinate_correlation, coordinate_class_sum):
+        lhs, rhs, _ = evaluate(code, np.array([0, 1]))
+        assert lhs.shape == (2, 3)
+        assert lhs.tolist() == rhs.tolist()
 
 
 @pytest.mark.parametrize("rows,text", [
@@ -176,16 +174,32 @@ def test_coordinate_identities_frozen():
 ])
 def test_sweeps_green(rows, text):
     ring, code = make(text, rows)
-    sweep_code_correlation(code, full=True)
+    shifts = sweep_shifts(code, full=True)
+    assert sweep_code_correlation(code, shifts) == ring.order ** code.n
     if two_weight_profile(code) is not None:
-        sweep_class_coset_sums(code, full=True)
+        sweep_class_coset_sums(code, shifts)
         sweep_coordinate_identities(code)
 
 
 def test_sampled_sweeps_agree():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    sweep_code_correlation(code, full=False, seed=0)
-    sweep_class_coset_sums(code, full=False, seed=0)
+    shifts = sweep_shifts(code, sample=200, seed=0)
+    assert sweep_code_correlation(code, shifts) == 200
+    assert sweep_class_coset_sums(code, shifts) == 200
+
+
+def test_sweep_shifts_rule():
+    ring, code = make("GF(3)", [[1, 0], [0, 1]])
+    # R^n within 4096 vectors: every shift, unless a sample is asked for
+    assert sweep_shifts(code).tolist() == sweep_shifts(
+        code, full=True).tolist()
+    assert len(sweep_shifts(code)) == 9
+    assert len(sweep_shifts(code, sample=5, seed=3)) == 5
+    assert sweep_shifts(code, sample=5, seed=3).tolist() == \
+        sweep_shifts(code, sample=7, seed=3)[:5].tolist()
+    ring, long = make("GF(2)", [[1] * 13])
+    assert len(sweep_shifts(long)) == 200
+    assert len(sweep_shifts(long, full=True)) == 2 ** 13
 
 
 # --------------------------------------------------------- code files

@@ -20,8 +20,7 @@ from frobcode.homweight import (
     check_coset_sums,
     check_unit_invariance,
     check_zero_set,
-    correlation_ideal_lhs,
-    correlation_ideal_rhs,
+    ideal_correlation,
     run_identity_suite,
     sum_of_squares_check,
     weight_table,
@@ -165,16 +164,16 @@ def test_ideal_correlation_zero_image_branch():
     # so the sum collapses to |I| w(s) rather than the plain |I|
     z4 = ring_from_text("Z4")
     ideal = np.array([0, 2], dtype=np.int64)
-    lhs = correlation_ideal_lhs(z4, ideal, 2, 2)
-    rhs = correlation_ideal_rhs(z4, ideal, 2, 2)
-    assert lhs == rhs == 4
-    assert rhs != len(ideal)
+    lhs, rhs, den = ideal_correlation(z4, weight_table(z4), ideal,
+                                      np.array([2, 1]))
+    assert Fraction(int(lhs[0, 2]), den) == Fraction(int(rhs[0, 2]), den) \
+        == 4
+    assert Fraction(int(rhs[0, 2]), den) != len(ideal)
     # shifting by a unit lands on 2 * w(1) = 2
-    assert correlation_ideal_lhs(z4, ideal, 2, 1) == \
-        correlation_ideal_rhs(z4, ideal, 2, 1) == 2
+    assert Fraction(int(lhs[0, 1]), den) == Fraction(int(rhs[0, 1]), den) \
+        == 2
     # an injective multiplier exercises the unit-counting branch
-    assert correlation_ideal_lhs(z4, ideal, 1, 0) == \
-        correlation_ideal_rhs(z4, ideal, 1, 0)
+    assert lhs[1, 0] == rhs[1, 0]
     check_correlation_ideal(z4)
 
 

@@ -1,0 +1,273 @@
+"""The batched identity evaluators against the brute-force oracle in
+identity_oracle.py, and the sweeps on corrupted weight tables.
+
+The corrupted tables move the weight of a whole unit orbit, so they
+pass the zero-set and unit-invariance checks and reach the identity
+sweeps.  Each sweep must then fail the same check with the same first
+witness as the scalar helpers it replaced did; the expected witnesses
+were recorded with those helpers.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frobcode.codes import (
+    LinearCode,
+    build_code,
+    class_coset_sums,
+    code_correlation,
+    coordinate_class_sum,
+    coordinate_correlation,
+    sweep_class_coset_sums,
+    sweep_code_correlation,
+    sweep_coordinate_identities,
+    sweep_shifts,
+    two_weight_profile,
+)
+from frobcode.errors import IdentityCheckError
+from frobcode.homweight import (
+    _sampled_correlation_vectors,
+    all_one_sided_ideals,
+    check_correlation_ideal,
+    check_correlation_vectors,
+    correlation_vectors,
+    ideal_correlation,
+    weight_table,
+)
+from frobcode.rings import ring_from_text
+from frobcode.search import generator_for_record, search_modular_codes
+from frobcode.spans import combine_rows, enumerate_vectors, point_ids
+from identity_oracle import (
+    bump_unit_orbit,
+    class_coset_sum_lhs,
+    code_correlation_lhs,
+    coordinate_class_sum_lhs,
+    coordinate_correlation_lhs,
+    ideal_correlation_lhs,
+    word_correlation_lhs,
+)
+
+RINGS = ["Z4", "Z6", "GF(4)", "M2(GF(2))", "prod(Z2,Z2)"]
+# (ring, k, n_max) of the searches whose modular codes are the samples
+CODE_SEARCHES = [("Z4", 2, 3), ("Z6", 1, 4), ("GF(4)", 2, 3),
+                 ("M2(GF(2))", 1, 3), ("prod(Z2,Z2)", 2, 3)]
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+_CODES = {}
+
+
+def modular_codes(spec):
+    if spec not in _CODES:
+        _, k, n_max = next(c for c in CODE_SEARCHES if c[0] == spec)
+        ring = ring_from_text(spec)
+        _CODES[spec] = [build_code(ring, generator_for_record(ring, rec))
+                        for rec in search_modular_codes(ring, k, n_max)]
+    return _CODES[spec]
+
+
+def word_pair(ring, table, g, h, s):
+    """The word correlation evaluator at one pair (g, h) and shift s."""
+    vecs = enumerate_vectors(ring.order, len(g))
+    xg = combine_rows(ring, np.array([g], dtype=np.int32).T, vecs)
+    xh = combine_rows(ring, np.array([h], dtype=np.int32).T, vecs)
+    pids, sizes = point_ids(ring, [g, h])
+    lhs, rhs, den = correlation_vectors(
+        ring, table, table.numerators[xg.T], xh, s,
+        np.array([[pids[0] == pids[1]]]), sizes[:1, None])
+    return (Fraction(int(lhs[0, 0]), int(den[0, 0])),
+            Fraction(int(rhs[0, 0]), int(den[0, 0])))
+
+
+@SETTINGS
+@given(st.data())
+def test_ideal_correlation_matches_oracle(data):
+    ring = ring_from_text(data.draw(st.sampled_from(RINGS)))
+    table = weight_table(ring)
+    ideal = data.draw(st.sampled_from(all_one_sided_ideals(ring, "left")))
+    r = data.draw(st.integers(0, ring.order - 1))
+    s = data.draw(st.integers(0, ring.order - 1))
+    lhs, rhs, den = ideal_correlation(ring, table, ideal, np.array([r]))
+    expected = ideal_correlation_lhs(ring, table, ideal, r, s)
+    assert Fraction(int(lhs[0, s]), den) == expected
+    assert Fraction(int(rhs[0, s]), den) == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_word_correlation_matches_oracle(data):
+    ring = ring_from_text(data.draw(st.sampled_from(RINGS)))
+    table = weight_table(ring)
+    k = data.draw(st.integers(1, 2))
+    word = st.lists(st.integers(0, ring.order - 1), min_size=k,
+                    max_size=k).filter(any)
+    g, h = data.draw(word), data.draw(word)
+    s = data.draw(st.integers(0, ring.order - 1))
+    lhs, rhs = word_pair(ring, table, g, h, s)
+    assert lhs == rhs == word_correlation_lhs(ring, table, g, h, s)
+
+
+@SETTINGS
+@given(st.data())
+def test_code_identities_match_oracle(data):
+    code = data.draw(st.sampled_from(
+        modular_codes(data.draw(st.sampled_from(RINGS)))))
+    order = code.ring.order
+    d = data.draw(st.lists(st.integers(0, order - 1), min_size=code.n,
+                           max_size=code.n))
+    j = data.draw(st.integers(0, code.n - 1))
+    dj = data.draw(st.integers(0, order - 1))
+    ds = np.array([d], dtype=np.int32)
+
+    lhs, rhs, den = code_correlation(code, ds)
+    expected = code_correlation_lhs(code, d)
+    assert Fraction(int(lhs[0]), den) == Fraction(int(rhs[0]), den) \
+        == expected
+    lhs, rhs, den = coordinate_correlation(code, np.array([j]))
+    expected = coordinate_correlation_lhs(code, j, dj)
+    assert Fraction(int(lhs[0, dj]), den) \
+        == Fraction(int(rhs[0, dj]), den) == expected
+
+    profile = two_weight_profile(code, require_modular=True)
+    if profile is None:
+        return
+    sides, den = class_coset_sums(code, ds)
+    for (lhs, rhs), weight in zip(sides, (profile.w1, profile.w2)):
+        expected = class_coset_sum_lhs(code, weight, d)
+        assert Fraction(int(lhs[0]), den) == Fraction(int(rhs[0]), den) \
+            == expected
+    lhs, rhs, den = coordinate_class_sum(code, np.array([j]))
+    expected = coordinate_class_sum_lhs(code, profile.w1, j, dj)
+    assert Fraction(int(lhs[0, dj]), den) \
+        == Fraction(int(rhs[0, dj]), den) == expected
+
+
+def test_word_evaluator_on_a_corrupted_table_matches_oracle():
+    ring = ring_from_text("M2(GF(2))")
+    table = bump_unit_orbit(ring, weight_table(ring), 1, 1)
+    for g, h, s in (([13], [10], 8), ([13, 10], [8, 4], 4),
+                    ([1, 0], [1, 0], 0)):
+        lhs, _ = word_pair(ring, table, g, h, s)
+        assert lhs == word_correlation_lhs(ring, table, g, h, s)
+
+
+# ------------------------------------------------------------- faults
+
+# (ring, element whose unit orbit is bumped, delta) -> the witnesses of
+# the ideal sweep, the word sweeps for k = 1, 2, and the sampled word
+# checks for k = 1, 2 (200 draws, seed 0)
+RING_FAULTS = {
+    ("M2(GF(2))", 1, 1): (
+        {"ring": "M2(GF(2))", "ideal": [0, 2, 5, 6], "r": 1, "s": 1,
+         "lhs": "14/3", "rhs": "38/9"},
+        {"ring": "M2(GF(2))", "k": 1, "g": [1], "h": [1], "s": 0,
+         "lhs": "121/6", "similar": True},
+        {"ring": "M2(GF(2))", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
+         "lhs": "968/3", "similar": True},
+        {"g": [13], "h": [10], "s": 8, "lhs": "37/2", "rhs": "16"},
+        {"g": [13, 10], "h": [8, 4], "s": 4, "lhs": "289", "rhs": "256"}),
+    ("prod(Z4,Z2)", 4, 1): (
+        {"ring": "prod(Z4,Z2)", "ideal": [0, 2], "r": 1, "s": 4,
+         "lhs": "0", "rhs": "-1"},
+        {"ring": "prod(Z4,Z2)", "k": 1, "g": [1], "h": [1], "s": 0,
+         "lhs": "57/4", "similar": True},
+        {"ring": "prod(Z4,Z2)", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
+         "lhs": "114", "similar": True},
+        {"g": [6], "h": [5], "s": 4, "lhs": "41/4", "rhs": "8"},
+        {"g": [6, 5], "h": [4, 2], "s": 2, "lhs": "80", "rhs": "64"}),
+    ("Z6", 2, 1): (
+        {"ring": "Z6", "ideal": [0, 3], "r": 1, "s": 1, "lhs": "4",
+         "rhs": "3"},
+        {"ring": "Z6", "k": 1, "g": [1], "h": [1], "s": 0, "lhs": "25/2",
+         "similar": True},
+        {"ring": "Z6", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
+         "lhs": "75", "similar": True},
+        {"g": [5], "h": [3], "s": 3, "lhs": "8", "rhs": "6"},
+        {"g": [5, 3], "h": [3, 1], "s": 1, "lhs": "48", "rhs": "36"}),
+}
+
+
+def witness_of(check):
+    with pytest.raises(IdentityCheckError) as info:
+        check()
+    return str(info.value), info.value.witness
+
+
+@pytest.mark.parametrize("spec,x,delta", sorted(RING_FAULTS))
+def test_ring_sweeps_fail_with_the_recorded_witness(spec, x, delta):
+    ring = ring_from_text(spec)
+    table = bump_unit_orbit(ring, weight_table(ring), x, delta)
+    ideal, word1, word2, sampled1, sampled2 = RING_FAULTS[spec, x, delta]
+    assert witness_of(lambda: check_correlation_ideal(ring, table)) == (
+        "ideal correlation identity fails", ideal)
+    for k, word, sampled in ((1, word1, sampled1), (2, word2, sampled2)):
+        assert witness_of(
+            lambda: check_correlation_vectors(ring, k, table)) == (
+            "word correlation identity fails", word)
+        assert witness_of(
+            lambda: _sampled_correlation_vectors(ring, k, table, 200, 0)) \
+            == ("word correlation identity fails", sampled)
+
+
+# (ring, generator, element whose unit orbit is bumped, delta) -> the
+# failing check and witness of the codeword correlation sweep over all
+# of R^n and over 200 shifts (seed 0), of the class sum sweep over the
+# same two shift sets, and of the per-coordinate sweep
+CODE_FAULTS = {
+    ("GF(3)", ((1, 0), (0, 1)), 1, 1): (
+        ("codeword correlation identity fails",
+         {"ring": "GF(3)", "d": [0, 0], "lhs": "80"}),
+        ("codeword correlation identity fails",
+         {"ring": "GF(3)", "d": [2, 1], "lhs": "56"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"})),
+    ("Z4", ((1, 2, 3),), 2, 1): (
+        ("codeword correlation identity fails",
+         {"ring": "Z4", "d": [0, 0, 0], "lhs": "131/2"}),
+        ("codeword correlation identity fails",
+         {"ring": "Z4", "d": [3, 2, 2], "lhs": "151/4"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"}),
+        ("two-weight frequencies disagree with their closed forms",
+         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"})),
+    # the bumped orbit is the zero-weight unit (1,1): the profile holds
+    # and the class and per-coordinate sums fail
+    ("prod(Z2,Z2)", ((0, 0), (2, 3)), 1, -1): (
+        ("codeword correlation identity fails",
+         {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "22"}),
+        ("codeword correlation identity fails",
+         {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-4"}),
+        ("smaller-class shifted weight sum fails",
+         {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "3"}),
+        ("smaller-class shifted weight sum fails",
+         {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "2"}),
+        ("per-coordinate correlation identity fails",
+         {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1})),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CODE_FAULTS), ids=str)
+def test_code_sweeps_fail_with_the_recorded_witness(key):
+    spec, rows, x, delta = key
+    ring = ring_from_text(spec)
+    code = build_code(ring, np.array(rows, dtype=np.int32))
+    table = bump_unit_orbit(ring, weight_table(ring), x, delta)
+    code = LinearCode(ring, code.generator, code.words, code.messages,
+                      table)
+    every = sweep_shifts(code, full=True)
+    sampled = sweep_shifts(code, sample=200)
+    assert [witness_of(check) for check in (
+        lambda: sweep_code_correlation(code, every),
+        lambda: sweep_code_correlation(code, sampled),
+        lambda: sweep_class_coset_sums(code, every),
+        lambda: sweep_class_coset_sums(code, sampled),
+        lambda: sweep_coordinate_identities(code))] == list(CODE_FAULTS[key])
