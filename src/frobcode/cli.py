@@ -293,6 +293,8 @@ def _record_line(rec):
         bits.append("pds=" + (
             "none" if cert is None else str(cert.srg_params().as_tuple())
             .replace(" ", "")))
+    if rec.dual_skipped is not None:
+        bits.append("dual=skipped")
     return " ".join(bits)
 
 
@@ -317,6 +319,8 @@ def _record_payload(rec):
             "w2_dual": _rat(rec.dual.w2_dual),
             "srg": list(rec.dual.srg.as_tuple()),
         }
+    elif rec.dual_skipped is not None:
+        payload["dual"] = {"skipped": rec.dual_skipped}
     else:
         payload["dual"] = None
     if rec.equivalence is not None:

@@ -407,6 +407,33 @@ class EquivalenceReport:
     ambient_size: int
 
 
+def _correspondence_failure(is_one, is_two, pds, omega_sub):
+    """The first failing correspondence of a trivial-b0 code, as
+    (message, witness without the generator), or None: two-weight
+    exactly when the points form a difference set whose union with
+    zero is not a submodule, and one-weight exactly when that union is
+    a submodule."""
+    if is_two != (pds and not omega_sub):
+        return ("two-weight / difference-set equivalence fails",
+                {"two_weight": is_two, "pds": pds,
+                 "omega_with_zero_submodule": omega_sub})
+    if omega_sub != is_one:
+        return ("one-weight / submodule equivalence fails",
+                {"one_weight": is_one, "omega_with_zero_submodule": omega_sub})
+    return None
+
+
+def _complement_failure(comp_sub, trivial_two, zero_only):
+    """When the weight vanishes only at 0 (zero_only), the complement of
+    the points in the column module is a submodule exactly for trivial
+    two-weight codes; the failure as in _correspondence_failure."""
+    if comp_sub != trivial_two and zero_only:
+        return ("complement submodule test disagrees with triviality",
+                {"complement_submodule": comp_sub,
+                 "trivial_two_weight": trivial_two})
+    return None
+
+
 def equivalence_check(code):
     """Certify the two-way correspondence for a modular code with
     trivial zero-weight subcode: the code is two-weight exactly when
@@ -451,34 +478,22 @@ def equivalence_check(code):
     is_two = len(nonzero_weights) == 2
     is_one = len(nonzero_weights) == 1
 
-    side_code = is_two
-    side_sets = cert is not None and not omega_sub
-    if side_code != side_sets:
+    profile = None
+    failure = _correspondence_failure(is_one, is_two, cert is not None,
+                                      omega_sub)
+    if failure is None:
+        if is_two:
+            profile = two_weight_profile(code)
+        failure = _complement_failure(
+            comp_sub, profile is not None and profile.trivial,
+            code.table.zero_set() == {0})
+    if failure is not None:
+        message, witness = failure
         raise IdentityCheckError(
-            "two-weight / difference-set equivalence fails",
-            witness={"generator": code.generator.tolist(),
-                     "two_weight": is_two,
-                     "pds": cert is not None,
-                     "omega_with_zero_submodule": omega_sub})
-    if omega_sub != is_one:
-        raise IdentityCheckError(
-            "one-weight / submodule equivalence fails",
-            witness={"generator": code.generator.tolist(),
-                     "one_weight": is_one,
-                     "omega_with_zero_submodule": omega_sub})
-    trivial_two = False
-    if is_two:
-        profile = two_weight_profile(code)
-        trivial_two = profile.trivial
-    if comp_sub != trivial_two and code.table.zero_set() == {0}:
-        raise IdentityCheckError(
-            "complement submodule test disagrees with triviality",
-            witness={"generator": code.generator.tolist(),
-                     "complement_submodule": comp_sub,
-                     "trivial_two_weight": trivial_two})
+            message, witness={"generator": code.generator.tolist(),
+                              **witness})
 
     if is_two:
-        profile = two_weight_profile(code)
         predicted = predicted_dual_srg(profile)
         measured = cert.srg_params()
         if measured != predicted:

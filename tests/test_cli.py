@@ -409,6 +409,30 @@ def test_search_weight_vanishing_off_zero(capsys):
         "candidates: 9 (one-weight: 6, two-weight: 3, mixed: 0)")
 
 
+def test_search_skips_a_dual_past_int64_keys(capsys, tmp_path):
+    # the dual of these srg(81,24,9,6) hits has words of length 24 over
+    # Z9, too long for int64 keys: the hit is reported with its dual
+    # skipped, and the search goes on
+    path = tmp_path / "search.json"
+    rc, out, err = run_cli(capsys, ["search", "Z9", "k=2", "n_max=4",
+                                    "--json", str(path)])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert ("[two-weight] points=1,9,10,11 r=1/6 n=4 |C|=81 b0=1 w=(3,9/2) "
+            "srg=(81,24,9,6) trivial=false pds=(81,24,9,6) dual=skipped"
+            ) in lines
+    assert lines[-1] == (
+        "candidates: 976 (one-weight: 29, two-weight: 149, mixed: 798)")
+    records = json.loads(path.read_text())["records"]
+    skipped = [rec for rec in records
+               if rec["dual"] is not None and "skipped" in rec["dual"]]
+    assert len(skipped) == sum(line.endswith(" dual=skipped")
+                               for line in lines)
+    assert {rec["dual"]["skipped"] for rec in skipped} == {
+        "vectors of length 24 over order 9 exceed int64 keys"}
+    assert skipped[0]["point_ids"] == [1, 9, 10, 11]
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "Z4", "k=2", "n_max=3", "--dedupe"],
     ["ring", "Z4", "--cap", "10"],
