@@ -17,13 +17,11 @@ import numpy as np
 
 from .codes import (
     build_code,
-    modular_index,
     parse_code_file,
     sweep_class_coset_sums,
     sweep_code_correlation,
     sweep_coordinate_identities,
     sweep_shifts,
-    two_weight_profile,
 )
 from .duality import dual_pipeline
 from .errors import (
@@ -165,10 +163,9 @@ def _profile_payload(profile):
 def cmd_analyze(args):
     _check_sample(args.sample)
     ring, code = _load_code(args.file, args.cap)
-    index = modular_index(code)
-    profile = two_weight_profile(code, require_modular=index is not None)
+    profile = code.profile
     checks = {}
-    if index is not None:
+    if code.index is not None:
         shifts = sweep_shifts(code, args.full, args.sample, args.seed,
                               args.cap)
         sweep_code_correlation(code, shifts)
@@ -178,7 +175,7 @@ def cmd_analyze(args):
             checks["class-coset-sums"] = True
             sweep_coordinate_identities(code)
             checks["coordinate-identities"] = True
-    histogram = {_rat(w): c for w, c in code.weight_distribution().items()}
+    histogram = {_rat(w): c for w, c in code.weight_distribution.items()}
     payload = {
         "ring": ring.spec.text(),
         "k": code.k,
@@ -186,7 +183,7 @@ def cmd_analyze(args):
         "size": code.size,
         "b0": code.b0,
         "histogram": histogram,
-        "modular_index": _rat(index),
+        "modular_index": _rat(code.index),
         "profile": _profile_payload(profile),
         "lemma_checks": checks,
     }
@@ -214,10 +211,7 @@ def _dot_text(graph):
 
 def cmd_graph(args):
     ring, code = _load_code(args.file, args.cap)
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError(
-            "graph construction needs a two-weight code")
+    profile = code.modular_two_weight("graph construction")
     graph = build_coset_graph(code)
     measured = coset_graph_srg(graph)
     predicted = predicted_srg(profile)
@@ -247,8 +241,7 @@ def cmd_graph(args):
 def cmd_dual(args):
     ring, code = _load_code(args.file, args.cap)
     report = dual_pipeline(code, args.cap)
-    predicted = predicted_dual_srg(
-        two_weight_profile(code, require_modular=True))
+    predicted = predicted_dual_srg(code.profile)
     payload = {
         "ring": ring.spec.text(),
         "w1_dual": _rat(report.w1_dual),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,9 @@ _BATCH_ENTRIES = 1 << 22
 
 class LinearCode:
     """A left linear code, fully enumerated: its words in sorted order,
-    and for each word one message x with x G equal to it."""
+    and for each word one message x with x G equal to it.  The facts
+    derived from them (points, index, weights, two-weight profile,
+    support) are computed once, at first use."""
 
     def __init__(self, ring, generator, words, messages, table):
         self.ring = ring
@@ -52,28 +55,23 @@ class LinearCode:
         self.table = table
         self.word_numerators = table.word_numerator(words)
         self.denominator = table.denominator
-        self._distribution = None
-        self._points = None
 
     @property
     def size(self):
         return len(self.words)
 
-    def weight_values(self):
-        """Distinct codeword weights, ascending."""
-        return tuple(Fraction(int(v), self.denominator)
-                     for v in sorted(set(self.word_numerators.tolist())))
-
+    @cached_property
     def weight_distribution(self):
-        """Mapping weight -> number of codewords of that weight."""
-        if self._distribution is None:
-            vals, counts = np.unique(self.word_numerators,
-                                     return_counts=True)
-            self._distribution = {
-                Fraction(int(v), self.denominator): int(c)
-                for v, c in zip(vals, counts)
-            }
-        return dict(self._distribution)
+        """Mapping weight -> number of codewords of that weight, by
+        ascending weight."""
+        vals, counts = np.unique(self.word_numerators, return_counts=True)
+        return {Fraction(int(v), self.denominator): int(c)
+                for v, c in zip(vals, counts)}
+
+    @cached_property
+    def nonzero_weights(self):
+        """Distinct nonzero codeword weights, ascending."""
+        return tuple(v for v in self.weight_distribution if v != 0)
 
     def words_of_numerator(self, numerator):
         return self.words[self.word_numerators == numerator]
@@ -91,17 +89,46 @@ class LinearCode:
         pos = np.searchsorted(self.word_keys, key)
         return pos < len(self.word_keys) and self.word_keys[pos] == key
 
+    @cached_property
     def points(self):
-        """Column points: list of (point id, representative column,
-        orbit size, multiplicity)."""
-        if self._points is None:
-            pids, sizes = point_ids(self.ring, self.generator.T)
-            uniq, first, mult = np.unique(pids, return_index=True,
-                                          return_counts=True)
-            self._points = [
-                (int(pid), self.generator[:, j].copy(), int(sizes[j]),
-                 int(m)) for pid, j, m in zip(uniq, first, mult)]
-        return list(self._points)
+        """Column points: (point id, representative column, orbit size,
+        multiplicity) by ascending point id."""
+        pids, sizes = point_ids(self.ring, self.generator.T)
+        uniq, first, mult = np.unique(pids, return_index=True,
+                                      return_counts=True)
+        return tuple((int(pid), self.generator[:, j].copy(), int(sizes[j]),
+                      int(m)) for pid, j, m in zip(uniq, first, mult))
+
+    @cached_property
+    def index(self):
+        """The modular index, or None (see modular_index)."""
+        return modular_index(self)
+
+    @cached_property
+    def profile(self):
+        """The two-weight profile, or None (see two_weight_profile)."""
+        return two_weight_profile(self)
+
+    @cached_property
+    def support(self):
+        """The occurring points' vectors and 0 (see support_with_zero)."""
+        return support_with_zero(self)
+
+    def two_weight(self, purpose):
+        """The two-weight profile, for a purpose that needs one: raises
+        PreconditionError("<purpose> needs a two-weight code") when the
+        code does not have exactly two nonzero weights."""
+        if self.profile is None:
+            raise PreconditionError(f"{purpose} needs a two-weight code")
+        return self.profile
+
+    def modular_two_weight(self, purpose):
+        """As two_weight, for a purpose that also needs a modular code: a
+        two-weight code that is not modular raises "code is not modular"
+        before the profile's closed forms are checked."""
+        if len(self.nonzero_weights) == 2 and self.index is None:
+            raise PreconditionError("code is not modular")
+        return self.two_weight(purpose)
 
     def __repr__(self):
         return (f"LinearCode({self.ring.spec.text()}, k={self.k}, "
@@ -160,7 +187,7 @@ def modular_index(code):
     """The common ratio multiplicity / orbit size over all occurring
     column points, or None when the ratios disagree."""
     ratios = {Fraction(mult, orbit_size)
-              for _, _, orbit_size, mult in code.points()}
+              for _, _, orbit_size, mult in code.points}
     if len(ratios) == 1:
         return ratios.pop()
     return None
@@ -183,21 +210,19 @@ class TwoWeightProfile:
         return self.w1 == self.n
 
 
-def two_weight_profile(code, require_modular=False):
+def two_weight_profile(code):
     """The two-weight profile of the code, or None if the number of
     distinct nonzero weights differs from two.  Frequencies are
-    cross-checked against their closed forms."""
-    dist = code.weight_distribution()
-    nonzero = sorted(v for v in dist if v != 0)
-    if len(nonzero) != 2:
+    cross-checked against their closed forms, and the power-sum
+    relation too when the code is modular."""
+    if len(code.nonzero_weights) != 2:
         return None
-    w1, w2 = nonzero
+    dist = code.weight_distribution
+    w1, w2 = code.nonzero_weights
     b0 = dist.get(Fraction(0), 0)
     b1, b2 = dist[w1], dist[w2]
     size, n = code.size, code.n
-    index = modular_index(code)
-    if require_modular and index is None:
-        raise PreconditionError("code is not modular")
+    index = code.index
 
     b1_closed = ((w2 - n) * size - w2 * b0) / (w2 - w1)
     b2_closed = ((n - w1) * size + w1 * b0) / (w2 - w1)
@@ -224,7 +249,7 @@ def two_weight_profile(code, require_modular=False):
 def support_with_zero(code):
     """All vectors of R^k lying on an occurring column point, plus 0."""
     rows = [np.zeros((1, code.k), dtype=np.int32)]
-    for _, rep, _, _ in code.points():
+    for _, rep, _, _ in code.points:
         rows.append(unit_orbit(code.ring, rep, "right"))
     stacked = np.concatenate(rows, axis=0)
     keys = np.unique(encode_vectors(stacked, code.ring.order))
@@ -240,11 +265,9 @@ def one_weight_characterization(code):
         raise PreconditionError(
             "one-weight characterization needs a trivial zero-weight "
             "subcode")
-    nonzero = [v for v in code.weight_values() if v != 0]
-    is_one = len(nonzero) == 1
-    is_mod = modular_index(code) is not None
-    supp = support_with_zero(code)
-    is_sub = is_submodule(code.ring, supp, "right")
+    is_one = len(code.nonzero_weights) == 1
+    is_mod = code.index is not None
+    is_sub = is_submodule(code.ring, code.support, "right")
     if is_one != (is_mod and is_sub):
         raise IdentityCheckError(
             "one-weight characterization fails",
@@ -265,7 +288,7 @@ def code_correlation(code, ds):
     """Both sides of: sum over codewords c of w(c) w(c + d) equals
     |C| (n^2 + rn - r w(d)), for a modular code of index r = p/q and
     each shift d in the rows of ds; numerators over q D^2."""
-    index = modular_index(code)
+    index = code.index
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
     num = code.table.numerators
@@ -287,9 +310,7 @@ def class_coset_sums(code, ds):
     b1 w1 + (b1 - b1 w1 / n) w(d); over the larger-weight class, it is
     n |C| - b0 w(d) minus that.  Returns [(lhs1, rhs1), (lhs2, rhs2)]
     as numerators over n D^2, and that denominator."""
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError("code is not two-weight")
+    profile = code.modular_two_weight("class coset sum")
     num = code.table.numerators
     D = code.denominator
     n, b1 = code.n, profile.b1
@@ -311,7 +332,7 @@ def coordinate_correlation(code, js):
     |C| (n + r - r w(d_j)), for a modular code of index r = p/q, each
     coordinate j in js and every value d_j; (len(js), order)
     numerators over q D^2."""
-    index = modular_index(code)
+    index = code.index
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
     num = code.table.numerators
@@ -328,9 +349,7 @@ def coordinate_class_sum(code, js):
     two-weight code, the sum of w(c_j + d_j) equals
     b1 w1 / n + (b1 - b1 w1 / n) w(d_j), for each coordinate j in js
     and every value d_j; (len(js), order) numerators over n D^2."""
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError("code is not two-weight")
+    profile = code.modular_two_weight("coordinate class sum")
     num = code.table.numerators
     D = code.denominator
     n, b1 = code.n, profile.b1
@@ -397,9 +416,7 @@ def sweep_coordinate_identities(code):
     """Check both per-coordinate identities for every coordinate and
     every shift value; also confirms the constant smaller-class column
     sum b1 w1 / n.  Returns the number of (j, value) pairs checked."""
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError("code is not two-weight")
+    profile = code.modular_two_weight("coordinate identity sweep")
     ring = code.ring.spec.text()
     column_sum = profile.b1 * profile.w1 / code.n
     block = max(1, _BATCH_ENTRIES // max(1, code.size * code.ring.order))

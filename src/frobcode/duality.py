@@ -25,12 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (
-    LinearCode,
-    modular_index,
-    support_with_zero,
-    two_weight_profile,
-)
+from .codes import LinearCode
 from .errors import IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
@@ -51,9 +46,7 @@ from .spans import (
 
 
 def _smaller_class_mask(code):
-    profile = two_weight_profile(code)
-    if profile is None:
-        raise PreconditionError("dual construction needs a two-weight code")
+    profile = code.two_weight("dual construction")
     return code.word_numerators == int(profile.w1 * code.denominator)
 
 
@@ -67,10 +60,12 @@ def smaller_class_matrix(code):
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
     with one preimage y (G y = z) per element z, the fibre size
-    |ker G|, and the dual word X1 z of each z."""
+    |ker G|, the smaller-weight matrix m1, and the dual word X1 z of
+    each z."""
     elements: np.ndarray
     preimages: np.ndarray
     fibre: int
+    m1: np.ndarray
     dual_words: np.ndarray
 
 
@@ -100,7 +95,7 @@ def _column_module(code, cap):
         raise IdentityCheckError(
             "column module size does not divide the message space",
             witness={"column_module": len(z), "messages": f"{order}**{n}"})
-    return _ColumnModule(z, y, fibre, apply_matrix(ring, x1, z))
+    return _ColumnModule(z, y, fibre, m1, apply_matrix(ring, x1, z))
 
 
 def _dual_code(code, module):
@@ -110,8 +105,8 @@ def _dual_code(code, module):
     words = module.dual_words
     _, at = np.unique(encode_vectors(words, op.order), return_index=True)
     return LinearCode.from_words(
-        op, smaller_class_matrix(code).T.copy(), words[at],
-        module.preimages[at], op.order ** code.n)
+        op, module.m1.T.copy(), words[at], module.preimages[at],
+        op.order ** code.n)
 
 
 def build_dual(code, cap=None):
@@ -139,9 +134,7 @@ def dual_pipeline(code, cap=None):
     zero-weight subcode and certify every predicted property against
     direct enumeration.  Returns a report; raises IdentityCheckError on
     the first discrepancy."""
-    profile = two_weight_profile(code, require_modular=True)
-    if profile is None:
-        raise PreconditionError("dual pipeline needs a two-weight code")
+    profile = code.modular_two_weight("dual pipeline")
     if profile.b0 != 1:
         raise PreconditionError(
             "dual pipeline needs a trivial zero-weight subcode")
@@ -164,21 +157,21 @@ def dual_pipeline(code, cap=None):
             "dual size differs from the code size",
             witness={"dual": dual.size, "code": size})
     expected_values = {Fraction(0), w1_dual, w2_dual}
-    if set(dual.weight_values()) != expected_values:
+    if set(dual.weight_distribution) != expected_values:
         raise IdentityCheckError(
             "dual weights differ from their closed forms",
-            witness={"measured": [str(v) for v in dual.weight_values()],
+            witness={"measured": [str(v) for v in dual.weight_distribution],
                      "expected": sorted(str(v) for v in expected_values)})
     if dual.b0 != 1:
         raise IdentityCheckError(
             "dual zero-weight subcode is not trivial",
             witness={"b0": dual.b0})
-    if modular_index(dual) != 1:
+    if dual.index != 1:
         raise IdentityCheckError(
             "dual is not modular of index one",
-            witness={"index": str(modular_index(dual))})
+            witness={"index": str(dual.index)})
 
-    dual_profile = two_weight_profile(dual, require_modular=True)
+    dual_profile = dual.profile
     graph = build_coset_graph(dual)
     measured = coset_graph_srg(graph)
     predicted = predicted_dual_srg(profile)
@@ -197,7 +190,7 @@ def dual_pipeline(code, cap=None):
 
     kernel_size, class_counts = _check_message_classification(
         code, module, w1_dual, w2_dual)
-    _check_smaller_class_spans(code)
+    _check_smaller_class_spans(code, module.m1)
 
     return DualReport(
         dual_size=dual.size, w1_dual=w1_dual, w2_dual=w2_dual,
@@ -216,7 +209,7 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
     wnum = code.table.word_numerator(module.dual_words)
     keys = encode_vectors(module.elements, ring.order)
     zero = keys == 0
-    on_point = np.isin(keys, encode_vectors(support_with_zero(code),
+    on_point = np.isin(keys, encode_vectors(code.support,
                                             ring.order)) & ~zero
     other = ~zero & ~on_point
     for cls, mask, expected in (("kernel", zero, 0),
@@ -237,9 +230,9 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
     return counts[0], counts
 
 
-def _check_smaller_class_spans(code):
-    """The smaller-weight codewords generate the whole code."""
-    m1 = smaller_class_matrix(code)
+def _check_smaller_class_spans(code, m1):
+    """The smaller-weight codewords, the rows of m1, generate the whole
+    code."""
     gens = [tuple(int(v) for v in row) for row in m1]
     spanned = span(code.ring, gens, side="left")
     if spanned.size != code.size or not (

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import modular_index, support_with_zero, two_weight_profile
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .spans import (
     BLOCK_ENTRIES,
@@ -202,9 +201,7 @@ def build_coset_graph(code):
     by the smaller weight, in Cayley form.  Verifies that weights do
     not depend on the chosen representatives, that the cosets tile the
     code, and that the connection set is closed under negation."""
-    profile = two_weight_profile(code)
-    if profile is None:
-        raise PreconditionError("coset graph needs a two-weight code")
+    profile = code.two_weight("coset graph")
     ring = code.ring
     num = code.table.numerators
     zero_words = code.zero_weight_words()
@@ -448,7 +445,7 @@ def equivalence_check(code):
     two-weight but the complement {0, (1,1)} is no submodule), so there
     the complement test is only reported."""
     ring = code.ring
-    if modular_index(code) is None:
+    if code.index is None:
         raise PreconditionError("equivalence check needs a modular code")
     if code.b0 != 1:
         raise PreconditionError(
@@ -456,7 +453,7 @@ def equivalence_check(code):
 
     module, _ = column_module(ring, code.generator)
     module_keys = encode_vectors(module, ring.order)
-    supp0 = support_with_zero(code)
+    supp0 = code.support
     supp0_keys = encode_vectors(supp0, ring.order)
     omega = supp0[supp0_keys != 0]
 
@@ -474,16 +471,15 @@ def equivalence_check(code):
     comp_sub = len(complement) > 1 and is_submodule(ring, complement,
                                                     "right")
 
-    nonzero_weights = [v for v in code.weight_values() if v != 0]
-    is_two = len(nonzero_weights) == 2
-    is_one = len(nonzero_weights) == 1
+    is_two = len(code.nonzero_weights) == 2
+    is_one = len(code.nonzero_weights) == 1
 
     profile = None
     failure = _correspondence_failure(is_one, is_two, cert is not None,
                                       omega_sub)
     if failure is None:
         if is_two:
-            profile = two_weight_profile(code)
+            profile = code.profile
         failure = _complement_failure(
             comp_sub, profile is not None and profile.trivial,
             code.table.zero_set() == {0})

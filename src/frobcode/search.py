@@ -19,13 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (
-    TwoWeightProfile,
-    build_code,
-    modular_index,
-    one_weight_characterization,
-    two_weight_profile,
-)
+from .codes import TwoWeightProfile, build_code, one_weight_characterization
 from .cyclotomic import divisors
 from .duality import DualReport, dual_pipeline
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
@@ -152,8 +146,7 @@ def generator_for_record(ring, record):
 
 
 def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
-                         with_dual=True, with_equivalence=True, cap=None,
-                         point_guard=DEFAULT_POINT_GUARD):
+                         cap=None):
     """Enumerate all modular codes of rank k and length at most n_max
     over the ring, one per (point subset, index) pair, and certify each
     classification as it is found.  The record list is deterministic.
@@ -163,18 +156,22 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     """
     if k < 1 or n_max < 1:
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
-    if mult_cap is None:
-        mult_cap = n_max
+    # a column multiplicity is at most the length, so mult_cap past
+    # n_max admits nothing more (index_one ignores mult_cap)
+    mult_cap = n_max if mult_cap is None else min(mult_cap, n_max)
     if not index_one:
-        # the single-point subsets reach every length up to
-        # min(n_max, mult_cap), and each codeword needs an int64 key
-        _check_encodable(ring.order, min(n_max, mult_cap))
+        # the single-point subsets reach every length up to mult_cap,
+        # and each codeword needs an int64 key
+        _check_encodable(ring.order, mult_cap)
     points, vectors, labels = _point_layer(ring, k, cap)
     count = len(points)
-    if count > point_guard:
+    if count > DEFAULT_POINT_GUARD:
         raise CapExceededError(
             f"{count} points exceed the subset search guard "
-            f"{point_guard}")
+            f"{DEFAULT_POINT_GUARD}")
+    if not index_one:
+        # nor does n_max past mult_cap columns on each point
+        n_max = min(n_max, mult_cap * count)
     batch = _MixedBatch(ring, points, vectors, labels)
     # a mask costs |R^k| message entries and count^2 point-pair terms
     step = max(1, BLOCK_ENTRIES // max(count * count, len(vectors)))
@@ -183,32 +180,29 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
         masks = np.arange(start, min(start + step, 1 << count))
         chosen = (masks[:, None] >> np.arange(count)) & 1
         keep = _has_index(chosen, batch.sizes, n_max, mult_cap, index_one)
-        rows = batch.classify(chosen[keep], with_equivalence)
+        rows = batch.classify(chosen[keep])
         for mask, settled in zip(masks[keep].tolist(), rows):
             subset = [points[i] for i in range(count) if mask >> i & 1]
             sizes = [p.orbit_size for p in subset]
             for index in _admissible_indices(sizes, n_max, mult_cap,
                                              index_one):
                 if settled is None:
-                    records.append(_certify_candidate(
-                        ring, k, subset, index, with_dual,
-                        with_equivalence, cap))
+                    records.append(_certify_candidate(ring, k, subset,
+                                                      index, cap))
                 else:
                     records.append(batch.record(ring, k, subset, index,
                                                 settled))
     return records
 
 
-def _certify_candidate(ring, k, subset, index, with_dual, with_equivalence,
-                       cap):
+def _certify_candidate(ring, k, subset, index, cap):
     generator = _candidate_generator(ring, subset, index)
     code = build_code(ring, generator, cap)
-    measured_index = modular_index(code)
-    if measured_index != index:
+    if code.index != index:
         raise IdentityCheckError(
             "constructed code does not have the intended index",
-            witness={"intended": str(index), "measured": str(measured_index)})
-    nonzero = [v for v in code.weight_values() if v != 0]
+            witness={"intended": str(index), "measured": str(code.index)})
+    nonzero = code.nonzero_weights
     profile = None
     srg = None
     dual = None
@@ -226,7 +220,7 @@ def _certify_candidate(ring, k, subset, index, with_dual, with_equivalence,
                              "support_submodule": is_sub})
     elif len(nonzero) == 2:
         classification = "two-weight"
-        profile = two_weight_profile(code, require_modular=True)
+        profile = code.profile
         predicted = predicted_srg(profile)
         graph = build_coset_graph(code)
         srg = coset_graph_srg(graph)
@@ -237,21 +231,21 @@ def _certify_candidate(ring, k, subset, index, with_dual, with_equivalence,
                          "predicted": predicted.as_tuple(),
                          "points": [p.pid for p in subset],
                          "index": str(index)})
-        if with_dual and profile.b0 == 1:
+        if profile.b0 == 1:
             try:
                 dual = dual_pipeline(code, cap)
             except CapExceededError as exc:
                 dual_skipped = str(exc)
     else:
         classification = "mixed"
-    if with_equivalence and code.b0 == 1:
+    if code.b0 == 1:
         equivalence = equivalence_check(code)
     return SearchRecord(
         ring_text=ring.spec.text(), k=k,
         point_ids=tuple(p.pid for p in subset), index=index,
         n=code.n, size=code.size, b0=code.b0,
         classification=classification,
-        weights=tuple(nonzero), profile=profile, srg=srg,
+        weights=nonzero, profile=profile, srg=srg,
         dual=dual, equivalence=equivalence, dual_skipped=dual_skipped)
 
 
@@ -317,11 +311,11 @@ class _MixedBatch:
         self._module_ids = {self.modules[0].tobytes(): 0}
         self._sums = {}
 
-    def classify(self, chosen, with_equivalence):
+    def classify(self, chosen):
         """For each 0/1 row over the points, None when the candidate
         needs its code (it is one-weight, two-weight, or has b0 > 1),
         else the numerators of its nonzero weights at index 1, its code
-        size, and, when asked, its equivalence data."""
+        size, and its equivalence data."""
         kernel = (chosen @ self.nonzero == 0).sum(axis=1)
         numerators = np.sort((chosen * self.sizes) @ self.weights, axis=1)
         first = np.ones(numerators.shape, dtype=bool)
@@ -330,8 +324,7 @@ class _MixedBatch:
         b0 = (numerators == 0).sum(axis=1) // kernel
         rows = np.flatnonzero((first.sum(axis=1) > 2) & (b0 == 1))
         sizes = numerators.shape[1] // kernel[rows]
-        equivalence = (self._equivalence(chosen[rows]) if with_equivalence
-                       else [None] * len(rows))
+        equivalence = self._equivalence(chosen[rows])
         settled = [None] * len(chosen)
         for row, size, eq in zip(rows.tolist(), sizes.tolist(), equivalence):
             settled[row] = (numerators[row][first[row]].tolist(), size, eq)
@@ -406,25 +399,22 @@ class _MixedBatch:
         numerators, size, equivalence = settled
         n = int(index * sum(p.orbit_size for p in subset))
         _check_encodable(ring.order, n)
-        report = None
-        if equivalence is not None:
-            pds, omega_sub, comp_sub, omega_size, ambient = equivalence
-            cap = enum_cap()
-            if ambient > cap:
-                raise CapExceededError(f"column module grew past cap {cap}")
-            failure = (_correspondence_failure(False, False, pds, omega_sub)
-                       or _complement_failure(comp_sub, False,
-                                              self.zero_only))
-            if failure is not None:
-                message, witness = failure
-                generator = _candidate_generator(ring, subset, index)
-                raise IdentityCheckError(
-                    message, witness={"generator": generator.tolist(),
-                                      **witness})
-            report = EquivalenceReport(
-                two_weight=False, pds=None, omega_with_zero_submodule=False,
-                complement_submodule=comp_sub, omega_size=omega_size,
-                ambient_size=ambient)
+        pds, omega_sub, comp_sub, omega_size, ambient = equivalence
+        cap = enum_cap()
+        if ambient > cap:
+            raise CapExceededError(f"column module grew past cap {cap}")
+        failure = (_correspondence_failure(False, False, pds, omega_sub)
+                   or _complement_failure(comp_sub, False, self.zero_only))
+        if failure is not None:
+            message, witness = failure
+            generator = _candidate_generator(ring, subset, index)
+            raise IdentityCheckError(
+                message, witness={"generator": generator.tolist(),
+                                  **witness})
+        report = EquivalenceReport(
+            two_weight=False, pds=None, omega_with_zero_submodule=False,
+            complement_submodule=comp_sub, omega_size=omega_size,
+            ambient_size=ambient)
         scale = self.denominator * index.denominator
         return SearchRecord(
             ring_text=ring.spec.text(), k=k,

@@ -64,13 +64,17 @@ def decode_vectors(keys, order, n):
 
 def enumerate_vectors(order, n, cap=None):
     """All order**n vectors of length n, in encoded (lexicographic)
-    order.  Raises CapExceededError past the cap."""
+    order.  Raises CapExceededError past the cap; the message gives
+    order**n in digits only when it fits int64."""
     if cap is None:
         cap = enum_cap()
-    total = order ** n
-    if total > cap:
+    # order**n >= 2**bits: past both int64 and the cap, it is not built
+    bits = n * (int(order).bit_length() - 1)
+    total = None if bits >= max(64, int(cap).bit_length()) else order ** n
+    if total is None or total > cap:
+        shown = "" if total is None or total >= 1 << 63 else f" = {total}"
         raise CapExceededError(
-            f"enumerating {order}**{n} = {total} vectors exceeds cap {cap}")
+            f"enumerating {order}**{n}{shown} vectors exceeds cap {cap}")
     _check_encodable(order, n)
     return decode_vectors(np.arange(total, dtype=np.int64), order, n)
 

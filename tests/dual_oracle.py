@@ -76,12 +76,12 @@ def oracle_message_classification(code, w1_dual, w2_dual, cap=None):
 def oracle_dual_report(code, cap=None):
     """The DualReport of a modular two-weight code with b0 = 1, every
     field measured on the R^n enumeration."""
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     n, w1, w2, size = profile.n, profile.w1, profile.w2, profile.size
     w1_dual = (w2 - n - profile.index) * size / (w2 - w1)
     w2_dual = (w2 - n) * size / (w2 - w1)
     dual = oracle_build_dual(code, cap)
-    dual_profile = two_weight_profile(dual, require_modular=True)
+    dual_profile = two_weight_profile(dual)
     srg = oracle_srg(dual)
     kernel_size, counts = oracle_message_classification(
         code, w1_dual, w2_dual, cap)

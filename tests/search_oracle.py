@@ -18,8 +18,7 @@ from frobcode.spans import _check_encodable
 
 
 def search_per_candidate(ring, k, n_max, index_one=False, mult_cap=None,
-                         with_dual=True, with_equivalence=True, cap=None,
-                         point_guard=DEFAULT_POINT_GUARD):
+                         cap=None):
     if k < 1 or n_max < 1:
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
     if mult_cap is None:
@@ -27,15 +26,14 @@ def search_per_candidate(ring, k, n_max, index_one=False, mult_cap=None,
     if not index_one:
         _check_encodable(ring.order, min(n_max, mult_cap))
     points = projective_points(ring, k, cap)
-    if len(points) > point_guard:
+    if len(points) > DEFAULT_POINT_GUARD:
         raise CapExceededError(
             f"{len(points)} points exceed the subset search guard "
-            f"{point_guard}")
+            f"{DEFAULT_POINT_GUARD}")
     records = []
     for mask in range(1, 1 << len(points)):
         subset = [points[i] for i in range(len(points)) if mask >> i & 1]
         sizes = [p.orbit_size for p in subset]
         for index in _admissible_indices(sizes, n_max, mult_cap, index_one):
-            records.append(_certify_candidate(
-                ring, k, subset, index, with_dual, with_equivalence, cap))
+            records.append(_certify_candidate(ring, k, subset, index, cap))
     return records

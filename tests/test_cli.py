@@ -320,6 +320,33 @@ def test_search_huge_n_max_exits_fast():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == (
         "candidates: 21 (one-weight: 12, two-weight: 9, mixed: 0)")
+    # past int64, n_max is bounded by mult_cap columns on each point and
+    # mult_cap by n_max, before any int64 arithmetic
+    huge = "100000000000000000000"
+    bounded = run_module(["search", "GF(2)", "k=2", f"n_max={huge}",
+                          "mult_cap=3"], 30)
+    assert (bounded.returncode, bounded.stdout, bounded.stderr) == (
+        0, proc.stdout, "")
+    plain = run_module(["search", "GF(2)", "k=2"], 30)
+    bounded = run_module(["search", "GF(2)", "k=2", f"mult_cap={huge}"], 30)
+    assert plain.returncode == 0
+    assert (bounded.returncode, bounded.stdout, bounded.stderr) == (
+        0, plain.stdout, "")
+    assert time.monotonic() - start < 20
+
+
+@pytest.mark.parametrize("k,total", [
+    (40, "2**40 = 1099511627776"), (62, "2**62 = 4611686018427387904"),
+    (63, "2**63"), (20000, "2**20000"), (1000000000, "2**1000000000"),
+])
+def test_search_huge_k_exits_fast(capsys, k, total):
+    # order**k is named in digits only while it fits int64, and is not
+    # built at all when it is far past the cap
+    start = time.monotonic()
+    rc, out, err = run_cli(capsys, ["search", "GF(2)", f"k={k}"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: enumerating {total} vectors exceeds cap 1048576\n"
+    assert time.monotonic() - start < 10
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -43,10 +43,10 @@ def test_f3_identity_frozen_profile():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     assert code.size == 9
     assert code.b0 == 1
-    assert code.weight_distribution() == {
+    assert code.weight_distribution == {
         Fraction(0): 1, Fraction(3, 2): 4, Fraction(3): 4}
     assert modular_index(code) == Fraction(1, 2)
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert (profile.w1, profile.w2) == (Fraction(3, 2), Fraction(3))
     assert (profile.b0, profile.b1, profile.b2) == (1, 4, 4)
     assert profile.index == Fraction(1, 2)
@@ -55,7 +55,7 @@ def test_f3_identity_frozen_profile():
 
 def test_gf4_identity_frozen_profile():
     ring, code = make("GF(4)", [[1, 0], [0, 1]])
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert (profile.w1, profile.w2) == (Fraction(4, 3), Fraction(8, 3))
     assert (profile.b0, profile.b1, profile.b2) == (1, 6, 9)
     assert profile.index == Fraction(1, 3)
@@ -63,7 +63,7 @@ def test_gf4_identity_frozen_profile():
 
 def test_z4_trivial_two_weight():
     ring, code = make("Z4", [[1, 3]])
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert (profile.w1, profile.w2) == (2, 4)
     assert (profile.b0, profile.b1, profile.b2) == (1, 2, 1)
     assert profile.index == 1
@@ -72,7 +72,7 @@ def test_z4_trivial_two_weight():
 
 def test_z4_one_weight_code():
     ring, code = make("Z4", [[1, 2, 3]])
-    assert code.weight_distribution() == {Fraction(0): 1, Fraction(4): 3}
+    assert code.weight_distribution == {Fraction(0): 1, Fraction(4): 3}
     assert two_weight_profile(code) is None
     is_one, is_mod, is_sub = one_weight_characterization(code)
     assert is_one and is_mod and is_sub
@@ -101,8 +101,8 @@ def test_non_modular_code():
     profile = two_weight_profile(code)
     assert (profile.w1, profile.w2) == (5, 6)
     assert profile.index is None
-    with pytest.raises(PreconditionError):
-        two_weight_profile(code, require_modular=True)
+    with pytest.raises(PreconditionError, match="^code is not modular$"):
+        code.modular_two_weight("identity sweep")
     with pytest.raises(PreconditionError):
         sweep_code_correlation(code, sweep_shifts(code))
 
@@ -124,7 +124,7 @@ def test_bad_entries_rejected():
 def test_membership_and_points():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     assert code.contains([2, 2])
-    points = code.points()
+    points = code.points
     assert [(pid, mult) for pid, _, _, mult in points] == [(1, 1), (3, 1)]
     assert all(orbit == 2 for _, _, orbit, _ in points)
     ring, partial = make("Z4", [[1, 3]])

@@ -43,7 +43,7 @@ def test_smaller_class_matrix_frozen():
 def test_dual_histogram_frozen():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     dual = build_dual(code)
-    assert dual.weight_distribution() == {
+    assert dual.weight_distribution == {
         Fraction(0): 1, Fraction(3): 4, Fraction(6): 4}
     assert dual.n == 4
     assert dual.k == 2
@@ -65,8 +65,8 @@ def test_double_dual_parameters_repeat():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     dual = build_dual(code)
     double = build_dual(dual)
-    p1 = two_weight_profile(dual, require_modular=True)
-    p2 = two_weight_profile(double, require_modular=True)
+    p1 = two_weight_profile(dual)
+    p2 = two_weight_profile(double)
     assert (p1.w1, p1.w2, p1.size) == (p2.w1, p2.w2, p2.size)
     assert dual_pipeline(dual).srg.as_tuple() == (9, 4, 1, 2)
 
@@ -74,7 +74,7 @@ def test_double_dual_parameters_repeat():
 def test_trivial_code_dual_is_trivial():
     ring, code = make("Z4", [[1, 3]])
     dual = build_dual(code)
-    assert dual.weight_distribution() == {
+    assert dual.weight_distribution == {
         Fraction(0): 1, Fraction(2): 2, Fraction(4): 1}
     report = dual_pipeline(code)
     assert report.trivial
@@ -153,8 +153,7 @@ ORACLE_CASES = [
 @lru_cache(maxsize=None)
 def clean_two_weight_generators(spec, k, n_max):
     ring = ring_from_text(spec)
-    records = search_modular_codes(ring, k, n_max, with_dual=False,
-                                   with_equivalence=False)
+    records = search_modular_codes(ring, k, n_max)
     return ring, [generator_for_record(ring, rec) for rec in records
                   if rec.classification == "two-weight" and rec.b0 == 1]
 

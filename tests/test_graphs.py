@@ -120,11 +120,11 @@ def test_f3_coset_graph_is_the_rook_graph():
 
 def test_predicted_parameters():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert predicted_srg(profile).as_tuple() == (9, 4, 1, 2)
     assert predicted_dual_srg(profile).as_tuple() == (9, 4, 1, 2)
     ring, code = make("GF(4)", [[1, 0], [0, 1]])
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert predicted_srg(profile).as_tuple() == (16, 6, 2, 2)
     assert predicted_dual_srg(profile).as_tuple() == (16, 6, 2, 2)
 
@@ -145,7 +145,7 @@ def test_trivial_graph_structure():
     assert measured.as_tuple() == (4, 2, 0, 2)
     assert measured.trivial
     check_trivial_structure(graph)
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     assert predicted_srg(profile) == measured
 
 
@@ -238,8 +238,7 @@ SEARCH_CASES = [
                          ids=[case[0] for case in SEARCH_CASES])
 def test_every_search_hit_matches_srg_oracle(spec, k, n_max):
     ring = ring_from_text(spec)
-    records = search_modular_codes(ring, k, n_max, with_dual=False,
-                                   with_equivalence=False)
+    records = search_modular_codes(ring, k, n_max)
     hits = [rec for rec in records if rec.classification == "two-weight"]
     assert hits
     for rec in hits:

@@ -131,7 +131,7 @@ def test_code_identities_match_oracle(data):
     assert Fraction(int(lhs[0, dj]), den) \
         == Fraction(int(rhs[0, dj]), den) == expected
 
-    profile = two_weight_profile(code, require_modular=True)
+    profile = two_weight_profile(code)
     if profile is None:
         return
     sides, den = class_coset_sums(code, ds)

@@ -81,8 +81,7 @@ def test_index_one_restriction():
 
 def test_generator_round_trip():
     ring = ring_from_text("GF(4)")
-    records = search_modular_codes(ring, 2, 5, with_dual=False,
-                                   with_equivalence=False)
+    records = search_modular_codes(ring, 2, 5)
     for rec in records[:12]:
         generator = generator_for_record(ring, rec)
         code = build_code(ring, generator)

@@ -190,7 +190,7 @@ def _compare_settled(ring, k, n_max, index_one, cap=None):
     masks = np.arange(1, 1 << len(points))
     chosen = (masks[:, None] >> np.arange(len(points))) & 1
     failures = set()
-    for mask, settled in zip(masks.tolist(), batch.classify(chosen, True)):
+    for mask, settled in zip(masks.tolist(), batch.classify(chosen)):
         if settled is None:
             continue
         subset = [p for i, p in enumerate(points) if mask >> i & 1]
@@ -200,7 +200,7 @@ def _compare_settled(ring, k, n_max, index_one, cap=None):
             got = _outcome(lambda: batch.record(ring, k, subset, index,
                                                 settled))
             want = _outcome(lambda: search._certify_candidate(
-                ring, k, subset, index, True, True, cap))
+                ring, k, subset, index, cap))
             assert got == want
             if isinstance(got, tuple):
                 failures.add(got[1])
