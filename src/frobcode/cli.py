@@ -455,9 +455,22 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv=None):
+    """Parse the command line.  Search takes its key=value parameters
+    anywhere after the spec, before or after its options."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if (args.command == "search"
+            and not any(token.startswith("-") for token in extras)):
+        args.params += extras
+    elif extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

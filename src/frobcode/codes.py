@@ -257,25 +257,31 @@ def support_with_zero(code):
 
 
 def one_weight_characterization(code):
-    """Check the equivalence: a code is one-weight exactly when it is
-    modular and the occurring points fill a right submodule.  Needs a
+    """Check the equivalence of one_weight_verdict on a code with
     trivial zero-weight subcode.  Returns (is_one_weight, is_modular,
     support_is_submodule)."""
     if code.b0 != 1:
         raise PreconditionError(
             "one-weight characterization needs a trivial zero-weight "
             "subcode")
-    is_one = len(code.nonzero_weights) == 1
-    is_mod = code.index is not None
-    is_sub = is_submodule(code.ring, code.support, "right")
+    facts = (len(code.nonzero_weights) == 1, code.index is not None,
+             is_submodule(code.ring, code.support, "right"))
+    one_weight_verdict(code.ring, *facts, lambda: code.generator)
+    return facts
+
+
+def one_weight_verdict(ring, is_one, is_mod, is_sub, generator):
+    """Certify that a code with trivial zero-weight subcode is one-weight
+    exactly when it is modular and its occurring points with 0 form a
+    right submodule (is_sub).  generator is called for the witness of a
+    failure."""
     if is_one != (is_mod and is_sub):
         raise IdentityCheckError(
             "one-weight characterization fails",
-            witness={"ring": code.ring.spec.text(),
-                     "generator": code.generator.tolist(),
+            witness={"ring": ring.spec.text(),
+                     "generator": generator().tolist(),
                      "one_weight": is_one, "modular": is_mod,
                      "support_submodule": is_sub})
-    return is_one, is_mod, is_sub
 
 
 # --------------------------------------- exact identity evaluation

@@ -404,46 +404,60 @@ class EquivalenceReport:
     ambient_size: int
 
 
-def _correspondence_failure(is_one, is_two, pds, omega_sub):
-    """The first failing correspondence of a trivial-b0 code, as
-    (message, witness without the generator), or None: two-weight
-    exactly when the points form a difference set whose union with
-    zero is not a submodule, and one-weight exactly when that union is
-    a submodule."""
-    if is_two != (pds and not omega_sub):
-        return ("two-weight / difference-set equivalence fails",
-                {"two_weight": is_two, "pds": pds,
-                 "omega_with_zero_submodule": omega_sub})
-    if omega_sub != is_one:
-        return ("one-weight / submodule equivalence fails",
-                {"one_weight": is_one, "omega_with_zero_submodule": omega_sub})
-    return None
+def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
+                        zero_only, omega_size, ambient_size, generator):
+    """Certify the equivalence claims of a modular code with trivial
+    zero-weight subcode from its facts, and return its report.  The code
+    is two-weight exactly when it has a profile, and that holds exactly
+    when its points form a difference set (pds, a PdsCertificate or
+    None) whose union with zero is not a submodule; the union is a
+    submodule exactly for one-weight codes.  When the weight vanishes
+    only at 0 (zero_only), the complement of the points in the column
+    module is a submodule exactly for trivial two-weight codes.  The
+    difference-set graph of a two-weight code has the dual closed-form
+    parameters.  generator is called for the witness of a failure."""
+    two_weight = profile is not None
+    trivial = two_weight and profile.trivial
+    witness = None
+    if two_weight != (pds is not None and not omega_sub):
+        message = "two-weight / difference-set equivalence fails"
+        witness = {"two_weight": two_weight, "pds": pds is not None,
+                   "omega_with_zero_submodule": omega_sub}
+    elif omega_sub != one_weight:
+        message = "one-weight / submodule equivalence fails"
+        witness = {"one_weight": one_weight,
+                   "omega_with_zero_submodule": omega_sub}
+    elif comp_sub != trivial and zero_only:
+        message = "complement submodule test disagrees with triviality"
+        witness = {"complement_submodule": comp_sub,
+                   "trivial_two_weight": trivial}
+    if witness is not None:
+        raise IdentityCheckError(
+            message, witness={"generator": generator().tolist(), **witness})
 
+    if two_weight:
+        predicted = predicted_dual_srg(profile)
+        measured = pds.srg_params()
+        if measured != predicted:
+            raise IdentityCheckError(
+                "difference-set graph parameters disagree with the "
+                "dual closed forms",
+                witness={"measured": measured.as_tuple(),
+                         "predicted": predicted.as_tuple()})
 
-def _complement_failure(comp_sub, trivial_two, zero_only):
-    """When the weight vanishes only at 0 (zero_only), the complement of
-    the points in the column module is a submodule exactly for trivial
-    two-weight codes; the failure as in _correspondence_failure."""
-    if comp_sub != trivial_two and zero_only:
-        return ("complement submodule test disagrees with triviality",
-                {"complement_submodule": comp_sub,
-                 "trivial_two_weight": trivial_two})
-    return None
+    return EquivalenceReport(
+        two_weight=two_weight, pds=pds, omega_with_zero_submodule=omega_sub,
+        complement_submodule=comp_sub, omega_size=omega_size,
+        ambient_size=ambient_size)
 
 
 def equivalence_check(code):
-    """Certify the two-way correspondence for a modular code with
-    trivial zero-weight subcode: the code is two-weight exactly when
-    the occurring points form a partial difference set in the column
-    module whose union with zero is not a submodule.  Also certifies
-    the two companion statements: union-with-zero is a submodule
-    exactly for one-weight codes, and, when the weight vanishes only at
-    0, the complement inside the column module is a submodule exactly
-    for two-weight codes whose smaller weight equals the length.  Over
-    rings whose weight vanishes on a nonzero element that last claim
-    fails (prod(Z2,Z2), k=1, columns (0,1) and (1,0): the code is trivial
-    two-weight but the complement {0, (1,1)} is no submodule), so there
-    the complement test is only reported."""
+    """Certify the equivalence claims of equivalence_verdict for a
+    modular code with trivial zero-weight subcode, from its enumerated
+    vectors.  Over rings whose weight vanishes on a nonzero element the
+    complement claim fails (prod(Z2,Z2), k=1, columns (0,1) and (1,0):
+    the code is trivial two-weight but the complement {0, (1,1)} is no
+    submodule), so there the complement test is only reported."""
     ring = code.ring
     if code.index is None:
         raise PreconditionError("equivalence check needs a modular code")
@@ -470,37 +484,8 @@ def equivalence_check(code):
     # here asks for a nonzero submodule
     comp_sub = len(complement) > 1 and is_submodule(ring, complement,
                                                     "right")
-
-    is_two = len(code.nonzero_weights) == 2
-    is_one = len(code.nonzero_weights) == 1
-
-    profile = None
-    failure = _correspondence_failure(is_one, is_two, cert is not None,
-                                      omega_sub)
-    if failure is None:
-        if is_two:
-            profile = code.profile
-        failure = _complement_failure(
-            comp_sub, profile is not None and profile.trivial,
-            code.table.zero_set() == {0})
-    if failure is not None:
-        message, witness = failure
-        raise IdentityCheckError(
-            message, witness={"generator": code.generator.tolist(),
-                              **witness})
-
-    if is_two:
-        predicted = predicted_dual_srg(profile)
-        measured = cert.srg_params()
-        if measured != predicted:
-            raise IdentityCheckError(
-                "difference-set graph parameters disagree with the "
-                "dual closed forms",
-                witness={"measured": measured.as_tuple(),
-                         "predicted": predicted.as_tuple()})
-
-    return EquivalenceReport(
-        two_weight=is_two, pds=cert,
-        omega_with_zero_submodule=omega_sub,
-        complement_submodule=comp_sub,
-        omega_size=len(omega), ambient_size=len(module))
+    return equivalence_verdict(
+        one_weight=len(code.nonzero_weights) == 1, profile=code.profile,
+        pds=cert, omega_sub=omega_sub, comp_sub=comp_sub,
+        zero_only=code.table.zero_set() == {0}, omega_size=len(omega),
+        ambient_size=len(module), generator=lambda: code.generator)

@@ -438,7 +438,7 @@ class FiniteRing:
     """
 
     def __init__(self, spec, labels, add_table, mul_table, char_exponents,
-                 exponent, meta=None, verify=True):
+                 exponent, meta=None):
         self.spec = spec
         self.labels = list(labels)
         self.order = len(self.labels)
@@ -454,9 +454,7 @@ class FiniteRing:
 
         self._op = None
         self.meta = meta or {}
-        facts = self._scan_tables(verify)
-        if verify:
-            self._verify(*facts)
+        self._verify(*self._scan_tables())
 
     # -- scalar conveniences ------------------------------------------
 
@@ -484,20 +482,19 @@ class FiniteRing:
 
     # -- construction-time verification -------------------------------
 
-    def _scan_tables(self, verify):
+    def _scan_tables(self):
         """One pass over both tables in row blocks.  Sets neg_table, the
-        units and commutativity; when verifying, also returns whether
-        addition commutes and whether the character is additive and
-        generating, for _verify to report in its order."""
+        units and commutativity, and returns whether addition commutes
+        and whether the character is additive and generating, for
+        _verify to report in its order."""
         n = self.order
         add, mul = self.add_table, self.mul_table
         neg = np.empty(n, dtype=np.int32)
         unit = np.zeros(n, dtype=bool)
         commutative = add_commutes = additive = True
-        if verify:
-            ex, e = _reduced_exponents(self.character)
-            nonzero = ex != 0
-            hit = np.zeros(n, dtype=bool)
+        ex, e = _reduced_exponents(self.character)
+        nonzero = ex != 0
+        hit = np.zeros(n, dtype=bool)
         for rows in _row_blocks(n, n):
             zero = add[rows] == 0
             if not (zero.sum(axis=1) == 1).all():
@@ -508,16 +505,13 @@ class FiniteRing:
             xs += rows.start
             unit[xs[mul[ys, xs] == 1]] = True
             commutative = commutative and _symmetric_rows(mul, rows)
-            if verify:
-                add_commutes = add_commutes and _symmetric_rows(add, rows)
-                additive = additive and _additive_rows(ex, e, add, rows)
-                hit |= _nonzero_hits(nonzero, mul, rows)
+            add_commutes = add_commutes and _symmetric_rows(add, rows)
+            additive = additive and _additive_rows(ex, e, add, rows)
+            hit |= _nonzero_hits(nonzero, mul, rows)
         self.neg_table = neg
         self.units_array = np.flatnonzero(unit).astype(np.int32)
         self.units = frozenset(self.units_array.tolist())
         self._commutative = commutative
-        if not verify:
-            return None
         return add_commutes, additive, bool(hit[1:].all())
 
     def _verify(self, add_commutes, additive, generating):
@@ -748,11 +742,11 @@ def _realize_gf(spec):
             {"digits": digits})
 
 
-def _realize_mat(spec, order_cap, verify):
+def _realize_mat(spec, order_cap):
     m = spec.m
     if m < 1:
         raise RingConstructionError("matrix size must be >= 1")
-    base = build_ring(spec.base, order_cap=order_cap, verify=verify)
+    base = build_ring(spec.base, order_cap=order_cap)
     q = base.order
     mm = m * m
     n = q ** mm
@@ -800,11 +794,10 @@ def _realize_mat(spec, order_cap, verify):
     return labels, add, mul, exps, base.exponent, {"entries": entries}, base
 
 
-def _realize_product(spec, order_cap, verify):
+def _realize_product(spec, order_cap):
     if not spec.factors:
         raise RingConstructionError("product needs at least one factor")
-    factors = [build_ring(f, order_cap=order_cap, verify=verify)
-               for f in spec.factors]
+    factors = [build_ring(f, order_cap=order_cap) for f in spec.factors]
     orders = [f.order for f in factors]
     t = len(factors)
     n = math.prod(orders)
@@ -836,7 +829,7 @@ def _realize_product(spec, order_cap, verify):
     return labels, add, mul, exps, e, {"components": comps}, factors
 
 
-def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
+def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
     """Build the ring described by spec, with all invariants verified.
     The tables are built directly in identity-pinned order."""
     order = spec.order
@@ -854,10 +847,10 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
         labels, add, mul, exps, e, arrays = _realize_gf(spec)
     elif isinstance(spec, MatRing):
         labels, add, mul, exps, e, arrays, base_ring = _realize_mat(
-            spec, order_cap, verify)
+            spec, order_cap)
     elif isinstance(spec, Product):
         labels, add, mul, exps, e, arrays, factor_rings = _realize_product(
-            spec, order_cap, verify)
+            spec, order_cap)
     else:
         raise RingConstructionError(f"cannot build from spec {spec!r}")
 
@@ -866,13 +859,12 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
         meta["base_ring"] = base_ring
     if factor_rings is not None:
         meta["factor_rings"] = factor_rings
-    return FiniteRing(spec, labels, add, mul, exps, e, meta=meta,
-                      verify=verify)
+    return FiniteRing(spec, labels, add, mul, exps, e, meta=meta)
 
 
-def ring_from_text(text, *, order_cap=DEFAULT_ORDER_CAP, verify=True):
+def ring_from_text(text, *, order_cap=DEFAULT_ORDER_CAP):
     return build_ring(parse_ring_spec(text, order_cap=order_cap),
-                      order_cap=order_cap, verify=verify)
+                      order_cap=order_cap)
 
 
 def opposite_ring(ring):
@@ -886,7 +878,7 @@ def opposite_ring(ring):
         return ring
     op = FiniteRing(OpSpec(ring.spec), ring.labels, ring.add_table,
                     ring.mul_table.T.copy(), ring.char_exponents,
-                    ring.exponent, meta={}, verify=True)
+                    ring.exponent, meta={})
     ring._op = op
     op._op = ring
     return op

@@ -6,9 +6,9 @@ column multiplicity to orbit size.  The search enumerates every subset
 of points and every admissible rational ratio within a length budget,
 classifies each candidate by its number of nonzero weights, and
 certifies all the predicted graph, dual, and difference-set structure
-on the spot.  Mixed candidates with a trivial zero-weight subcode are
-certified from point tables without building their codes; the others
-build their codes.
+on the spot.  Every candidate is classified and its difference-set
+claims certified from point tables; a code is built only for the
+claims that read its codewords.
 """
 
 from __future__ import annotations
@@ -16,21 +16,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .codes import TwoWeightProfile, build_code, one_weight_characterization
+from .codes import TwoWeightProfile, build_code, one_weight_verdict
 from .cyclotomic import divisors
 from .duality import DualReport, dual_pipeline
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .graphs import (
     EquivalenceReport,
+    PdsCertificate,
     SrgParams,
-    _complement_failure,
-    _correspondence_failure,
     build_coset_graph,
     coset_graph_srg,
-    equivalence_check,
+    equivalence_verdict,
     predicted_srg,
 )
 from .homweight import weight_table
@@ -102,10 +102,10 @@ def _admissible_indices(orbit_sizes, n_max, mult_cap, index_one):
     """Ratios r such that every column multiplicity r * orbit_size is a
     positive integer within the caps, ascending."""
     total = sum(orbit_sizes)
-    if index_one:
-        return [Fraction(1)] if total <= n_max else []
-    g = math.gcd(*orbit_sizes)
     largest = max(orbit_sizes)
+    if index_one:
+        return [Fraction(1)] if total <= n_max and largest <= mult_cap else []
+    g = math.gcd(*orbit_sizes)
     found = set()
     for b in divisors(g):
         # r = a/b needs r * total <= n_max and r * largest <= mult_cap
@@ -119,11 +119,9 @@ def _admissible_indices(orbit_sizes, n_max, mult_cap, index_one):
 def _has_index(chosen, orbit_sizes, n_max, mult_cap, index_one):
     """The rows of a 0/1 point matrix that _admissible_indices gives
     some ratio: the smallest, 1 over the gcd g of the chosen orbit
-    sizes, fits both caps (index_one: ratio 1 fits n_max)."""
+    sizes (with index_one, g = 1), fits both caps."""
     sizes = chosen * orbit_sizes
-    if index_one:
-        return sizes.sum(axis=1) <= n_max
-    g = np.gcd.reduce(sizes, axis=1)
+    g = 1 if index_one else np.gcd.reduce(sizes, axis=1)
     return ((sizes.sum(axis=1) <= n_max * g)
             & (sizes.max(axis=1) <= mult_cap * g))
 
@@ -150,14 +148,15 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     """Enumerate all modular codes of rank k and length at most n_max
     over the ring, one per (point subset, index) pair, and certify each
     classification as it is found.  The record list is deterministic.
-    Point subsets are classified in blocks of bit masks; the candidates
-    the batch does not settle go through _certify_candidate in order,
-    so failures surface as if every candidate were certified in turn.
+    Point subsets are classified in blocks of bit masks, and each
+    candidate is then certified in order, so failures surface as if
+    every candidate were certified in turn.  Every column multiplicity
+    is at most mult_cap, with index_one too.
     """
     if k < 1 or n_max < 1:
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
     # a column multiplicity is at most the length, so mult_cap past
-    # n_max admits nothing more (index_one ignores mult_cap)
+    # n_max admits nothing more
     mult_cap = n_max if mult_cap is None else min(mult_cap, n_max)
     if not index_one:
         # the single-point subsets reach every length up to mult_cap,
@@ -169,93 +168,39 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
         raise CapExceededError(
             f"{count} points exceed the subset search guard "
             f"{DEFAULT_POINT_GUARD}")
-    if not index_one:
-        # nor does n_max past mult_cap columns on each point
-        n_max = min(n_max, mult_cap * count)
-    batch = _MixedBatch(ring, points, vectors, labels)
+    # nor does n_max past mult_cap columns on each point
+    n_max = min(n_max, mult_cap * count)
+    tables = _PointTables(ring, points, vectors, labels)
     # a mask costs |R^k| message entries and count^2 point-pair terms
     step = max(1, BLOCK_ENTRIES // max(count * count, len(vectors)))
     records = []
     for start in range(1, 1 << count, step):
         masks = np.arange(start, min(start + step, 1 << count))
         chosen = (masks[:, None] >> np.arange(count)) & 1
-        keep = _has_index(chosen, batch.sizes, n_max, mult_cap, index_one)
-        rows = batch.classify(chosen[keep])
-        for mask, settled in zip(masks[keep].tolist(), rows):
+        keep = _has_index(chosen, tables.sizes, n_max, mult_cap, index_one)
+        rows = tables.classify(chosen[keep])
+        for mask, row in zip(masks[keep].tolist(), rows):
             subset = [points[i] for i in range(count) if mask >> i & 1]
             sizes = [p.orbit_size for p in subset]
             for index in _admissible_indices(sizes, n_max, mult_cap,
                                              index_one):
-                if settled is None:
-                    records.append(_certify_candidate(ring, k, subset,
-                                                      index, cap))
-                else:
-                    records.append(batch.record(ring, k, subset, index,
-                                                settled))
+                records.append(tables.record(ring, k, subset, index, row,
+                                             cap))
     return records
 
 
-def _certify_candidate(ring, k, subset, index, cap):
-    generator = _candidate_generator(ring, subset, index)
-    code = build_code(ring, generator, cap)
-    if code.index != index:
-        raise IdentityCheckError(
-            "constructed code does not have the intended index",
-            witness={"intended": str(index), "measured": str(code.index)})
-    nonzero = code.nonzero_weights
-    profile = None
-    srg = None
-    dual = None
-    dual_skipped = None
-    equivalence = None
-    if len(nonzero) == 1:
-        classification = "one-weight"
-        if code.b0 == 1:
-            is_one, is_mod, is_sub = one_weight_characterization(code)
-            if not (is_one and is_mod and is_sub):
-                raise IdentityCheckError(
-                    "one-weight candidate fails its support "
-                    "characterization",
-                    witness={"one": is_one, "modular": is_mod,
-                             "support_submodule": is_sub})
-    elif len(nonzero) == 2:
-        classification = "two-weight"
-        profile = code.profile
-        predicted = predicted_srg(profile)
-        graph = build_coset_graph(code)
-        srg = coset_graph_srg(graph)
-        if srg != predicted:
-            raise IdentityCheckError(
-                "measured graph parameters disagree with the closed forms",
-                witness={"measured": srg.as_tuple(),
-                         "predicted": predicted.as_tuple(),
-                         "points": [p.pid for p in subset],
-                         "index": str(index)})
-        if profile.b0 == 1:
-            try:
-                dual = dual_pipeline(code, cap)
-            except CapExceededError as exc:
-                dual_skipped = str(exc)
-    else:
-        classification = "mixed"
-    if code.b0 == 1:
-        equivalence = equivalence_check(code)
-    return SearchRecord(
-        ring_text=ring.spec.text(), k=k,
-        point_ids=tuple(p.pid for p in subset), index=index,
-        n=code.n, size=code.size, b0=code.b0,
-        classification=classification,
-        weights=nonzero, profile=profile, srg=srg,
-        dual=dual, equivalence=equivalence, dual_skipped=dual_skipped)
-
-
-def _constant_on(values, mask):
-    """Rows whose values under the mask are all equal (or masked out)."""
+def _level(values, mask):
+    """Per row: the largest value under the mask (0 when the mask is
+    empty), and whether every value under the mask equals it."""
     high = np.where(mask, values, -1).max(axis=1)
-    return np.where(mask, values, high[:, None]).min(axis=1) == high
+    constant = np.where(mask, values, high[:, None]).min(axis=1) == high
+    return np.maximum(high, 0), constant
 
 
-class _MixedBatch:
+_CLASSIFICATIONS = {1: "one-weight", 2: "two-weight"}
+
+
+class _PointTables:
     """Point tables of R^k that classify candidates without their codes.
 
     A candidate is a 0/1 row over the P points, with an index r and
@@ -312,42 +257,49 @@ class _MixedBatch:
         self._sums = {}
 
     def classify(self, chosen):
-        """For each 0/1 row over the points, None when the candidate
-        needs its code (it is one-weight, two-weight, or has b0 > 1),
-        else the numerators of its nonzero weights at index 1, its code
-        size, and its equivalence data."""
+        """For each 0/1 row over the points: the numerators of its
+        distinct nonzero weights at index 1, its code size, its b0, and
+        for b0 = 1 its equivalence facts (see _equivalence), else None."""
         kernel = (chosen @ self.nonzero == 0).sum(axis=1)
         numerators = np.sort((chosen * self.sizes) @ self.weights, axis=1)
         first = np.ones(numerators.shape, dtype=bool)
         first[:, 1:] = numerators[:, 1:] != numerators[:, :-1]
         first &= numerators != 0
         b0 = (numerators == 0).sum(axis=1) // kernel
-        rows = np.flatnonzero((first.sum(axis=1) > 2) & (b0 == 1))
-        sizes = numerators.shape[1] // kernel[rows]
-        equivalence = self._equivalence(chosen[rows])
-        settled = [None] * len(chosen)
-        for row, size, eq in zip(rows.tolist(), sizes.tolist(), equivalence):
-            settled[row] = (numerators[row][first[row]].tolist(), size, eq)
-        return settled
+        sizes = numerators.shape[1] // kernel
+        trivial = np.flatnonzero(b0 == 1)
+        facts = [None] * len(chosen)
+        for row, eq in zip(trivial.tolist(),
+                           self._equivalence(chosen[trivial])):
+            facts[row] = eq
+        return [(values[keep].tolist(), size, b, eq)
+                for values, keep, size, b, eq in zip(
+                    numerators, first, sizes.tolist(), b0.tolist(), facts)]
 
     def _equivalence(self, chosen):
-        """Per row: whether the chosen orbits form a partial difference
-        set in the column module, whether they form a right submodule
-        with 0, whether their complement in the column module does, and
-        the sizes of the orbits' union and of the column module."""
+        """Per row: the difference-set certificate of the chosen orbits
+        in the column module (None when their difference counts are not
+        constant on them and on the rest of the module), whether they
+        form a right submodule with 0, whether their complement in the
+        column module does, and the sizes of the orbits' union and of
+        the column module."""
         member = chosen == 1
         modules = self._column_modules(chosen)
         outside = (np.stack(self.modules)[modules]
                    & ~member).astype(np.int64)
         counts = self._difference_counts(chosen)
-        pds = (_constant_on(counts, member)
-               & _constant_on(counts, outside == 1))
+        lam, on_omega = _level(counts, member)
+        mu, off_omega = _level(counts, outside == 1)
         comp_sub = outside.any(axis=1) & self._closed(
             outside, self._difference_counts(outside))
         omega_size = chosen @ self.sizes
-        return zip(pds.tolist(), self._closed(chosen, counts).tolist(),
-                   comp_sub.tolist(), omega_size.tolist(),
-                   (1 + omega_size + outside @ self.sizes).tolist())
+        ambient = 1 + omega_size + outside @ self.sizes
+        for pds, lam_j, mu_j, omega_sub, comp, size, total in zip(
+                (on_omega & off_omega).tolist(), lam.tolist(), mu.tolist(),
+                self._closed(chosen, counts).tolist(), comp_sub.tolist(),
+                omega_size.tolist(), ambient.tolist()):
+            cert = PdsCertificate(total, size, lam_j, mu_j) if pds else None
+            yield cert, omega_sub, comp, size, total
 
     def _difference_counts(self, chosen):
         """Row j, point r: the number of pairs (s, t) of the chosen
@@ -391,35 +343,59 @@ class _MixedBatch:
             self._sums[m, p] = found
         return self._sums[m, p]
 
-    def record(self, ring, k, subset, index, settled):
-        """The record of a settled candidate, with the checks and the
-        failures equivalence_check would give it.  The intended index
-        needs no check: the columns are the point representatives
-        with multiplicities index * orbit size."""
-        numerators, size, equivalence = settled
+    def record(self, ring, k, subset, index, row, cap):
+        """The certified record of a candidate with classify's row.  A
+        code is built only for the claims that read its codewords: the
+        coset graph and dual of a two-weight candidate, and the
+        zero-weight subgroup check of a candidate with b0 > 1.  The
+        intended index needs no check: the columns are the point
+        representatives with multiplicities index * orbit size."""
+        numerators, size, b0, equivalence = row
         n = int(index * sum(p.orbit_size for p in subset))
         _check_encodable(ring.order, n)
-        pds, omega_sub, comp_sub, omega_size, ambient = equivalence
-        cap = enum_cap()
-        if ambient > cap:
-            raise CapExceededError(f"column module grew past cap {cap}")
-        failure = (_correspondence_failure(False, False, pds, omega_sub)
-                   or _complement_failure(comp_sub, False, self.zero_only))
-        if failure is not None:
-            message, witness = failure
-            generator = _candidate_generator(ring, subset, index)
-            raise IdentityCheckError(
-                message, witness={"generator": generator.tolist(),
-                                  **witness})
-        report = EquivalenceReport(
-            two_weight=False, pds=None, omega_with_zero_submodule=False,
-            complement_submodule=comp_sub, omega_size=omega_size,
-            ambient_size=ambient)
         scale = self.denominator * index.denominator
+        weights = tuple(Fraction(v * index.numerator, scale)
+                        for v in numerators)
+        classification = _CLASSIFICATIONS.get(len(weights), "mixed")
+        generator = partial(_candidate_generator, ring, subset, index)
+        profile = srg = dual = dual_skipped = report = None
+        if classification == "two-weight" or b0 > 1:
+            code = build_code(ring, generator(), cap)
+        if classification == "one-weight" and b0 == 1:
+            # every candidate is modular by construction
+            one_weight_verdict(ring, is_one=True, is_mod=True,
+                               is_sub=equivalence[1], generator=generator)
+        if classification == "two-weight":
+            profile = code.profile
+            predicted = predicted_srg(profile)
+            srg = coset_graph_srg(build_coset_graph(code))
+            if srg != predicted:
+                raise IdentityCheckError(
+                    "measured graph parameters disagree with the closed "
+                    "forms",
+                    witness={"measured": srg.as_tuple(),
+                             "predicted": predicted.as_tuple(),
+                             "points": [p.pid for p in subset],
+                             "index": str(index)})
+            if b0 == 1:
+                try:
+                    dual = dual_pipeline(code, cap)
+                except CapExceededError as exc:
+                    dual_skipped = str(exc)
+        if b0 == 1:
+            pds, omega_sub, comp_sub, omega_size, ambient = equivalence
+            limit = enum_cap()
+            if ambient > limit:
+                raise CapExceededError(
+                    f"column module grew past cap {limit}")
+            report = equivalence_verdict(
+                one_weight=classification == "one-weight", profile=profile,
+                pds=pds, omega_sub=omega_sub, comp_sub=comp_sub,
+                zero_only=self.zero_only, omega_size=omega_size,
+                ambient_size=ambient, generator=generator)
         return SearchRecord(
             ring_text=ring.spec.text(), k=k,
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
-            size=size, b0=1, classification="mixed",
-            weights=tuple(Fraction(v * index.numerator, scale)
-                          for v in numerators),
-            equivalence=report)
+            size=size, b0=b0, classification=classification,
+            weights=weights, profile=profile, srg=srg, dual=dual,
+            equivalence=report, dual_skipped=dual_skipped)

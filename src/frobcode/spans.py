@@ -256,17 +256,6 @@ def check_row_column_cardinality(ring, matrix, cap=None):
     return nrows
 
 
-def right_kernel(ring, matrix, cap=None):
-    """All y in R^n with G @ y^T = 0, as sorted unique rows."""
-    G = np.asarray(matrix, dtype=np.int32)
-    n = G.shape[1]
-    Y = enumerate_vectors(ring.order, n, cap)
-    images = apply_matrix(ring, G, Y)
-    mask = (images == 0).all(axis=1)
-    out, _ = _sorted_unique_rows(Y[mask], ring.order)
-    return out
-
-
 def is_submodule(ring, vectors, side="left"):
     """True iff the given sorted unique rows form a one-sided submodule
     of R^n (nonempty, closed under addition and scalar action)."""

@@ -480,6 +480,32 @@ def test_search_index1(capsys):
         assert " r=1 " in line
 
 
+def test_search_index1_obeys_mult_cap(capsys):
+    # every orbit of the GF(3) plane has two members, so at index 1 no
+    # column multiplicity fits mult_cap=1
+    base = ["search", "GF(3)", "k=2", "n_max=8", "--index1"]
+    rc, capped, err = run_cli(capsys, base + ["mult_cap=1"])
+    assert rc == 0, err
+    assert capped == ("candidates: 0 (one-weight: 0, two-weight: 0, "
+                      "mixed: 0)\n")
+    # without mult_cap the output is unchanged: its digest was recorded
+    # before mult_cap applied at index 1
+    rc, out, err = run_cli(capsys, base)
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d8a359cf6fe62a733af983c98d499ca0e045dd92008ee1deb73a1f4da44d6d18")
+
+
+@pytest.mark.parametrize("params", [["mult_cap=1"], ["k=2", "n_max=3"]])
+def test_search_params_anywhere_after_the_spec(capsys, params):
+    after = run_cli(capsys, ["search", "GF(3)", "k=2", "n_max=8", "--index1",
+                             *params])
+    before = run_cli(capsys, ["search", "GF(3)", "k=2", "n_max=8", *params,
+                              "--index1"])
+    assert after[0] == 0, after[2]
+    assert after == before
+
+
 def test_search_bad_params(capsys):
     for argv in (["search", "Z4", "k=x"],
                  ["search", "Z4", "bogus"],
@@ -519,7 +545,8 @@ PASS_7 = "4ba48b76ebeb307416b1f1520551558181b147a1e2cc778c4eaceb7953308bdc"
 
 # argv (an analyze run takes its code file last), exit code, and the
 # sha256 of stdout and of stderr, recorded before each weight identity
-# had one evaluator
+# had one evaluator (the verify, ring and analyze runs) and before the
+# search settled every candidate from point tables (the search runs)
 CLI_GOLDEN = {
     "verify Z32": (["verify", "Z32"], 0, PASS_7, EMPTY),
     "verify Z32 --json": (
@@ -546,6 +573,30 @@ CLI_GOLDEN = {
     "analyze GF(3)": (
         ["analyze", F3_IDENTITY], 0,
         "ed2173bc1e86ea4705adebbd98a2f750f975d46f0b9affb94b1eba0781147c96",
+        EMPTY),
+    "search prod(Z2,Z2) b0 > 1": (
+        ["search", "prod(Z2,Z2)", "k=2", "n_max=3"], 0,
+        "60c24af03d210e88ed2a4ab55a58ec7dfb5f5f27a50c1e17109a4315d2594e08",
+        EMPTY),
+    "search prod(Z2,Z2) b0 > 1 --json": (
+        ["search", "prod(Z2,Z2)", "k=2", "n_max=3", "--json"], 0,
+        "64e07ef64c6932728411b73bf573add051ba50a2c2f339d0ea60760d54033063",
+        EMPTY),
+    "search Z8": (
+        ["search", "Z8", "k=1", "n_max=6"], 0,
+        "17b7f970ac738fc3560b4a073beb68884ecf35f8f25968f8ef3c58edde830c8d",
+        EMPTY),
+    "search Z8 --json": (
+        ["search", "Z8", "k=1", "n_max=6", "--json"], 0,
+        "9d828a0af25c659c4dff1f533e8f9d08ebcd1ff923215e77960cc64b6182205d",
+        EMPTY),
+    "search M2(GF(2))": (
+        ["search", "M2(GF(2))", "k=1", "n_max=5"], 0,
+        "d1d461615d35c0d17e705277831b8238637c7cf9404c1c6be483917085f87217",
+        EMPTY),
+    "search M2(GF(2)) --json": (
+        ["search", "M2(GF(2))", "k=1", "n_max=5", "--json"], 0,
+        "31ea403c390d7ade813fbcda58409d16642faa3439b8524fa474b24e72790ec8",
         EMPTY),
     "analyze sampled GF(2)": (
         ["analyze", GF2_HALVES], 0,

@@ -1,6 +1,7 @@
-"""The batched search against the per-candidate oracle: equal records,
-the same first failure under corrupted weight tables, and a memoised
-column module equal to the one spanned by each candidate's generator."""
+"""The table-driven search against the per-candidate oracle: equal
+records, the same first failure under corrupted weight tables, and a
+memoised column module equal to the one spanned by each candidate's
+generator."""
 
 from unittest import mock
 
@@ -9,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcode import homweight, search
+from frobcode import graphs, homweight, search
 from frobcode.errors import FrobcodeError, IdentityCheckError
 from frobcode.rings import ring_from_text
 from frobcode.spans import column_module, encode_vectors, is_submodule
 
 from identity_oracle import bump_unit_orbit
-from search_oracle import search_per_candidate
+from search_oracle import certify_candidate, search_per_candidate
 
 # (spec, k, n_max, index_one): every classification, indices other than
-# 1, b0 > 1 (prod(Z2,Z2), where the weight vanishes off 0), and mixed
-# candidates settled by the batch
+# 1, and b0 > 1 (prod(Z2,Z2), where the weight vanishes off 0)
 CASES = [
     ("GF(2)", 2, 6, False),
     ("GF(3)", 2, 6, False),
@@ -77,9 +77,11 @@ def test_batched_search_equals_oracle(case):
 @pytest.mark.parametrize("spec,mult_cap", [("Z4", 1), ("GF(4)", 2)])
 def test_mult_cap_equals_oracle(spec, mult_cap):
     ring = _ring(spec)
-    records = search.search_modular_codes(ring, 2, 6, mult_cap=mult_cap)
-    _assert_same_records(records, search_per_candidate(
-        ring, 2, 6, mult_cap=mult_cap))
+    for index_one in (False, True):
+        records = search.search_modular_codes(
+            ring, 2, 6, index_one=index_one, mult_cap=mult_cap)
+        _assert_same_records(records, search_per_candidate(
+            ring, 2, 6, index_one=index_one, mult_cap=mult_cap))
 
 
 def test_cases_cover_every_path():
@@ -108,31 +110,31 @@ def test_block_size_does_not_change_records(case, block):
 def test_memoised_column_module_equals_span(spec, k):
     ring = _ring(spec)
     points, vectors, labels = search._point_layer(ring, k, None)
-    batch = search._MixedBatch(ring, points, vectors, labels)
+    tables = search._PointTables(ring, points, vectors, labels)
     # every mask up to 4096, else an evenly spaced sample of them
     stride = max(1, (1 << len(points)) // 4096)
     masks = np.arange(1, 1 << len(points), stride)
     chosen = (masks[:, None] >> np.arange(len(points))) & 1
-    modules = batch._column_modules(chosen)
+    modules = tables._column_modules(chosen)
     for mask, module in zip(masks.tolist(), modules.tolist()):
         subset = [p for i, p in enumerate(points) if mask >> i & 1]
         generator = search._candidate_generator(ring, subset, 1)
         spanned = encode_vectors(column_module(ring, generator)[0],
                                  ring.order)
-        members = np.concatenate([[True], batch.modules[module]])
+        members = np.concatenate([[True], tables.modules[module]])
         assert np.array_equal(np.flatnonzero(members[labels + 1]), spanned)
 
 
 @pytest.mark.parametrize("spec,k", [("prod(Z2,Z2)", 1), ("prod(Z2,Z2)", 2),
                                     ("Z4", 2), ("M2(GF(2))", 1)])
 def test_closure_equals_is_submodule(spec, k):
-    # any union of orbits, not only the candidates the batch settles
+    # any union of orbits, not only the candidates with b0 = 1
     ring = _ring(spec)
     points, vectors, labels = search._point_layer(ring, k, None)
-    batch = search._MixedBatch(ring, points, vectors, labels)
+    tables = search._PointTables(ring, points, vectors, labels)
     masks = np.arange(1, 1 << len(points), max(1, (1 << len(points)) // 512))
     chosen = (masks[:, None] >> np.arange(len(points))) & 1
-    closed = batch._closed(chosen, batch._difference_counts(chosen))
+    closed = tables._closed(chosen, tables._difference_counts(chosen))
     for row, is_closed in zip(chosen, closed.tolist()):
         members = np.concatenate([[True], row == 1])[labels + 1]
         assert is_closed == is_submodule(ring, vectors[members], "right")
@@ -161,8 +163,8 @@ def test_bumped_orbit_fails_like_oracle(spec, x, delta, monkeypatch):
 
 
 def test_each_settled_candidate_fails_like_oracle(monkeypatch):
-    # every mixed candidate the batch settles, under tables with a whole
-    # unit orbit bumped, against its own per-candidate certification
+    # every candidate, under tables with a whole unit orbit bumped,
+    # against its own per-candidate certification
     failures = set()
     for spec, k, n_max, index_one in SMALL_CASES[:5]:
         ring = _ring(spec)
@@ -171,35 +173,40 @@ def test_each_settled_candidate_fails_like_oracle(monkeypatch):
             for delta in (-1, 2):
                 table = bump_unit_orbit(ring, base, x, delta)
                 monkeypatch.setitem(homweight._table_cache, ring, table)
-                failures |= _compare_settled(ring, k, n_max, index_one)
-    assert failures == {"two-weight / difference-set equivalence fails",
-                        "one-weight / submodule equivalence fails"}
+                failures |= _compare_each(ring, k, n_max, index_one)
+    assert failures == {
+        "complement submodule test disagrees with triviality",
+        "one-weight / submodule equivalence fails",
+        "one-weight characterization fails",
+        "two-weight / difference-set equivalence fails",
+        "two-weight frequencies disagree with their closed forms",
+        "zero-weight words are not closed under addition"}
 
 
 def test_env_cap_fails_like_oracle(monkeypatch):
     # equivalence_check closes the column module under the environment
     # cap, whatever the search cap
     monkeypatch.setenv("FROBCODE_CAP", "8")
-    failures = _compare_settled(_ring("Z4"), 2, 4, False, cap=100)
+    failures = _compare_each(_ring("Z4"), 2, 4, False, cap=100)
     assert failures == {"column module grew past cap 8"}
 
 
-def _compare_settled(ring, k, n_max, index_one, cap=None):
+def _compare_each(ring, k, n_max, index_one, cap=None):
+    """The failure messages of every candidate, each one asserted equal
+    to the oracle's outcome for it."""
     points, vectors, labels = search._point_layer(ring, k, cap)
-    batch = search._MixedBatch(ring, points, vectors, labels)
+    tables = search._PointTables(ring, points, vectors, labels)
     masks = np.arange(1, 1 << len(points))
     chosen = (masks[:, None] >> np.arange(len(points))) & 1
     failures = set()
-    for mask, settled in zip(masks.tolist(), batch.classify(chosen)):
-        if settled is None:
-            continue
+    for mask, row in zip(masks.tolist(), tables.classify(chosen)):
         subset = [p for i, p in enumerate(points) if mask >> i & 1]
         sizes = [p.orbit_size for p in subset]
         for index in search._admissible_indices(sizes, n_max, n_max,
                                                 index_one):
-            got = _outcome(lambda: batch.record(ring, k, subset, index,
-                                                settled))
-            want = _outcome(lambda: search._certify_candidate(
+            got = _outcome(lambda: tables.record(ring, k, subset, index,
+                                                 row, cap))
+            want = _outcome(lambda: certify_candidate(
                 ring, k, subset, index, cap))
             assert got == want
             if isinstance(got, tuple):
@@ -208,23 +215,28 @@ def _compare_settled(ring, k, n_max, index_one, cap=None):
 
 
 def test_settled_candidates_skip_code_and_equivalence(monkeypatch):
-    ring = _ring("GF(3)")
-    calls = {"build_code": 0, "equivalence_check": 0}
+    # a code is built only for two-weight and b0 > 1 candidates, and
+    # equivalence_check never runs: pds_check runs only inside it,
+    # however either is bound
+    calls = {"build_code": 0, "equivalence_check": 0, "pds_check": 0}
 
-    def spy(name):
-        real = getattr(search, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(search, name, spy(name))
-    records = search.search_modular_codes(ring, 3, 9, index_one=True)
-    settled = sum(r.classification == "mixed" and r.b0 == 1
-                  for r in records)
-    assert settled == 936
-    assert calls["build_code"] == len(records) - settled
-    assert calls["equivalence_check"] == sum(
-        r.b0 == 1 and r.classification != "mixed" for r in records)
+    spy(search, "build_code")
+    spy(graphs, "equivalence_check")
+    spy(graphs, "pds_check")
+    for spec, k, n_max, index_one in (("GF(3)", 3, 9, True),
+                                      ("prod(Z2,Z2)", 2, 3, False)):
+        calls["build_code"] = 0
+        records = search.search_modular_codes(_ring(spec), k, n_max,
+                                              index_one=index_one)
+        assert calls["build_code"] == sum(
+            r.classification == "two-weight" or r.b0 > 1 for r in records)
+        assert 0 < calls["build_code"] < len(records)
+    assert calls["equivalence_check"] == calls["pds_check"] == 0

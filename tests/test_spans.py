@@ -28,7 +28,6 @@ from frobcode.spans import (
     enumerate_vectors,
     is_submodule,
     point_ids,
-    right_kernel,
     row_space,
     scalar_orbit,
     span,
@@ -200,20 +199,6 @@ def test_row_and_column_spaces_same_size(text):
         assert len(rows) == len(cols)
         assert np.array_equal(cols, rn_column_space(ring, mat))
         assert check_row_column_cardinality(ring, mat) == len(rows)
-
-
-def test_right_kernel_members_annihilate():
-    z6 = ring_from_text("Z6")
-    G = np.array([[1, 2], [0, 3]], dtype=np.int32)
-    ker = right_kernel(z6, G)
-    images = apply_matrix(z6, G, ker)
-    assert (images == 0).all()
-    # brute force count
-    count = 0
-    for y in enumerate_vectors(6, 2):
-        img = apply_matrix(z6, G, y[None, :])
-        count += int((img == 0).all())
-    assert len(ker) == count
 
 
 def test_is_submodule():
