@@ -30,7 +30,6 @@ from .graphs import (
     PdsCertificate,
     SrgParams,
     build_coset_graph,
-    cayley_graph,
     coset_graph_srg,
     equivalence_check,
     measure_srg,
@@ -68,8 +67,7 @@ __all__ = [
     "ReduciblePolynomialError", "RingConstructionError", "RingModuleSpan",
     "SearchRecord", "SpecParseError", "SrgParams", "TwoWeightProfile",
     "WeightTable", "ZeroColumnError", "build_code", "build_coset_graph",
-    "build_dual", "build_ring", "cayley_graph", "column_space",
-    "coset_graph_srg",
+    "build_dual", "build_ring", "column_space", "coset_graph_srg",
     "dual_pipeline", "equivalence_check", "format_code_file",
     "measure_srg", "modular_index", "one_weight_characterization",
     "opposite_ring", "parse_code_file", "parse_ring_spec", "pds_check",

@@ -286,8 +286,6 @@ def _record_line(rec):
         bits.append("pds=" + (
             "none" if cert is None else str(cert.srg_params().as_tuple())
             .replace(" ", "")))
-    if rec.dual_skipped is not None:
-        bits.append("dual=skipped")
     return " ".join(bits)
 
 
@@ -312,8 +310,6 @@ def _record_payload(rec):
             "w2_dual": _rat(rec.dual.w2_dual),
             "srg": list(rec.dual.srg.as_tuple()),
         }
-    elif rec.dual_skipped is not None:
-        payload["dual"] = {"skipped": rec.dual_skipped}
     else:
         payload["dual"] = None
     if rec.equivalence is not None:
@@ -335,8 +331,11 @@ def _record_payload(rec):
     return payload
 
 
+SEARCH_DEFAULTS = {"k": 2, "n_max": 4, "mult_cap": None}
+
+
 def _parse_search_params(tokens):
-    params = {"k": 2, "n_max": 4, "mult_cap": None}
+    params = dict(SEARCH_DEFAULTS)
     for token in tokens:
         if "=" not in token:
             raise SpecParseError(
@@ -457,13 +456,19 @@ def build_parser():
 
 def _parse_args(argv=None):
     """Parse the command line.  Search takes its key=value parameters
-    anywhere after the spec, before or after its options."""
+    anywhere after the spec, before or after its options; one right
+    after --json is a parameter, not the report's path."""
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    if (args.command == "search"
-            and not any(token.startswith("-") for token in extras)):
-        args.params += extras
-    elif extras:
+    if args.command == "search":
+        key, eq, _ = (args.json or "").partition("=")
+        if eq and key in SEARCH_DEFAULTS:
+            extras.insert(0, args.json)
+            args.json = ""
+        if not any(token.startswith("-") for token in extras):
+            args.params += extras
+            extras = []
+    if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 

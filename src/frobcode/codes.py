@@ -29,6 +29,7 @@ from .spans import (
     encode_vectors,
     enumerate_vectors,
     is_submodule,
+    lookup,
     point_ids,
     unit_orbit,
 )
@@ -84,10 +85,8 @@ class LinearCode:
         return int((self.word_numerators == 0).sum())
 
     def contains(self, word):
-        key = int(encode_vectors(np.asarray(word)[None, :],
-                                 self.ring.order)[0])
-        pos = np.searchsorted(self.word_keys, key)
-        return pos < len(self.word_keys) and self.word_keys[pos] == key
+        key = encode_vectors(np.asarray(word)[None, :], self.ring.order)
+        return bool(lookup(self.word_keys, key)[1][0])
 
     @cached_property
     def points(self):
@@ -174,10 +173,8 @@ def _check_zero_class_subgroup(code):
     sums = code.ring.add_table[zero_words[:, None, :],
                                zero_words[None, :, :]]
     sums = sums.reshape(-1, code.n)
-    keys = encode_vectors(sums, code.ring.order)
     zero_keys = np.sort(encode_vectors(zero_words, code.ring.order))
-    pos = np.clip(np.searchsorted(zero_keys, keys), 0, len(zero_keys) - 1)
-    if not (zero_keys[pos] == keys).all():
+    if not lookup(zero_keys, encode_vectors(sums, code.ring.order))[1].all():
         raise IdentityCheckError(
             "zero-weight words are not closed under addition",
             witness={"ring": code.ring.spec.text()})

@@ -25,10 +25,10 @@ from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .spans import (
     BLOCK_ENTRIES,
     column_module,
-    decode_vectors,
     enum_cap,
     encode_vectors,
     is_submodule,
+    lookup,
 )
 
 
@@ -265,9 +265,8 @@ def check_trivial_structure(graph):
                           | (code.word_numerators == w2num)]
     keys = np.sort(encode_vectors(sub_rows, ring.order))
     sums = ring.add_table[sub_rows[:, None, :], sub_rows[None, :, :]]
-    skeys = encode_vectors(sums.reshape(-1, code.n), ring.order)
-    pos = np.clip(np.searchsorted(keys, skeys), 0, len(keys) - 1)
-    closed = bool((keys[pos] == skeys).all())
+    closed = bool(lookup(keys, encode_vectors(sums.reshape(-1, code.n),
+                                              ring.order))[1].all())
     if closed != profile.trivial:
         raise IdentityCheckError(
             "triviality disagrees with the zero/larger-weight subcode test",
@@ -277,10 +276,8 @@ def check_trivial_structure(graph):
     # cosets of the subcode partition the vertices into cocliques:
     # adjacency must hold exactly across distinct parts
     reps = graph.representatives
-    part = np.empty(len(reps), dtype=np.int64)
-    for i, rep in enumerate(reps):
-        members = ring.add_table[sub_rows, rep[None, :]]
-        part[i] = int(encode_vectors(members, ring.order).min())
+    part = np.array([encode_vectors(ring.add_table[sub_rows, rep[None, :]],
+                                    ring.order).min() for rep in reps])
     same = part[:, None] == part[None, :]
     expected = (~same).astype(np.int8)
     if (graph.adjacency != expected).any():
@@ -323,33 +320,11 @@ def _difference_counts(ring, rows, keys, labels, length):
         diffs = ring.add_table[rows[start:start + block, None, :],
                                neg_rows[None, :, :]]
         dkeys = encode_vectors(diffs.reshape(-1, n), ring.order)
-        dkeys = dkeys[dkeys != 0]
-        pos = np.searchsorted(keys, dkeys)
-        if (pos >= len(keys)).any() or (keys[pos] != dkeys).any():
+        pos, found = lookup(keys, dkeys[dkeys != 0])
+        if not found.all():
             raise PreconditionError("differences leave the group")
         counts += np.bincount(labels[pos], minlength=length)
     return counts
-
-
-def cayley_graph(ring, group_rows, connection_rows):
-    """Adjacency matrix of the Cayley graph on the given abelian group
-    of vectors with the given symmetric connection set."""
-    order = ring.order
-    gkeys = encode_vectors(group_rows, order)
-    lookup = {int(k): i for i, k in enumerate(gkeys)}
-    n = len(group_rows)
-    A = np.zeros((n, n), dtype=np.int64)
-    neg = ring.neg_table
-    for d in connection_rows:
-        shifted = ring.add_table[group_rows, d[None, :]]
-        keys = encode_vectors(shifted, order)
-        for i, k in enumerate(keys):
-            j = lookup.get(int(k))
-            if j is None:
-                raise PreconditionError(
-                    "connection set does not preserve the group")
-            A[i, j] = 1
-    return A
 
 
 def pds_check(ring, group_rows, subset_rows):
@@ -365,21 +340,17 @@ def pds_check(ring, group_rows, subset_rows):
         return None
     gkeys = np.sort(encode_vectors(group_rows, order))
     skeys = np.sort(encode_vectors(subset_rows, order))
-    zero_key = 0
-    if np.searchsorted(skeys, zero_key) < len(skeys) and skeys[
-            np.searchsorted(skeys, zero_key)] == zero_key:
+    if lookup(skeys, [0])[1][0]:
         return None
-    neg_rows = decode_vectors(
-        np.sort(encode_vectors(ring.neg_table[subset_rows], order)),
-        order, subset_rows.shape[1])
-    if not (encode_vectors(neg_rows, order) == skeys).all():
+    neg_keys = np.sort(encode_vectors(ring.neg_table[subset_rows], order))
+    if not (neg_keys == skeys).all():
         return None
 
     counts = _difference_counts(ring, subset_rows, gkeys,
                                 np.arange(len(gkeys)), len(gkeys))
 
     in_subset = np.isin(gkeys, skeys)
-    is_zero = gkeys == zero_key
+    is_zero = gkeys == 0
     lam_counts = np.unique(counts[in_subset])
     mu_mask = ~in_subset & ~is_zero
     mu_counts = np.unique(counts[mu_mask])

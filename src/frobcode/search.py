@@ -36,7 +36,6 @@ from .graphs import (
 from .homweight import weight_table
 from .spans import (
     BLOCK_ENTRIES,
-    _check_encodable,
     combine_rows,
     encode_vectors,
     enum_cap,
@@ -80,8 +79,7 @@ def projective_points(ring, k, cap=None):
 @dataclass(frozen=True)
 class SearchRecord:
     """One candidate from the search, with everything that was
-    certified about it.  dual_skipped holds the reason when a
-    two-weight hit's dual was too large to enumerate."""
+    certified about it."""
     ring_text: str
     k: int
     point_ids: tuple
@@ -95,7 +93,6 @@ class SearchRecord:
     srg: SrgParams | None = None
     dual: DualReport | None = None
     equivalence: EquivalenceReport | None = None
-    dual_skipped: str | None = None
 
 
 def _admissible_indices(orbit_sizes, n_max, mult_cap, index_one):
@@ -158,11 +155,15 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     # a column multiplicity is at most the length, so mult_cap past
     # n_max admits nothing more
     mult_cap = n_max if mult_cap is None else min(mult_cap, n_max)
-    if not index_one:
-        # the single-point subsets reach every length up to mult_cap,
-        # and each codeword needs an int64 key
-        _check_encodable(ring.order, mult_cap)
+    if cap is None:
+        cap = enum_cap()
     points, vectors, labels = _point_layer(ring, k, cap)
+    if not index_one and len(vectors) * mult_cap > cap:
+        # the single-point subsets reach every length up to mult_cap,
+        # and a candidate's words fill order**k x n entries
+        raise CapExceededError(
+            f"codewords of {len(vectors)} x {mult_cap} entries exceed "
+            f"cap {cap}")
     count = len(points)
     if count > DEFAULT_POINT_GUARD:
         raise CapExceededError(
@@ -352,13 +353,12 @@ class _PointTables:
         representatives with multiplicities index * orbit size."""
         numerators, size, b0, equivalence = row
         n = int(index * sum(p.orbit_size for p in subset))
-        _check_encodable(ring.order, n)
         scale = self.denominator * index.denominator
         weights = tuple(Fraction(v * index.numerator, scale)
                         for v in numerators)
         classification = _CLASSIFICATIONS.get(len(weights), "mixed")
         generator = partial(_candidate_generator, ring, subset, index)
-        profile = srg = dual = dual_skipped = report = None
+        profile = srg = dual = report = None
         if classification == "two-weight" or b0 > 1:
             code = build_code(ring, generator(), cap)
         if classification == "one-weight" and b0 == 1:
@@ -378,10 +378,7 @@ class _PointTables:
                              "points": [p.pid for p in subset],
                              "index": str(index)})
             if b0 == 1:
-                try:
-                    dual = dual_pipeline(code, cap)
-                except CapExceededError as exc:
-                    dual_skipped = str(exc)
+                dual = dual_pipeline(code, cap)
         if b0 == 1:
             pds, omega_sub, comp_sub, omega_size, ambient = equivalence
             limit = enum_cap()
@@ -398,4 +395,4 @@ class _PointTables:
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
             size=size, b0=b0, classification=classification,
             weights=weights, profile=profile, srg=srg, dual=dual,
-            equivalence=report, dual_skipped=dual_skipped)
+            equivalence=report)

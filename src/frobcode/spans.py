@@ -1,10 +1,16 @@
 """Vector enumeration and module spans over a tables-backed finite ring.
 
-Vectors of length n over a ring of order q are numpy int32 rows; as a
-canonical scalar key each vector encodes big-endian to
-sum(v[i] * q**(n-1-i)), which fits int64 for every configuration below
-the enumeration cap.  Sets of vectors are kept as row-sorted unique
-arrays so equality checks and membership lookups are plain array ops.
+Vectors of length n over a ring of order q are numpy int32 rows.  Each
+row has one canonical key, the big-endian number
+sum(v[i] * q**(n-1-i)), so keys sort in the lexicographic order of the
+rows.  The key is an int64 while q**n <= 2**62; past that it is the same
+number as a Python int in an object array.  Only the object path runs
+on wide rows (a dual word is as long as the smaller weight class); on
+narrow rows the int64 path is many times faster, so it stays the
+rule there.  Either way ==, np.unique, np.searchsorted, np.isin and
+np.minimum work on keys unchanged.  Sets of vectors are kept as
+row-sorted unique arrays, and ``lookup`` finds keys in their sorted
+keys.
 """
 
 from __future__ import annotations
@@ -39,27 +45,48 @@ def enum_cap():
     return cap
 
 
-def _check_encodable(order, n):
-    if int(n) > 62 or int(order) ** int(n) > (1 << 62):
-        raise CapExceededError(
-            f"vectors of length {n} over order {order} exceed int64 keys")
+def _fits_int64(order, n):
+    return n <= 62 and int(order) ** n <= 1 << 62
 
 
-def encode_vectors(vectors, order):
-    """Big-endian scalar keys for an (N, n) array of vectors."""
-    vectors = np.asarray(vectors)
+def _int64_keys(vectors, order):
     n = vectors.shape[-1]
-    _check_encodable(order, n)
     radix = np.array([order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     return vectors.astype(np.int64) @ radix
 
 
+def encode_vectors(vectors, order):
+    """Big-endian keys for an (..., n) array of vectors: int64 while
+    order**n <= 2**62, else Python ints in an object array, each built
+    from the int64 key of every column block short enough for one."""
+    vectors = np.asarray(vectors)
+    n = vectors.shape[-1]
+    if _fits_int64(order, n):
+        return _int64_keys(vectors, order)
+    width = max(w for w in range(1, 63) if _fits_int64(order, w))
+    keys = np.zeros(vectors.shape[:-1], dtype=object)
+    for start in range(0, n, width):
+        part = vectors[..., start:start + width]
+        keys = (keys * order ** part.shape[-1]
+                + _int64_keys(part, order).astype(object))
+    return keys
+
+
 def decode_vectors(keys, order, n):
-    keys = np.asarray(keys, dtype=np.int64)
+    """The rows of the given keys (the inverse of encode_vectors)."""
+    keys = np.asarray(keys)
     out = np.empty(keys.shape + (n,), dtype=np.int32)
     for i in range(n):
         out[..., i] = (keys // order ** (n - 1 - i)) % order
     return out
+
+
+def lookup(keys, query):
+    """Positions of the query keys in the sorted, nonempty keys, and a
+    mask of the ones found there (a missing key's position is
+    meaningless)."""
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return pos, keys[pos] == query
 
 
 def enumerate_vectors(order, n, cap=None):
@@ -75,14 +102,17 @@ def enumerate_vectors(order, n, cap=None):
         shown = "" if total is None or total >= 1 << 63 else f" = {total}"
         raise CapExceededError(
             f"enumerating {order}**{n}{shown} vectors exceeds cap {cap}")
-    _check_encodable(order, n)
+    # the rows are decoded from their keys, an int64 np.arange
+    if not _fits_int64(order, n):
+        raise CapExceededError(
+            f"enumerating {order}**{n} vectors exceeds an int64 range")
     return decode_vectors(np.arange(total, dtype=np.int64), order, n)
 
 
 def _sorted_unique_rows(vectors, order):
-    keys = encode_vectors(vectors, order)
-    uniq = np.unique(keys)
-    return decode_vectors(uniq, order, vectors.shape[-1]), uniq
+    keys, first = np.unique(encode_vectors(vectors, order),
+                            return_index=True)
+    return vectors[first], keys
 
 
 @dataclass
@@ -105,10 +135,8 @@ class RingModuleSpan:
         return len(self.elements)
 
     def contains(self, vector):
-        key = int(encode_vectors(np.asarray(vector)[None, :],
-                                 self.ring.order)[0])
-        pos = np.searchsorted(self.keys, key)
-        return pos < len(self.keys) and self.keys[pos] == key
+        key = encode_vectors(np.asarray(vector)[None, :], self.ring.order)
+        return bool(lookup(self.keys, key)[1][0])
 
 
 def scalar_orbit(ring, scalars, vector, side="left"):
@@ -162,17 +190,15 @@ def point_ids(ring, vectors):
     keys."""
     vectors = np.asarray(vectors, dtype=np.int32)
     units = ring.units_array
-    pids = np.empty(len(vectors), dtype=np.int64)
-    sizes = np.empty(len(vectors), dtype=np.int64)
+    pids, sizes = [], []
     block = max(1, BLOCK_ENTRIES // len(units))
     for start in range(0, len(vectors), block):
         rows = vectors[start:start + block]
         orbits = ring.mul_table[rows[:, None, :], units[None, :, None]]
         keys = np.sort(encode_vectors(orbits, ring.order), axis=1)
-        pids[start:start + block] = keys[:, 0]
-        sizes[start:start + block] = 1 + (np.diff(keys, axis=1) != 0).sum(
-            axis=1)
-    return pids, sizes
+        pids.append(keys[:, 0])
+        sizes.append(1 + (np.diff(keys, axis=1) != 0).sum(axis=1))
+    return np.concatenate(pids), np.concatenate(sizes)
 
 
 def combine_rows(ring, matrix, coefficients):
@@ -262,14 +288,11 @@ def is_submodule(ring, vectors, side="left"):
     vectors = np.asarray(vectors, dtype=np.int32)
     if vectors.ndim != 2 or len(vectors) == 0:
         return False
-    keys = encode_vectors(vectors, ring.order)
-    keys = np.sort(keys)
+    keys = np.sort(encode_vectors(vectors, ring.order))
 
     def covered(rows):
         rk = encode_vectors(rows.reshape(-1, vectors.shape[1]), ring.order)
-        pos = np.searchsorted(keys, rk)
-        pos = np.clip(pos, 0, len(keys) - 1)
-        return bool((keys[pos] == rk).all())
+        return bool(lookup(keys, rk)[1].all())
 
     if not covered(np.zeros((1, vectors.shape[1]), dtype=np.int32)):
         return False

@@ -27,7 +27,7 @@ from frobcode.search import (
     _candidate_generator,
     projective_points,
 )
-from frobcode.spans import _check_encodable
+from frobcode.spans import enum_cap
 
 
 def certify_candidate(ring, k, subset, index, cap):
@@ -41,7 +41,6 @@ def certify_candidate(ring, k, subset, index, cap):
     profile = None
     srg = None
     dual = None
-    dual_skipped = None
     equivalence = None
     if len(nonzero) == 1:
         classification = "one-weight"
@@ -61,10 +60,7 @@ def certify_candidate(ring, k, subset, index, cap):
                          "points": [p.pid for p in subset],
                          "index": str(index)})
         if profile.b0 == 1:
-            try:
-                dual = dual_pipeline(code, cap)
-            except CapExceededError as exc:
-                dual_skipped = str(exc)
+            dual = dual_pipeline(code, cap)
     else:
         classification = "mixed"
     if code.b0 == 1:
@@ -75,7 +71,7 @@ def certify_candidate(ring, k, subset, index, cap):
         n=code.n, size=code.size, b0=code.b0,
         classification=classification,
         weights=nonzero, profile=profile, srg=srg,
-        dual=dual, equivalence=equivalence, dual_skipped=dual_skipped)
+        dual=dual, equivalence=equivalence)
 
 
 def search_per_candidate(ring, k, n_max, index_one=False, mult_cap=None,
@@ -84,9 +80,13 @@ def search_per_candidate(ring, k, n_max, index_one=False, mult_cap=None,
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
     if mult_cap is None:
         mult_cap = n_max
-    if not index_one:
-        _check_encodable(ring.order, min(n_max, mult_cap))
+    if cap is None:
+        cap = enum_cap()
     points = projective_points(ring, k, cap)
+    if not index_one and ring.order ** k * min(n_max, mult_cap) > cap:
+        raise CapExceededError(
+            f"codewords of {ring.order ** k} x {min(n_max, mult_cap)} "
+            f"entries exceed cap {cap}")
     if len(points) > DEFAULT_POINT_GUARD:
         raise CapExceededError(
             f"{len(points)} points exceed the subset search guard "

@@ -20,6 +20,14 @@ F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
 Z4_ZERO_COLUMN = "ring: Z4\nk: 1 n: 2\n1 0\n"
 Z9_IDENTITY = "ring: Z9\nk: 2 n: 2\n1 0\n0 1\n"
+# the ten points of the elliptic quadric x0 x1 + x2^2 + x3^2 = 0 in
+# PG(3,3), and the hyperoval {(1,t,t^2)} + (0,0,1) + (0,1,0) in PG(2,4):
+# their duals have words of length 60 and 45, whose keys pass int64
+ELLIPTIC_QUADRIC = ("ring: GF(3)\nk: 4 n: 10\n0 1 1 1 1 1 1 1 1 1\n"
+                    "1 0 1 1 1 1 2 2 2 2\n0 0 1 1 2 2 0 0 1 2\n"
+                    "0 0 1 2 1 2 1 2 0 0\n")
+HYPEROVAL = ("ring: GF(4)\nk: 3 n: 6\n1 1 1 1 0 0\n0 1 2 3 0 1\n"
+             "0 1 3 2 1 0\n")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -311,8 +319,8 @@ def test_search_huge_n_max_exits_fast():
     start = time.monotonic()
     proc = run_module(["search", "GF(2)", "k=2", "n_max=100000000"], 30)
     assert proc.returncode == 2
-    assert proc.stderr == ("error: vectors of length 100000000 over order "
-                           "2 exceed int64 keys\n")
+    assert proc.stderr == ("error: codewords of 4 x 100000000 entries "
+                           "exceed cap 1048576\n")
     assert time.monotonic() - start < 10
     # a small mult_cap bounds the lengths, so the search runs
     proc = run_module(["search", "GF(2)", "k=2", "n_max=100000000",
@@ -436,28 +444,61 @@ def test_search_weight_vanishing_off_zero(capsys):
         "candidates: 9 (one-weight: 6, two-weight: 3, mixed: 0)")
 
 
-def test_search_skips_a_dual_past_int64_keys(capsys, tmp_path):
+def test_search_certifies_a_dual_past_int64_keys(capsys, tmp_path):
     # the dual of these srg(81,24,9,6) hits has words of length 24 over
-    # Z9, too long for int64 keys: the hit is reported with its dual
-    # skipped, and the search goes on
+    # Z9, whose keys pass int64: it is certified like every other dual
     path = tmp_path / "search.json"
     rc, out, err = run_cli(capsys, ["search", "Z9", "k=2", "n_max=4",
                                     "--json", str(path)])
     assert rc == 0, err
     lines = out.splitlines()
     assert ("[two-weight] points=1,9,10,11 r=1/6 n=4 |C|=81 b0=1 w=(3,9/2) "
-            "srg=(81,24,9,6) trivial=false pds=(81,24,9,6) dual=skipped"
+            "srg=(81,24,9,6) trivial=false dual_w=(18,27) pds=(81,24,9,6)"
             ) in lines
     assert lines[-1] == (
         "candidates: 976 (one-weight: 29, two-weight: 149, mixed: 798)")
+    assert sum(" dual_w=(" in line for line in lines) == 149
     records = json.loads(path.read_text())["records"]
-    skipped = [rec for rec in records
-               if rec["dual"] is not None and "skipped" in rec["dual"]]
-    assert len(skipped) == sum(line.endswith(" dual=skipped")
-                               for line in lines)
-    assert {rec["dual"]["skipped"] for rec in skipped} == {
-        "vectors of length 24 over order 9 exceed int64 keys"}
-    assert skipped[0]["point_ids"] == [1, 9, 10, 11]
+    duals = [rec["dual"] for rec in records
+             if rec["classification"] == "two-weight"]
+    assert len(duals) == 149
+    assert all(set(dual) == {"w1_dual", "w2_dual", "srg"} for dual in duals)
+
+
+@pytest.mark.parametrize("text,weights,srg", [
+    (ELLIPTIC_QUADRIC, ("54", "63"), [81, 20, 1, 6]),
+    (HYPEROVAL, ("40", "48"), [64, 18, 2, 6]),
+], ids=["elliptic-quadric", "hyperoval"])
+def test_dual_past_int64_keys(capsys, tmp_path, text, weights, srg):
+    # the elliptic quadric's dual graph is the Brouwer-Haemers graph
+    path = write_code(tmp_path, "wide.code", text)
+    rc, out, err = run_cli(capsys, ["dual", path])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["w1_dual"], report["w2_dual"]) == weights
+    assert report["srg_measured"] == report["srg_predicted"] == srg
+    assert all(report["checks"].values()) and len(report["checks"]) == 8
+
+
+def test_dual_obeys_cap_over_env(capsys, monkeypatch, tmp_path):
+    # every step of the dual pipeline, the span of the smaller-weight
+    # words too, runs under --cap rather than FROBCODE_CAP
+    monkeypatch.setenv("FROBCODE_CAP", "8")
+    path = write_code(tmp_path, "f3.code", F3_IDENTITY)
+    rc, out, err = run_cli(capsys, ["dual", path, "--cap", "100"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["srg_measured"] == [9, 4, 1, 2]
+
+
+def test_search_json_does_not_take_a_parameter_as_path(capsys, monkeypatch,
+                                                       tmp_path):
+    monkeypatch.chdir(tmp_path)
+    expected = run_cli(capsys, ["search", "GF(3)", "k=2", "n_max=3",
+                                "--json"])
+    got = run_cli(capsys, ["search", "GF(3)", "--json", "k=2", "n_max=3"])
+    assert got == expected and expected[0] == 0
+    assert '"records"' in got[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

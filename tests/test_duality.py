@@ -177,6 +177,16 @@ def test_every_search_hit_matches_oracle(spec, k, n_max):
         assert_matches_oracle(ring, generator)
 
 
+def test_dual_past_int64_keys_matches_oracle():
+    # the hyperoval in PG(2,4): its dual words have length 45, so their
+    # keys are Python ints, on both sides of the comparison
+    ring = ring_from_text("GF(4)")
+    generator = np.array([[1, 1, 1, 1, 0, 0], [0, 1, 2, 3, 0, 1],
+                          [0, 1, 3, 2, 1, 0]], dtype=np.int32)
+    assert build_dual(build_code(ring, generator)).word_keys.dtype == object
+    assert_matches_oracle(ring, generator)
+
+
 @st.composite
 def equivalent_generators(draw):
     """A search hit's generator with its columns permuted and each

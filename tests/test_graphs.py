@@ -18,7 +18,6 @@ from frobcode.errors import (
 from frobcode.graphs import (
     SrgParams,
     build_coset_graph,
-    cayley_graph,
     check_trivial_structure,
     coset_graph_srg,
     equivalence_check,
@@ -348,6 +347,20 @@ def test_pds_check_rejects_asymmetric_and_irregular():
     with pytest.raises(PreconditionError):
         pds_check(ring, small_group,
                   np.array([[1, 0], [2, 0]], dtype=np.int32))
+
+
+def cayley_graph(ring, group_rows, connection_rows):
+    """Oracle: the adjacency matrix of the Cayley graph on the given
+    abelian group of vectors with the given symmetric connection set,
+    by a dense Python loop over a dictionary of keys."""
+    lookup = {int(k): i for i, k in enumerate(encode_vectors(group_rows,
+                                                               ring.order))}
+    A = np.zeros((len(group_rows), len(group_rows)), dtype=np.int64)
+    for d in connection_rows:
+        shifted = ring.add_table[group_rows, d[None, :]]
+        for i, k in enumerate(encode_vectors(shifted, ring.order)):
+            A[i, lookup[int(k)]] = 1
+    return A
 
 
 def test_cayley_graph_matches_coset_graph():

@@ -27,6 +27,7 @@ from frobcode.spans import (
     encode_vectors,
     enumerate_vectors,
     is_submodule,
+    lookup,
     point_ids,
     row_space,
     scalar_orbit,
@@ -61,6 +62,61 @@ def test_encode_decode_round_trip():
         assert (back == vecs).all()
 
 
+@st.composite
+def rows_near_int64(draw):
+    """Rows, and query rows, over a small order, one below to two past
+    the longest length whose keys are int64.  Each row is a base row
+    with a few entries changed, so rows share long prefixes."""
+    order = draw(st.sampled_from([2, 3, 4, 9, 16]))
+    longest = max(n for n in range(1, 63) if order ** n <= 1 << 62)
+    n = longest + draw(st.integers(-1, 2))
+    entry = st.integers(0, order - 1)
+    base = draw(st.lists(entry, min_size=n, max_size=n))
+    edits = st.lists(st.tuples(st.integers(0, n - 1), entry), max_size=3)
+
+    def edited(changes):
+        row = list(base)
+        for j, v in changes:
+            row[j] = v
+        return row
+
+    rows = [edited(c) for c in draw(st.lists(edits, min_size=1,
+                                             max_size=10))]
+    queries = [edited(c) for c in draw(st.lists(edits, max_size=10))]
+    return (order, longest, np.array(rows, dtype=np.int32),
+            np.array(queries, dtype=np.int32).reshape(-1, n))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows_near_int64())
+def test_keys_order_rows_on_both_sides_of_int64(case):
+    order, longest, rows, queries = case
+    keys = encode_vectors(rows, order)
+    assert (keys.dtype == np.int64) == (rows.shape[1] <= longest)
+    assert (decode_vectors(keys, order, rows.shape[1]) == rows).all()
+    by_key = [tuple(r) for r in rows[np.argsort(keys, kind="stable")]]
+    assert by_key == sorted(tuple(r) for r in rows.tolist())
+    members = np.unique(keys)
+    qkeys = encode_vectors(queries, order)
+    pos, found = lookup(members, qkeys)
+    present = {tuple(r) for r in rows.tolist()}
+    assert found.tolist() == [tuple(q) in present for q in queries.tolist()]
+    assert (members[pos[found]] == qkeys[found]).all()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(rows_near_int64())
+def test_point_ids_on_both_sides_of_int64(case):
+    # a dual's points are read from rows as long as the primal code
+    order, _, rows, _ = case
+    ring = ring_from_text(f"GF({order})")
+    pids, sizes = point_ids(ring, rows)
+    for row, pid, size in zip(rows, pids, sizes):
+        orbit = unit_orbit(ring, row, "right")
+        assert pid == encode_vectors(orbit, order).min()
+        assert size == len(orbit)
+
+
 def test_enumerate_vectors_is_lexicographic():
     vecs = enumerate_vectors(3, 2)
     assert vecs.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1],
@@ -70,6 +126,13 @@ def test_enumerate_vectors_is_lexicographic():
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
         enumerate_vectors(4, 11, cap=1 << 20)
+
+
+def test_enumerate_needs_int64_positions():
+    # under a cap past int64, the int64 keys the rows are decoded from
+    # bound the enumeration; nothing is built
+    with pytest.raises(CapExceededError, match="exceeds an int64 range"):
+        enumerate_vectors(2, 63, cap=1 << 64)
 
 
 @pytest.mark.parametrize("text", ["Z6", "GF(4)", "M2(GF(2))"])
