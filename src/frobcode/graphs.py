@@ -422,13 +422,15 @@ def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
         ambient_size=ambient_size)
 
 
-def equivalence_check(code):
+def equivalence_check(code, cap=None):
     """Certify the equivalence claims of equivalence_verdict for a
     modular code with trivial zero-weight subcode, from its enumerated
-    vectors.  Over rings whose weight vanishes on a nonzero element the
-    complement claim fails (prod(Z2,Z2), k=1, columns (0,1) and (1,0):
-    the code is trivial two-weight but the complement {0, (1,1)} is no
-    submodule), so there the complement test is only reported."""
+    vectors, closing the column module under `cap` (default: the
+    enumeration cap).  Over rings whose weight vanishes on a nonzero
+    element the complement claim fails (prod(Z2,Z2), k=1, columns
+    (0,1) and (1,0): the code is trivial two-weight but the complement
+    {0, (1,1)} is no submodule), so there the complement test is only
+    reported."""
     ring = code.ring
     if code.index is None:
         raise PreconditionError("equivalence check needs a modular code")
@@ -436,7 +438,7 @@ def equivalence_check(code):
         raise PreconditionError(
             "equivalence check needs a trivial zero-weight subcode")
 
-    module, _ = column_module(ring, code.generator)
+    module, _ = column_module(ring, code.generator, cap)
     module_keys = encode_vectors(module, ring.order)
     supp0 = code.support
     supp0_keys = encode_vectors(supp0, ring.order)

@@ -131,28 +131,70 @@ def principal_ideal_elements(ring, x, side="left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _class_minima(order, members):
+    """The least member of each class of a partition of range(order),
+    ascending; members(x) gives the class of x."""
+    seen = np.zeros(order, dtype=bool)
+    minima = []
+    for x in range(order):
+        if not seen[x]:
+            minima.append(x)
+            seen[members(x)] = True
+    return np.array(minima)
+
+
+def _unit_orbit_minima(ring, side):
+    """The least member of each orbit {ux} (side "left") or {xu} (side
+    "right") of the unit group, ascending."""
+    units = ring.units_array
+    if side == "left":
+        return _class_minima(ring.order, lambda x: ring.mul_table[units, x])
+    return _class_minima(ring.order, lambda x: ring.mul_table[x, units])
+
+
+def _membership(order, elements):
+    mask = np.zeros(order, dtype=bool)
+    mask[elements] = True
+    return mask
+
+
 def all_one_sided_ideals(ring, side="left", include_zero=False):
-    """Every left (or right) ideal, as sorted element-index arrays.
-    Built by closing the principal ideals under pairwise ideal sums."""
-    found = {}
-    for x in range(ring.order):
+    """Every left (or right) ideal, as sorted element-index arrays
+    ordered by size, then elements.  Built by closing the principal
+    ideals under pairwise ideal sums.  A principal ideal depends only on
+    the unit orbit of its generator (R ux = Rx, xuR = xR), so one is
+    built per orbit; a pair where one ideal holds the other is skipped,
+    its sum being the larger one, and so is a pair of frontier ideals
+    already summed the other way round."""
+    found = {}  # key -> (ideal, its membership mask)
+    for x in _unit_orbit_minima(ring, side):
         ideal = principal_ideal_elements(ring, x, side)
-        found.setdefault(ideal.tobytes(), ideal)
-    frontier = list(found.values())
+        key = ideal.tobytes()
+        if key not in found:
+            found[key] = (ideal, _membership(ring.order, ideal))
+    frontier = list(found)
     while frontier:
         if len(found) > _IDEAL_COUNT_CAP:
             raise CapExceededError(
                 f"more than {_IDEAL_COUNT_CAP} one-sided ideals")
         fresh = []
-        for a in frontier:
-            for b in list(found.values()):
+        summed = set()
+        for a_key in frontier:
+            a, in_a = found[a_key]
+            summed.add(a_key)
+            for b_key, (b, in_b) in list(found.items()):
+                if b_key in summed or (
+                        in_b[a].all() if len(a) <= len(b)
+                        else in_a[b].all()):
+                    continue
                 s = np.unique(ring.add_table[np.ix_(a, b)])
                 key = s.tobytes()
                 if key not in found:
-                    found[key] = s
-                    fresh.append(s)
+                    found[key] = (s, _membership(ring.order, s))
+                    fresh.append(key)
         frontier = fresh
-    ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
+    ideals = sorted((ideal for ideal, _ in found.values()),
+                    key=lambda v: (len(v), v.tolist()))
     if not include_zero:
         ideals = [i for i in ideals if len(i) > 1 or i[0] != 0]
     return ideals
@@ -208,21 +250,26 @@ def check_unit_invariance(ring, table=None):
 
 def check_coset_sums(ring, table=None):
     """Sum of w(x + c) over any nonzero one-sided ideal equals the
-    ideal size, for every shift c."""
+    ideal size, for every shift c.  The sum depends only on the coset
+    c + I, so it is taken once per coset, at its least member; the
+    first failing shift is then the least one."""
     table = table if table is not None else weight_table(ring)
     num = table.numerators
     D = table.denominator
     for side in ("left", "right"):
         for ideal in all_one_sided_ideals(ring, side):
-            sums = num[ring.add_table[ideal, :]].sum(axis=0)
+            shifts = _class_minima(ring.order,
+                                   lambda c: ring.add_table[c, ideal])
+            sums = num[ring.add_table[np.ix_(shifts, ideal)]].sum(axis=1)
             expected = len(ideal) * D
             if not (sums == expected).all():
-                c = int(np.flatnonzero(sums != expected)[0])
+                at = int(np.flatnonzero(sums != expected)[0])
                 raise IdentityCheckError(
                     f"coset sum over a {side} ideal misses the ideal size",
                     witness={"ring": ring.spec.text(), "side": side,
-                             "ideal": ideal.tolist(), "shift": c,
-                             "sum_numerator": int(sums[c]),
+                             "ideal": ideal.tolist(),
+                             "shift": int(shifts[at]),
+                             "sum_numerator": int(sums[at]),
                              "expected_numerator": expected})
 
 
@@ -261,16 +308,21 @@ def ideal_correlation(ring, table, ideal, rs):
 
 def check_correlation_ideal(ring, table=None, ideals=None):
     """Exhaustive sweep of the ideal correlation identity over all
-    nonzero left ideals and all pairs (r, s), with r taken in blocks
-    of at most BLOCK_ENTRIES summands."""
+    nonzero left ideals, every shift s, and r the least member of each
+    right unit orbit {ru}, taken in blocks of at most BLOCK_ENTRIES
+    summands.  For a unit u, lhs(I, ru, s) = lhs(I, r, su^-1) when w is
+    right-unit invariant, and the rhs moves with it, so this covers
+    every r only once check_unit_invariance has passed; IDENTITY_CHECKS
+    runs that check first."""
     table = table if table is not None else weight_table(ring)
     order = ring.order
     if ideals is None:
         ideals = all_one_sided_ideals(ring, "left")
+    multipliers = _unit_orbit_minima(ring, "right")
     for ideal in ideals:
         block = max(1, BLOCK_ENTRIES // (len(ideal) * order))
-        for start in range(0, order, block):
-            rs = np.arange(start, min(start + block, order))
+        for start in range(0, len(multipliers), block):
+            rs = multipliers[start:start + block]
             lhs, rhs, den = ideal_correlation(ring, table, ideal, rs)
             bad = np.argwhere(lhs != rhs)
             if len(bad):
@@ -405,6 +457,8 @@ def _sampled_correlation_vectors(ring, k, table, sample, seed):
                          "rhs": str(Fraction(int(rhs[j]), int(den[j])))})
 
 
+# unit-invariance runs before ideal-correlation, whose sweep over one r
+# per right unit orbit rests on it.
 IDENTITY_CHECKS = (
     ("zero-set", check_zero_set),
     ("unit-invariance", check_unit_invariance),

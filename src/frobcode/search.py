@@ -380,11 +380,9 @@ class _PointTables:
             if b0 == 1:
                 dual = dual_pipeline(code, cap)
         if b0 == 1:
+            # the column module lies in R^k, which _point_layer
+            # enumerated under the cap
             pds, omega_sub, comp_sub, omega_size, ambient = equivalence
-            limit = enum_cap()
-            if ambient > limit:
-                raise CapExceededError(
-                    f"column module grew past cap {limit}")
             report = equivalence_verdict(
                 one_weight=classification == "one-weight", profile=profile,
                 pds=pds, omega_sub=omega_sub, comp_sub=comp_sub,

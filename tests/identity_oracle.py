@@ -1,10 +1,16 @@
-"""Brute-force oracle for the left-hand sides of the weight identities.
+"""Brute-force oracles for the weight identities.
 
-Each function reads one identity's sum straight from its definition:
-a Python loop over the summands, ring arithmetic looked up one entry at
-a time in the operation tables, and exact ``Fraction`` weights.  It is
-independent of the batched evaluators in ``frobcode.homweight`` and
-``frobcode.codes`` and serves only as a check on small rings and codes.
+Most functions read one identity's left-hand side straight from its
+definition: a Python loop over the summands, ring arithmetic looked up
+one entry at a time in the operation tables, and exact ``Fraction``
+weights.  They are independent of the batched evaluators in
+``frobcode.homweight`` and ``frobcode.codes``.
+
+The unreduced sweeps below enumerate every one-sided ideal from one
+principal ideal per element, sum the coset sums at every shift and
+take the ideal correlation at every multiplier r: the work the
+orbit- and coset-reduced sweeps of ``frobcode.homweight`` skip.  All of
+them serve only as checks on small rings and codes.
 """
 
 from fractions import Fraction
@@ -12,7 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from frobcode.homweight import WeightTable
+from frobcode.errors import IdentityCheckError
+from frobcode.homweight import WeightTable, ideal_correlation
 
 
 def _w(table, x):
@@ -91,3 +98,66 @@ def bump_unit_orbit(ring, table, x, delta):
     numerators = table.numerators.copy()
     numerators[orbit] += delta
     return WeightTable(ring, numerators, table.denominator)
+
+
+def all_one_sided_ideals_every_element(ring, side="left",
+                                       include_zero=False):
+    """Every left (or right) ideal, sorted by size and then elements:
+    the principal ideal of every element, closed under the sum of every
+    pair."""
+    found = {}
+    for x in range(ring.order):
+        ideal = np.unique(ring.mul_table[:, x] if side == "left"
+                          else ring.mul_table[x, :])
+        found.setdefault(ideal.tobytes(), ideal)
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(found.values()):
+                s = np.unique(ring.add_table[np.ix_(a, b)])
+                if s.tobytes() not in found:
+                    found[s.tobytes()] = s
+                    fresh.append(s)
+        frontier = fresh
+    ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
+    if not include_zero:
+        ideals = [i for i in ideals if len(i) > 1 or i[0] != 0]
+    return ideals
+
+
+def check_coset_sums_every_shift(ring, table):
+    """check_coset_sums with the sum over each ideal taken at every
+    shift c of the ring."""
+    num = table.numerators
+    D = table.denominator
+    for side in ("left", "right"):
+        for ideal in all_one_sided_ideals_every_element(ring, side):
+            sums = num[ring.add_table[ideal, :]].sum(axis=0)
+            expected = len(ideal) * D
+            if not (sums == expected).all():
+                c = int(np.flatnonzero(sums != expected)[0])
+                raise IdentityCheckError(
+                    f"coset sum over a {side} ideal misses the ideal size",
+                    witness={"ring": ring.spec.text(), "side": side,
+                             "ideal": ideal.tolist(), "shift": c,
+                             "sum_numerator": int(sums[c]),
+                             "expected_numerator": expected})
+
+
+def check_correlation_ideal_every_r(ring, table):
+    """check_correlation_ideal with r over the whole ring, one r at a
+    time."""
+    for ideal in all_one_sided_ideals_every_element(ring, "left"):
+        for r in range(ring.order):
+            lhs, rhs, den = ideal_correlation(ring, table, ideal,
+                                              np.array([r]))
+            bad = np.flatnonzero(lhs[0] != rhs[0])
+            if len(bad):
+                s = int(bad[0])
+                raise IdentityCheckError(
+                    "ideal correlation identity fails",
+                    witness={"ring": ring.spec.text(),
+                             "ideal": ideal.tolist(), "r": r, "s": s,
+                             "lhs": str(Fraction(int(lhs[0, s]), den)),
+                             "rhs": str(Fraction(int(rhs[0, s]), den))})

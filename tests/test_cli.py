@@ -84,6 +84,12 @@ def test_ring_z4(capsys):
     assert "check coset-sums: pass" in lines
 
 
+def test_ring_m2_gf8_coset_sums(capsys):
+    rc, out, err = run_cli(capsys, ["ring", "M2(GF(8))"])
+    assert rc == 0 and err == ""
+    assert "check coset-sums: pass" in out.splitlines()
+
+
 def test_ring_json_file(capsys, tmp_path):
     path = tmp_path / "ring.json"
     rc, out, err = run_cli(capsys, ["ring", "Z4", "--json", str(path)])
@@ -169,6 +175,15 @@ def test_env_cap_and_override(capsys, tmp_path, monkeypatch):
     assert "error:" in err
     rc, out, err = run_cli(capsys, ["analyze", path, "--cap", "100"])
     assert rc == 0
+
+
+def test_search_cap_overrides_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("FROBCODE_CAP", "8")
+    rc, out, err = run_cli(capsys, ["search", "Z4", "k=2", "n_max=4",
+                                    "--cap", "100"])
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1] == (
+        "candidates: 144 (one-weight: 19, two-weight: 53, mixed: 72)")
 
 
 def test_analyze_f3_identity(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """The batched identity evaluators against the brute-force oracle in
-identity_oracle.py, and the sweeps on corrupted weight tables.
+identity_oracle.py, the orbit- and coset-reduced ideal sweeps against
+the unreduced ones there, and the sweeps on corrupted weight tables.
 
 The corrupted tables move the weight of a whole unit orbit, so they
 pass the zero-set and unit-invariance checks and reach the identity
@@ -9,12 +10,14 @@ were recorded with those helpers.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobcode import homweight
 from frobcode.codes import (
     LinearCode,
     build_code,
@@ -34,15 +37,19 @@ from frobcode.homweight import (
     all_one_sided_ideals,
     check_correlation_ideal,
     check_correlation_vectors,
+    check_coset_sums,
     correlation_vectors,
     ideal_correlation,
     weight_table,
 )
-from frobcode.rings import ring_from_text
+from frobcode.rings import FiniteRing, opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import combine_rows, enumerate_vectors, point_ids
 from identity_oracle import (
+    all_one_sided_ideals_every_element,
     bump_unit_orbit,
+    check_correlation_ideal_every_r,
+    check_coset_sums_every_shift,
     class_coset_sum_lhs,
     code_correlation_lhs,
     coordinate_class_sum_lhs,
@@ -210,6 +217,132 @@ def test_ring_sweeps_fail_with_the_recorded_witness(spec, x, delta):
         assert witness_of(
             lambda: _sampled_correlation_vectors(ring, k, table, 200, 0)) \
             == ("word correlation identity fails", sampled)
+
+
+# ------------------------------------------------ reduced ideal sweeps
+
+# rings on which the orbit- and coset-reduced sweeps must agree with the
+# unreduced oracles; op(R) is the opposite ring of R
+REDUCED_RINGS = ["Z4", "Z6", "Z12", "Z36", "GF(4)", "M2(GF(2))",
+                 "M2(GF(3))", "M2(GF(4))", "prod(Z4,Z2)", "op(M2(GF(3)))",
+                 "GF(2)[x,y]/(x^2,y^2)"]
+
+
+def group_algebra_c2_c2():
+    """GF(2)[x,y]/(x^2,y^2), the group algebra of C2 x C2: a local
+    Frobenius ring whose maximal ideal (x, y) is not principal, so the
+    ideal closure must add it.  a0 + a1 x + a2 y + a3 xy has index
+    a0 + 2 a1 + 4 a2 + 8 a3, and chi(a) = (-1)^a3."""
+    a = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    i, j = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    p, q = a[i], a[j]
+    product = np.stack([
+        p[..., 0] * q[..., 0],
+        p[..., 0] * q[..., 1] + p[..., 1] * q[..., 0],
+        p[..., 0] * q[..., 2] + p[..., 2] * q[..., 0],
+        p[..., 0] * q[..., 3] + p[..., 3] * q[..., 0]
+        + p[..., 1] * q[..., 2] + p[..., 2] * q[..., 1]], axis=-1) % 2
+    return FiniteRing(SimpleNamespace(text=lambda: "GF(2)[x,y]/(x^2,y^2)"),
+                      [str(x) for x in range(16)], i ^ j,
+                      product @ (1 << np.arange(4)), a[:, 3], 2)
+
+
+def reduced_ring(spec):
+    if spec == "GF(2)[x,y]/(x^2,y^2)":
+        return group_algebra_c2_c2()
+    if spec.startswith("op("):
+        return opposite_ring(ring_from_text(spec[3:-1]))
+    return ring_from_text(spec)
+
+
+def outcome(check):
+    try:
+        check()
+    except IdentityCheckError as exc:
+        return str(exc), exc.witness
+    return "pass"
+
+
+def unit_invariant_tables(ring):
+    """The weight table, and copies bumped on the unit orbit of 1 and
+    on the two-sided unit orbit of the least nonzero non-unit."""
+    table = weight_table(ring)
+    tables = [table, bump_unit_orbit(ring, table, 1, 1)]
+    nonunits = sorted(set(range(1, ring.order)) - set(ring.units))
+    if nonunits:
+        tables.append(bump_unit_orbit(ring, table, nonunits[0], -1))
+    return tables
+
+
+@pytest.mark.parametrize("spec", ["M2(GF(3))", "op(M2(GF(3)))"])
+def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec,
+                                                           monkeypatch):
+    # the faults above all surface at r = 0 or 1, so the r swept are
+    # pinned here: the least member of each orbit {ru}, per ideal
+    ring = reduced_ring(spec)
+    visited = []
+
+    def spy(ring, table, ideal, rs):
+        visited.extend(rs.tolist())
+        return ideal_correlation(ring, table, ideal, rs)
+
+    monkeypatch.setattr(homweight, "ideal_correlation", spy)
+    check_correlation_ideal(ring)
+    units = sorted(ring.units)
+    minima = sorted({min(int(ring.mul_table[r, u]) for u in units)
+                     for r in range(ring.order)})
+    assert visited == minima * len(all_one_sided_ideals(ring, "left"))
+
+
+@pytest.mark.parametrize("spec", REDUCED_RINGS)
+def test_ideal_enumeration_matches_every_element_oracle(spec):
+    ring = reduced_ring(spec)
+    for side in ("left", "right"):
+        for include_zero in (False, True):
+            got = all_one_sided_ideals(ring, side, include_zero)
+            want = all_one_sided_ideals_every_element(ring, side,
+                                                      include_zero)
+            assert [(i.dtype, i.tolist()) for i in got] \
+                == [(i.dtype, i.tolist()) for i in want]
+
+
+def test_closure_adds_the_non_principal_ideal():
+    ring = group_algebra_c2_c2()
+    ideals = [i.tolist() for i in all_one_sided_ideals(ring)]
+    principal = [np.unique(ring.mul_table[:, x]).tolist()
+                 for x in range(ring.order)]
+    maximal = [x for x in range(16) if x % 2 == 0]
+    assert maximal in ideals and maximal not in principal
+    assert [len(i) for i in ideals] == [2, 4, 4, 4, 8, 16]
+
+
+def test_m2_gf8_has_ten_nonzero_ideals_per_side():
+    ring = ring_from_text("M2(GF(8))")
+    for side in ("left", "right"):
+        sizes = [len(i) for i in all_one_sided_ideals(ring, side)]
+        assert sizes == [64] * 9 + [4096]
+
+
+@pytest.mark.parametrize("spec", REDUCED_RINGS)
+def test_coset_sums_match_every_shift_oracle(spec):
+    ring = reduced_ring(spec)
+    tables = unit_invariant_tables(ring)
+    # single bumped elements: tables that are not unit-invariant
+    tables += [tables[0].with_bumped_numerator(x, 1)
+               for x in (1, ring.order - 1)]
+    outcomes = [outcome(lambda: check_coset_sums(ring, table))
+                for table in tables]
+    assert outcomes == [outcome(lambda: check_coset_sums_every_shift(
+        ring, table)) for table in tables]
+    assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
+
+
+@pytest.mark.parametrize("spec", REDUCED_RINGS)
+def test_ideal_correlation_matches_every_r_oracle(spec):
+    ring = reduced_ring(spec)
+    for table in unit_invariant_tables(ring):
+        assert outcome(lambda: check_correlation_ideal(ring, table)) \
+            == outcome(lambda: check_correlation_ideal_every_r(ring, table))
 
 
 # (ring, generator, element whose unit orbit is bumped, delta) -> the

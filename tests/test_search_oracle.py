@@ -183,12 +183,11 @@ def test_each_settled_candidate_fails_like_oracle(monkeypatch):
         "zero-weight words are not closed under addition"}
 
 
-def test_env_cap_fails_like_oracle(monkeypatch):
-    # equivalence_check closes the column module under the environment
-    # cap, whatever the search cap
+def test_search_cap_overrides_env_cap_like_oracle(monkeypatch):
+    # the search cap, not the environment cap, bounds the column module
+    # that equivalence_check closes
     monkeypatch.setenv("FROBCODE_CAP", "8")
-    failures = _compare_each(_ring("Z4"), 2, 4, False, cap=100)
-    assert failures == {"column module grew past cap 8"}
+    assert _compare_each(_ring("Z4"), 2, 4, False, cap=100) == set()
 
 
 def _compare_each(ring, k, n_max, index_one, cap=None):
