@@ -422,15 +422,13 @@ def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
         ambient_size=ambient_size)
 
 
-def equivalence_check(code, cap=None):
+def equivalence_check(code):
     """Certify the equivalence claims of equivalence_verdict for a
     modular code with trivial zero-weight subcode, from its enumerated
-    vectors, closing the column module under `cap` (default: the
-    enumeration cap).  Over rings whose weight vanishes on a nonzero
-    element the complement claim fails (prod(Z2,Z2), k=1, columns
-    (0,1) and (1,0): the code is trivial two-weight but the complement
-    {0, (1,1)} is no submodule), so there the complement test is only
-    reported."""
+    vectors.  Over rings whose weight vanishes on a nonzero element the
+    complement claim fails (prod(Z2,Z2), k=1, columns (0,1) and (1,0):
+    the code is trivial two-weight but the complement {0, (1,1)} is no
+    submodule), so there the complement test is only reported."""
     ring = code.ring
     if code.index is None:
         raise PreconditionError("equivalence check needs a modular code")
@@ -438,7 +436,9 @@ def equivalence_check(code, cap=None):
         raise PreconditionError(
             "equivalence check needs a trivial zero-weight subcode")
 
-    module, _ = column_module(ring, code.generator, cap)
+    # the column module lies in R^k, which building the code enumerated
+    # under its cap, so it gets no bound of its own
+    module, _ = column_module(ring, code.generator, ring.order ** code.k)
     module_keys = encode_vectors(module, ring.order)
     supp0 = code.support
     supp0_keys = encode_vectors(supp0, ring.order)

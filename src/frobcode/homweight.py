@@ -152,26 +152,16 @@ def _unit_orbit_minima(ring, side):
     return _class_minima(ring.order, lambda x: ring.mul_table[x, units])
 
 
-def _membership(order, elements):
-    mask = np.zeros(order, dtype=bool)
-    mask[elements] = True
-    return mask
-
-
 def all_one_sided_ideals(ring, side="left", include_zero=False):
     """Every left (or right) ideal, as sorted element-index arrays
     ordered by size, then elements.  Built by closing the principal
     ideals under pairwise ideal sums.  A principal ideal depends only on
     the unit orbit of its generator (R ux = Rx, xuR = xR), so one is
-    built per orbit; a pair where one ideal holds the other is skipped,
-    its sum being the larger one, and so is a pair of frontier ideals
-    already summed the other way round."""
-    found = {}  # key -> (ideal, its membership mask)
+    built per orbit; each pair of distinct ideals is summed once."""
+    found = {}
     for x in _unit_orbit_minima(ring, side):
         ideal = principal_ideal_elements(ring, x, side)
-        key = ideal.tobytes()
-        if key not in found:
-            found[key] = (ideal, _membership(ring.order, ideal))
+        found.setdefault(ideal.tobytes(), ideal)
     frontier = list(found)
     while frontier:
         if len(found) > _IDEAL_COUNT_CAP:
@@ -180,21 +170,18 @@ def all_one_sided_ideals(ring, side="left", include_zero=False):
         fresh = []
         summed = set()
         for a_key in frontier:
-            a, in_a = found[a_key]
+            a = found[a_key]
             summed.add(a_key)
-            for b_key, (b, in_b) in list(found.items()):
-                if b_key in summed or (
-                        in_b[a].all() if len(a) <= len(b)
-                        else in_a[b].all()):
+            for b_key, b in list(found.items()):
+                if b_key in summed:
                     continue
                 s = np.unique(ring.add_table[np.ix_(a, b)])
                 key = s.tobytes()
                 if key not in found:
-                    found[key] = (s, _membership(ring.order, s))
+                    found[key] = s
                     fresh.append(key)
         frontier = fresh
-    ideals = sorted((ideal for ideal, _ in found.values()),
-                    key=lambda v: (len(v), v.tolist()))
+    ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
     if not include_zero:
         ideals = [i for i in ideals if len(i) > 1 or i[0] != 0]
     return ideals
@@ -308,17 +295,21 @@ def ideal_correlation(ring, table, ideal, rs):
 
 def check_correlation_ideal(ring, table=None, ideals=None):
     """Exhaustive sweep of the ideal correlation identity over all
-    nonzero left ideals, every shift s, and r the least member of each
-    right unit orbit {ru}, taken in blocks of at most BLOCK_ENTRIES
-    summands.  For a unit u, lhs(I, ru, s) = lhs(I, r, su^-1) when w is
-    right-unit invariant, and the rhs moves with it, so this covers
-    every r only once check_unit_invariance has passed; IDENTITY_CHECKS
-    runs that check first."""
+    nonzero left ideals and all pairs (r, s), with r taken in blocks
+    of at most BLOCK_ENTRIES summands.  For a unit u, lhs(I, ru, s) =
+    lhs(I, r, su^-1) when w is right-unit invariant (the right half of
+    check_unit_invariance), and the rhs moves with it; so on such a
+    table r runs over the least member of each right unit orbit {ru}
+    only, and on any other table over every element."""
     table = table if table is not None else weight_table(ring)
     order = ring.order
     if ideals is None:
         ideals = all_one_sided_ideals(ring, "left")
-    multipliers = _unit_orbit_minima(ring, "right")
+    num = table.numerators
+    if (num[ring.mul_table[:, ring.units_array]] == num[:, None]).all():
+        multipliers = _unit_orbit_minima(ring, "right")
+    else:
+        multipliers = np.arange(order)
     for ideal in ideals:
         block = max(1, BLOCK_ENTRIES // (len(ideal) * order))
         for start in range(0, len(multipliers), block):
@@ -457,8 +448,6 @@ def _sampled_correlation_vectors(ring, k, table, sample, seed):
                          "rhs": str(Fraction(int(rhs[j]), int(den[j])))})
 
 
-# unit-invariance runs before ideal-correlation, whose sweep over one r
-# per right unit orbit rests on it.
 IDENTITY_CHECKS = (
     ("zero-set", check_zero_set),
     ("unit-invariance", check_unit_invariance),

@@ -64,7 +64,7 @@ def certify_candidate(ring, k, subset, index, cap):
     else:
         classification = "mixed"
     if code.b0 == 1:
-        equivalence = equivalence_check(code, cap)
+        equivalence = equivalence_check(code)
     return SearchRecord(
         ring_text=ring.spec.text(), k=k,
         point_ids=tuple(p.pid for p in subset), index=index,

@@ -274,24 +274,33 @@ def unit_invariant_tables(ring):
     return tables
 
 
+@pytest.mark.parametrize("bumped", [False, True])
 @pytest.mark.parametrize("spec", ["M2(GF(3))", "op(M2(GF(3)))"])
-def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec,
+def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
                                                            monkeypatch):
     # the faults above all surface at r = 0 or 1, so the r swept are
-    # pinned here: the least member of each orbit {ru}, per ideal
+    # pinned here, with a spy that passes every r so the whole sweep is
+    # seen: the least member of each orbit {ru}, per ideal; but every r
+    # on a table bumped on one element, which is not right-unit
+    # invariant, so that the orbit reduction does not hold
     ring = reduced_ring(spec)
+    table = weight_table(ring)
+    if bumped:
+        table = table.with_bumped_numerator(ring.order - 1, 1)
     visited = []
 
     def spy(ring, table, ideal, rs):
         visited.extend(rs.tolist())
-        return ideal_correlation(ring, table, ideal, rs)
+        agree = np.zeros((len(rs), ring.order), dtype=np.int64)
+        return agree, agree, 1
 
     monkeypatch.setattr(homweight, "ideal_correlation", spy)
-    check_correlation_ideal(ring)
+    check_correlation_ideal(ring, table)
     units = sorted(ring.units)
     minima = sorted({min(int(ring.mul_table[r, u]) for u in units)
                      for r in range(ring.order)})
-    assert visited == minima * len(all_one_sided_ideals(ring, "left"))
+    swept = list(range(ring.order)) if bumped else minima
+    assert visited == swept * len(all_one_sided_ideals(ring, "left"))
 
 
 @pytest.mark.parametrize("spec", REDUCED_RINGS)
@@ -323,13 +332,18 @@ def test_m2_gf8_has_ten_nonzero_ideals_per_side():
         assert sizes == [64] * 9 + [4096]
 
 
+def bumped_tables(ring):
+    """unit_invariant_tables, then copies bumped on the single elements
+    1 and order - 1: tables that are not unit-invariant."""
+    tables = unit_invariant_tables(ring)
+    return tables + [tables[0].with_bumped_numerator(x, 1)
+                     for x in (1, ring.order - 1)]
+
+
 @pytest.mark.parametrize("spec", REDUCED_RINGS)
 def test_coset_sums_match_every_shift_oracle(spec):
     ring = reduced_ring(spec)
-    tables = unit_invariant_tables(ring)
-    # single bumped elements: tables that are not unit-invariant
-    tables += [tables[0].with_bumped_numerator(x, 1)
-               for x in (1, ring.order - 1)]
+    tables = bumped_tables(ring)
     outcomes = [outcome(lambda: check_coset_sums(ring, table))
                 for table in tables]
     assert outcomes == [outcome(lambda: check_coset_sums_every_shift(
@@ -340,9 +354,12 @@ def test_coset_sums_match_every_shift_oracle(spec):
 @pytest.mark.parametrize("spec", REDUCED_RINGS)
 def test_ideal_correlation_matches_every_r_oracle(spec):
     ring = reduced_ring(spec)
-    for table in unit_invariant_tables(ring):
-        assert outcome(lambda: check_correlation_ideal(ring, table)) \
-            == outcome(lambda: check_correlation_ideal_every_r(ring, table))
+    tables = bumped_tables(ring)
+    outcomes = [outcome(lambda: check_correlation_ideal(ring, table))
+                for table in tables]
+    assert outcomes == [outcome(lambda: check_correlation_ideal_every_r(
+        ring, table)) for table in tables]
+    assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
 
 
 # (ring, generator, element whose unit orbit is bumped, delta) -> the

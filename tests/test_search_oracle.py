@@ -184,8 +184,8 @@ def test_each_settled_candidate_fails_like_oracle(monkeypatch):
 
 
 def test_search_cap_overrides_env_cap_like_oracle(monkeypatch):
-    # the search cap, not the environment cap, bounds the column module
-    # that equivalence_check closes
+    # an environment cap below the search cap trips nothing: the column
+    # module lies in R^k, which the search enumerates under its own cap
     monkeypatch.setenv("FROBCODE_CAP", "8")
     assert _compare_each(_ring("Z4"), 2, 4, False, cap=100) == set()
 
