@@ -8,7 +8,6 @@ from .codes import (
     build_code,
     format_code_file,
     modular_index,
-    one_weight_characterization,
     parse_code_file,
     two_weight_profile,
 )
@@ -37,14 +36,7 @@ from .graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
-from .homweight import (
-    WeightTable,
-    run_identity_suite,
-    weight_table,
-    whom,
-    whom_on_socle,
-    whom_word,
-)
+from .homweight import WeightTable, identity_suite, weight_table
 from .rings import (
     FiniteRing,
     GeneratingCharacter,
@@ -53,9 +45,9 @@ from .rings import (
     parse_ring_spec,
     ring_from_text,
 )
-from .search import PointInfo, SearchRecord, projective_points, \
-    search_modular_codes
-from .spans import RingModuleSpan, column_space, row_space, span
+from .search import PointInfo, SearchRecord, generator_for_record, \
+    projective_points, search_modular_codes
+from .spans import row_space, span
 
 __version__ = "0.1.0"
 
@@ -64,15 +56,13 @@ __all__ = [
     "DualReport", "EquivalenceReport", "FiniteRing", "FrobcodeError",
     "GeneratingCharacter", "IdentityCheckError", "LinearCode",
     "PdsCertificate", "PointInfo", "PreconditionError",
-    "ReduciblePolynomialError", "RingConstructionError", "RingModuleSpan",
-    "SearchRecord", "SpecParseError", "SrgParams", "TwoWeightProfile",
-    "WeightTable", "ZeroColumnError", "build_code", "build_coset_graph",
-    "build_dual", "build_ring", "column_space", "coset_graph_srg",
-    "dual_pipeline", "equivalence_check", "format_code_file",
-    "measure_srg", "modular_index", "one_weight_characterization",
-    "opposite_ring", "parse_code_file", "parse_ring_spec", "pds_check",
-    "predicted_dual_srg", "predicted_srg", "projective_points",
-    "ring_from_text", "row_space", "run_identity_suite",
+    "ReduciblePolynomialError", "RingConstructionError", "SearchRecord",
+    "SpecParseError", "SrgParams", "TwoWeightProfile", "WeightTable",
+    "ZeroColumnError", "build_code", "build_coset_graph", "build_dual",
+    "build_ring", "coset_graph_srg", "dual_pipeline", "equivalence_check",
+    "format_code_file", "generator_for_record", "identity_suite",
+    "measure_srg", "modular_index", "opposite_ring", "parse_code_file",
+    "parse_ring_spec", "pds_check", "predicted_dual_srg", "predicted_srg",
+    "projective_points", "ring_from_text", "row_space",
     "search_modular_codes", "span", "two_weight_profile", "weight_table",
-    "whom", "whom_on_socle", "whom_word",
 ]

@@ -194,13 +194,12 @@ def cmd_analyze(args):
 # ---------------------------------------------------------- graph, dual
 
 
-def _dot_text(graph):
+def _dot_text(graph, adjacency):
     ring = graph.code.ring
     lines = ["graph coset_graph {"]
     for i, rep in enumerate(graph.representatives):
         label = " ".join(ring.labels[int(v)] for v in rep)
         lines.append(f'  v{i} [label="{label}"];')
-    adjacency = graph.adjacency
     for i in range(len(adjacency)):
         for j in range(i + 1, len(adjacency)):
             if adjacency[i, j]:
@@ -216,10 +215,11 @@ def cmd_graph(args):
     measured = coset_graph_srg(graph)
     predicted = predicted_srg(profile)
     if args.dot is not None:
+        adjacency = graph.adjacency(args.cap)
         with open(args.dot, "w") as handle:
-            handle.write(_dot_text(graph))
+            handle.write(_dot_text(graph, adjacency))
         print(f"wrote {args.dot}: {len(graph.representatives)} vertices, "
-              f"{int(graph.adjacency.sum()) // 2} edges")
+              f"{int(adjacency.sum()) // 2} edges")
     if args.cert or args.dot is None:
         print(f"measured:  N={measured.vertices} K={measured.degree} "
               f"lambda={measured.common_adjacent} "

@@ -28,7 +28,6 @@ from .spans import (
     decode_vectors,
     encode_vectors,
     enumerate_vectors,
-    is_submodule,
     lookup,
     point_ids,
     unit_orbit,
@@ -83,10 +82,6 @@ class LinearCode:
     @property
     def b0(self):
         return int((self.word_numerators == 0).sum())
-
-    def contains(self, word):
-        key = encode_vectors(np.asarray(word)[None, :], self.ring.order)
-        return bool(lookup(self.word_keys, key)[1][0])
 
     @cached_property
     def points(self):
@@ -247,24 +242,10 @@ def support_with_zero(code):
     """All vectors of R^k lying on an occurring column point, plus 0."""
     rows = [np.zeros((1, code.k), dtype=np.int32)]
     for _, rep, _, _ in code.points:
-        rows.append(unit_orbit(code.ring, rep, "right"))
+        rows.append(unit_orbit(code.ring, rep))
     stacked = np.concatenate(rows, axis=0)
     keys = np.unique(encode_vectors(stacked, code.ring.order))
     return decode_vectors(keys, code.ring.order, code.k)
-
-
-def one_weight_characterization(code):
-    """Check the equivalence of one_weight_verdict on a code with
-    trivial zero-weight subcode.  Returns (is_one_weight, is_modular,
-    support_is_submodule)."""
-    if code.b0 != 1:
-        raise PreconditionError(
-            "one-weight characterization needs a trivial zero-weight "
-            "subcode")
-    facts = (len(code.nonzero_weights) == 1, code.index is not None,
-             is_submodule(code.ring, code.support, "right"))
-    one_weight_verdict(code.ring, *facts, lambda: code.generator)
-    return facts
 
 
 def one_weight_verdict(ring, is_one, is_mod, is_sub, generator):

@@ -25,18 +25,6 @@ def degree(poly):
     return len(poly) - 1
 
 
-def poly_mul(a, b):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim(out)
-
-
 def poly_divmod(num, den):
     """Quotient and remainder of integer polynomials; den must be monic."""
     den = trim(den)

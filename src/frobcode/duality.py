@@ -49,12 +49,6 @@ def _smaller_class_mask(code):
     return code.word_numerators == int(profile.w1 * code.denominator)
 
 
-def smaller_class_matrix(code):
-    """Rows of the matrix are the smaller-weight codewords in sorted
-    word order."""
-    return code.words[_smaller_class_mask(code)]
-
-
 @dataclass(frozen=True)
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
@@ -230,10 +224,8 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
 def _check_smaller_class_spans(code, m1, cap):
     """The smaller-weight codewords, the rows of m1, generate the whole
     code."""
-    gens = [tuple(int(v) for v in row) for row in m1]
-    spanned = span(code.ring, gens, side="left", cap=cap)
-    if spanned.size != code.size or not (
-            spanned.keys == code.word_keys).all():
+    _, keys = span(code.ring, m1, cap=cap)
+    if len(keys) != code.size or not (keys == code.word_keys).all():
         raise IdentityCheckError(
             "smaller-weight codewords do not generate the code",
-            witness={"spanned": spanned.size, "code": code.size})
+            witness={"spanned": len(keys), "code": code.size})

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -172,12 +171,13 @@ class CosetGraph:
                               encode_vectors(rows, self.code.ring.order))
         return self.coset_index[pos]
 
-    @cached_property
-    def adjacency(self):
-        """The 0/1 adjacency matrix over the representatives, built on
-        demand; refused past the enumeration cap on its entries."""
+    def adjacency(self, cap=None):
+        """The 0/1 adjacency matrix over the representatives, refused
+        when its entries exceed the cap (default: the enumeration
+        cap)."""
         count = len(self.representatives)
-        cap = enum_cap()
+        if cap is None:
+            cap = enum_cap()
         if count * count > cap:
             raise CapExceededError(
                 f"coset graph adjacency of {count}x{count} entries "
@@ -249,45 +249,6 @@ def coset_graph_srg(graph):
     others = ~connection
     others[0] = False  # the zero coset: its representative has key 0
     return _srg_from_counts(N, K, counts[connection], counts[others])
-
-
-def check_trivial_structure(graph):
-    """Confirm the structural description of trivial graphs: the graph
-    is trivial exactly when the zero- and larger-weight words form a
-    subcode, and in that case the cosets of that subcode are the
-    maximal cocliques (the graph is complete multipartite)."""
-    code = graph.code
-    profile = graph.profile
-    ring = code.ring
-    D = code.denominator
-    w2num = int(profile.w2 * D)
-    sub_rows = code.words[(code.word_numerators == 0)
-                          | (code.word_numerators == w2num)]
-    keys = np.sort(encode_vectors(sub_rows, ring.order))
-    sums = ring.add_table[sub_rows[:, None, :], sub_rows[None, :, :]]
-    closed = bool(lookup(keys, encode_vectors(sums.reshape(-1, code.n),
-                                              ring.order))[1].all())
-    if closed != profile.trivial:
-        raise IdentityCheckError(
-            "triviality disagrees with the zero/larger-weight subcode test",
-            witness={"closed": closed, "trivial": profile.trivial})
-    if not profile.trivial:
-        return False
-    # cosets of the subcode partition the vertices into cocliques:
-    # adjacency must hold exactly across distinct parts
-    reps = graph.representatives
-    part = np.array([encode_vectors(ring.add_table[sub_rows, rep[None, :]],
-                                    ring.order).min() for rep in reps])
-    same = part[:, None] == part[None, :]
-    expected = (~same).astype(np.int8)
-    if (graph.adjacency != expected).any():
-        i, j = np.argwhere(graph.adjacency != expected)[0]
-        raise IdentityCheckError(
-            "cocliques are not the cosets of the trivial subcode",
-            witness={"i": int(i), "j": int(j),
-                     "same_part": bool(same[i, j]),
-                     "adjacent": bool(graph.adjacency[i, j])})
-    return True
 
 
 # ---------------------------------------------------------------- PDS
@@ -450,13 +411,12 @@ def equivalence_check(code):
             witness={"generator": code.generator.tolist()})
 
     cert = pds_check(ring, module, omega)
-    omega_sub = is_submodule(ring, supp0, "right")
+    omega_sub = is_submodule(ring, supp0)
     complement = module[~np.isin(module_keys, supp0_keys[supp0_keys != 0])]
     # the bare zero module (points fill the ambient module) is the
     # degenerate case belonging to one-weight codes; the submodule test
     # here asks for a nonzero submodule
-    comp_sub = len(complement) > 1 and is_submodule(ring, complement,
-                                                    "right")
+    comp_sub = len(complement) > 1 and is_submodule(ring, complement)
     return equivalence_verdict(
         one_weight=len(code.nonzero_weights) == 1, profile=code.profile,
         pds=cert, omega_sub=omega_sub, comp_sub=comp_sub,

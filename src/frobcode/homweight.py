@@ -42,10 +42,6 @@ class WeightTable:
         words = np.asarray(words)
         return self.numerators[words].sum(axis=-1)
 
-    def word_value(self, word):
-        return Fraction(int(self.word_numerator(np.asarray(word))),
-                        self.denominator)
-
     def zero_set(self):
         return frozenset(int(x) for x in np.flatnonzero(self.numerators == 0))
 
@@ -96,30 +92,6 @@ def _compute_table(ring):
     return WeightTable(ring, num, D)
 
 
-def whom(ring, x):
-    return weight_table(ring).value(x)
-
-
-def whom_word(ring, word):
-    return weight_table(ring).word_value(word)
-
-
-# ------------------------------------------------ socle closed form
-
-
-def whom_on_socle(factors, ranks):
-    """Closed-form weight of a socle element from the simple-factor
-    parameters [(q_i, m_i), ...] and its per-factor matrix ranks, as
-    rings.socle_rank_data gives them."""
-    prod = Fraction(1)
-    for (q, m), l in zip(factors, ranks):
-        denom = 1
-        for j in range(l):
-            denom *= q ** (m - j) - 1
-        prod *= Fraction((-1) ** l, denom)
-    return 1 - prod
-
-
 # ---------------------------------------------------- ideal enumeration
 
 
@@ -152,12 +124,13 @@ def _unit_orbit_minima(ring, side):
     return _class_minima(ring.order, lambda x: ring.mul_table[x, units])
 
 
-def all_one_sided_ideals(ring, side="left", include_zero=False):
-    """Every left (or right) ideal, as sorted element-index arrays
-    ordered by size, then elements.  Built by closing the principal
-    ideals under pairwise ideal sums.  A principal ideal depends only on
-    the unit orbit of its generator (R ux = Rx, xuR = xR), so one is
-    built per orbit; each pair of distinct ideals is summed once."""
+def all_one_sided_ideals(ring, side="left"):
+    """Every nonzero left (or right) ideal, as sorted element-index
+    arrays ordered by size, then elements.  Built by closing the
+    principal ideals under pairwise ideal sums.  A principal ideal
+    depends only on the unit orbit of its generator (R ux = Rx,
+    xuR = xR), so one is built per orbit; each pair of distinct ideals
+    is summed once."""
     found = {}
     for x in _unit_orbit_minima(ring, side):
         ideal = principal_ideal_elements(ring, x, side)
@@ -182,9 +155,7 @@ def all_one_sided_ideals(ring, side="left", include_zero=False):
                     fresh.append(key)
         frontier = fresh
     ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
-    if not include_zero:
-        ideals = [i for i in ideals if len(i) > 1 or i[0] != 0]
-    return ideals
+    return [i for i in ideals if len(i) > 1 or i[0] != 0]
 
 
 # ------------------------------------------------------ identity checks
@@ -266,7 +237,7 @@ def _fixing_unit_count(ring, ideal):
     return int(fixed.all(axis=0).sum())
 
 
-def ideal_correlation(ring, table, ideal, rs):
+def ideal_correlation(ring, table, ideal, rs, fixing):
     """Both sides of the ideal correlation identity of a left ideal I,
     for each r in rs and every shift s:
 
@@ -275,9 +246,9 @@ def ideal_correlation(ring, table, ideal, rs):
             = |I|                              if Ir is nonzero otherwise,
             = |I| w(s)                         if Ir = 0,
 
-    with c the number of units u that fix I pointwise (xu = x).
-    Returns lhs and rhs as (len(rs), order) int64 numerators over D^2,
-    D = |U|, and that denominator."""
+    with c = fixing, the number of units u that fix I pointwise (xu = x;
+    see _fixing_unit_count).  Returns lhs and rhs as (len(rs), order)
+    int64 numerators over D^2, D = |U|, and that denominator."""
     num = table.numerators
     D = table.denominator
     size = len(ideal)
@@ -288,12 +259,12 @@ def ideal_correlation(ring, table, ideal, rs):
     flat = size * D * D
     rhs = np.where(
         image_sizes == size,
-        flat + size * _fixing_unit_count(ring, ideal) * (D - num),
+        flat + size * fixing * (D - num),
         np.where(image_sizes > 1, flat, size * D * num))
     return lhs, rhs, D * D
 
 
-def check_correlation_ideal(ring, table=None, ideals=None):
+def check_correlation_ideal(ring, table=None):
     """Exhaustive sweep of the ideal correlation identity over all
     nonzero left ideals and all pairs (r, s), with r taken in blocks
     of at most BLOCK_ENTRIES summands.  For a unit u, lhs(I, ru, s) =
@@ -303,18 +274,17 @@ def check_correlation_ideal(ring, table=None, ideals=None):
     only, and on any other table over every element."""
     table = table if table is not None else weight_table(ring)
     order = ring.order
-    if ideals is None:
-        ideals = all_one_sided_ideals(ring, "left")
     num = table.numerators
     if (num[ring.mul_table[:, ring.units_array]] == num[:, None]).all():
         multipliers = _unit_orbit_minima(ring, "right")
     else:
         multipliers = np.arange(order)
-    for ideal in ideals:
+    for ideal in all_one_sided_ideals(ring, "left"):
+        fixing = _fixing_unit_count(ring, ideal)
         block = max(1, BLOCK_ENTRIES // (len(ideal) * order))
         for start in range(0, len(multipliers), block):
             rs = multipliers[start:start + block]
-            lhs, rhs, den = ideal_correlation(ring, table, ideal, rs)
+            lhs, rhs, den = ideal_correlation(ring, table, ideal, rs, fixing)
             bad = np.argwhere(lhs != rhs)
             if len(bad):
                 i, s = bad[0]
@@ -486,10 +456,3 @@ def identity_suite(ring, table=None, checks=None, k_max=2, cap=None,
             status = f"pass (sampled, n={sample}, seed={seed})"
         yield f"word-correlation-k{k}", status
 
-
-def run_identity_suite(ring, k_max=2, table=None, cap=None):
-    """Run every weight identity check exhaustively; returns the list
-    of check names executed.  Raises IdentityCheckError on the first
-    failure and CapExceededError when a sweep is past the cap."""
-    return [name for name, _ in identity_suite(ring, table, k_max=k_max,
-                                               cap=cap, full=True)]

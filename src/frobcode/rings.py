@@ -385,9 +385,6 @@ class GeneratingCharacter:
     exponents: tuple
     modulus: int
 
-    def value(self, x):
-        return self.exponents[x]
-
     def is_additive_homomorphism(self, ring):
         ex, e = _reduced_exponents(self)
         if ex[0] != 0:
@@ -460,18 +457,6 @@ class FiniteRing:
 
     def add(self, a, b):
         return int(self.add_table[a, b])
-
-    def mul(self, a, b):
-        return int(self.mul_table[a, b])
-
-    def neg(self, a):
-        return int(self.neg_table[a])
-
-    def sub(self, a, b):
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def label(self, x):
-        return self.labels[x]
 
     @property
     def is_commutative(self):
@@ -925,82 +910,3 @@ def order2_socle_part(ring):
             f"even-sum subgroup has size {len(s0)}, expected {expected}")
     return gens, frozenset(s0)
 
-
-def socle_rank_data(ring):
-    """(factors, ranks) for the built-in constructions: factors lists
-    the simple factors (q_i, m_i) of the socle, M_{m_i}(GF(q_i)), and
-    ranks[x] is the per-factor matrix rank tuple of x, or None when x
-    lies outside the socle.  None for any other ring."""
-    spec = ring.spec
-    if isinstance(spec, GF):
-        return [(spec.order, 1)], [(int(x != 0),) for x in range(ring.order)]
-    if isinstance(spec, MatRing):
-        m = spec.m
-        base = ring.meta["base_ring"]
-        entries = np.asarray(ring.meta["entries"]).reshape(-1, m, m)
-        return [(base.order, m)], [(gf_matrix_rank(base, mat.tolist()),)
-                                   for mat in entries]
-    if isinstance(spec, Zm):
-        primes = _prime_factors(spec.m)
-        step = spec.m // math.prod(primes)
-        return [(p, 1) for p in primes], [
-            None if x % step else tuple(int(x // step % p != 0)
-                                        for p in primes)
-            for x in range(spec.m)]
-    if isinstance(spec, Product):
-        parts = [socle_rank_data(f) for f in ring.meta["factor_rings"]]
-        if any(part is None for part in parts):
-            return None
-        ranks = []
-        for comps in ring.meta["components"]:
-            tuples = [part[1][int(c)] for part, c in zip(parts, comps)]
-            ranks.append(None if None in tuples else sum(tuples, ()))
-        return [f for part in parts for f in part[0]], ranks
-    return None
-
-
-def structural_socle(ring):
-    """Element set of the socle for constructions where it is known
-    structurally, else None."""
-    data = socle_rank_data(ring)
-    if data is None:
-        return None
-    return frozenset(x for x, rank in enumerate(data[1]) if rank is not None)
-
-
-def gf_matrix_rank(field, rows):
-    """Rank of a matrix with entries in a tables-backed field."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(row, n_rows):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = _field_inv(field, mat[row][col])
-        for i in range(row + 1, n_rows):
-            if mat[i][col] != 0:
-                factor = field.mul(mat[i][col], inv)
-                for j in range(col, n_cols):
-                    mat[i][j] = field.sub(
-                        mat[i][j], field.mul(factor, mat[row][j]))
-        row += 1
-        rank += 1
-        if row == n_rows:
-            break
-    return rank
-
-
-def _field_inv(field, a):
-    v = int(np.argmax(field.mul_table[a] == 1))
-    if field.mul(a, v) != 1:
-        raise RingConstructionError(f"element {a} has no inverse")
-    return v

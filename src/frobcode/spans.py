@@ -16,11 +16,10 @@ keys.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, IdentityCheckError, PreconditionError
+from .errors import CapExceededError, PreconditionError
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -115,30 +114,6 @@ def _sorted_unique_rows(vectors, order):
     return vectors[first], keys
 
 
-@dataclass
-class RingModuleSpan:
-    """A one-sided submodule of R^n, stored as its full element list."""
-
-    ring: object
-    dim: int
-    side: str
-    generators: tuple
-    elements: np.ndarray
-    keys: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.keys is None:
-            self.keys = encode_vectors(self.elements, self.ring.order)
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def contains(self, vector):
-        key = encode_vectors(np.asarray(vector)[None, :], self.ring.order)
-        return bool(lookup(self.keys, key)[1][0])
-
-
 def scalar_orbit(ring, scalars, vector, side="left"):
     """Rows s*v (side left) or v*s (side right) for s in scalars."""
     vector = np.asarray(vector, dtype=np.int32)
@@ -150,8 +125,9 @@ def scalar_orbit(ring, scalars, vector, side="left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def span(ring, generators, side="left", cap=None):
-    """The left (or right) submodule of R^n generated by the given rows.
+def span(ring, generators, cap=None):
+    """The left submodule of R^n generated by the given rows, as sorted
+    unique rows and their keys.
 
     Closure is one pass: starting from the zero module, add one
     generator's full scalar orbit at a time and close under addition
@@ -166,19 +142,19 @@ def span(ring, generators, side="left", cap=None):
     all_scalars = np.arange(ring.order, dtype=np.int32)
     current = np.zeros((1, n), dtype=np.int32)
     for g in generators:
-        orbit = scalar_orbit(ring, all_scalars, g, side)
+        orbit = scalar_orbit(ring, all_scalars, g)
         summed = ring.add_table[current[:, None, :], orbit[None, :, :]]
         summed = summed.reshape(-1, n)
         current, keys = _sorted_unique_rows(summed, ring.order)
         if len(current) > cap:
             raise CapExceededError(
                 f"span grew past cap {cap}")
-    return RingModuleSpan(ring, n, side, tuple(generators), current, keys)
+    return current, keys
 
 
-def unit_orbit(ring, vector, side="left"):
-    """Sorted unique rows {u*v : u a unit} (or v*u on the right)."""
-    orbit = scalar_orbit(ring, ring.units_array, vector, side)
+def unit_orbit(ring, vector):
+    """Sorted unique rows {v*u : u a unit}."""
+    orbit = scalar_orbit(ring, ring.units_array, vector, "right")
     rows, _ = _sorted_unique_rows(orbit, ring.order)
     return rows
 
@@ -264,27 +240,9 @@ def column_module(ring, matrix, cap=None):
     return z, y
 
 
-def column_space(ring, matrix, cap=None):
-    """All products G @ y^T for y in R^n, as sorted unique rows of
-    length k: the elements of the column module."""
-    return column_module(ring, matrix, cap)[0]
-
-
-def check_row_column_cardinality(ring, matrix, cap=None):
-    """Verify that the row space (x @ G) and column space (G @ y) have
-    the same number of elements; returns that common size."""
-    nrows = len(row_space(ring, matrix, cap))
-    ncols = len(column_space(ring, matrix, cap))
-    if nrows != ncols:
-        raise IdentityCheckError(
-            f"row space has {nrows} elements, column space {ncols}",
-            witness={"matrix": np.asarray(matrix).tolist()})
-    return nrows
-
-
-def is_submodule(ring, vectors, side="left"):
-    """True iff the given sorted unique rows form a one-sided submodule
-    of R^n (nonempty, closed under addition and scalar action)."""
+def is_submodule(ring, vectors):
+    """True iff the given sorted unique rows form a right submodule of
+    R^n (nonempty, closed under addition and the right scalar action)."""
     vectors = np.asarray(vectors, dtype=np.int32)
     if vectors.ndim != 2 or len(vectors) == 0:
         return False
@@ -305,10 +263,6 @@ def is_submodule(ring, vectors, side="left"):
     all_scalars = np.arange(ring.order, dtype=np.int32)
     for start in range(0, ring.order, block):
         scalars = all_scalars[start:start + block, None, None]
-        if side == "left":
-            scaled = ring.mul_table[scalars, vectors[None, :, :]]
-        else:
-            scaled = ring.mul_table[vectors[None, :, :], scalars]
-        if not covered(scaled):
+        if not covered(ring.mul_table[vectors[None, :, :], scalars]):
             return False
     return True

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from frobcode.codes import build_code, two_weight_profile
-from frobcode.duality import DualReport, smaller_class_matrix
+from frobcode.duality import DualReport
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring
@@ -24,6 +24,12 @@ from frobcode.spans import (
     enumerate_vectors,
 )
 from srg_oracle import oracle_srg
+
+
+def smaller_class_matrix(code):
+    """The smaller-weight codewords, in sorted word order, as rows."""
+    w1 = two_weight_profile(code).w1
+    return code.words[code.word_numerators == int(w1 * code.denominator)]
 
 
 def oracle_build_dual(code, cap=None):

@@ -19,7 +19,8 @@ from itertools import product
 import numpy as np
 
 from frobcode.errors import IdentityCheckError
-from frobcode.homweight import WeightTable, ideal_correlation
+from frobcode.homweight import WeightTable, _fixing_unit_count, \
+    ideal_correlation
 
 
 def _w(table, x):
@@ -100,11 +101,10 @@ def bump_unit_orbit(ring, table, x, delta):
     return WeightTable(ring, numerators, table.denominator)
 
 
-def all_one_sided_ideals_every_element(ring, side="left",
-                                       include_zero=False):
-    """Every left (or right) ideal, sorted by size and then elements:
-    the principal ideal of every element, closed under the sum of every
-    pair."""
+def all_one_sided_ideals_every_element(ring, side="left"):
+    """Every nonzero left (or right) ideal, sorted by size and then
+    elements: the principal ideal of every element, closed under the sum
+    of every pair."""
     found = {}
     for x in range(ring.order):
         ideal = np.unique(ring.mul_table[:, x] if side == "left"
@@ -121,9 +121,7 @@ def all_one_sided_ideals_every_element(ring, side="left",
                     fresh.append(s)
         frontier = fresh
     ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
-    if not include_zero:
-        ideals = [i for i in ideals if len(i) > 1 or i[0] != 0]
-    return ideals
+    return [i for i in ideals if len(i) > 1 or i[0] != 0]
 
 
 def check_coset_sums_every_shift(ring, table):
@@ -150,8 +148,9 @@ def check_correlation_ideal_every_r(ring, table):
     time."""
     for ideal in all_one_sided_ideals_every_element(ring, "left"):
         for r in range(ring.order):
-            lhs, rhs, den = ideal_correlation(ring, table, ideal,
-                                              np.array([r]))
+            lhs, rhs, den = ideal_correlation(
+                ring, table, ideal, np.array([r]),
+                _fixing_unit_count(ring, ideal))
             bad = np.flatnonzero(lhs[0] != rhs[0])
             if len(bad):
                 s = int(bad[0])

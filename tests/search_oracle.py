@@ -1,13 +1,13 @@
 """The per-candidate search, kept as the oracle of the table-driven one.
 
 Every candidate builds its code and goes through ``certify_candidate``:
-the code's weights classify it, ``codes.one_weight_characterization``
+the code's weights classify it, ``one_weight_characterization``
 and ``graphs.equivalence_check`` certify its support, difference set,
 submodule and column-module claims from the enumerated vectors.  The
 search must give equal records and the same first failure.
 """
 
-from frobcode.codes import build_code, one_weight_characterization
+from frobcode.codes import build_code, one_weight_verdict
 from frobcode.duality import dual_pipeline
 from frobcode.errors import (
     CapExceededError,
@@ -27,7 +27,21 @@ from frobcode.search import (
     _candidate_generator,
     projective_points,
 )
-from frobcode.spans import enum_cap
+from frobcode.spans import enum_cap, is_submodule
+
+
+def one_weight_characterization(code):
+    """Check the equivalence of codes.one_weight_verdict on a code with
+    trivial zero-weight subcode from its enumerated vectors.  Returns
+    (is_one_weight, is_modular, support_is_submodule)."""
+    if code.b0 != 1:
+        raise PreconditionError(
+            "one-weight characterization needs a trivial zero-weight "
+            "subcode")
+    facts = (len(code.nonzero_weights) == 1, code.index is not None,
+             is_submodule(code.ring, code.support))
+    one_weight_verdict(code.ring, *facts, lambda: code.generator)
+    return facts
 
 
 def certify_candidate(ring, k, subset, index, cap):

@@ -28,10 +28,11 @@ from frobcode.errors import (
     ZeroColumnError,
 )
 from frobcode.graphs import build_coset_graph, measure_srg, predicted_srg
-from frobcode.homweight import run_identity_suite, weight_table
+from frobcode.homweight import identity_suite, weight_table
 from frobcode.rings import FiniteRing, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import check_row_column_cardinality, enumerate_vectors
+from frobcode.spans import encode_vectors, enumerate_vectors, lookup
+from span_oracle import check_row_column_cardinality
 
 SUITE_RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)",
                "GF(4)", "M2(GF(2))"]
@@ -89,7 +90,7 @@ def test_criterion_2_identity_suite():
     with criterion(2, "weight identity suite", 60.0):
         for spec in SUITE_RINGS:
             ring = ring_from_text(spec)
-            executed = run_identity_suite(ring, k_max=2)
+            executed = [name for name, _ in identity_suite(ring, full=True)]
             assert "coset-sums" in executed
             assert "zero-set" in executed
             assert "sum-of-squares" in executed
@@ -108,6 +109,19 @@ def test_criterion_3_span_cardinality():
                 check_row_column_cardinality(ring, matrix.astype(np.int32))
 
 
+def zero_and_larger_closed(code):
+    """Whether the words of weight 0 or of the larger weight w2 are
+    closed under addition, i.e. form a subcode."""
+    ring = code.ring
+    w2 = int(code.profile.w2 * code.denominator)
+    rows = code.words[(code.word_numerators == 0)
+                      | (code.word_numerators == w2)]
+    sums = ring.add_table[rows[:, None, :], rows[None, :, :]]
+    keys = np.sort(encode_vectors(rows, ring.order))
+    return bool(lookup(keys, encode_vectors(sums.reshape(-1, code.n),
+                                            ring.order))[1].all())
+
+
 def test_criterion_4_graphs_of_search_hits():
     with criterion(4, "graph parameters of search hits", 600.0):
         nontrivial = 0
@@ -115,11 +129,14 @@ def test_criterion_4_graphs_of_search_hits():
         for text, ring, rec in hits():
             code = build_code(ring, generator_for_record(ring, rec))
             graph = build_coset_graph(code)
-            measured = measure_srg(graph.adjacency)
+            measured = measure_srg(graph.adjacency())
             assert measured == predicted_srg(rec.profile)
             assert measured == rec.srg
             triv = measured.common_nonadjacent == measured.degree
             assert (rec.weights[0] == rec.n) == triv
+            # trivial exactly when the zero- and larger-weight words form
+            # a subcode, whose cosets are then the graph's cocliques
+            assert zero_and_larger_closed(code) == triv
             assert measured.trivial == triv
             if not measured.trivial:
                 nontrivial += 1

@@ -278,6 +278,26 @@ def test_graph_dot_respects_cap(capsys, tmp_path, monkeypatch):
     assert err == "error: coset graph adjacency of 9x9 entries exceeds cap 80\n"
 
 
+def test_graph_dot_obeys_the_cap_option(capsys, tmp_path, monkeypatch):
+    # --cap bounds the adjacency's entries, over FROBCODE_CAP either way
+    path = write_code(tmp_path, "f3.code", F3_IDENTITY)
+    dot = tmp_path / "f3.dot"
+    monkeypatch.setenv("FROBCODE_CAP", "8")
+    rc, out, err = run_cli(capsys, ["graph", path, "--dot", str(dot),
+                                    "--cap", "100000"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [f"wrote {dot}: 9 vertices, 18 edges",
+                                "graph parameters: pass"]
+    assert dot.read_text().count(" -- ") == 18
+    dot.unlink()
+    monkeypatch.delenv("FROBCODE_CAP")
+    rc, out, err = run_cli(capsys, ["graph", path, "--dot", str(dot),
+                                    "--cap", "50"])
+    assert rc == 2
+    assert err == "error: coset graph adjacency of 9x9 entries exceeds cap 50\n"
+    assert not dot.exists()
+
+
 def test_graph_rejects_one_weight(capsys, tmp_path):
     path = write_code(tmp_path, "ow.code", Z4_ONE_WEIGHT)
     rc, out, err = run_cli(capsys, ["graph", path])

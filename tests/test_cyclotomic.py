@@ -13,8 +13,17 @@ from frobcode.cyclotomic import (
     cyclotomic,
     divisors,
     poly_divmod,
-    poly_mul,
+    trim,
 )
+
+
+def poly_mul(a, b):
+    """Product of integer polynomials, by schoolbook multiplication."""
+    out = [0] * (len(a) + len(b))
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return trim(out)
 
 
 def sympy_coeffs(e):

@@ -16,7 +16,6 @@ from frobcode.duality import (
     _column_module,
     build_dual,
     dual_pipeline,
-    smaller_class_matrix,
 )
 from frobcode.errors import (
     CapExceededError,
@@ -34,8 +33,9 @@ def make(text, rows):
 
 
 def test_smaller_class_matrix_frozen():
+    # the dual's generator is the transposed smaller-weight matrix m1
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    m1 = smaller_class_matrix(code)
+    m1 = build_dual(code).generator.T
     assert [tuple(r) for r in m1.tolist()] == [
         (0, 1), (0, 2), (1, 0), (2, 0)]
 

@@ -18,7 +18,6 @@ from frobcode.errors import (
 from frobcode.graphs import (
     SrgParams,
     build_coset_graph,
-    check_trivial_structure,
     coset_graph_srg,
     equivalence_check,
     measure_srg,
@@ -102,7 +101,8 @@ def test_srg_feasibility_enforced():
 def test_f3_coset_graph_is_the_rook_graph():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     graph = build_coset_graph(code)
-    measured = measure_srg(graph.adjacency)
+    adjacency = graph.adjacency()
+    measured = measure_srg(adjacency)
     assert measured.as_tuple() == (9, 4, 1, 2)
     # independent construction: words differ in exactly one coordinate
     # exactly when they share a row or column of the 3 x 3 grid
@@ -113,8 +113,7 @@ def test_f3_coset_graph_is_the_rook_graph():
             if i != j:
                 diff = (reps[i] != reps[j]).sum()
                 rook[i, j] = 1 if diff == 1 else 0
-    assert (graph.adjacency == rook).all()
-    check_trivial_structure(graph)
+    assert (adjacency == rook).all()
 
 
 def test_predicted_parameters():
@@ -140,10 +139,15 @@ def test_predicted_rejects_non_integral():
 def test_trivial_graph_structure():
     ring, code = make("GF(2)", [[1, 0], [0, 1]])
     graph = build_coset_graph(code)
-    measured = measure_srg(graph.adjacency)
+    adjacency = graph.adjacency()
+    measured = measure_srg(adjacency)
     assert measured.as_tuple() == (4, 2, 0, 2)
     assert measured.trivial
-    check_trivial_structure(graph)
+    # complete multipartite: adjacent exactly across the cosets of the
+    # zero- and larger-weight subcode {00, 11}
+    reps = graph.representatives.tolist()
+    part = [min(r, [1 - v for v in r]) for r in reps]
+    assert adjacency.tolist() == [[int(p != q) for q in part] for p in part]
     profile = two_weight_profile(code)
     assert predicted_srg(profile) == measured
 
@@ -170,10 +174,14 @@ def test_adjacency_is_refused_past_the_cap(monkeypatch):
     monkeypatch.setenv("FROBCODE_CAP", "80")
     graph = build_coset_graph(code)
     assert coset_graph_srg(graph).as_tuple() == (9, 4, 1, 2)
-    with pytest.raises(CapExceededError):
-        graph.adjacency
+    with pytest.raises(CapExceededError, match="exceeds cap 80$"):
+        graph.adjacency()
+    # an explicit cap overrides the environment's, either way
+    assert graph.adjacency(81).shape == (9, 9)
     monkeypatch.setenv("FROBCODE_CAP", "81")
-    assert graph.adjacency.shape == (9, 9)
+    assert graph.adjacency().shape == (9, 9)
+    with pytest.raises(CapExceededError, match="exceeds cap 80$"):
+        graph.adjacency(80)
 
 
 def halves_code(spec, k):
@@ -220,7 +228,7 @@ def assert_matches_srg_oracle(code):
     reps, dense = oracle_coset_graph(code)
     graph = build_coset_graph(code)
     assert (graph.representatives == reps).all()
-    assert (graph.adjacency == dense).all()
+    assert (graph.adjacency() == dense).all()
     expected = srg_outcome(lambda: measure_srg(dense))
     assert srg_outcome(lambda: coset_graph_srg(graph)) == expected
     return expected
@@ -371,7 +379,7 @@ def test_cayley_graph_matches_coset_graph():
     group = enumerate_vectors(3, 2)
     omega = np.array([[0, 1], [0, 2], [1, 0], [2, 0]], dtype=np.int32)
     adjacency = cayley_graph(ring, group, omega)
-    assert (adjacency == graph.adjacency).all()
+    assert (adjacency == graph.adjacency()).all()
 
 
 # ------------------------------------------------------- the equivalence

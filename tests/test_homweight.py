@@ -12,27 +12,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
+    _fixing_unit_count,
     all_one_sided_ideals,
     check_correlation_ideal,
     check_coset_sums,
     check_unit_invariance,
     check_zero_set,
+    identity_suite,
     ideal_correlation,
-    run_identity_suite,
     sum_of_squares_check,
     weight_table,
-    whom,
-    whom_on_socle,
-    whom_word,
 )
-from frobcode.rings import (
-    order2_socle_part,
-    ring_from_text,
+from frobcode.rings import order2_socle_part, ring_from_text
+from socle_oracle import (
+    gf_matrix_rank,
     socle_rank_data,
     structural_socle,
+    whom_on_socle,
 )
 
 RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)", "GF(4)",
@@ -89,8 +90,6 @@ def test_fields_are_scaled_hamming(q, text):
 
 
 def test_matrix_ring_weights_by_rank():
-    from frobcode.rings import gf_matrix_rank
-
     ring = ring_from_text("M2(GF(2))")
     base = ring_from_text("GF(2)")
     table = weight_table(ring)
@@ -106,19 +105,16 @@ def test_matrix_ring_weights_by_rank():
         assert table.value(x) == by_rank[rank]
 
 
-def test_whom_and_word_accessors():
+def test_value_and_word_numerator_accessors():
     ring = ring_from_text("Z4")
-    assert whom(ring, 2) == 2
-    assert whom_word(ring, [1, 2, 3]) == 4
     table = weight_table(ring)
+    assert table.value(2) == 2
     assert table.word_numerator(
         np.array([[1, 2, 3]], dtype=np.int32)).tolist() \
         == [4 * table.denominator]
 
 
-@pytest.mark.parametrize("text", RINGS)
-def test_socle_closed_form_agrees(text):
-    ring = ring_from_text(text)
+def assert_socle_closed_form(ring):
     table = weight_table(ring)
     socle = set(structural_socle(ring))
     factors, ranks = socle_rank_data(ring)
@@ -128,6 +124,26 @@ def test_socle_closed_form_agrees(text):
             assert ranks[x] is None
         else:
             assert table.value(x) == whom_on_socle(factors, ranks[x])
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_socle_closed_form_agrees(text):
+    assert_socle_closed_form(ring_from_text(text))
+
+
+# factors of the random products below, with their orders: every
+# construction the grammar builds, kept small so that the products stay
+# quick to build
+PRODUCT_FACTORS = {"Z2": 2, "Z3": 3, "Z4": 4, "Z6": 6, "Z8": 8, "Z9": 9,
+                   "GF(4)": 4, "GF(5)": 5, "M2(GF(2))": 16}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(st.sampled_from(sorted(PRODUCT_FACTORS)), min_size=1,
+                max_size=3).filter(
+    lambda fs: math.prod(PRODUCT_FACTORS[f] for f in fs) <= 512))
+def test_product_weight_tables_match_socle_closed_form(factors):
+    assert_socle_closed_form(ring_from_text(f"prod({','.join(factors)})"))
 
 
 def test_zero_set_is_order2_socle_part():
@@ -141,7 +157,8 @@ def test_zero_set_is_order2_socle_part():
 
 @pytest.mark.parametrize("text", RINGS)
 def test_identity_suite_green(text):
-    names = run_identity_suite(ring_from_text(text))
+    names = [name for name, _ in identity_suite(ring_from_text(text),
+                                                full=True)]
     assert names == ["zero-set", "unit-invariance", "coset-sums",
                      "ideal-correlation", "sum-of-squares",
                      "word-correlation-k1", "word-correlation-k2"]
@@ -165,7 +182,8 @@ def test_ideal_correlation_zero_image_branch():
     z4 = ring_from_text("Z4")
     ideal = np.array([0, 2], dtype=np.int64)
     lhs, rhs, den = ideal_correlation(z4, weight_table(z4), ideal,
-                                      np.array([2, 1]))
+                                      np.array([2, 1]),
+                                      _fixing_unit_count(z4, ideal))
     assert Fraction(int(lhs[0, 2]), den) == Fraction(int(rhs[0, 2]), den) \
         == 4
     assert Fraction(int(rhs[0, 2]), den) != len(ideal)
@@ -182,8 +200,6 @@ def test_ideal_enumeration():
     ideals = all_one_sided_ideals(z6, "left")
     as_sets = [set(i.tolist()) for i in ideals]
     assert as_sets == [{0, 3}, {0, 2, 4}, {0, 1, 2, 3, 4, 5}]
-    with_zero = all_one_sided_ideals(z6, "left", include_zero=True)
-    assert set(with_zero[0].tolist()) == {0}
     m2 = ring_from_text("M2(GF(2))")
     left = all_one_sided_ideals(m2, "left")
     right = all_one_sided_ideals(m2, "right")

@@ -33,6 +33,7 @@ from frobcode.codes import (
 )
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
+    _fixing_unit_count,
     _sampled_correlation_vectors,
     all_one_sided_ideals,
     check_correlation_ideal,
@@ -97,7 +98,8 @@ def test_ideal_correlation_matches_oracle(data):
     ideal = data.draw(st.sampled_from(all_one_sided_ideals(ring, "left")))
     r = data.draw(st.integers(0, ring.order - 1))
     s = data.draw(st.integers(0, ring.order - 1))
-    lhs, rhs, den = ideal_correlation(ring, table, ideal, np.array([r]))
+    lhs, rhs, den = ideal_correlation(ring, table, ideal, np.array([r]),
+                                      _fixing_unit_count(ring, ideal))
     expected = ideal_correlation_lhs(ring, table, ideal, r, s)
     assert Fraction(int(lhs[0, s]), den) == expected
     assert Fraction(int(rhs[0, s]), den) == expected
@@ -289,7 +291,7 @@ def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
         table = table.with_bumped_numerator(ring.order - 1, 1)
     visited = []
 
-    def spy(ring, table, ideal, rs):
+    def spy(ring, table, ideal, rs, fixing):
         visited.extend(rs.tolist())
         agree = np.zeros((len(rs), ring.order), dtype=np.int64)
         return agree, agree, 1
@@ -303,16 +305,30 @@ def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
     assert visited == swept * len(all_one_sided_ideals(ring, "left"))
 
 
+def test_fixing_unit_count_is_taken_once_per_ideal(monkeypatch):
+    # with blocks of one r each, every ideal spans several blocks of r;
+    # the count of units fixing the ideal is still taken once per ideal
+    ring = ring_from_text("M2(GF(3))")
+    counted = []
+
+    def spy(ring, ideal):
+        counted.append(ideal.tolist())
+        return _fixing_unit_count(ring, ideal)
+
+    monkeypatch.setattr(homweight, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(homweight, "_fixing_unit_count", spy)
+    check_correlation_ideal(ring)
+    assert counted == [i.tolist() for i in all_one_sided_ideals(ring, "left")]
+
+
 @pytest.mark.parametrize("spec", REDUCED_RINGS)
 def test_ideal_enumeration_matches_every_element_oracle(spec):
     ring = reduced_ring(spec)
     for side in ("left", "right"):
-        for include_zero in (False, True):
-            got = all_one_sided_ideals(ring, side, include_zero)
-            want = all_one_sided_ideals_every_element(ring, side,
-                                                      include_zero)
-            assert [(i.dtype, i.tolist()) for i in got] \
-                == [(i.dtype, i.tolist()) for i in want]
+        got = all_one_sided_ideals(ring, side)
+        want = all_one_sided_ideals_every_element(ring, side)
+        assert [(i.dtype, i.tolist()) for i in got] \
+            == [(i.dtype, i.tolist()) for i in want]
 
 
 def test_closure_adds_the_non_principal_ideal():

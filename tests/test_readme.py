@@ -33,4 +33,4 @@ def test_library_example_states_its_values():
             continue
         assert eval(code, namespace) == stated, line
         checked.append(code.strip())
-    assert len(checked) == 7, checked
+    assert len(checked) == 8, checked

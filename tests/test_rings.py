@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcode.errors import (
     CapExceededError,
@@ -19,17 +21,23 @@ from frobcode.errors import (
     SpecParseError,
 )
 from frobcode.rings import (
+    BUILTIN_POLYS,
+    DEFAULT_ORDER_CAP,
+    GF,
     FiniteRing,
     GeneratingCharacter,
+    MatRing,
+    OpSpec,
+    Product,
+    Zm,
     build_ring,
-    gf_matrix_rank,
     is_generating_character,
     opposite_ring,
     order2_socle_part,
     parse_ring_spec,
     ring_from_text,
-    structural_socle,
 )
+from socle_oracle import gf_matrix_rank, structural_socle
 
 ACCEPTANCE_RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)",
                     "GF(4)", "M2(GF(2))"]
@@ -52,6 +60,39 @@ def test_parser_round_trips():
         assert spec.text() == canonical
         again = parse_ring_spec(spec.text())
         assert again.text() == canonical
+
+
+FIELDS = [GF(p) for p in (2, 3, 5, 7, 11, 13)] + [
+    GF(p, r) for p, r in sorted(BUILTIN_POLYS)]
+MATRIX_RINGS = [MatRing(m, f) for m in (1, 2, 3) for f in FIELDS
+                if f.order ** (m * m) <= DEFAULT_ORDER_CAP]
+
+
+def nested_specs():
+    """Specs of the grammar: Z<m>, built-in fields, matrix rings over
+    them and nested products, within the order cap, and sometimes the
+    opposite of one, which opposite_ring names but the parser does not
+    read."""
+    leaves = st.one_of(st.integers(2, 64).map(Zm), st.sampled_from(FIELDS),
+                       st.sampled_from(MATRIX_RINGS))
+    specs = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+            lambda factors: Product(tuple(factors))),
+        max_leaves=4).filter(lambda spec: spec.order <= DEFAULT_ORDER_CAP)
+    return st.one_of(specs, specs.map(OpSpec))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(nested_specs())
+def test_parse_text_parse_round_trip(spec):
+    text = spec.text()
+    base = spec.base if isinstance(spec, OpSpec) else spec
+    if base is not spec:
+        assert text == f"op({base.text()})"
+    parsed = parse_ring_spec(base.text())
+    assert parsed == base
+    assert parse_ring_spec(parsed.text()) == parsed
 
 
 def test_parse_errors_carry_position():

@@ -137,7 +137,7 @@ def test_closure_equals_is_submodule(spec, k):
     closed = tables._closed(chosen, tables._difference_counts(chosen))
     for row, is_closed in zip(chosen, closed.tolist()):
         members = np.concatenate([[True], row == 1])[labels + 1]
-        assert is_closed == is_submodule(ring, vectors[members], "right")
+        assert is_closed == is_submodule(ring, vectors[members])
 
 
 def _outcome(fn):
