@@ -18,10 +18,7 @@ import numpy as np
 from .codes import (
     build_code,
     parse_code_file,
-    sweep_class_coset_sums,
-    sweep_code_correlation,
-    sweep_coordinate_identities,
-    sweep_shifts,
+    sweep_code_identities,
 )
 from .duality import dual_pipeline
 from .errors import (
@@ -163,18 +160,8 @@ def _profile_payload(profile):
 def cmd_analyze(args):
     _check_sample(args.sample)
     ring, code = _load_code(args.file, args.cap)
-    profile = code.profile
-    checks = {}
-    if code.index is not None:
-        shifts = sweep_shifts(code, args.full, args.sample, args.seed,
-                              args.cap)
-        sweep_code_correlation(code, shifts)
-        checks["code-correlation"] = True
-        if profile is not None:
-            sweep_class_coset_sums(code, shifts)
-            checks["class-coset-sums"] = True
-            sweep_coordinate_identities(code)
-            checks["coordinate-identities"] = True
+    checks = sweep_code_identities(code, args.full, args.sample, args.seed,
+                                   args.cap)
     histogram = {_rat(w): c for w, c in code.weight_distribution.items()}
     payload = {
         "ring": ring.spec.text(),
@@ -184,8 +171,8 @@ def cmd_analyze(args):
         "b0": code.b0,
         "histogram": histogram,
         "modular_index": _rat(code.index),
-        "profile": _profile_payload(profile),
-        "lemma_checks": checks,
+        "profile": _profile_payload(code.profile),
+        "lemma_checks": dict.fromkeys(checks, True),
     }
     _emit_json(payload, args.json)
     return 0

@@ -73,11 +73,8 @@ class LinearCode:
         """Distinct nonzero codeword weights, ascending."""
         return tuple(v for v in self.weight_distribution if v != 0)
 
-    def words_of_numerator(self, numerator):
-        return self.words[self.word_numerators == numerator]
-
     def zero_weight_words(self):
-        return self.words_of_numerator(0)
+        return self.words[self.word_numerators == 0]
 
     @property
     def b0(self):
@@ -164,15 +161,28 @@ def build_code(ring, generator, cap=None):
 
 
 def _check_zero_class_subgroup(code):
+    """Grow the group S generated by the zero-weight words one word w at
+    a time, as the cosets S + m w; S leaves those words exactly when
+    they are not closed under addition.  Each w at least doubles S."""
+    add, order = code.ring.add_table, code.ring.order
     zero_words = code.zero_weight_words()
-    sums = code.ring.add_table[zero_words[:, None, :],
-                               zero_words[None, :, :]]
-    sums = sums.reshape(-1, code.n)
-    zero_keys = np.sort(encode_vectors(zero_words, code.ring.order))
-    if not lookup(zero_keys, encode_vectors(sums, code.ring.order))[1].all():
-        raise IdentityCheckError(
-            "zero-weight words are not closed under addition",
-            witness={"ring": code.ring.spec.text()})
+    zero_keys = code.word_keys[code.word_numerators == 0]
+    group = np.zeros((1, code.n), dtype=np.int32)
+    group_keys = encode_vectors(group, order)
+    while True:
+        outside = zero_words[~lookup(group_keys, zero_keys)[1]]
+        if not len(outside):
+            return
+        cosets, coset = [group], add[group, outside[0]]
+        while not lookup(group_keys, encode_vectors(coset[:1], order))[1][0]:
+            cosets.append(coset)
+            coset = add[coset, outside[0]]
+        group = np.concatenate(cosets)
+        group_keys = np.sort(encode_vectors(group, order))
+        if not lookup(zero_keys, group_keys)[1].all():
+            raise IdentityCheckError(
+                "zero-weight words are not closed under addition",
+                witness={"ring": code.ring.spec.text()})
 
 
 def modular_index(code):
@@ -263,88 +273,67 @@ def one_weight_verdict(ring, is_one, is_mod, is_sub, generator):
 
 
 # --------------------------------------- exact identity evaluation
-#
-# Each evaluator gives both sides of one identity for a batch of shifts,
-# as int64 numerators over one common denominator, which it returns too.
 
 
-def code_correlation(code, ds):
-    """Both sides of: sum over codewords c of w(c) w(c + d) equals
-    |C| (n^2 + rn - r w(d)), for a modular code of index r = p/q and
-    each shift d in the rows of ds; numerators over q D^2."""
+def _identity_sides(code):
+    """The shifted-weight identities of a modular code of index r = p/q,
+    one row each, as int64 numerators over the row's denominator.  The
+    left side at a shift d (a word, or one coordinate's value) is the
+    row's codeword coefficients times w(c + d) summed over c; the right
+    side is m const + slope w(d), m = n for a word and 1 for a value.
+
+    - Row 0, over q D^2: the sum over codewords of w(c) w(c + d) is
+      |C| (n^2 + rn - r w(d)), per coordinate |C| (n + r - r w(d_j)).
+    - Rows 1 and 2, for a two-weight code, over n D^2: the sum of
+      w(c + d) over the smaller-weight class is
+      b1 w1 + (b1 - b1 w1 / n) w(d), per coordinate b1 w1 / n + the same
+      slope; over the larger-weight class, n |C| - b0 w(d) minus that.
+
+    Returns the coefficient rows, const, slope and the denominators."""
     index = code.index
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
-    num = code.table.numerators
-    D = code.denominator
-    n = code.n
+    profile, D, n, size = code.profile, code.denominator, code.n, code.size
     p, q = index.numerator, index.denominator
+    rows, dens = [q * code.word_numerators], [q * D * D]
+    const, slope = [size * D * D * (n * q + p)], [-size * p * D]
+    if profile is not None:
+        b0, b1, w1num = profile.b0, profile.b1, int(profile.w1 * D)
+        rows += [n * D * (code.word_numerators == int(w * D))
+                 for w in (profile.w1, profile.w2)]
+        dens += [n * D * D] * 2
+        const += [b1 * w1num * D, n * size * D * D - b1 * w1num * D]
+        slope += [b1 * n * D - b1 * w1num,
+                  b1 * w1num - b1 * n * D - b0 * n * D]
+    return (np.stack(rows).astype(np.int64), np.array(const),
+            np.array(slope), dens)
+
+
+def shifted_weight_sums(code, ds):
+    """Both sides of every identity of _identity_sides at each shift d
+    in the rows of ds, as (rows, len(ds)) arrays, and the
+    denominators."""
+    rows, const, slope, dens = _identity_sides(code)
+    num = code.table.numerators
     shifted = num[code.ring.add_table[code.words[:, None, :],
                                       ds[None, :, :]]].sum(axis=2)
-    lhs = q * (code.word_numerators @ shifted)
-    rhs = code.size * (n * n * D * D * q + p * n * D * D
-                       - p * D * num[ds].sum(axis=1))
-    return lhs, rhs, q * D * D
+    rhs = code.n * const[:, None] + slope[:, None] * num[ds].sum(axis=1)
+    return rows @ shifted, rhs, dens
 
 
-def class_coset_sums(code, ds):
-    """Both sides of the class-wise shifted weight sums of a modular
-    two-weight code, for each shift d in the rows of ds: over the
-    smaller-weight class, the sum of w(c + d) equals
-    b1 w1 + (b1 - b1 w1 / n) w(d); over the larger-weight class, it is
-    n |C| - b0 w(d) minus that.  Returns [(lhs1, rhs1), (lhs2, rhs2)]
-    as numerators over n D^2, and that denominator."""
-    profile = code.modular_two_weight("class coset sum")
+def coordinate_weight_sums(code, js):
+    """Both sides of the correlation and smaller-class identities of
+    _identity_sides at each coordinate j in js and every value d_j, as
+    (rows, len(js), order) arrays, and the denominators."""
+    rows, const, slope, dens = _identity_sides(code)
     num = code.table.numerators
-    D = code.denominator
-    n, b1 = code.n, profile.b1
-    w1num = int(profile.w1 * D)
-    wd = num[ds].sum(axis=1)
-    rhs1 = b1 * w1num * n * D + (b1 * n * D - b1 * w1num) * wd
-    rhs2 = n * n * code.size * D * D - profile.b0 * n * D * wd - rhs1
-    sides = []
-    for weight, rhs in ((profile.w1, rhs1), (profile.w2, rhs2)):
-        rows = code.words_of_numerator(int(weight * D))
-        lhs = num[code.ring.add_table[rows[:, None, :],
-                                      ds[None, :, :]]].sum(axis=(0, 2))
-        sides.append((n * D * lhs, rhs))
-    return sides, n * D * D
-
-
-def coordinate_correlation(code, js):
-    """Both sides of: sum over codewords c of w(c) w(c_j + d_j) equals
-    |C| (n + r - r w(d_j)), for a modular code of index r = p/q, each
-    coordinate j in js and every value d_j; (len(js), order)
-    numerators over q D^2."""
-    index = code.index
-    if index is None:
-        raise PreconditionError("correlation identity needs a modular code")
-    num = code.table.numerators
-    D = code.denominator
-    p, q = index.numerator, index.denominator
     columns = num[code.ring.add_table[code.words[:, js], :]]
-    lhs = q * np.tensordot(code.word_numerators, columns, axes=1)
-    rhs = code.size * (code.n * D * D * q + p * D * D - p * D * num)
-    return lhs, np.broadcast_to(rhs, lhs.shape), q * D * D
+    lhs = np.tensordot(rows[:2], columns, axes=1)
+    rhs = const[:2, None] + slope[:2, None] * num
+    return lhs, np.broadcast_to(rhs[:, None, :], lhs.shape), dens[:2]
 
 
-def coordinate_class_sum(code, js):
-    """Both sides of: over the smaller-weight class of a modular
-    two-weight code, the sum of w(c_j + d_j) equals
-    b1 w1 / n + (b1 - b1 w1 / n) w(d_j), for each coordinate j in js
-    and every value d_j; (len(js), order) numerators over n D^2."""
-    profile = code.modular_two_weight("coordinate class sum")
-    num = code.table.numerators
-    D = code.denominator
-    n, b1 = code.n, profile.b1
-    w1num = int(profile.w1 * D)
-    rows = code.words_of_numerator(w1num)
-    lhs = n * D * num[code.ring.add_table[rows[:, js], :]].sum(axis=0)
-    rhs = b1 * w1num * D + (b1 * n * D - b1 * w1num) * num
-    return lhs, np.broadcast_to(rhs, lhs.shape), n * D * D
-
-
-# ----------------------------------------------------- batched sweeps
+# ------------------------------------------------------------- the sweep
 
 
 def sweep_shifts(code, full=False, sample=None, seed=0, cap=None):
@@ -359,69 +348,59 @@ def sweep_shifts(code, full=False, sample=None, seed=0, cap=None):
                         endpoint=False).astype(np.int32)
 
 
-def _shift_batches(code, shifts):
-    batch = max(1, _BATCH_ENTRIES // max(1, code.size * code.n))
-    for start in range(0, len(shifts), batch):
-        yield shifts[start:start + batch]
+def _evaluate_in_blocks(evaluate, code, items, block):
+    parts = [evaluate(code, items[start:start + block])
+             for start in range(0, len(items), block)]
+    return (np.concatenate([lhs for lhs, _, _ in parts], axis=1),
+            np.concatenate([rhs for _, rhs, _ in parts], axis=1),
+            parts[0][2])
 
 
-def sweep_code_correlation(code, shifts):
-    """Check the codeword correlation identity at every shift in the
-    rows of `shifts` (see sweep_shifts); returns the number checked."""
-    for chunk in _shift_batches(code, shifts):
-        lhs, rhs, den = code_correlation(code, chunk)
-        bad = np.flatnonzero(lhs != rhs)
+def sweep_code_identities(code, full=False, sample=None, seed=0, cap=None):
+    """Check the identities of _identity_sides that the code has, and
+    return the names of the checks passed: none unless it is modular,
+    "code-correlation" at every shift of sweep_shifts, and for a
+    two-weight code "class-coset-sums" at the same shifts and
+    "coordinate-identities", with the smaller-class column sum
+    b1 w1 / n, at every coordinate and value.  Every batch is evaluated
+    before any is checked, so batching does not change the witness."""
+    profile = code.profile  # a corrupted profile fails before any sweep
+    if code.index is None:
+        return []
+    ring = code.ring.spec.text()
+    shifts = sweep_shifts(code, full, sample, seed, cap)
+    lhs, rhs, dens = _evaluate_in_blocks(
+        shifted_weight_sums, code, shifts,
+        max(1, _BATCH_ENTRIES // max(1, code.size * code.n)))
+    names = ("codeword correlation identity",
+             "smaller-class shifted weight sum",
+             "larger-class shifted weight sum")
+    for name, row_lhs, row_rhs, den in zip(names, lhs, rhs, dens):
+        bad = np.flatnonzero(row_lhs != row_rhs)
         if len(bad):
             raise IdentityCheckError(
-                "codeword correlation identity fails",
-                witness={"ring": code.ring.spec.text(),
-                         "d": chunk[bad[0]].tolist(),
-                         "lhs": str(Fraction(int(lhs[bad[0]]), den))})
-    return len(shifts)
+                f"{name} fails",
+                witness={"ring": ring, "d": shifts[bad[0]].tolist(),
+                         "lhs": str(Fraction(int(row_lhs[bad[0]]), den))})
+    if profile is None:
+        return ["code-correlation"]
 
-
-def sweep_class_coset_sums(code, shifts):
-    """Check both class-wise shifted weight sums at every shift in the
-    rows of `shifts` (see sweep_shifts); returns the number checked."""
-    for chunk in _shift_batches(code, shifts):
-        sides, den = class_coset_sums(code, chunk)
-        for label, (lhs, rhs) in zip(("smaller", "larger"), sides):
-            bad = np.flatnonzero(lhs != rhs)
+    lhs, rhs, (_, den) = _evaluate_in_blocks(
+        coordinate_weight_sums, code, np.arange(code.n),
+        max(1, _BATCH_ENTRIES // max(1, code.size * code.ring.order)))
+    column_sum = profile.b1 * profile.w1 / code.n
+    for j in range(code.n):
+        for name, i in (("correlation", 0), ("class sum", 1)):
+            bad = np.flatnonzero(lhs[i, j] != rhs[i, j])
             if len(bad):
                 raise IdentityCheckError(
-                    f"{label}-class shifted weight sum fails",
-                    witness={"ring": code.ring.spec.text(),
-                             "d": chunk[bad[0]].tolist(),
-                             "lhs": str(Fraction(int(lhs[bad[0]]), den))})
-    return len(shifts)
-
-
-def sweep_coordinate_identities(code):
-    """Check both per-coordinate identities for every coordinate and
-    every shift value; also confirms the constant smaller-class column
-    sum b1 w1 / n.  Returns the number of (j, value) pairs checked."""
-    profile = code.modular_two_weight("coordinate identity sweep")
-    ring = code.ring.spec.text()
-    column_sum = profile.b1 * profile.w1 / code.n
-    block = max(1, _BATCH_ENTRIES // max(1, code.size * code.ring.order))
-    for start in range(0, code.n, block):
-        js = np.arange(start, min(start + block, code.n))
-        correlation = coordinate_correlation(code, js)
-        class_sum = coordinate_class_sum(code, js)
-        for i, j in enumerate(js.tolist()):
-            for (lhs, rhs, _), name in ((correlation, "correlation"),
-                                        (class_sum, "class sum")):
-                bad = np.flatnonzero(lhs[i] != rhs[i])
-                if len(bad):
-                    raise IdentityCheckError(
-                        f"per-coordinate {name} identity fails",
-                        witness={"ring": ring, "j": j, "dj": int(bad[0])})
-            lhs, _, den = class_sum
-            if Fraction(int(lhs[i, 0]), den) != column_sum:
-                raise IdentityCheckError(
-                    "smaller-class column sum is not b1 w1 / n",
-                    witness={"ring": ring, "j": j})
-    return code.n * code.ring.order
+                    f"per-coordinate {name} identity fails",
+                    witness={"ring": ring, "j": j, "dj": int(bad[0])})
+        if Fraction(int(lhs[1, j, 0]), den) != column_sum:
+            raise IdentityCheckError(
+                "smaller-class column sum is not b1 w1 / n",
+                witness={"ring": ring, "j": j})
+    return ["code-correlation", "class-coset-sums", "coordinate-identities"]
 
 
 # ------------------------------------------------------- file format

@@ -163,7 +163,6 @@ class CosetGraph:
     representatives: np.ndarray
     coset_index: np.ndarray
     connection: np.ndarray
-    profile: object
 
     def cosets_of(self, rows):
         """Coset index of each given codeword."""
@@ -226,7 +225,7 @@ def build_coset_graph(code):
     coset_index = np.searchsorted(code.word_keys[is_rep], least)
     connection = (code.word_numerators[is_rep]
                   == int(profile.w1 * code.denominator))
-    graph = CosetGraph(code, reps, coset_index, connection, profile)
+    graph = CosetGraph(code, reps, coset_index, connection)
     if not connection[graph.cosets_of(ring.neg_table[reps[connection]])
                       ].all():
         raise IdentityCheckError("coset adjacency is not symmetric")

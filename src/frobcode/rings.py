@@ -239,6 +239,11 @@ def _parse_spec(cur):
             factors.append(_parse_spec(cur))
         cur.expect(")")
         return Product(tuple(factors))
+    if cur.startswith("op("):
+        cur.expect("op(")
+        base = _parse_spec(cur)
+        cur.expect(")")
+        return OpSpec(base)
     if cur.startswith("GF("):
         return _parse_gf(cur)
     if cur.peek() == "M":
@@ -257,7 +262,8 @@ def _parse_spec(cur):
         if m < 2:
             cur.fail("modulus must be at least 2")
         return Zm(m)
-    cur.fail("expected a ring spec (Z<m>, GF(..), M<m>(..), or prod(..))")
+    cur.fail("expected a ring spec (Z<m>, GF(..), M<m>(..), prod(..), "
+             "or op(..))")
 
 
 def _parse_gf(cur):
@@ -295,7 +301,7 @@ def _parse_gf(cur):
 
 def parse_ring_spec(text, *, order_cap=DEFAULT_ORDER_CAP):
     """Parse the ring spec grammar: Z<m>, GF(p^r[,poly=c0,c1,..]),
-    M<m>(GF(..)), prod(spec,..).  A field or matrix ring whose order
+    M<m>(GF(..)), prod(spec,..), op(spec).  A field or matrix ring whose order
     exceeds order_cap is refused here, before its primality tests."""
     cur = _Cursor(text, order_cap)
     spec = _parse_spec(cur)
@@ -816,7 +822,10 @@ def _realize_product(spec, order_cap):
 
 def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
     """Build the ring described by spec, with all invariants verified.
-    The tables are built directly in identity-pinned order."""
+    The tables are built directly in identity-pinned order; op(spec) is
+    the opposite_ring of spec's ring."""
+    if isinstance(spec, OpSpec):
+        return opposite_ring(build_ring(spec.base, order_cap=order_cap))
     order = spec.order
     if order > order_cap:
         raise CapExceededError(

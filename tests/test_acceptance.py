@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from frobcode.cli import main
-from frobcode.codes import (
-    build_code,
-    sweep_class_coset_sums,
-    sweep_code_correlation,
-    sweep_coordinate_identities,
-    sweep_shifts,
-)
+from frobcode.codes import build_code, sweep_code_identities
 from frobcode.duality import dual_pipeline
 from frobcode.errors import (
     CapExceededError,
@@ -194,10 +188,9 @@ def test_criterion_7_shift_identity_sweeps():
     with criterion(7, "shift identity sweeps", 300.0):
         for text, ring, rec in hits():
             code = build_code(ring, generator_for_record(ring, rec))
-            shifts = sweep_shifts(code, seed=0)
-            sweep_code_correlation(code, shifts)
-            sweep_class_coset_sums(code, shifts)
-            sweep_coordinate_identities(code)
+            assert sweep_code_identities(code, seed=0) == [
+                "code-correlation", "class-coset-sums",
+                "coordinate-identities"]
 
 
 def test_criterion_8_robustness():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from frobcode.cli import main
-from frobcode.codes import sweep_code_correlation
+from frobcode.codes import sweep_shifts
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
@@ -678,6 +678,11 @@ CLI_GOLDEN = {
         ["analyze", GF2_HALVES], 0,
         "ca7158be9cfd90b41b3692842b33ca07c9a3fbd978a4a387fd44b14c1dfcca2a",
         EMPTY),
+    # b0 = 2: the larger class leaves out the zero-weight words
+    "analyze prod(Z2,Z2) b0 = 2": (
+        ["analyze", GRAPH_GOLDEN["p22"][0]], 0,
+        "c5e5e61754716dc252df2090f18aeeeef1456ec4bb197be281fe25d39199c5d6",
+        EMPTY),
 }
 
 
@@ -706,11 +711,12 @@ def test_sample_must_be_positive(capsys, tmp_path, command, sample):
 def test_analyze_sample_sets_the_shift_count(capsys, tmp_path, monkeypatch):
     seen = []
 
-    def spy(code, shifts):
+    def spy(*args):
+        shifts = sweep_shifts(*args)
         seen.append(len(shifts))
-        return sweep_code_correlation(code, shifts)
+        return shifts
 
-    monkeypatch.setattr("frobcode.cli.sweep_code_correlation", spy)
+    monkeypatch.setattr("frobcode.codes.sweep_shifts", spy)
     gf2 = write_code(tmp_path, "gf2.code", GF2_HALVES)
     f3 = write_code(tmp_path, "f3.code", F3_IDENTITY)
     for argv in ([gf2, "--sample", "5"], [gf2], [gf2, "--full"],

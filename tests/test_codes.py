@@ -1,34 +1,39 @@
 """Linear code enumeration, modularity, profiles, and the lemma-layer
 identities, with hand-computed frozen examples."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import frobcode
 from frobcode.codes import (
+    LinearCode,
+    _check_zero_class_subgroup,
     build_code,
-    class_coset_sums,
-    code_correlation,
-    coordinate_class_sum,
-    coordinate_correlation,
+    coordinate_weight_sums,
     format_code_file,
     modular_index,
     parse_code_file,
+    shifted_weight_sums,
     support_with_zero,
-    sweep_class_coset_sums,
-    sweep_code_correlation,
-    sweep_coordinate_identities,
+    sweep_code_identities,
     sweep_shifts,
     two_weight_profile,
 )
 from frobcode.errors import (
+    IdentityCheckError,
     PreconditionError,
     SpecParseError,
     ZeroColumnError,
 )
+from frobcode.homweight import weight_table
 from frobcode.rings import ring_from_text
 from frobcode.spans import encode_vectors, lookup
+from identity_oracle import bump_unit_orbit
 from search_oracle import one_weight_characterization
 
 
@@ -105,7 +110,63 @@ def test_non_modular_code():
     with pytest.raises(PreconditionError, match="^code is not modular$"):
         code.modular_two_weight("identity sweep")
     with pytest.raises(PreconditionError):
-        sweep_code_correlation(code, sweep_shifts(code))
+        shifted_weight_sums(code, sweep_shifts(code))
+    assert sweep_code_identities(code) == []
+
+
+def zero_words_closed(code):
+    """Whether every pairwise sum of zero-weight words is one."""
+    rows = code.zero_weight_words()
+    sums = code.ring.add_table[rows[:, None, :], rows[None, :, :]]
+    keys = encode_vectors(rows, code.ring.order)
+    return bool(np.isin(encode_vectors(sums, code.ring.order), keys).all())
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("prod(Z2,Z2)", [[1, 2], [3, 0]]),
+    ("prod(Z4,Z2)", [[1, 2, 5]]),
+    ("M2(GF(2))", [[13, 10]]),
+])
+def test_zero_class_check_matches_pairwise_sums(text, rows):
+    # with the weight of each unit orbit in turn moved to 0, the grown
+    # group fails exactly when some pairwise sum of zero-weight words
+    # has nonzero weight
+    ring, code = make(text, rows)
+    base = weight_table(ring)
+    verdicts = set()
+    for x in range(1, ring.order):
+        table = bump_unit_orbit(ring, base, x, -int(base.numerators[x]))
+        bumped = LinearCode(ring, code.generator, code.words,
+                            code.messages, table)
+        closed = zero_words_closed(bumped)
+        verdicts.add(closed)
+        if closed:
+            _check_zero_class_subgroup(bumped)
+            continue
+        with pytest.raises(IdentityCheckError,
+                           match="not closed under addition"):
+            _check_zero_class_subgroup(bumped)
+    assert verdicts == {True, False}
+
+
+def test_zero_class_check_memory_is_linear_in_b0():
+    # R^2 over eight copies of Z2 has b0 = 2^14 zero-weight words: their
+    # b0^2 pairwise sums alone would be a 2 GiB int32 array
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import numpy as np\n"
+        "from frobcode.codes import build_code\n"
+        "from frobcode.rings import ring_from_text\n"
+        "ring = ring_from_text('prod(' + ','.join(['Z2'] * 8) + ')')\n"
+        "print(build_code(ring, np.eye(2, dtype=np.int32)).b0)\n")
+    src = os.path.dirname(os.path.dirname(frobcode.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get(
+                   "PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16384\n", "")
 
 
 def test_zero_column_rejected():
@@ -143,15 +204,16 @@ def test_membership_and_points():
 
 def test_code_correlation_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    lhs, rhs, den = code_correlation(code, np.array([[0, 0], [1, 1]]))
-    assert [Fraction(int(v), den) for v in lhs] \
-        == [Fraction(int(v), den) for v in rhs] == [45, Fraction(63, 2)]
+    lhs, rhs, dens = shifted_weight_sums(code, np.array([[0, 0], [1, 1]]))
+    assert [Fraction(int(v), dens[0]) for v in lhs[0]] \
+        == [Fraction(int(v), dens[0]) for v in rhs[0]] == [45, Fraction(63, 2)]
 
 
 def test_class_coset_sum_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    [(lhs1, rhs1), (lhs2, rhs2)], den = class_coset_sums(
-        code, np.array([[0, 0], [1, 1]]))
+    lhs, rhs, dens = shifted_weight_sums(code, np.array([[0, 0], [1, 1]]))
+    assert lhs.shape == rhs.shape == (3, 2)
+    (_, lhs1, lhs2), (_, rhs1, rhs2), den = lhs, rhs, dens[1]
     # with no shift the smaller class sums its own weights: 4 * 3/2 = 6
     assert Fraction(int(lhs1[0]), den) == Fraction(int(rhs1[0]), den) == 6
     # shifting by a weight-3 word pushes the sum to b1 w1' forms: 9
@@ -166,10 +228,16 @@ def test_class_coset_sum_frozen_values():
 
 def test_coordinate_identities_frozen():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    for evaluate in (coordinate_correlation, coordinate_class_sum):
-        lhs, rhs, _ = evaluate(code, np.array([0, 1]))
-        assert lhs.shape == (2, 3)
-        assert lhs.tolist() == rhs.tolist()
+    lhs, rhs, _ = coordinate_weight_sums(code, np.array([0, 1]))
+    assert lhs.shape == (2, 2, 3)
+    assert lhs.tolist() == rhs.tolist()
+    # a modular code that is not two-weight has the correlation row only
+    ring, code = make("Z4", [[1, 2, 3]])
+    assert code.profile is None
+    lhs, rhs, dens = coordinate_weight_sums(code, np.array([0, 2]))
+    assert lhs.shape == (1, 2, 4) and len(dens) == 1
+    assert lhs.tolist() == rhs.tolist()
+    assert shifted_weight_sums(code, sweep_shifts(code))[0].shape == (1, 64)
 
 
 @pytest.mark.parametrize("rows,text", [
@@ -180,18 +248,17 @@ def test_coordinate_identities_frozen():
 ])
 def test_sweeps_green(rows, text):
     ring, code = make(text, rows)
-    shifts = sweep_shifts(code, full=True)
-    assert sweep_code_correlation(code, shifts) == ring.order ** code.n
+    checks = ["code-correlation"]
     if two_weight_profile(code) is not None:
-        sweep_class_coset_sums(code, shifts)
-        sweep_coordinate_identities(code)
+        checks += ["class-coset-sums", "coordinate-identities"]
+    assert sweep_code_identities(code, full=True) == checks
 
 
 def test_sampled_sweeps_agree():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    shifts = sweep_shifts(code, sample=200, seed=0)
-    assert sweep_code_correlation(code, shifts) == 200
-    assert sweep_class_coset_sums(code, shifts) == 200
+    assert sweep_code_identities(code, sample=200, seed=0) \
+        == sweep_code_identities(code, full=True) \
+        == ["code-correlation", "class-coset-sums", "coordinate-identities"]
 
 
 def test_sweep_shifts_rule():

@@ -17,17 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcode import homweight
+from frobcode import codes, homweight
 from frobcode.codes import (
     LinearCode,
     build_code,
-    class_coset_sums,
-    code_correlation,
-    coordinate_class_sum,
-    coordinate_correlation,
-    sweep_class_coset_sums,
-    sweep_code_correlation,
-    sweep_coordinate_identities,
+    coordinate_weight_sums,
+    shifted_weight_sums,
+    sweep_code_identities,
     sweep_shifts,
     two_weight_profile,
 )
@@ -131,27 +127,23 @@ def test_code_identities_match_oracle(data):
     dj = data.draw(st.integers(0, order - 1))
     ds = np.array([d], dtype=np.int32)
 
-    lhs, rhs, den = code_correlation(code, ds)
-    expected = code_correlation_lhs(code, d)
-    assert Fraction(int(lhs[0]), den) == Fraction(int(rhs[0]), den) \
-        == expected
-    lhs, rhs, den = coordinate_correlation(code, np.array([j]))
-    expected = coordinate_correlation_lhs(code, j, dj)
-    assert Fraction(int(lhs[0, dj]), den) \
-        == Fraction(int(rhs[0, dj]), den) == expected
-
+    # one row per identity: the correlation, then for a two-weight code
+    # the smaller and the larger class
     profile = two_weight_profile(code)
-    if profile is None:
-        return
-    sides, den = class_coset_sums(code, ds)
-    for (lhs, rhs), weight in zip(sides, (profile.w1, profile.w2)):
-        expected = class_coset_sum_lhs(code, weight, d)
-        assert Fraction(int(lhs[0]), den) == Fraction(int(rhs[0]), den) \
-            == expected
-    lhs, rhs, den = coordinate_class_sum(code, np.array([j]))
-    expected = coordinate_class_sum_lhs(code, profile.w1, j, dj)
-    assert Fraction(int(lhs[0, dj]), den) \
-        == Fraction(int(rhs[0, dj]), den) == expected
+    weights = () if profile is None else (profile.w1, profile.w2)
+    lhs, rhs, dens = shifted_weight_sums(code, ds)
+    expected = [code_correlation_lhs(code, d)] + [
+        class_coset_sum_lhs(code, weight, d) for weight in weights]
+    assert [Fraction(int(v), den) for v, den in zip(lhs[:, 0], dens)] \
+        == [Fraction(int(v), den) for v, den in zip(rhs[:, 0], dens)] \
+        == expected
+    lhs, rhs, dens = coordinate_weight_sums(code, np.array([j]))
+    expected = [coordinate_correlation_lhs(code, j, dj)] + [
+        coordinate_class_sum_lhs(code, weight, j, dj)
+        for weight in weights[:1]]
+    assert [Fraction(int(v), den) for v, den in zip(lhs[:, 0, dj], dens)] \
+        == [Fraction(int(v), den) for v, den in zip(rhs[:, 0, dj], dens)] \
+        == expected
 
 
 def test_word_evaluator_on_a_corrupted_table_matches_oracle():
@@ -378,62 +370,100 @@ def test_ideal_correlation_matches_every_r_oracle(spec):
     assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
 
 
+GF3_PROFILE = ("two-weight frequencies disagree with their closed forms",
+               {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"})
+Z4_PROFILE = ("two-weight frequencies disagree with their closed forms",
+              {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"})
+
 # (ring, generator, element whose unit orbit is bumped, delta) -> the
-# failing check and witness of the codeword correlation sweep over all
-# of R^n and over 200 shifts (seed 0), of the class sum sweep over the
-# same two shift sets, and of the per-coordinate sweep
+# failing check and witness of the identity sweep over all of R^n and
+# over 200 shifts (seed 0): as is, with the correlation row held, and
+# with the correlation and smaller-class rows held (see hold_rows).  Then
+# the full sweep's witness with every shifted sum held, so that it
+# reaches the per-coordinate checks: as is, with the correlation row
+# held, and with both rows held.  A corrupted profile fails first.  The
+# witnesses reached only with rows held were recorded with the sweep;
+# the others match the per-identity sweeps it replaced.
 CODE_FAULTS = {
-    ("GF(3)", ((1, 0), (0, 1)), 1, 1): (
-        ("codeword correlation identity fails",
-         {"ring": "GF(3)", "d": [0, 0], "lhs": "80"}),
-        ("codeword correlation identity fails",
-         {"ring": "GF(3)", "d": [2, 1], "lhs": "56"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 4, "b1_closed": "7", "b2": 4, "b2_closed": "1"})),
-    ("Z4", ((1, 2, 3),), 2, 1): (
-        ("codeword correlation identity fails",
-         {"ring": "Z4", "d": [0, 0, 0], "lhs": "131/2"}),
-        ("codeword correlation identity fails",
-         {"ring": "Z4", "d": [3, 2, 2], "lhs": "151/4"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"}),
-        ("two-weight frequencies disagree with their closed forms",
-         {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"})),
+    ("GF(3)", ((1, 0), (0, 1)), 1, 1): ((GF3_PROFILE,) * 2,) * 3
+    + (GF3_PROFILE,) * 3,
+    ("Z4", ((1, 2, 3),), 2, 1): ((Z4_PROFILE,) * 2,) * 3
+    + (Z4_PROFILE,) * 3,
     # the bumped orbit is the zero-weight unit (1,1): the profile holds
-    # and the class and per-coordinate sums fail
+    # and the correlation, class and per-coordinate sums fail
     ("prod(Z2,Z2)", ((0, 0), (2, 3)), 1, -1): (
-        ("codeword correlation identity fails",
-         {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "22"}),
-        ("codeword correlation identity fails",
-         {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-4"}),
-        ("smaller-class shifted weight sum fails",
-         {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "3"}),
-        ("smaller-class shifted weight sum fails",
-         {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "2"}),
+        (("codeword correlation identity fails",
+          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "22"}),
+         ("codeword correlation identity fails",
+          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-4"})),
+        (("smaller-class shifted weight sum fails",
+          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "3"}),
+         ("smaller-class shifted weight sum fails",
+          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "2"})),
+        (("larger-class shifted weight sum fails",
+          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "4"}),
+         ("larger-class shifted weight sum fails",
+          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-2"})),
         ("per-coordinate correlation identity fails",
-         {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1})),
+         {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1}),
+        ("per-coordinate class sum identity fails",
+         {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1}),
+        ("smaller-class column sum is not b1 w1 / n",
+         {"ring": "prod(Z2,Z2)", "j": 0})),
 }
 
 
+def hold_rows(monkeypatch, held):
+    """Zero the given rows of codes._identity_sides: both sides of those
+    identities are then 0 at every shift and coordinate."""
+    sides = codes._identity_sides
+
+    def zeroed(code):
+        rows, const, slope, dens = sides(code)
+        for i in held:
+            rows[i], const[i], slope[i] = 0, 0, 0
+        return rows, const, slope, dens
+    monkeypatch.setattr(codes, "_identity_sides", zeroed)
+
+
+def hold_shifted_sums(monkeypatch):
+    """Make every shifted sum's right side equal its left side."""
+    sums = codes.shifted_weight_sums
+
+    def held(code, ds):
+        lhs, _, dens = sums(code, ds)
+        return lhs, lhs, dens
+    monkeypatch.setattr(codes, "shifted_weight_sums", held)
+
+
 @pytest.mark.parametrize("key", sorted(CODE_FAULTS), ids=str)
-def test_code_sweeps_fail_with_the_recorded_witness(key):
+def test_code_sweeps_fail_with_the_recorded_witness(key, monkeypatch):
     spec, rows, x, delta = key
     ring = ring_from_text(spec)
     code = build_code(ring, np.array(rows, dtype=np.int32))
     table = bump_unit_orbit(ring, weight_table(ring), x, delta)
     code = LinearCode(ring, code.generator, code.words, code.messages,
                       table)
-    every = sweep_shifts(code, full=True)
-    sampled = sweep_shifts(code, sample=200)
-    assert [witness_of(check) for check in (
-        lambda: sweep_code_correlation(code, every),
-        lambda: sweep_code_correlation(code, sampled),
-        lambda: sweep_class_coset_sums(code, every),
-        lambda: sweep_class_coset_sums(code, sampled),
-        lambda: sweep_coordinate_identities(code))] == list(CODE_FAULTS[key])
+    sweeps = (lambda: sweep_code_identities(code, full=True),
+              lambda: sweep_code_identities(code, sample=200))
+    oracles = (code_correlation_lhs,
+               lambda code, d: class_coset_sum_lhs(code, code.profile.w1, d),
+               lambda code, d: class_coset_sum_lhs(code, code.profile.w2, d))
+    for held, expected, oracle in zip(((), (0,), (0, 1)),
+                                      CODE_FAULTS[key][:3], oracles):
+        with monkeypatch.context() as patch:
+            hold_rows(patch, held)
+            assert [witness_of(sweep) for sweep in sweeps] == list(expected)
+        for _, witness in expected:
+            if "lhs" in witness:
+                assert Fraction(witness["lhs"]) == oracle(code, witness["d"])
+    for held, expected in zip(((), (0,), (0, 1)), CODE_FAULTS[key][3:]):
+        with monkeypatch.context() as patch:
+            hold_shifted_sums(patch)
+            hold_rows(patch, held)
+            assert witness_of(sweeps[0]) == expected
+    # one shift and one coordinate per batch: the first witness does not
+    # depend on batching
+    monkeypatch.setattr(codes, "_BATCH_ENTRIES", 1)
+    assert [witness_of(sweep) for sweep in sweeps] \
+        == list(CODE_FAULTS[key][0])

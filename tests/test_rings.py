@@ -55,6 +55,8 @@ def test_parser_round_trips():
         ("M2(GF(2))", "M2(GF(2))"),
         ("prod(Z2,Z3)", "prod(Z2,Z3)"),
         ("prod(Z2,prod(Z2,Z3))", "prod(Z2,prod(Z2,Z3))"),
+        ("op( M2(GF(4)))", "op(M2(GF(2^2)))"),
+        ("prod(op(M2(GF(2))),Z3)", "prod(op(M2(GF(2))),Z3)"),
     ]:
         spec = parse_ring_spec(text)
         assert spec.text() == canonical
@@ -70,28 +72,24 @@ MATRIX_RINGS = [MatRing(m, f) for m in (1, 2, 3) for f in FIELDS
 
 def nested_specs():
     """Specs of the grammar: Z<m>, built-in fields, matrix rings over
-    them and nested products, within the order cap, and sometimes the
-    opposite of one, which opposite_ring names but the parser does not
-    read."""
+    them, and nested products and opposites of those, within the order
+    cap."""
     leaves = st.one_of(st.integers(2, 64).map(Zm), st.sampled_from(FIELDS),
                        st.sampled_from(MATRIX_RINGS))
-    specs = st.recursive(
+    return st.recursive(
         leaves,
-        lambda inner: st.lists(inner, min_size=1, max_size=3).map(
-            lambda factors: Product(tuple(factors))),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(
+                lambda factors: Product(tuple(factors))),
+            inner.map(OpSpec)),
         max_leaves=4).filter(lambda spec: spec.order <= DEFAULT_ORDER_CAP)
-    return st.one_of(specs, specs.map(OpSpec))
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(nested_specs())
 def test_parse_text_parse_round_trip(spec):
-    text = spec.text()
-    base = spec.base if isinstance(spec, OpSpec) else spec
-    if base is not spec:
-        assert text == f"op({base.text()})"
-    parsed = parse_ring_spec(base.text())
-    assert parsed == base
+    parsed = parse_ring_spec(spec.text())
+    assert parsed == spec
     assert parse_ring_spec(parsed.text()) == parsed
 
 
@@ -234,6 +232,20 @@ def test_opposite_ring_transposes_multiplication():
 def test_opposite_of_commutative_is_itself():
     z6 = ring_from_text("Z6")
     assert opposite_ring(z6) is z6
+
+
+def test_op_spec_builds_the_opposite_ring():
+    ring = ring_from_text("M2(GF(2))")
+    op = ring_from_text("op(M2(GF(2)))")
+    assert op.spec.text() == "op(M2(GF(2)))"
+    assert op.mul_table.tolist() == ring.mul_table.T.tolist()
+    assert op.labels == ring.labels
+    # a commutative base, and the opposite of an opposite, report the
+    # text of the ring they build
+    assert ring_from_text("op(Z6)").spec.text() == "Z6"
+    twice = ring_from_text("op(op(M2(GF(2))))")
+    assert twice.spec.text() == "M2(GF(2))"
+    assert twice.mul_table.tolist() == ring.mul_table.tolist()
 
 
 # ---------------------------------------------------------------- socle
