@@ -5,7 +5,10 @@ A code is stored as the sorted array of its codewords together with the
 generator matrix that produced it.  Column multiplicities are tracked
 per projective point (right unit orbit of a nonzero column); a code is
 modular when every occurring point has multiplicity proportional to its
-orbit size, and the proportionality constant is the index.
+orbit size, and the proportionality constant is the index.  Each code
+also keys every word by the least key in its coset of the zero-weight
+subcode; each generator of that subcode at least doubles it, so the
+cost grows with the number of generators, at most log2 b0, not with b0.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class LinearCode:
         """Distinct nonzero codeword weights, ascending."""
         return tuple(v for v in self.weight_distribution if v != 0)
 
-    def zero_weight_words(self):
-        return self.words[self.word_numerators == 0]
-
     @property
     def b0(self):
         return int((self.word_numerators == 0).sum())
@@ -99,6 +99,12 @@ class LinearCode:
     def profile(self):
         """The two-weight profile, or None (see two_weight_profile)."""
         return two_weight_profile(self)
+
+    @cached_property
+    def coset_keys(self):
+        """The least key of each word's coset of the zero-weight subcode
+        (see _zero_cosets)."""
+        return _zero_cosets(self)
 
     @cached_property
     def support(self):
@@ -130,13 +136,13 @@ class LinearCode:
         """The code with the given sorted unique words and their
         messages, after the checks every enumerated code gets: its size
         divides the number of messages, and its zero-weight words are
-        closed under addition."""
+        closed under addition (found with its coset keys)."""
         code = cls(ring, generator, words, messages, weight_table(ring))
         if message_count % code.size != 0:
             raise IdentityCheckError(
                 "code size does not divide the message space",
                 witness={"size": code.size, "messages": message_count})
-        _check_zero_class_subgroup(code)
+        code.coset_keys  # raises when the closure check fails
         return code
 
 
@@ -160,29 +166,29 @@ def build_code(ring, generator, cap=None):
                                  len(X))
 
 
-def _check_zero_class_subgroup(code):
-    """Grow the group S generated by the zero-weight words one word w at
-    a time, as the cosets S + m w; S leaves those words exactly when
-    they are not closed under addition.  Each w at least doubles S."""
-    add, order = code.ring.add_table, code.ring.order
-    zero_words = code.zero_weight_words()
-    zero_keys = code.word_keys[code.word_numerators == 0]
-    group = np.zeros((1, code.n), dtype=np.int32)
-    group_keys = encode_vectors(group, order)
-    while True:
-        outside = zero_words[~lookup(group_keys, zero_keys)[1]]
-        if not len(outside):
-            return
-        cosets, coset = [group], add[group, outside[0]]
-        while not lookup(group_keys, encode_vectors(coset[:1], order))[1][0]:
-            cosets.append(coset)
-            coset = add[coset, outside[0]]
-        group = np.concatenate(cosets)
-        group_keys = np.sort(encode_vectors(group, order))
-        if not lookup(zero_keys, group_keys)[1].all():
-            raise IdentityCheckError(
-                "zero-weight words are not closed under addition",
-                witness={"ring": code.ring.spec.text()})
+def _zero_cosets(code):
+    """The least key of each word's coset of the group S generated by
+    the zero-weight words; S leaves those words exactly when they are
+    not closed under addition.  S grows one generator w at a time, the
+    first zero-weight word outside it: with step the position of c + w,
+    the key of c becomes the least over c, c + w, c + 2w, ... up to the
+    first multiple of w already in S."""
+    zero = code.word_numerators == 0
+    least = code.word_keys.copy()
+    while (outside := np.flatnonzero(zero & (least != 0))).size:
+        shifted = code.ring.add_table[code.words, code.words[outside[0]]]
+        step = lookup(code.word_keys,
+                      encode_vectors(shifted, code.ring.order))[0]
+        grown, at, multiple = least.copy(), np.arange(code.size), step[0]
+        while least[multiple] != 0:
+            at, multiple = step[at], step[multiple]
+            np.minimum(grown, least[at], out=grown)
+        least = grown
+    if not zero[least == 0].all():
+        raise IdentityCheckError(
+            "zero-weight words are not closed under addition",
+            witness={"ring": code.ring.spec.text()})
+    return least
 
 
 def modular_index(code):
@@ -328,7 +334,7 @@ def coordinate_weight_sums(code, js):
     rows, const, slope, dens = _identity_sides(code)
     num = code.table.numerators
     columns = num[code.ring.add_table[code.words[:, js], :]]
-    lhs = np.tensordot(rows[:2], columns, axes=1)
+    lhs = np.einsum("rc,cjv->rjv", rows[:2], columns)
     rhs = const[:2, None] + slope[:2, None] * num
     return lhs, np.broadcast_to(rhs[:, None, :], lhs.shape), dens[:2]
 

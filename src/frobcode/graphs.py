@@ -1,16 +1,18 @@
 """Strongly regular graphs attached to two-weight codes.
 
 The graph of a two-weight code has the cosets of the zero-weight
-subcode as vertices, two cosets being adjacent when their difference
-has the smaller weight.  It is the Cayley graph of the quotient group
-whose connection set S is the set of smaller-weight cosets, so its
-measured parameters come from counting the differences s - t over
-S x S: lambda is the count on S, mu the count on the other nonzero
-cosets.  Predicted parameters come from closed forms in the weights
-and frequencies.  The same difference counts certify partial
-difference sets inside an ambient module and the equivalence between
-two-weight codes and such sets.  ``measure_srg`` measures an explicit
-adjacency matrix by common-neighbour counting.
+subcode as vertices, read off the code's coset keys at a cost that
+grows with the subcode's generators, not with b0; two cosets are
+adjacent when their difference has the smaller weight.  It is the
+Cayley graph of the quotient group whose connection set S is the set
+of smaller-weight cosets, so its measured parameters come from
+counting the differences s - t over S x S: lambda is the count on S,
+mu the count on the other nonzero cosets.  Predicted parameters come
+from closed forms in the weights and frequencies.  The same difference
+counts certify partial difference sets inside an ambient module and
+the equivalence between two-weight codes and such sets.
+``measure_srg`` measures an explicit adjacency matrix by
+common-neighbour counting.
 """
 
 from __future__ import annotations
@@ -165,9 +167,12 @@ class CosetGraph:
     connection: np.ndarray
 
     def cosets_of(self, rows):
-        """Coset index of each given codeword."""
-        pos = np.searchsorted(self.code.word_keys,
-                              encode_vectors(rows, self.code.ring.order))
+        """Coset index of each given codeword; raises PreconditionError
+        when a row is not a codeword."""
+        pos, found = lookup(self.code.word_keys,
+                            encode_vectors(rows, self.code.ring.order))
+        if not found.all():
+            raise PreconditionError("row is not a codeword")
         return self.coset_index[pos]
 
     def adjacency(self, cap=None):
@@ -197,32 +202,28 @@ class CosetGraph:
 
 def build_coset_graph(code):
     """The graph on cosets of the zero-weight subcode, adjacency given
-    by the smaller weight, in Cayley form.  Verifies that weights do
-    not depend on the chosen representatives, that the cosets tile the
-    code, and that the connection set is closed under negation."""
+    by the smaller weight, in Cayley form, on the cosets of the code's
+    coset keys.  Verifies that weights are constant on each coset, that
+    the cosets tile the code, and that the connection set is closed
+    under negation."""
     profile = code.two_weight("coset graph")
     ring = code.ring
-    num = code.table.numerators
-    zero_words = code.zero_weight_words()
-
-    # shifting by a zero-weight word must not change any word's weight;
-    # the least key over all shifts names each word's coset
-    least = code.word_keys.copy()
-    for z in zero_words:
-        shifted = ring.add_table[code.words, z[None, :]]
-        if not (num[shifted].sum(axis=1) == code.word_numerators).all():
-            raise IdentityCheckError(
-                "weights change under zero-weight shifts",
-                witness={"shift": z.tolist()})
-        np.minimum(least, encode_vectors(shifted, ring.order), out=least)
-
+    least = code.coset_keys
     is_rep = least == code.word_keys
     reps = code.words[is_rep]
-    if len(reps) * len(zero_words) != code.size:
+    coset_index = np.searchsorted(code.word_keys[is_rep], least)
+    changed = np.flatnonzero(code.word_numerators
+                             != code.word_numerators[is_rep][coset_index])
+    if len(changed):
+        word, rep = code.words[changed[0]], reps[coset_index[changed[0]]]
+        raise IdentityCheckError(
+            "weights change under zero-weight shifts",
+            witness={"word": word.tolist(), "shift": ring.add_table[
+                word, ring.neg_table[rep]].tolist()})
+    if len(reps) * code.b0 != code.size:
         raise IdentityCheckError(
             "cosets of the zero-weight subcode do not tile the code",
-            witness={"cosets": len(reps), "b0": len(zero_words)})
-    coset_index = np.searchsorted(code.word_keys[is_rep], least)
+            witness={"cosets": len(reps), "b0": code.b0})
     connection = (code.word_numerators[is_rep]
                   == int(profile.w1 * code.denominator))
     graph = CosetGraph(code, reps, coset_index, connection)

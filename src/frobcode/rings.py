@@ -900,19 +900,12 @@ def order2_socle_part(ring):
         has_self |= same.any(axis=0)
     gens = (np.flatnonzero((inside & has_zero & has_self)[1:]) + 1).tolist()
 
-    s0 = {0}
-    frontier = [ring.add(gens[i], gens[j])
-                for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    work = list(frontier)
-    while work:
-        v = work.pop()
-        if v in s0:
-            continue
-        s0.add(v)
-        for w in list(s0):
-            u = ring.add(v, w)
-            if u not in s0:
-                work.append(u)
+    # every subset sum of the generators, and whether its subset is odd
+    sums, odd = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
+    for g in gens:
+        sums = np.concatenate([sums, ring.add_table[sums, g]])
+        odd = np.concatenate([odd, ~odd])
+    s0 = set(sums[~odd].tolist())
     expected = 1 if len(gens) <= 1 else 2 ** (len(gens) - 1)
     if len(s0) != expected:
         raise RingConstructionError(

@@ -26,7 +26,7 @@ def oracle_coset_graph(code):
         raise PreconditionError("coset graph needs a two-weight code")
     ring = code.ring
     num = code.table.numerators
-    zero_words = code.zero_weight_words()
+    zero_words = code.words[code.word_numerators == 0]
 
     for z in zero_words:
         shifted = num[ring.add_table[code.words, z[None, :]]].sum(axis=1)

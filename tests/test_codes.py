@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobcode
 from frobcode.codes import (
     LinearCode,
-    _check_zero_class_subgroup,
+    _zero_cosets,
     build_code,
     coordinate_weight_sums,
     format_code_file,
@@ -116,7 +118,7 @@ def test_non_modular_code():
 
 def zero_words_closed(code):
     """Whether every pairwise sum of zero-weight words is one."""
-    rows = code.zero_weight_words()
+    rows = code.words[code.word_numerators == 0]
     sums = code.ring.add_table[rows[:, None, :], rows[None, :, :]]
     keys = encode_vectors(rows, code.ring.order)
     return bool(np.isin(encode_vectors(sums, code.ring.order), keys).all())
@@ -141,12 +143,53 @@ def test_zero_class_check_matches_pairwise_sums(text, rows):
         closed = zero_words_closed(bumped)
         verdicts.add(closed)
         if closed:
-            _check_zero_class_subgroup(bumped)
+            _zero_cosets(bumped)
             continue
         with pytest.raises(IdentityCheckError,
                            match="not closed under addition"):
-            _check_zero_class_subgroup(bumped)
+            _zero_cosets(bumped)
     assert verdicts == {True, False}
+
+
+def brute_coset_keys(code):
+    """The least key of c + z over every zero-weight word z, per word."""
+    zero_words = code.words[code.word_numerators == 0]
+    members = code.ring.add_table[code.words[:, None, :],
+                                  zero_words[None, :, :]]
+    return encode_vectors(members, code.ring.order).min(axis=1)
+
+
+@st.composite
+def product_ring_codes(draw):
+    """A code over a product of chain rings, where nonzero words can
+    have weight zero: k <= 3 rows of n <= 4 entries, no zero column."""
+    ring = ring_from_text(draw(st.sampled_from(
+        ["prod(Z2,Z2)", "prod(Z4,Z2)", "prod(Z2,Z2,Z2)"])))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    columns = st.lists(st.integers(0, ring.order - 1), min_size=k,
+                       max_size=k).filter(any)
+    rows = np.array(draw(st.lists(columns, min_size=n, max_size=n)),
+                    dtype=np.int32).T
+    return ring, build_code(ring, rows)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(product_ring_codes())
+def test_coset_keys_are_least_over_zero_weight_shifts(case):
+    ring, code = case
+    assert (code.coset_keys == brute_coset_keys(code)).all()
+
+
+def test_coset_keys_past_int64():
+    # 4^32 > 2^62, so the keys are Python ints; (1,1) has weight 0, so
+    # the all-(1,1) row spans zero-weight words
+    ring = ring_from_text("prod(Z2,Z2)")
+    rng = np.random.default_rng(0)
+    rows = np.stack([np.ones(32, dtype=np.int32),
+                     rng.integers(1, 4, size=32, dtype=np.int32)])
+    code = build_code(ring, rows)
+    assert code.word_keys.dtype == object and code.b0 > 1
+    assert (code.coset_keys == brute_coset_keys(code)).all()
 
 
 def test_zero_class_check_memory_is_linear_in_b0():

@@ -3,13 +3,17 @@ sets, and the two-weight equivalence, with textbook graphs as oracles.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from frobcode.codes import build_code, two_weight_profile
+import frobcode
+from frobcode.codes import LinearCode, build_code, two_weight_profile
 from frobcode.errors import (
     CapExceededError,
     IdentityCheckError,
@@ -25,6 +29,7 @@ from frobcode.graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
+from frobcode.homweight import WeightTable
 from frobcode.rings import ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import column_module, encode_vectors, row_space
@@ -167,6 +172,54 @@ def test_coset_graph_cayley_form():
     assert np.bincount(graph.coset_index).tolist() == [2] * 8
     assert graph.connection.tolist() == [False] + [True] * 6 + [False]
     assert coset_graph_srg(graph).as_tuple() == (8, 6, 4, 6)
+
+
+def test_cosets_of_needs_codewords():
+    # (0, 1) is no word of the Z4 code {00, 13, 22, 31}, though its key
+    # sorts next to that of (1, 3)
+    ring, code = make("Z4", [[1, 3]])
+    graph = build_coset_graph(code)
+    assert graph.cosets_of(code.words).tolist() == [0, 1, 2, 3]
+    with pytest.raises(PreconditionError, match="^row is not a codeword$"):
+        graph.cosets_of(np.array([[0, 1]], dtype=np.int32))
+
+
+def test_weight_change_names_the_word_and_its_shift():
+    # with w(0,1) = 0 and w(1,0) = 3 the zero-weight words {000, 202}
+    # are closed, but the shift 202 takes 131, of weight 3, to 333, of
+    # weight 9
+    ring, code = make("prod(Z2,Z2)", [[1, 3, 1]])
+    assert ring.labels[1:] == ["(1,1)", "(0,1)", "(1,0)"]
+    table = WeightTable(ring, np.array([0, 0, 0, 3]), 1)
+    bent = LinearCode(ring, code.generator, code.words, code.messages,
+                      table)
+    with pytest.raises(IdentityCheckError,
+                       match="^weights change under zero-weight shifts$"
+                       ) as info:
+        build_coset_graph(bent)
+    assert info.value.witness == {"word": [3, 3, 3], "shift": [2, 0, 2]}
+
+
+def test_coset_graph_time_does_not_grow_with_b0():
+    # R^2 over eight copies of Z2 has b0 = 2^14: one pass over the code
+    # per zero-weight word took about a minute
+    script = (
+        "import numpy as np\n"
+        "from frobcode.codes import build_code\n"
+        "from frobcode.graphs import build_coset_graph, coset_graph_srg\n"
+        "from frobcode.rings import ring_from_text\n"
+        "ring = ring_from_text('prod(' + ','.join(['Z2'] * 8) + ')')\n"
+        "code = build_code(ring, np.eye(2, dtype=np.int32))\n"
+        "srg = coset_graph_srg(build_coset_graph(code))\n"
+        "print(code.b0, srg.as_tuple(), srg.trivial)\n")
+    src = os.path.dirname(os.path.dirname(frobcode.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get(
+                   "PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "16384 (4, 2, 0, 2) True\n", "")
 
 
 def test_adjacency_is_refused_past_the_cap(monkeypatch):
