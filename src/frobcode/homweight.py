@@ -21,7 +21,8 @@ import numpy as np
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
 from .rings import order2_socle_part
-from .spans import BLOCK_ENTRIES, combine_rows, enumerate_vectors, point_ids
+from .spans import (BLOCK_ENTRIES, combine_rows, encode_vectors, enum_cap,
+                    enumerate_vectors, point_ids)
 
 _IDEAL_COUNT_CAP = 4096
 
@@ -103,16 +104,20 @@ def principal_ideal_elements(ring, x, side="left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _class_least(order, members):
+    """The least member of the class of each x in range(order), for a
+    partition of range(order); members(x) gives the class of x."""
+    least = np.full(order, -1)
+    for x in range(order):
+        if least[x] < 0:
+            least[members(x)] = x
+    return least
+
+
 def _class_minima(order, members):
     """The least member of each class of a partition of range(order),
     ascending; members(x) gives the class of x."""
-    seen = np.zeros(order, dtype=bool)
-    minima = []
-    for x in range(order):
-        if not seen[x]:
-            minima.append(x)
-            seen[members(x)] = True
-    return np.array(minima)
+    return np.flatnonzero(_class_least(order, members) == np.arange(order))
 
 
 def _unit_orbit_minima(ring, side):
@@ -231,6 +236,22 @@ def check_coset_sums(ring, table=None):
                              "expected_numerator": expected})
 
 
+def _right_unit_invariant(ring, table):
+    """True iff w(xu) = w(x) for every element x and unit u."""
+    num = table.numerators
+    return bool((num[ring.mul_table[:, ring.units_array]]
+                 == num[:, None]).all())
+
+
+def _orbit_count(ring, units, k):
+    """The number of orbits {vu : u in units} of R^k, for a group of
+    units: by Burnside's lemma, the mean over u of the words that u
+    fixes, (|{x : xu = x}|)^k of them."""
+    fixed = (ring.mul_table[:, units] == np.arange(ring.order)[:, None]).sum(
+        axis=0)
+    return sum(int(f) ** k for f in fixed) // len(units)
+
+
 def _fixing_unit_count(ring, ideal):
     """|{u a unit : xu = x for all x in the ideal}|."""
     fixed = ring.mul_table[np.ix_(ideal, ring.units_array)] == ideal[:, None]
@@ -274,8 +295,7 @@ def check_correlation_ideal(ring, table=None):
     only, and on any other table over every element."""
     table = table if table is not None else weight_table(ring)
     order = ring.order
-    num = table.numerators
-    if (num[ring.mul_table[:, ring.units_array]] == num[:, None]).all():
+    if _right_unit_invariant(ring, table):
         multipliers = _unit_orbit_minima(ring, "right")
     else:
         multipliers = np.arange(order)
@@ -341,34 +361,81 @@ def correlation_vectors(ring, table, wg, xh, s, same, m):
 
 
 def check_correlation_vectors(ring, k, table=None, cap=None):
-    """Exhaustive sweep of the word correlation identity over all
-    nonzero g, h in R^k and every shift s: one float64 matrix product
-    per shift, exact below 2^53."""
+    """Exhaustive sweep of the word correlation identity over nonzero
+    g, h in R^k and every shift s: one float64 matrix product per
+    shift, exact below 2^53.
+
+    For units u and v, lhs(gu, h, s) = lhs(g, h, s) and lhs(g, hv, s) =
+    lhs(g, h, sv^-1) when w is right-unit invariant (the right half of
+    check_unit_invariance), and the rhs moves with them; so on such a
+    table g and h run over the least member of each right unit orbit
+    of R^k only, and on any other table over every nonzero vector.
+    With P of them, counted by _orbit_count, the sweep takes
+    order P^2 order^k multiply-adds; past cap^2 it raises
+    CapExceededError before it builds anything order^k x P.  A failure reports the least failing (s, g, h) of the
+    unreduced sweep, by shift and then by key: s = tv, g the
+    representative and h = h'v of a failing representative triple
+    (g, h', t)."""
     table = table if table is not None else weight_table(ring)
+    cap = enum_cap() if cap is None else cap
+    order = ring.order
     num = table.numerators
-    vecs = enumerate_vectors(ring.order, k, cap)
-    dots = combine_rows(ring, vecs.T, vecs)[:, 1:]
+    vecs = enumerate_vectors(order, k, cap)
+    invariant = _right_unit_invariant(ring, table)
+    units = ring.units_array if invariant else np.array([ring.one])
+    width = _orbit_count(ring, units, k) - 1
+    work = order * width ** 2 * len(vecs)
+    if work > cap * cap:
+        raise CapExceededError(
+            f"word correlation sweep over {order}**{k} vectors takes "
+            f"{work} multiply-adds, past cap**2 = {cap * cap}; "
+            f"--cap {len(vecs) - 1} selects the sampled sweep")
     pids, sizes = point_ids(ring, vecs[1:])
+    cols = np.arange(1, len(vecs))
+    if invariant:
+        cols = cols[pids == cols]
     max_num = int(num.max())
     if len(vecs) * max_num * max_num * int(sizes.max()) >= (1 << 53):
         raise CapExceededError(
             "word correlation sweep would overflow exact float64 range")
+    dots = combine_rows(ring, vecs[cols].T, vecs)
     wg = num[dots.T].astype(np.float64)
+    pids, sizes = pids[cols - 1], sizes[cols - 1]
     same = pids[:, None] == pids[None, :]
     m = sizes[:, None]
-    for s in range(ring.order):
-        lhs, rhs, den = correlation_vectors(ring, table, wg, dots, s, same,
+    # a failure at shift t stands for failures at the shifts tv, the
+    # least of which is lowest[t]: shifts are taken in that order, up
+    # to the first failure's lowest[t]
+    lowest = _class_least(order, lambda t: ring.mul_table[t, units])
+    best = None
+    for t in np.argsort(lowest, kind="stable"):
+        if best is not None and lowest[t] > best[0]:
+            break
+        lhs, rhs, den = correlation_vectors(ring, table, wg, dots, t, same,
                                             m)
-        if not (lhs == rhs).all():
-            gi, hi = np.argwhere(lhs != rhs)[0]
-            raise IdentityCheckError(
-                "word correlation identity fails",
-                witness={"ring": ring.spec.text(), "k": k,
-                         "g": vecs[1 + gi].tolist(),
-                         "h": vecs[1 + hi].tolist(), "s": s,
-                         "lhs": str(Fraction(int(lhs[gi, hi]),
-                                             int(den[gi, hi]))),
-                         "similar": bool(same[gi, hi])})
+        bad = lhs != rhs
+        if not bad.any():
+            continue
+        gi = int(np.flatnonzero(bad.any(axis=1))[0])
+        his = np.flatnonzero(bad[gi])
+        vs = units[ring.mul_table[t, units] == lowest[t]]
+        moved = ring.mul_table[vecs[cols[his]][:, None, :],
+                               vs[None, :, None]]
+        keys = encode_vectors(moved, order)
+        at = np.unravel_index(np.argmin(keys), keys.shape)
+        found = (int(lowest[t]), int(cols[gi]), int(keys[at]))
+        if best is None or found < best:
+            hi = his[at[0]]
+            best = found
+            witness = {"ring": ring.spec.text(), "k": k,
+                       "g": vecs[cols[gi]].tolist(),
+                       "h": moved[at].tolist(), "s": found[0],
+                       "lhs": str(Fraction(int(lhs[gi, hi]),
+                                           int(den[gi, hi]))),
+                       "similar": bool(same[gi, hi])}
+    if best is not None:
+        raise IdentityCheckError("word correlation identity fails",
+                                 witness=witness)
 
 
 def _sampled_correlation_vectors(ring, k, table, sample, seed):
@@ -440,19 +507,25 @@ def identity_suite(ring, table=None, checks=None, k_max=2, cap=None,
     correlation identity for k = 1 .. k_max: exhaustive when R^k is
     within the cap, otherwise at `sample` draws from
     default_rng(seed), which its status names.  With `full` the
-    CapExceededError propagates instead."""
+    CapExceededError of enumerating R^k propagates instead.  An
+    exhaustive sweep past its own work bound raises CapExceededError
+    either way."""
     table = table if table is not None else weight_table(ring)
     for name, fn in IDENTITY_CHECKS if checks is None else checks:
         fn(ring, table)
         yield name, "pass"
     for k in range(1, k_max + 1):
+        # only R^k past the cap falls back to sampling, not a sweep past
+        # its work bound
         try:
-            check_correlation_vectors(ring, k, table, cap)
-            status = "pass"
+            enumerate_vectors(ring.order, k, cap)
         except CapExceededError:
             if full:
                 raise
             _sampled_correlation_vectors(ring, k, table, sample, seed)
             status = f"pass (sampled, n={sample}, seed={seed})"
+        else:
+            check_correlation_vectors(ring, k, table, cap)
+            status = "pass"
         yield f"word-correlation-k{k}", status
 

@@ -7,10 +7,11 @@ weights.  They are independent of the batched evaluators in
 ``frobcode.homweight`` and ``frobcode.codes``.
 
 The unreduced sweeps below enumerate every one-sided ideal from one
-principal ideal per element, sum the coset sums at every shift and
-take the ideal correlation at every multiplier r: the work the
-orbit- and coset-reduced sweeps of ``frobcode.homweight`` skip.  All of
-them serve only as checks on small rings and codes.
+principal ideal per element, sum the coset sums at every shift, take
+the ideal correlation at every multiplier r and the word correlation
+at every pair of nonzero words: the work the orbit- and coset-reduced
+sweeps of ``frobcode.homweight`` skip.  All of them serve only as
+checks on small rings and codes.
 """
 
 from fractions import Fraction
@@ -18,9 +19,10 @@ from itertools import product
 
 import numpy as np
 
-from frobcode.errors import IdentityCheckError
+from frobcode.errors import CapExceededError, IdentityCheckError
 from frobcode.homweight import WeightTable, _fixing_unit_count, \
-    ideal_correlation
+    correlation_vectors, ideal_correlation, weight_table
+from frobcode.spans import combine_rows, enumerate_vectors, point_ids
 
 
 def _w(table, x):
@@ -160,3 +162,33 @@ def check_correlation_ideal_every_r(ring, table):
                              "ideal": ideal.tolist(), "r": r, "s": s,
                              "lhs": str(Fraction(int(lhs[0, s]), den)),
                              "rhs": str(Fraction(int(rhs[0, s]), den))})
+
+
+def check_correlation_vectors_every_pair(ring, k, table=None, cap=None):
+    """check_correlation_vectors over all nonzero g, h in R^k and every
+    shift s: one float64 matrix product per shift, exact below 2^53."""
+    table = table if table is not None else weight_table(ring)
+    num = table.numerators
+    vecs = enumerate_vectors(ring.order, k, cap)
+    dots = combine_rows(ring, vecs.T, vecs)[:, 1:]
+    pids, sizes = point_ids(ring, vecs[1:])
+    max_num = int(num.max())
+    if len(vecs) * max_num * max_num * int(sizes.max()) >= (1 << 53):
+        raise CapExceededError(
+            "word correlation sweep would overflow exact float64 range")
+    wg = num[dots.T].astype(np.float64)
+    same = pids[:, None] == pids[None, :]
+    m = sizes[:, None]
+    for s in range(ring.order):
+        lhs, rhs, den = correlation_vectors(ring, table, wg, dots, s, same,
+                                            m)
+        if not (lhs == rhs).all():
+            gi, hi = np.argwhere(lhs != rhs)[0]
+            raise IdentityCheckError(
+                "word correlation identity fails",
+                witness={"ring": ring.spec.text(), "k": k,
+                         "g": vecs[1 + gi].tolist(),
+                         "h": vecs[1 + hi].tolist(), "s": s,
+                         "lhs": str(Fraction(int(lhs[gi, hi]),
+                                             int(den[gi, hi]))),
+                         "similar": bool(same[gi, hi])})

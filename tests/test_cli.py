@@ -47,11 +47,19 @@ def z4_srg256_code():
     return "ring: Z4\nk: 4 n: 30\n" + "\n".join(rows) + "\n"
 
 
-def run_module(argv, timeout):
+def run_module(argv, timeout, limit_mb=None):
+    """The frobcode command with argv in a fresh interpreter, under an
+    address-space limit of limit_mb MiB when one is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", "frobcode", *argv],
+    command = ["-m", "frobcode"]
+    if limit_mb is not None:
+        command = ["-c", "import resource, sys; "
+                   f"limit = {limit_mb << 20}; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+                   "from frobcode.cli import main; sys.exit(main())"]
+    return subprocess.run([sys.executable, *command, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
 
@@ -145,6 +153,22 @@ def test_verify_full_respects_cap(capsys):
                            ["verify", "M2(GF(2))", "--full", "--cap", "10"])
     assert rc == 2
     assert "error:" in err
+
+
+def test_verify_past_the_work_bound_exits_2_in_2_gib():
+    # the default-cap k=2 sweep of M2(GF(4)) would take 256 * 442^2 *
+    # 65536 multiply-adds, past cap^2 = 2^40: it refuses in one line, in
+    # an address space far below the 16 GiB of an unreduced dot table
+    start = time.monotonic()
+    proc = run_module(["verify", "M2(GF(4))"], 60, limit_mb=2048)
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [
+        f"check {name}: pass" for name in (
+            "zero-set", "unit-invariance", "coset-sums", "ideal-correlation",
+            "sum-of-squares", "word-correlation-k1")]
+    assert len(proc.stderr.splitlines()) == 1
+    assert "multiply-adds" in proc.stderr and "--cap 65535" in proc.stderr
+    assert time.monotonic() - start < 30
 
 
 def test_parse_errors_exit_2(capsys):
@@ -630,6 +654,7 @@ CLI_GOLDEN = {
         "7e570946b9c8626243da28b5745207dbb2ffe7da5e7355e9166734134091bd53",
         EMPTY),
     "verify prod(Z4,Z2)": (["verify", "prod(Z4,Z2)"], 0, PASS_7, EMPTY),
+    "verify M2(GF(3))": (["verify", "M2(GF(3))"], 0, PASS_7, EMPTY),
     "verify sampled k=2": (
         ["verify", "M2(GF(2))", "--cap", "255", "--seed", "3"], 0,
         "d29613d6aa2e4aab7a9b8751e64f1de39565f2f729573ac323871c1bbdf88ad2",

@@ -1,6 +1,7 @@
 """The batched identity evaluators against the brute-force oracle in
-identity_oracle.py, the orbit- and coset-reduced ideal sweeps against
-the unreduced ones there, and the sweeps on corrupted weight tables.
+identity_oracle.py, the orbit- and coset-reduced ideal and word sweeps
+against the unreduced ones there, and the sweeps on corrupted weight
+tables.
 
 The corrupted tables move the weight of a whole unit orbit, so they
 pass the zero-set and unit-invariance checks and reach the identity
@@ -10,6 +11,7 @@ were recorded with those helpers.
 """
 
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,7 @@ from frobcode.codes import (
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
     _fixing_unit_count,
+    _orbit_count,
     _sampled_correlation_vectors,
     all_one_sided_ideals,
     check_correlation_ideal,
@@ -42,10 +45,12 @@ from frobcode.homweight import (
 from frobcode.rings import FiniteRing, opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import combine_rows, enumerate_vectors, point_ids
+import identity_oracle
 from identity_oracle import (
     all_one_sided_ideals_every_element,
     bump_unit_orbit,
     check_correlation_ideal_every_r,
+    check_correlation_vectors_every_pair,
     check_coset_sums_every_shift,
     class_coset_sum_lhs,
     code_correlation_lhs,
@@ -220,6 +225,8 @@ def test_ring_sweeps_fail_with_the_recorded_witness(spec, x, delta):
 REDUCED_RINGS = ["Z4", "Z6", "Z12", "Z36", "GF(4)", "M2(GF(2))",
                  "M2(GF(3))", "M2(GF(4))", "prod(Z4,Z2)", "op(M2(GF(3)))",
                  "GF(2)[x,y]/(x^2,y^2)"]
+REDUCED_ORDERS = dict(zip(REDUCED_RINGS,
+                          [4, 6, 12, 36, 4, 16, 81, 256, 8, 81, 16]))
 
 
 def group_algebra_c2_c2():
@@ -297,6 +304,99 @@ def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
     assert visited == swept * len(all_one_sided_ideals(ring, "left"))
 
 
+@pytest.mark.parametrize("bumped", [False, True])
+@pytest.mark.parametrize("spec,k", [("M2(GF(3))", 1), ("op(M2(GF(3)))", 1),
+                                    ("M2(GF(2))", 2), ("Z12", 2)])
+def test_word_correlation_takes_one_column_per_right_unit_orbit(
+        spec, k, bumped, monkeypatch):
+    # the columns g and h swept: the least member of each orbit {vu} of
+    # nonzero words; but every nonzero word on a table bumped on one
+    # element, which is not right-unit invariant
+    ring = reduced_ring(spec)
+    table = weight_table(ring)
+    if bumped:
+        table = table.with_bumped_numerator(ring.order - 1, 1)
+    swept = []
+
+    def spy(ring, matrix, coefficients):
+        swept.append(np.asarray(matrix).T.tolist())
+        return combine_rows(ring, matrix, coefficients)
+
+    monkeypatch.setattr(homweight, "combine_rows", spy)
+    outcome(lambda: check_correlation_vectors(ring, k, table))
+
+    def key(v):
+        return sum(int(c) * ring.order ** (k - 1 - i) for i, c in enumerate(v))
+
+    words = [list(v) for v in product(range(ring.order), repeat=k)
+             if any(v)]
+    least = [w for w in words if key(w) == min(
+        key([ring.mul_table[c, u] for c in w]) for u in ring.units)]
+    assert swept == [words if bumped else least]
+
+
+@pytest.mark.parametrize("spec,k", [
+    (spec, k) for spec in REDUCED_RINGS for k in (1, 2)
+    if REDUCED_ORDERS[spec] ** k <= 256])
+def test_word_correlation_matches_every_pair_oracle(spec, k):
+    ring = reduced_ring(spec)
+    tables = bumped_tables(ring)
+    outcomes = [outcome(lambda: check_correlation_vectors(ring, k, table))
+                for table in tables]
+    assert outcomes == [outcome(lambda: check_correlation_vectors_every_pair(
+        ring, k, table)) for table in tables]
+    assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
+
+
+@pytest.mark.parametrize("spec,k", [
+    ("M2(GF(3))", 1), ("op(M2(GF(3)))", 1), ("Z36", 1), ("M2(GF(2))", 2),
+    ("Z12", 2), ("prod(Z4,Z2)", 2), ("GF(2)[x,y]/(x^2,y^2)", 2)])
+def test_word_sweep_reports_the_unreduced_first_failure(spec, k,
+                                                        monkeypatch):
+    # the identity is made to fail on a sparse pseudo-random set of
+    # triples (g, h, s): where a hash of the weights w(x.h + s) over all
+    # x, plus one of w(x.g) or not, hits a residue modulo a prime and
+    # then modulo P^2 or P, P the number of points.  The set is closed
+    # under (gu, hv, sv), as the failures on a right-unit invariant
+    # table are, but need not start at s = 0 or at the first g and h
+    ring = reduced_ring(spec)
+    table = weight_table(ring)
+    points = len(np.unique(point_ids(
+        ring, enumerate_vectors(ring.order, k)[1:])[0]))
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, 1 << 20, size=(2, ring.order ** k))
+    outcomes = []
+    for by_g, residue in product((1, 0), range(8)):
+        def fail_on_hash(ring, table, wg, xh, s, same, m):
+            lhs, rhs, den = correlation_vectors(ring, table, wg, xh, s, same,
+                                                m)
+            ws = table.numerators[ring.add_table[xh, s]]
+            hashed = by_g * (wg.astype(np.int64) @ a)[:, None] + ws.T @ b
+            at = hashed % 1000003 % points ** (1 + by_g) == residue
+            return lhs, rhs + at, den
+
+        monkeypatch.setattr(homweight, "correlation_vectors", fail_on_hash)
+        monkeypatch.setattr(identity_oracle, "correlation_vectors",
+                            fail_on_hash)
+        got = outcome(lambda: check_correlation_vectors(ring, k, table))
+        assert got == outcome(lambda: check_correlation_vectors_every_pair(
+            ring, k, table))
+        outcomes.append(got)
+    # the first failures fall at more than one shift
+    assert len({o[1]["s"] for o in outcomes if o != "pass"}) > 1
+
+
+@pytest.mark.parametrize("spec", REDUCED_RINGS)
+def test_orbit_count_counts_the_points(spec):
+    ring = reduced_ring(spec)
+    for k in (1, 2):
+        if ring.order ** k <= 6561:
+            pids, _ = point_ids(ring, enumerate_vectors(ring.order, k))
+            assert _orbit_count(ring, ring.units_array, k) \
+                == len(np.unique(pids))
+        assert _orbit_count(ring, np.array([ring.one]), k) == ring.order ** k
+
+
 def test_fixing_unit_count_is_taken_once_per_ideal(monkeypatch):
     # with blocks of one r each, every ideal spans several blocks of r;
     # the count of units fixing the ideal is still taken once per ideal
@@ -316,6 +416,7 @@ def test_fixing_unit_count_is_taken_once_per_ideal(monkeypatch):
 @pytest.mark.parametrize("spec", REDUCED_RINGS)
 def test_ideal_enumeration_matches_every_element_oracle(spec):
     ring = reduced_ring(spec)
+    assert ring.order == REDUCED_ORDERS[spec]
     for side in ("left", "right"):
         got = all_one_sided_ideals(ring, side)
         want = all_one_sided_ideals_every_element(ring, side)
