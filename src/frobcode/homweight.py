@@ -372,10 +372,10 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
     of R^k only, and on any other table over every nonzero vector.
     With P of them, counted by _orbit_count, the sweep takes
     order P^2 order^k multiply-adds; past cap^2 it raises
-    CapExceededError before it builds anything order^k x P.  A failure reports the least failing (s, g, h) of the
-    unreduced sweep, by shift and then by key: s = tv, g the
-    representative and h = h'v of a failing representative triple
-    (g, h', t)."""
+    CapExceededError before it builds anything order^k x P.  A
+    failure reports the least failing (s, g, h) of the unreduced
+    sweep, by shift and then by key: s = tv, g the representative and
+    h = h'v of a failing representative triple (g, h', t)."""
     table = table if table is not None else weight_table(ring)
     cap = enum_cap() if cap is None else cap
     order = ring.order

@@ -459,10 +459,7 @@ class FiniteRing:
         self.meta = meta or {}
         self._verify(*self._scan_tables())
 
-    # -- scalar conveniences ------------------------------------------
-
-    def add(self, a, b):
-        return int(self.add_table[a, b])
+    # -- conveniences -------------------------------------------------
 
     @property
     def is_commutative(self):

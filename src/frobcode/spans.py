@@ -11,6 +11,12 @@ rule there.  Either way ==, np.unique, np.searchsorted, np.isin and
 np.minimum work on keys unchanged.  Sets of vectors are kept as
 row-sorted unique arrays, and ``lookup`` finds keys in their sorted
 keys.
+
+One closure grows every submodule M: a generator M holds costs one
+key lookup, and each kept one at least doubles M, so it runs at most
+log2 |M| passes of |M| * q sums.  ``column_module`` and ``span`` (over
+the opposite ring) run it, and ``is_submodule`` asks whether a set
+equals its own span.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import os
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
+from .rings import opposite_ring
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -114,47 +121,62 @@ def _sorted_unique_rows(vectors, order):
     return vectors[first], keys
 
 
-def scalar_orbit(ring, scalars, vector, side="left"):
-    """Rows s*v (side left) or v*s (side right) for s in scalars."""
+def scalar_orbit(ring, scalars, vector):
+    """Rows v*s for s in scalars."""
     vector = np.asarray(vector, dtype=np.int32)
     scalars = np.asarray(scalars, dtype=np.int32)
-    if side == "left":
-        return ring.mul_table[scalars[:, None], vector[None, :]]
-    if side == "right":
-        return ring.mul_table[vector[None, :], scalars[:, None]]
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return ring.mul_table[vector[None, :], scalars[:, None]]
+
+
+def _closure(ring, generators, cap, name):
+    """The right span M of the rows g of generators: M's rows sorted by
+    key, their keys, the indices of the kept g, and each element's
+    coefficients c on them (the element is the sum of the g c).  After
+    each kept g, the pending generators M + gR holds are dropped; a
+    kept g lies outside M, so M + gR is at least two cosets of M.
+    Raises CapExceededError when M grows past the cap."""
+    order = ring.order
+    scalars = np.arange(order, dtype=np.int32)
+    generator_keys = encode_vectors(generators, order)
+    rows = np.zeros((1, generators.shape[1]), dtype=np.int32)
+    keys = np.zeros(1, dtype=generator_keys.dtype)
+    coefficients = np.zeros((1, 0), dtype=np.int32)
+    kept = []
+    pending = np.arange(len(generators))
+    while True:
+        pending = pending[~lookup(keys, generator_keys[pending])[1]]
+        if not len(pending):
+            return rows, keys, kept, coefficients
+        g = pending[0]
+        multiples = scalar_orbit(ring, scalars, generators[g])
+        sums = ring.add_table[rows[:, None, :], multiples[None, :, :]]
+        sums = sums.reshape(-1, rows.shape[1])
+        keys, at = np.unique(encode_vectors(sums, order), return_index=True)
+        if len(at) > cap:
+            raise CapExceededError(f"{name} grew past cap {cap}")
+        rows = sums[at]
+        coefficients = np.column_stack([coefficients[at // order],
+                                        at % order])
+        kept.append(g)
 
 
 def span(ring, generators, cap=None):
     """The left submodule of R^n generated by the given rows, as sorted
-    unique rows and their keys.
-
-    Closure is one pass: starting from the zero module, add one
-    generator's full scalar orbit at a time and close under addition
-    with the current set via the addition table.
-    """
+    unique rows and their keys: their right span over the opposite
+    ring, where a held generator costs one key lookup and each kept
+    one at least doubles the span."""
     if cap is None:
         cap = enum_cap()
-    generators = [tuple(int(x) for x in g) for g in generators]
-    if not generators:
+    generators = np.asarray(generators, dtype=np.int32)
+    if len(generators) == 0:
         raise PreconditionError("span needs at least one generator")
-    n = len(generators[0])
-    all_scalars = np.arange(ring.order, dtype=np.int32)
-    current = np.zeros((1, n), dtype=np.int32)
-    for g in generators:
-        orbit = scalar_orbit(ring, all_scalars, g)
-        summed = ring.add_table[current[:, None, :], orbit[None, :, :]]
-        summed = summed.reshape(-1, n)
-        current, keys = _sorted_unique_rows(summed, ring.order)
-        if len(current) > cap:
-            raise CapExceededError(
-                f"span grew past cap {cap}")
-    return current, keys
+    rows, keys, _, _ = _closure(opposite_ring(ring), generators, cap, "span")
+    return rows, keys
 
 
 def unit_orbit(ring, vector):
     """Sorted unique rows {v*u : u a unit}."""
-    orbit = scalar_orbit(ring, ring.units_array, vector, "right")
+    orbit = scalar_orbit(ring, ring.units_array, vector)
     rows, _ = _sorted_unique_rows(orbit, ring.order)
     return rows
 
@@ -215,54 +237,28 @@ def column_module(ring, matrix, cap=None):
     """The column module {G y : y in R^n} of a k x n matrix G, as rows
     sorted by key, and one preimage y with G y = z for each element z.
 
-    Closes {0} under adding right multiples of each distinct column,
-    carrying the coefficient vector y of every element along, so the
-    work is bounded by the module size rather than order**n."""
+    The closure of the columns of G: y is an element's coefficients on
+    the kept columns and 0 on the rest, so the work is bounded by the
+    module size rather than order**n."""
     if cap is None:
         cap = enum_cap()
     G = np.asarray(matrix, dtype=np.int32)
-    order = ring.order
-    k, n = G.shape
-    _, first = np.unique(encode_vectors(G.T, order), return_index=True)
-    scalars = np.arange(order, dtype=np.int32)
-    z = np.zeros((1, k), dtype=np.int32)
-    y = np.zeros((1, n), dtype=np.int32)
-    for j in np.sort(first):
-        multiples = ring.mul_table[G[:, j][None, :], scalars[:, None]]
-        sums = ring.add_table[z[:, None, :], multiples[None, :, :]]
-        sums = sums.reshape(-1, k)
-        _, at = np.unique(encode_vectors(sums, order), return_index=True)
-        if len(at) > cap:
-            raise CapExceededError(f"column module grew past cap {cap}")
-        z = sums[at]
-        y = y[at // order]
-        y[:, j] = at % order
+    z, _, kept, coefficients = _closure(ring, G.T, cap, "column module")
+    y = np.zeros((len(z), G.shape[1]), dtype=np.int32)
+    y[:, kept] = coefficients
     return z, y
 
 
 def is_submodule(ring, vectors):
-    """True iff the given sorted unique rows form a right submodule of
-    R^n (nonempty, closed under addition and the right scalar action)."""
+    """True iff the given rows form a right submodule of R^n: they are
+    nonempty and equal their own right span, whose closure stops as
+    soon as it outgrows them."""
     vectors = np.asarray(vectors, dtype=np.int32)
     if vectors.ndim != 2 or len(vectors) == 0:
         return False
-    keys = np.sort(encode_vectors(vectors, ring.order))
-
-    def covered(rows):
-        rk = encode_vectors(rows.reshape(-1, vectors.shape[1]), ring.order)
-        return bool(lookup(keys, rk)[1].all())
-
-    if not covered(np.zeros((1, vectors.shape[1]), dtype=np.int32)):
+    vectors, _ = _sorted_unique_rows(vectors, ring.order)
+    try:
+        _closure(ring, vectors, len(vectors), "submodule")
+    except CapExceededError:
         return False
-    block = max(1, BLOCK_ENTRIES // max(1, vectors.size))
-    for start in range(0, len(vectors), block):
-        sums = ring.add_table[vectors[start:start + block, None, :],
-                              vectors[None, :, :]]
-        if not covered(sums):
-            return False
-    all_scalars = np.arange(ring.order, dtype=np.int32)
-    for start in range(0, ring.order, block):
-        scalars = all_scalars[start:start + block, None, None]
-        if not covered(ring.mul_table[vectors[None, :, :], scalars]):
-            return False
     return True

@@ -13,7 +13,9 @@ from dual_oracle import oracle_dual_report
 from frobcode.codes import build_code, two_weight_profile
 from frobcode.duality import (
     _check_message_classification,
+    _check_smaller_class_spans,
     _column_module,
+    _smaller_class_mask,
     build_dual,
     dual_pipeline,
 )
@@ -25,6 +27,7 @@ from frobcode.errors import (
 from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
+from frobcode.spans import apply_matrix, column_module, enumerate_vectors
 
 
 def make(text, rows):
@@ -137,6 +140,37 @@ def test_cap_bounds_the_column_module():
     with pytest.raises(CapExceededError):
         dual_pipeline(code, cap=8)
     assert dual_pipeline(code, cap=9).dual_size == 9
+
+
+def elliptic_quadric_code(text):
+    """The code of the elliptic quadric x0 x1 + x2^2 + x2 x3 + a x3^2 = 0
+    in PG(3,q), from the tables of GF(q): a is the least element with no
+    root t of t^2 + t + a, and each point is the representative whose
+    first nonzero coordinate is 1."""
+    ring = ring_from_text(text)
+    add, mul = ring.add_table, ring.mul_table
+    t = np.arange(ring.order)
+    a = next(a for a in t if (add[add[mul[t, t], t], a] != 0).all())
+    x = enumerate_vectors(ring.order, 4)
+    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
+    x = x[lead == ring.one]
+    form = add[add[mul[x[:, 0], x[:, 1]], mul[x[:, 2], x[:, 2]]],
+               add[mul[x[:, 2], x[:, 3]], mul[a, mul[x[:, 3], x[:, 3]]]]]
+    return ring, build_code(ring, x[form == 0].T.copy())
+
+
+def test_elliptic_quadric_q8_smaller_words_span_the_code():
+    # Q^-(3,8): GF(8), k=4, n=65; the span of its 3640 smaller-weight
+    # words skips every word it already holds, so it takes 4 passes,
+    # not one per word
+    ring, code = elliptic_quadric_code("GF(8)")
+    assert (code.k, code.n, code.size) == (4, 65, 4096)
+    m1 = code.words[_smaller_class_mask(code)]
+    assert len(m1) == 3640
+    _check_smaller_class_spans(code, m1, None)
+    module, preimages = column_module(ring, code.generator)
+    assert len(module) == 4096
+    assert (apply_matrix(ring, code.generator, preimages) == module).all()
 
 
 # ------------------------------------------------ agreement with oracle

@@ -231,12 +231,35 @@ def test_point_ids_match_unit_orbits(case, block_entries):
         assert size == len(orbit)
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(ring_rows(4))
+@st.composite
+def column_matrices(draw):
+    """A small ring and a matrix G (k <= 3, n <= 4) whose drawn columns
+    are, half of the time, followed by columns that the module of the
+    earlier ones already holds: repeats, unit multiples, other right
+    multiples and sums of earlier columns."""
+    held = draw(st.booleans())
+    ring, columns = draw(ring_rows(2 if held else 4))
+    columns = list(columns)
+    for _ in range(draw(st.integers(1, 2)) if held else 0):
+        earlier = st.sampled_from(columns)
+        kind = draw(st.sampled_from(["repeat", "unit", "multiple", "sum"]))
+        column = draw(earlier)
+        if kind == "unit":
+            column = ring.mul_table[
+                column, draw(st.sampled_from(ring.units_array.tolist()))]
+        elif kind == "multiple":
+            column = ring.mul_table[column,
+                                    draw(st.integers(0, ring.order - 1))]
+        elif kind == "sum":
+            column = ring.add_table[column, draw(earlier)]
+        columns.append(column)
+    return ring, np.array(columns, dtype=np.int32).T.copy()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(column_matrices())
 def test_column_module_matches_rn_oracle(case):
-    # rows of the drawn array are the columns of G (k <= 3, n <= 4)
-    ring, columns = case
-    G = columns.T.copy()
+    ring, G = case
     module, preimages = column_module(ring, G)
     keys = encode_vectors(module, ring.order)
     assert (np.diff(keys) > 0).all()
@@ -279,8 +302,8 @@ def test_is_submodule():
 
 
 def unchunked_is_submodule(ring, vectors, side):
-    """is_submodule with every pair sum and every scalar multiple built
-    at once, as it was before the pair sums were taken in blocks."""
+    """Whether the rows hold 0, every pair sum and every scalar multiple
+    of theirs, each built at once: shares no code with the closure."""
     vectors = np.asarray(vectors, dtype=np.int32)
     if vectors.ndim != 2 or len(vectors) == 0:
         return False
@@ -335,20 +358,21 @@ def row_sets(draw):
     if closure == "additive":
         rows = additive_closure(ring, rows)
     elif closure == "scalar":
+        # a left orbit over R is the right orbit over its opposite
+        acting = ring if side == "right" else opposite_ring(ring)
         scalars = np.arange(ring.order, dtype=np.int32)
         rows = np.unique(np.concatenate(
-            [scalar_orbit(ring, scalars, row, side) for row in rows]), axis=0)
+            [scalar_orbit(acting, scalars, row) for row in rows]), axis=0)
     elif closure == "span":
         rows, _ = span(ring if side == "left" else opposite_ring(ring), rows)
     return ring, rows, side
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(row_sets(), st.integers(1, 64))
-def test_is_submodule_blocks_match_unchunked(case, block_entries):
+@given(row_sets())
+def test_is_submodule_matches_pairwise_oracle(case):
     ring, rows, side = case
     # a left submodule over R is a right submodule over its opposite
     acting = ring if side == "right" else opposite_ring(ring)
-    with mock.patch.object(spans, "BLOCK_ENTRIES", block_entries):
-        chunked = is_submodule(acting, rows)
-    assert chunked == unchunked_is_submodule(ring, rows, side)
+    assert is_submodule(acting, rows) == unchunked_is_submodule(
+        ring, rows, side)
