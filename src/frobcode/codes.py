@@ -220,18 +220,23 @@ class TwoWeightProfile:
 
 def two_weight_profile(code):
     """The two-weight profile of the code, or None if the number of
-    distinct nonzero weights differs from two.  Frequencies are
-    cross-checked against their closed forms, and the power-sum
-    relation too when the code is modular."""
+    distinct nonzero weights differs from two; checked by
+    _checked_profile."""
     if len(code.nonzero_weights) != 2:
         return None
     dist = code.weight_distribution
     w1, w2 = code.nonzero_weights
-    b0 = dist.get(Fraction(0), 0)
-    b1, b2 = dist[w1], dist[w2]
-    size, n = code.size, code.n
-    index = code.index
+    return _checked_profile(TwoWeightProfile(
+        n=code.n, size=code.size, b0=dist.get(Fraction(0), 0), w1=w1,
+        w2=w2, b1=dist[w1], b2=dist[w2], index=code.index))
 
+
+def _checked_profile(profile):
+    """The profile, once its frequencies agree with their closed forms,
+    its larger weight exceeds the length, and, when it is modular, the
+    power-sum relation holds."""
+    n, size, b0, index = profile.n, profile.size, profile.b0, profile.index
+    w1, w2, b1, b2 = profile.w1, profile.w2, profile.b1, profile.b2
     b1_closed = ((w2 - n) * size - w2 * b0) / (w2 - w1)
     b2_closed = ((n - w1) * size + w1 * b0) / (w2 - w1)
     if b1 != b1_closed or b2 != b2_closed:
@@ -250,8 +255,7 @@ def two_weight_profile(code):
             raise IdentityCheckError(
                 "power-sum relation between the two weights fails",
                 witness={"lhs": str(lhs), "rhs": str(rhs)})
-    return TwoWeightProfile(n=n, size=size, b0=b0, w1=w1, w2=w2,
-                            b1=b1, b2=b2, index=index)
+    return profile
 
 
 def support_with_zero(code):

@@ -234,21 +234,29 @@ def build_coset_graph(code):
 
 
 def coset_graph_srg(graph):
-    """Certify a coset graph as strongly regular by counting the
-    differences s - t of its connection set S: the common neighbours
-    of two cosets are the count of their difference, so lambda is read
-    on S and mu on the other nonzero cosets.  On a translation-invariant
-    graph these are the value sets measure_srg sees, so the messages,
-    witnesses and complete-graph convention are the same."""
-    code = graph.code
-    connection = graph.connection
+    """Certify a coset graph as strongly regular, as the Cayley graph
+    on the cosets connected by the smaller-weight ones."""
+    return _cayley_srg(graph.code.ring,
+                       graph.representatives[graph.connection],
+                       graph.code.word_keys, graph.coset_index,
+                       graph.connection)
+
+
+def _cayley_srg(ring, rows, keys, labels, connection):
+    """Certify as strongly regular the Cayley graph on a group of N
+    elements labelled 0 (zero) to N - 1, whose connection set S, the
+    given rows, is marked by connection; keys are the group's sorted
+    keys and labels their labels.  The common neighbours of two
+    elements are the count of their difference as s - t over S x S, so
+    lambda is read on S and mu on the other nonzero elements: on a
+    translation-invariant graph the value sets measure_srg sees, so the
+    messages, witnesses and complete-graph convention are the same."""
     N = len(connection)
-    K = int(connection.sum())
-    counts = _difference_counts(code.ring, graph.representatives[connection],
-                                code.word_keys, graph.coset_index, N)
+    counts = _difference_counts(ring, rows, keys, labels, N)
     others = ~connection
-    others[0] = False  # the zero coset: its representative has key 0
-    return _srg_from_counts(N, K, counts[connection], counts[others])
+    others[0] = False
+    return _srg_from_counts(N, int(connection.sum()), counts[connection],
+                            counts[others])
 
 
 # ---------------------------------------------------------------- PDS
@@ -307,20 +315,13 @@ def pds_check(ring, group_rows, subset_rows):
     if not (neg_keys == skeys).all():
         return None
 
-    counts = _difference_counts(ring, subset_rows, gkeys,
-                                np.arange(len(gkeys)), len(gkeys))
-
-    in_subset = np.isin(gkeys, skeys)
-    is_zero = gkeys == 0
-    lam_counts = np.unique(counts[in_subset])
-    mu_mask = ~in_subset & ~is_zero
-    mu_counts = np.unique(counts[mu_mask])
-    if len(lam_counts) != 1:
+    try:
+        srg = _cayley_srg(ring, subset_rows, gkeys, np.arange(len(gkeys)),
+                          np.isin(gkeys, skeys))
+    except IdentityCheckError:
         return None
-    if mu_mask.any() and len(mu_counts) != 1:
-        return None
-    mu = int(mu_counts[0]) if mu_mask.any() else 0
-    return PdsCertificate(len(group_rows), m, int(lam_counts[0]), mu)
+    return PdsCertificate(len(group_rows), m, srg.common_adjacent,
+                          srg.common_nonadjacent)
 
 
 # ------------------------------------------------------- equivalence

@@ -5,12 +5,12 @@ row has one canonical key, the big-endian number
 sum(v[i] * q**(n-1-i)), so keys sort in the lexicographic order of the
 rows.  The key is an int64 while q**n <= 2**62; past that it is the same
 number as a Python int in an object array.  Only the object path runs
-on wide rows (a dual word is as long as the smaller weight class); on
-narrow rows the int64 path is many times faster, so it stays the
-rule there.  Either way ==, np.unique, np.searchsorted, np.isin and
-np.minimum work on keys unchanged.  Sets of vectors are kept as
-row-sorted unique arrays, and ``lookup`` finds keys in their sorted
-keys.
+on wide rows (the words of a long code, n = 65 over GF(8), or of
+duality.build_dual, as long as the smaller weight class); on narrow
+rows the int64 path is many times faster, so it stays the rule there.
+Either way ==, np.unique, np.searchsorted, np.isin and np.minimum work
+on keys unchanged.  Sets of vectors are kept as row-sorted unique
+arrays, and ``lookup`` finds keys in their sorted keys.
 
 One closure grows every submodule M: a generator M holds costs one
 key lookup, and each kept one at least doubles M, so it runs at most

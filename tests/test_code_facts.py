@@ -49,6 +49,7 @@ def test_each_fact_is_computed_once_per_code(monkeypatch, tmp_path, capsys):
     path = tmp_path / "f3.code"
     path.write_text(F3_IDENTITY)
     runs = [["search", "GF(3)", "k=3", "n_max=9", "--index1"],
+            ["search", "GF(2)", "k=3", "n_max=7"],
             ["analyze", str(path)], ["graph", str(path)],
             ["dual", str(path)]]
     for argv in runs:

@@ -1,6 +1,8 @@
 """Dual two-weight codes: frozen small examples, the full certification
 pipeline, the double dual, and agreement with the R^n oracle."""
 
+import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dual_oracle import oracle_dual_report
-from frobcode.codes import build_code, two_weight_profile
+from frobcode.cli import main
+from frobcode.codes import (
+    LinearCode,
+    build_code,
+    format_code_file,
+    two_weight_profile,
+)
 from frobcode.duality import (
     _check_message_classification,
     _check_smaller_class_spans,
@@ -24,10 +32,20 @@ from frobcode.errors import (
     IdentityCheckError,
     PreconditionError,
 )
+from frobcode.graphs import CosetGraph, _cayley_srg, coset_graph_srg
 from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import apply_matrix, column_module, enumerate_vectors
+from frobcode.spans import (
+    apply_matrix,
+    column_module,
+    encode_vectors,
+    enumerate_vectors,
+)
+
+# the hyperoval {(1,t,t^2)} + (0,0,1) + (0,1,0) in PG(2,4): its
+# smaller-weight class, so the length of its dual words, is 45
+HYPEROVAL = [[1, 1, 1, 1, 0, 0], [0, 1, 2, 3, 0, 1], [0, 1, 3, 2, 1, 0]]
 
 
 def make(text, rows):
@@ -128,6 +146,11 @@ def test_classification_witness_is_a_column_module_element():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     module = _column_module(code, None)
     report = dual_pipeline(code)
+    on_point, counts = _check_message_classification(
+        code, module, report.w1_dual, report.w2_dual)
+    assert counts == report.class_counts
+    assert module.elements[on_point].tolist() == [
+        [0, 1], [0, 2], [1, 0], [2, 0]]
     with pytest.raises(IdentityCheckError) as info:
         _check_message_classification(
             code, module, report.w1_dual + 1, report.w2_dual)
@@ -173,6 +196,73 @@ def test_elliptic_quadric_q8_smaller_words_span_the_code():
     assert (apply_matrix(ring, code.generator, preimages) == module).all()
 
 
+@pytest.mark.parametrize("q,srg", [
+    (4, [256, 51, 2, 12]), (5, [625, 104, 3, 20]), (8, [4096, 455, 6, 56]),
+], ids=["4", "5", "8"])
+def test_elliptic_quadric_dual_graph(capsys, tmp_path, q, srg):
+    # the dual graph of Q^-(3,q) is srg(q^4, (q^2+1)(q-1), q-2, q(q-1));
+    # for q = 8 the dual's words are 3640 long, and the dual is
+    # certified on the 4096 elements of the column module
+    assert srg == [q ** 4, (q * q + 1) * (q - 1), q - 2, q * (q - 1)]
+    ring, code = elliptic_quadric_code(f"GF({q})")
+    assert list(dual_pipeline(code).srg.as_tuple()) == srg
+    path = tmp_path / "quadric.code"
+    path.write_text(format_code_file(ring.spec.text(), code.generator))
+    assert main(["dual", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["srg_measured"] == report["srg_predicted"] == srg
+
+
+def test_dual_pipeline_builds_no_dual_code(monkeypatch):
+    # the pipeline certifies the dual on the column module: it keys no
+    # row as long as the dual's words and builds no code over the
+    # opposite ring (none at all)
+    ring = ring_from_text("GF(4)")
+    code = build_code(ring, np.array(HYPEROVAL, dtype=np.int32))
+    assert code.profile.b1 == 45
+    encode, from_words = encode_vectors, LinearCode.from_words.__func__
+    lengths, rings = [], []
+
+    def spy_encode(vectors, order):
+        lengths.append(np.shape(vectors)[-1])
+        return encode(vectors, order)
+
+    def spy_from_words(cls, ring, *args):
+        rings.append(ring.spec.text())
+        return from_words(cls, ring, *args)
+
+    for name, module in sys.modules.items():
+        if (name.startswith("frobcode")
+                and getattr(module, "encode_vectors", None) is encode):
+            monkeypatch.setattr(module, "encode_vectors", spy_encode)
+    monkeypatch.setattr(LinearCode, "from_words",
+                        classmethod(spy_from_words))
+    assert dual_pipeline(code).srg.as_tuple() == (64, 18, 2, 6)
+    assert lengths and code.profile.b1 not in lengths
+    assert rings == []
+
+
+def test_column_module_graph_fails_like_coset_graph():
+    # GF(2)^3 connected by e2 and e3 is two disjoint 4-cycles: symmetric,
+    # but nonadjacent pairs have 2 or 0 common neighbours.  Counted on
+    # the column module as dual_pipeline counts it, and as the coset
+    # graph of the code with the same connection set, it fails alike.
+    ring, code = make("GF(2)", np.eye(3, dtype=np.int32).tolist())
+    z, _ = column_module(ring, code.generator)
+    keys = encode_vectors(z, ring.order)
+    connection = np.isin(keys, [1, 2])
+    with pytest.raises(IdentityCheckError) as on_z:
+        _cayley_srg(ring, z[connection], keys, np.arange(len(z)),
+                    connection)
+    graph = CosetGraph(code, code.words, np.arange(code.size), connection)
+    with pytest.raises(IdentityCheckError) as on_cosets:
+        coset_graph_srg(graph)
+    assert str(on_z.value) == str(on_cosets.value) \
+        == "nonadjacent pairs disagree on common neighbours"
+    assert on_z.value.witness == on_cosets.value.witness \
+        == {"values": [0, 2]}
+
+
 # ------------------------------------------------ agreement with oracle
 
 # (ring, k, n_max): every two-weight record with b0 = 1 of the search is
@@ -212,11 +302,10 @@ def test_every_search_hit_matches_oracle(spec, k, n_max):
 
 
 def test_dual_past_int64_keys_matches_oracle():
-    # the hyperoval in PG(2,4): its dual words have length 45, so their
-    # keys are Python ints, on both sides of the comparison
+    # the hyperoval's dual words have length 45, so build_dual keys them
+    # as Python ints, on both sides of the comparison
     ring = ring_from_text("GF(4)")
-    generator = np.array([[1, 1, 1, 1, 0, 0], [0, 1, 2, 3, 0, 1],
-                          [0, 1, 3, 2, 1, 0]], dtype=np.int32)
+    generator = np.array(HYPEROVAL, dtype=np.int32)
     assert build_dual(build_code(ring, generator)).word_keys.dtype == object
     assert_matches_oracle(ring, generator)
 
