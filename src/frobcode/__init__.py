@@ -11,7 +11,7 @@ from .codes import (
     parse_code_file,
     two_weight_profile,
 )
-from .duality import DualReport, build_dual, dual_pipeline
+from .duality import DualReport, dual_pipeline
 from .errors import (
     CapExceededError,
     CharacterError,
@@ -58,8 +58,8 @@ __all__ = [
     "PdsCertificate", "PointInfo", "PreconditionError",
     "ReduciblePolynomialError", "RingConstructionError", "SearchRecord",
     "SpecParseError", "SrgParams", "TwoWeightProfile", "WeightTable",
-    "ZeroColumnError", "build_code", "build_coset_graph", "build_dual",
-    "build_ring", "coset_graph_srg", "dual_pipeline", "equivalence_check",
+    "ZeroColumnError", "build_code", "build_coset_graph", "build_ring",
+    "coset_graph_srg", "dual_pipeline", "equivalence_check",
     "format_code_file", "generator_for_record", "identity_suite",
     "measure_srg", "modular_index", "opposite_ring", "parse_code_file",
     "parse_ring_spec", "pds_check", "predicted_dual_srg", "predicted_srg",

@@ -1,14 +1,18 @@
 """Left linear codes over a finite ring, their weight profiles, and the
 closed-form identities tying modular two-weight codes to their graphs.
 
-A code is stored as the sorted array of its codewords together with the
-generator matrix that produced it.  Column multiplicities are tracked
-per projective point (right unit orbit of a nonzero column); a code is
-modular when every occurring point has multiplicity proportional to its
-orbit size, and the proportionality constant is the index.  Each code
-also keys every word by the least key in its coset of the zero-weight
-subcode; each generator of that subcode at least doubles it, so the
-cost grows with the number of generators, at most log2 b0, not with b0.
+A code is stored as the sorted array of its codewords, the generator
+matrix that produced it, and its message table: the word of every
+message in R^k.  A sum or difference of words is the word of the sum or
+difference of their messages, so the group passes over a code (its
+zero-weight cosets, its coset graph) run on k-long messages with int64
+keys.  Column multiplicities are tracked per projective point (right
+unit orbit of a nonzero column); a code is modular when every occurring
+point has multiplicity proportional to its orbit size, and the
+proportionality constant is the index.  Each code also keys every word
+by the least key in its coset of the zero-weight subcode; each
+generator of that subcode at least doubles it, so the cost grows with
+the number of generators, at most log2 b0, not with b0.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .spans import (
     decode_vectors,
     encode_vectors,
     enumerate_vectors,
-    lookup,
     point_ids,
     unit_orbit,
 )
@@ -44,16 +47,17 @@ _BATCH_ENTRIES = 1 << 22
 
 class LinearCode:
     """A left linear code, fully enumerated: its words in sorted order,
-    and for each word one message x with x G equal to it.  The facts
-    derived from them (points, index, weights, two-weight profile,
-    support) are computed once, at first use."""
+    and its message table, the index of the word x G of every message
+    x in R^k, by the key of x.  The facts derived from them (points,
+    index, weights, two-weight profile, support) are computed once, at
+    first use."""
 
-    def __init__(self, ring, generator, words, messages, table):
+    def __init__(self, ring, generator, words, word_of_message, table):
         self.ring = ring
         self.generator = np.ascontiguousarray(generator, dtype=np.int32)
         self.k, self.n = self.generator.shape
         self.words = words
-        self.messages = messages
+        self.word_of_message = word_of_message
         self.word_keys = encode_vectors(words, ring.order)
         self.table = table
         self.word_numerators = table.word_numerator(words)
@@ -62,6 +66,12 @@ class LinearCode:
     @property
     def size(self):
         return len(self.words)
+
+    @cached_property
+    def messages(self):
+        """The least message x of each word, with x G equal to it."""
+        _, first = np.unique(self.word_of_message, return_index=True)
+        return decode_vectors(first, self.ring.order, self.k)
 
     @cached_property
     def weight_distribution(self):
@@ -131,20 +141,6 @@ class LinearCode:
         return (f"LinearCode({self.ring.spec.text()}, k={self.k}, "
                 f"n={self.n}, size={self.size})")
 
-    @classmethod
-    def from_words(cls, ring, generator, words, messages, message_count):
-        """The code with the given sorted unique words and their
-        messages, after the checks every enumerated code gets: its size
-        divides the number of messages, and its zero-weight words are
-        closed under addition (found with its coset keys)."""
-        code = cls(ring, generator, words, messages, weight_table(ring))
-        if message_count % code.size != 0:
-            raise IdentityCheckError(
-                "code size does not divide the message space",
-                witness={"size": code.size, "messages": message_count})
-        code.coset_keys  # raises when the closure check fails
-        return code
-
 
 def build_code(ring, generator, cap=None):
     """Enumerate the left code generated by the rows of a k x n matrix."""
@@ -160,10 +156,17 @@ def build_code(ring, generator, cap=None):
             f"generator column {int(zero_cols[0])} is all-zero")
     X = enumerate_vectors(ring.order, G.shape[0], cap)
     all_words = combine_rows(ring, G, X)
-    _, first = np.unique(encode_vectors(all_words, ring.order),
-                         return_index=True)
-    return LinearCode.from_words(ring, G, all_words[first], X[first],
-                                 len(X))
+    _, first, word_of_message = np.unique(
+        encode_vectors(all_words, ring.order), return_index=True,
+        return_inverse=True)
+    code = LinearCode(ring, G, all_words[first], word_of_message,
+                      weight_table(ring))
+    if len(X) % code.size != 0:
+        raise IdentityCheckError(
+            "code size does not divide the message space",
+            witness={"size": code.size, "messages": len(X)})
+    code.coset_keys  # raises when the zero-weight words are not closed
+    return code
 
 
 def _zero_cosets(code):
@@ -171,14 +174,15 @@ def _zero_cosets(code):
     the zero-weight words; S leaves those words exactly when they are
     not closed under addition.  S grows one generator w at a time, the
     first zero-weight word outside it: with step the position of c + w,
-    the key of c becomes the least over c, c + w, c + 2w, ... up to the
-    first multiple of w already in S."""
+    the word of the message x_c + x_w, the key of c becomes the least
+    over c, c + w, c + 2w, ... up to the first multiple of w already in
+    S."""
     zero = code.word_numerators == 0
     least = code.word_keys.copy()
     while (outside := np.flatnonzero(zero & (least != 0))).size:
-        shifted = code.ring.add_table[code.words, code.words[outside[0]]]
-        step = lookup(code.word_keys,
-                      encode_vectors(shifted, code.ring.order))[0]
+        x = code.messages
+        shifted = code.ring.add_table[x, x[outside[0]]]
+        step = code.word_of_message[encode_vectors(shifted, code.ring.order)]
         grown, at, multiple = least.copy(), np.arange(code.size), step[0]
         while least[multiple] != 0:
             at, multiple = step[at], step[multiple]

@@ -2,9 +2,8 @@
 
 The dual of a two-weight code collects the smaller-weight codewords as
 the rows of a matrix m1 and takes the right code generated by its
-columns.  ``build_dual`` builds it as the left code of m1^T over the
-opposite ring, whose weight table coincides with the original; its
-words are b1 long, so their keys may be Python ints.
+columns: the left code of m1^T over the opposite ring, whose weight
+table coincides with the original.  Its words are b1 long.
 
 ``dual_pipeline`` builds no code.  Each smaller-weight codeword has a
 message, so m1 = X1 G, and m1 y = X1 (G y) for every y in R^n: the dual
@@ -16,7 +15,8 @@ and every claim about it is certified on Z, keyed in R^k: the weight of
 each X1 z by its class, which also makes z -> X1 z injective and gives
 the dual's frequencies; index one on the rows of m1; and, as in the
 classical case, its graph, the Cayley graph on Z whose connection set
-is the occurring points.
+is the occurring points.  The dual words X1 z are formed a block of z
+at a time and only their weights are kept.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, TwoWeightProfile, _checked_profile
+from .codes import TwoWeightProfile, _checked_profile
 from .errors import IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
@@ -36,6 +36,7 @@ from .graphs import (
 )
 from .rings import opposite_ring
 from .spans import (
+    BLOCK_ENTRIES,
     apply_matrix,
     column_module,
     combine_rows,
@@ -53,15 +54,13 @@ def _smaller_class_mask(code):
 @dataclass(frozen=True)
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
-    with the keys, one preimage y (G y = z) per element z, the fibre
-    size |ker G|, the smaller-weight matrix m1, and the dual word X1 z
-    of each z."""
+    with the keys, the fibre size |ker G|, the smaller-weight matrix
+    m1, and the messages X1 of its rows."""
     elements: np.ndarray
     keys: np.ndarray
-    preimages: np.ndarray
     fibre: int
     m1: np.ndarray
-    dual_words: np.ndarray
+    x1: np.ndarray
 
 
 def _column_module(code, cap):
@@ -78,7 +77,7 @@ def _column_module(code, cap):
             "smaller-weight messages do not reproduce their codewords",
             witness={"ring": ring.spec.text()})
 
-    z, y = column_module(ring, G, cap)
+    z, keys = column_module(ring, G, cap)
     if len(z) != code.size:
         raise IdentityCheckError(
             "column module size differs from the code size",
@@ -88,21 +87,7 @@ def _column_module(code, cap):
         raise IdentityCheckError(
             "column module size does not divide the message space",
             witness={"column_module": len(z), "messages": f"{order}**{n}"})
-    return _ColumnModule(z, encode_vectors(z, order), y, fibre, m1,
-                         apply_matrix(ring, x1, z))
-
-
-def build_dual(code, cap=None):
-    """The dual as a left code over the opposite ring with generator
-    m1^T, which turns the right column span of m1 into a left row span:
-    the word of message y is m1 y = X1 z."""
-    module = _column_module(code, cap)
-    op = opposite_ring(code.ring)
-    words = module.dual_words
-    _, at = np.unique(encode_vectors(words, op.order), return_index=True)
-    return LinearCode.from_words(
-        op, module.m1.T.copy(), words[at], module.preimages[at],
-        op.order ** code.n)
+    return _ColumnModule(z, keys, fibre, m1, x1)
 
 
 @dataclass(frozen=True)
@@ -184,9 +169,15 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
     weight the smaller closed form), or neither (the larger closed
     form).  Only z = 0 may have a dual word of weight 0.  Returns the
     mask of the on-point z and the class sizes, each z standing for its
-    whole fibre."""
+    whole fibre.  The dual words are formed in blocks of z of at most
+    BLOCK_ENTRIES entries."""
     D = code.denominator
-    wnum = code.table.word_numerator(module.dual_words)
+    z, x1 = module.elements, module.x1
+    block = max(1, BLOCK_ENTRIES // len(x1))
+    wnum = np.concatenate([
+        code.table.word_numerator(apply_matrix(code.ring, x1,
+                                               z[start:start + block]))
+        for start in range(0, len(z), block)])
     zero = module.keys == 0
     on_point = np.isin(module.keys, encode_vectors(
         code.support, code.ring.order)) & ~zero
@@ -198,7 +189,7 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
         if len(bad):
             raise IdentityCheckError(
                 f"dual word weight disagrees with its {cls} class",
-                witness={"z": module.elements[bad[0]].tolist(),
+                witness={"z": z[bad[0]].tolist(),
                          "weight": str(Fraction(int(wnum[bad[0]]), D))})
     counts = tuple(module.fibre * int(mask.sum())
                    for mask in (zero, on_point, other))

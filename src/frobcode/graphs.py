@@ -7,12 +7,15 @@ adjacent when their difference has the smaller weight.  It is the
 Cayley graph of the quotient group whose connection set S is the set
 of smaller-weight cosets, so its measured parameters come from
 counting the differences s - t over S x S: lambda is the count on S,
-mu the count on the other nonzero cosets.  Predicted parameters come
-from closed forms in the weights and frequencies.  The same difference
-counts certify partial difference sets inside an ambient module and
-the equivalence between two-weight codes and such sets.
-``measure_srg`` measures an explicit adjacency matrix by
-common-neighbour counting.
+mu the count on the other nonzero cosets.  A word difference is the
+word of a message difference, so the counts, the adjacency matrix and
+the negation check run on one message in R^k per coset, keyed in
+int64 and sent to its coset through the code's message table, however
+long the words are.  Predicted parameters come from closed forms in
+the weights and frequencies.  The same difference counts certify
+partial difference sets inside an ambient module and the equivalence
+between two-weight codes and such sets.  ``measure_srg`` measures an
+explicit adjacency matrix by common-neighbour counting.
 """
 
 from __future__ import annotations
@@ -157,23 +160,21 @@ def predicted_dual_srg(profile):
 @dataclass
 class CosetGraph:
     """The coset graph in Cayley form: the coset representatives (the
-    least member of each coset, ascending by key), the coset index of
-    every codeword, and the connection mask marking the smaller-weight
-    cosets."""
+    least member of each coset, ascending by key) and the message of
+    each, the coset index of every codeword, and the connection mask
+    marking the smaller-weight cosets."""
 
     code: object
     representatives: np.ndarray
+    messages: np.ndarray
     coset_index: np.ndarray
     connection: np.ndarray
 
-    def cosets_of(self, rows):
-        """Coset index of each given codeword; raises PreconditionError
-        when a row is not a codeword."""
-        pos, found = lookup(self.code.word_keys,
-                            encode_vectors(rows, self.code.ring.order))
-        if not found.all():
-            raise PreconditionError("row is not a codeword")
-        return self.coset_index[pos]
+    @property
+    def message_cosets(self):
+        """The coset index of every message x, by the key of x: that of
+        its word x G."""
+        return self.coset_index[self.code.word_of_message]
 
     def adjacency(self, cap=None):
         """The 0/1 adjacency matrix over the representatives, refused
@@ -187,16 +188,16 @@ class CosetGraph:
                 f"coset graph adjacency of {count}x{count} entries "
                 f"exceeds cap {cap}")
         ring = self.code.ring
-        reps = self.representatives
-        neg_reps = ring.neg_table[reps]
+        x = self.messages
+        neg_x = ring.neg_table[x]
+        cosets = self.message_cosets
         adjacency = np.empty((count, count), dtype=np.int8)
-        block = max(1, BLOCK_ENTRIES // reps.size)
+        block = max(1, BLOCK_ENTRIES // x.size)
         for start in range(0, count, block):
-            diffs = ring.add_table[reps[start:start + block, None, :],
-                                   neg_reps[None, :, :]]
-            cosets = self.cosets_of(diffs.reshape(-1, reps.shape[1]))
-            adjacency[start:start + block] = self.connection[
-                cosets].reshape(-1, count)
+            diffs = ring.add_table[x[start:start + block, None, :],
+                                   neg_x[None, :, :]]
+            keys = encode_vectors(diffs, ring.order)
+            adjacency[start:start + block] = self.connection[cosets[keys]]
         return adjacency
 
 
@@ -226,27 +227,31 @@ def build_coset_graph(code):
             witness={"cosets": len(reps), "b0": code.b0})
     connection = (code.word_numerators[is_rep]
                   == int(profile.w1 * code.denominator))
-    graph = CosetGraph(code, reps, coset_index, connection)
-    if not connection[graph.cosets_of(ring.neg_table[reps[connection]])
-                      ].all():
+    graph = CosetGraph(code, reps, code.messages[is_rep], coset_index,
+                       connection)
+    negated = ring.neg_table[graph.messages[connection]]
+    if not connection[graph.message_cosets[
+            encode_vectors(negated, ring.order)]].all():
         raise IdentityCheckError("coset adjacency is not symmetric")
     return graph
 
 
 def coset_graph_srg(graph):
     """Certify a coset graph as strongly regular, as the Cayley graph
-    on the cosets connected by the smaller-weight ones."""
-    return _cayley_srg(graph.code.ring,
-                       graph.representatives[graph.connection],
-                       graph.code.word_keys, graph.coset_index,
-                       graph.connection)
+    on the cosets connected by the smaller-weight ones, counted on the
+    messages of the connection set in R^k."""
+    code = graph.code
+    return _cayley_srg(code.ring, graph.messages[graph.connection],
+                       np.arange(len(code.word_of_message)),
+                       graph.message_cosets, graph.connection)
 
 
 def _cayley_srg(ring, rows, keys, labels, connection):
     """Certify as strongly regular the Cayley graph on a group of N
-    elements labelled 0 (zero) to N - 1, whose connection set S, the
-    given rows, is marked by connection; keys are the group's sorted
-    keys and labels their labels.  The common neighbours of two
+    elements labelled 0 (zero) to N - 1, whose connection set S, given
+    by one preimage row each, is marked by connection; keys are the
+    sorted keys of a group that maps onto it, and labels the label of
+    each key's image.  The common neighbours of two
     elements are the count of their difference as s - t over S x S, so
     lambda is read on S and mu on the other nonzero elements: on a
     translation-invariant graph the value sets measure_srg sees, so the
@@ -400,8 +405,8 @@ def equivalence_check(code):
 
     # the column module lies in R^k, which building the code enumerated
     # under its cap, so it gets no bound of its own
-    module, _ = column_module(ring, code.generator, ring.order ** code.k)
-    module_keys = encode_vectors(module, ring.order)
+    module, module_keys = column_module(ring, code.generator,
+                                        ring.order ** code.k)
     supp0 = code.support
     supp0_keys = encode_vectors(supp0, ring.order)
     omega = supp0[supp0_keys != 0]

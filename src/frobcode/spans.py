@@ -5,9 +5,10 @@ row has one canonical key, the big-endian number
 sum(v[i] * q**(n-1-i)), so keys sort in the lexicographic order of the
 rows.  The key is an int64 while q**n <= 2**62; past that it is the same
 number as a Python int in an object array.  Only the object path runs
-on wide rows (the words of a long code, n = 65 over GF(8), or of
-duality.build_dual, as long as the smaller weight class); on narrow
+on wide rows (the words of a long code, n = 65 over GF(8)); on narrow
 rows the int64 path is many times faster, so it stays the rule there.
+A code's words are keyed once, to sort them; after that its group
+passes run on k-long messages.
 Either way ==, np.unique, np.searchsorted, np.isin and np.minimum work
 on keys unchanged.  Sets of vectors are kept as row-sorted unique
 arrays, and ``lookup`` finds keys in their sorted keys.
@@ -130,34 +131,27 @@ def scalar_orbit(ring, scalars, vector):
 
 def _closure(ring, generators, cap, name):
     """The right span M of the rows g of generators: M's rows sorted by
-    key, their keys, the indices of the kept g, and each element's
-    coefficients c on them (the element is the sum of the g c).  After
-    each kept g, the pending generators M + gR holds are dropped; a
-    kept g lies outside M, so M + gR is at least two cosets of M.
-    Raises CapExceededError when M grows past the cap."""
+    key, and their keys.  After each kept g, the pending generators
+    M + gR holds are dropped; a kept g lies outside M, so M + gR is at
+    least two cosets of M.  Raises CapExceededError when M grows past
+    the cap."""
     order = ring.order
     scalars = np.arange(order, dtype=np.int32)
     generator_keys = encode_vectors(generators, order)
     rows = np.zeros((1, generators.shape[1]), dtype=np.int32)
     keys = np.zeros(1, dtype=generator_keys.dtype)
-    coefficients = np.zeros((1, 0), dtype=np.int32)
-    kept = []
     pending = np.arange(len(generators))
     while True:
         pending = pending[~lookup(keys, generator_keys[pending])[1]]
         if not len(pending):
-            return rows, keys, kept, coefficients
-        g = pending[0]
-        multiples = scalar_orbit(ring, scalars, generators[g])
+            return rows, keys
+        multiples = scalar_orbit(ring, scalars, generators[pending[0]])
         sums = ring.add_table[rows[:, None, :], multiples[None, :, :]]
         sums = sums.reshape(-1, rows.shape[1])
         keys, at = np.unique(encode_vectors(sums, order), return_index=True)
         if len(at) > cap:
             raise CapExceededError(f"{name} grew past cap {cap}")
         rows = sums[at]
-        coefficients = np.column_stack([coefficients[at // order],
-                                        at % order])
-        kept.append(g)
 
 
 def span(ring, generators, cap=None):
@@ -170,8 +164,7 @@ def span(ring, generators, cap=None):
     generators = np.asarray(generators, dtype=np.int32)
     if len(generators) == 0:
         raise PreconditionError("span needs at least one generator")
-    rows, keys, _, _ = _closure(opposite_ring(ring), generators, cap, "span")
-    return rows, keys
+    return _closure(opposite_ring(ring), generators, cap, "span")
 
 
 def unit_orbit(ring, vector):
@@ -235,18 +228,12 @@ def row_space(ring, matrix, cap=None):
 
 def column_module(ring, matrix, cap=None):
     """The column module {G y : y in R^n} of a k x n matrix G, as rows
-    sorted by key, and one preimage y with G y = z for each element z.
-
-    The closure of the columns of G: y is an element's coefficients on
-    the kept columns and 0 on the rest, so the work is bounded by the
-    module size rather than order**n."""
+    sorted by key and their keys: the closure of the columns of G, so
+    the work is bounded by the module size rather than order**n."""
     if cap is None:
         cap = enum_cap()
     G = np.asarray(matrix, dtype=np.int32)
-    z, _, kept, coefficients = _closure(ring, G.T, cap, "column module")
-    y = np.zeros((len(z), G.shape[1]), dtype=np.int32)
-    y[:, kept] = coefficients
-    return z, y
+    return _closure(ring, G.T, cap, "column module")
 
 
 def is_submodule(ring, vectors):

@@ -139,7 +139,7 @@ def test_zero_class_check_matches_pairwise_sums(text, rows):
     for x in range(1, ring.order):
         table = bump_unit_orbit(ring, base, x, -int(base.numerators[x]))
         bumped = LinearCode(ring, code.generator, code.words,
-                            code.messages, table)
+                            code.word_of_message, table)
         closed = zero_words_closed(bumped)
         verdicts.add(closed)
         if closed:

@@ -1,5 +1,6 @@
 """Dual two-weight codes: frozen small examples, the full certification
-pipeline, the double dual, and agreement with the R^n oracle."""
+pipeline, the double dual, and agreement with the R^n oracle; and the
+coset graphs of the classical codes whose duals are certified here."""
 
 import json
 import sys
@@ -11,20 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dual_oracle import oracle_dual_report
+from dual_oracle import oracle_build_dual, oracle_dual_report
+from frobcode import codes
 from frobcode.cli import main
-from frobcode.codes import (
-    LinearCode,
-    build_code,
-    format_code_file,
-    two_weight_profile,
-)
+from frobcode.codes import build_code, format_code_file, two_weight_profile
 from frobcode.duality import (
     _check_message_classification,
     _check_smaller_class_spans,
     _column_module,
     _smaller_class_mask,
-    build_dual,
     dual_pipeline,
 )
 from frobcode.errors import (
@@ -32,16 +28,16 @@ from frobcode.errors import (
     IdentityCheckError,
     PreconditionError,
 )
-from frobcode.graphs import CosetGraph, _cayley_srg, coset_graph_srg
+from frobcode.graphs import (
+    CosetGraph,
+    _cayley_srg,
+    build_coset_graph,
+    coset_graph_srg,
+)
 from frobcode.homweight import weight_table
 from frobcode.rings import opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import (
-    apply_matrix,
-    column_module,
-    encode_vectors,
-    enumerate_vectors,
-)
+from frobcode.spans import column_module, encode_vectors, enumerate_vectors
 
 # the hyperoval {(1,t,t^2)} + (0,0,1) + (0,1,0) in PG(2,4): its
 # smaller-weight class, so the length of its dual words, is 45
@@ -56,14 +52,15 @@ def make(text, rows):
 def test_smaller_class_matrix_frozen():
     # the dual's generator is the transposed smaller-weight matrix m1
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    m1 = build_dual(code).generator.T
+    m1 = _column_module(code, None).m1
     assert [tuple(r) for r in m1.tolist()] == [
         (0, 1), (0, 2), (1, 0), (2, 0)]
+    assert (oracle_build_dual(code).generator.T == m1).all()
 
 
 def test_dual_histogram_frozen():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    dual = build_dual(code)
+    dual = oracle_build_dual(code)
     assert dual.weight_distribution == {
         Fraction(0): 1, Fraction(3): 4, Fraction(6): 4}
     assert dual.n == 4
@@ -84,8 +81,8 @@ def test_pipeline_report_frozen():
 
 def test_double_dual_parameters_repeat():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    dual = build_dual(code)
-    double = build_dual(dual)
+    dual = oracle_build_dual(code)
+    double = oracle_build_dual(dual)
     p1 = two_weight_profile(dual)
     p2 = two_weight_profile(double)
     assert (p1.w1, p1.w2, p1.size) == (p2.w1, p2.w2, p2.size)
@@ -94,7 +91,7 @@ def test_double_dual_parameters_repeat():
 
 def test_trivial_code_dual_is_trivial():
     ring, code = make("Z4", [[1, 3]])
-    dual = build_dual(code)
+    dual = oracle_build_dual(code)
     assert dual.weight_distribution == {
         Fraction(0): 1, Fraction(2): 2, Fraction(4): 1}
     report = dual_pipeline(code)
@@ -191,9 +188,8 @@ def test_elliptic_quadric_q8_smaller_words_span_the_code():
     m1 = code.words[_smaller_class_mask(code)]
     assert len(m1) == 3640
     _check_smaller_class_spans(code, m1, None)
-    module, preimages = column_module(ring, code.generator)
+    module, _ = column_module(ring, code.generator)
     assert len(module) == 4096
-    assert (apply_matrix(ring, code.generator, preimages) == module).all()
 
 
 @pytest.mark.parametrize("q,srg", [
@@ -213,6 +209,53 @@ def test_elliptic_quadric_dual_graph(capsys, tmp_path, q, srg):
     assert report["srg_measured"] == report["srg_predicted"] == srg
 
 
+@pytest.mark.parametrize("q,srg", [
+    (4, [256, 204, 164, 156]), (5, [625, 520, 435, 420]),
+    (8, [4096, 3640, 3240, 3192]),
+], ids=["4", "5", "8"])
+def test_elliptic_quadric_coset_graph(capsys, tmp_path, q, srg):
+    # the coset graph of Q^-(3,q) is the complement of its dual graph;
+    # for q = 8 the words are 65 long, and the 3640^2 differences are
+    # counted on 4-long messages
+    N, K, lam, mu = q ** 4, (q * q + 1) * (q - 1), q - 2, q * (q - 1)
+    assert srg == [N, N - 1 - K, N - 2 - 2 * K + mu, N - 2 * K + lam]
+    ring, code = elliptic_quadric_code(f"GF({q})")
+    path = tmp_path / "quadric.code"
+    path.write_text(format_code_file(ring.spec.text(), code.generator))
+    assert main(["graph", str(path), "--cert"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = "N={} K={} lambda={} mu={} trivial=false".format(*srg)
+    assert lines == [f"measured:  {expected}", f"predicted: {expected}",
+                     "graph parameters: pass"]
+
+
+def spy_encode_lengths(monkeypatch):
+    """The length of every row that frobcode encodes from now on."""
+    encode, lengths = encode_vectors, []
+
+    def spy_encode(vectors, order):
+        lengths.append(np.shape(vectors)[-1])
+        return encode(vectors, order)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("frobcode")
+                and getattr(module, "encode_vectors", None) is encode):
+            monkeypatch.setattr(module, "encode_vectors", spy_encode)
+    return lengths
+
+
+def test_coset_graph_keys_only_messages(monkeypatch):
+    # the words are keyed once, when the code is built; the coset graph,
+    # its measurement and its adjacency matrix key only k-long messages
+    ring = ring_from_text("GF(4)")
+    code = build_code(ring, np.array(HYPEROVAL, dtype=np.int32))
+    lengths = spy_encode_lengths(monkeypatch)
+    graph = build_coset_graph(code)
+    assert coset_graph_srg(graph).as_tuple() == (64, 45, 32, 30)
+    assert graph.adjacency().sum() == 64 * 45
+    assert lengths and set(lengths) == {code.k}
+
+
 def test_dual_pipeline_builds_no_dual_code(monkeypatch):
     # the pipeline certifies the dual on the column module: it keys no
     # row as long as the dual's words and builds no code over the
@@ -220,23 +263,17 @@ def test_dual_pipeline_builds_no_dual_code(monkeypatch):
     ring = ring_from_text("GF(4)")
     code = build_code(ring, np.array(HYPEROVAL, dtype=np.int32))
     assert code.profile.b1 == 45
-    encode, from_words = encode_vectors, LinearCode.from_words.__func__
-    lengths, rings = [], []
+    lengths = spy_encode_lengths(monkeypatch)
+    build, rings = codes.build_code, []
 
-    def spy_encode(vectors, order):
-        lengths.append(np.shape(vectors)[-1])
-        return encode(vectors, order)
-
-    def spy_from_words(cls, ring, *args):
+    def spy_build_code(ring, *args, **kwargs):
         rings.append(ring.spec.text())
-        return from_words(cls, ring, *args)
+        return build(ring, *args, **kwargs)
 
-    for name, module in sys.modules.items():
+    for name, module in list(sys.modules.items()):
         if (name.startswith("frobcode")
-                and getattr(module, "encode_vectors", None) is encode):
-            monkeypatch.setattr(module, "encode_vectors", spy_encode)
-    monkeypatch.setattr(LinearCode, "from_words",
-                        classmethod(spy_from_words))
+                and getattr(module, "build_code", None) is build):
+            monkeypatch.setattr(module, "build_code", spy_build_code)
     assert dual_pipeline(code).srg.as_tuple() == (64, 18, 2, 6)
     assert lengths and code.profile.b1 not in lengths
     assert rings == []
@@ -248,13 +285,13 @@ def test_column_module_graph_fails_like_coset_graph():
     # the column module as dual_pipeline counts it, and as the coset
     # graph of the code with the same connection set, it fails alike.
     ring, code = make("GF(2)", np.eye(3, dtype=np.int32).tolist())
-    z, _ = column_module(ring, code.generator)
-    keys = encode_vectors(z, ring.order)
+    z, keys = column_module(ring, code.generator)
     connection = np.isin(keys, [1, 2])
     with pytest.raises(IdentityCheckError) as on_z:
         _cayley_srg(ring, z[connection], keys, np.arange(len(z)),
                     connection)
-    graph = CosetGraph(code, code.words, np.arange(code.size), connection)
+    graph = CosetGraph(code, code.words, code.messages,
+                       np.arange(code.size), connection)
     with pytest.raises(IdentityCheckError) as on_cosets:
         coset_graph_srg(graph)
     assert str(on_z.value) == str(on_cosets.value) \
@@ -286,10 +323,7 @@ def assert_matches_oracle(ring, generator):
     code = build_code(ring, generator)
     oracle_dual, oracle_report = oracle_dual_report(code)
     assert dual_pipeline(code) == oracle_report
-    dual = build_dual(code)
-    assert dual.ring is oracle_dual.ring
-    assert (dual.generator == oracle_dual.generator).all()
-    assert (dual.words == oracle_dual.words).all()
+    assert (_column_module(code, None).m1 == oracle_dual.generator.T).all()
 
 
 @pytest.mark.parametrize("spec,k,n_max", ORACLE_CASES,
@@ -302,11 +336,12 @@ def test_every_search_hit_matches_oracle(spec, k, n_max):
 
 
 def test_dual_past_int64_keys_matches_oracle():
-    # the hyperoval's dual words have length 45, so build_dual keys them
-    # as Python ints, on both sides of the comparison
+    # the hyperoval's dual words have length 45, so the oracle's dual
+    # keys them as Python ints
     ring = ring_from_text("GF(4)")
     generator = np.array(HYPEROVAL, dtype=np.int32)
-    assert build_dual(build_code(ring, generator)).word_keys.dtype == object
+    dual = oracle_build_dual(build_code(ring, generator))
+    assert dual.word_keys.dtype == object
     assert_matches_oracle(ring, generator)
 
 

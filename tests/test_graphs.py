@@ -174,16 +174,6 @@ def test_coset_graph_cayley_form():
     assert coset_graph_srg(graph).as_tuple() == (8, 6, 4, 6)
 
 
-def test_cosets_of_needs_codewords():
-    # (0, 1) is no word of the Z4 code {00, 13, 22, 31}, though its key
-    # sorts next to that of (1, 3)
-    ring, code = make("Z4", [[1, 3]])
-    graph = build_coset_graph(code)
-    assert graph.cosets_of(code.words).tolist() == [0, 1, 2, 3]
-    with pytest.raises(PreconditionError, match="^row is not a codeword$"):
-        graph.cosets_of(np.array([[0, 1]], dtype=np.int32))
-
-
 def test_weight_change_names_the_word_and_its_shift():
     # with w(0,1) = 0 and w(1,0) = 3 the zero-weight words {000, 202}
     # are closed, but the shift 202 takes 131, of weight 3, to 333, of
@@ -191,7 +181,7 @@ def test_weight_change_names_the_word_and_its_shift():
     ring, code = make("prod(Z2,Z2)", [[1, 3, 1]])
     assert ring.labels[1:] == ["(1,1)", "(0,1)", "(1,0)"]
     table = WeightTable(ring, np.array([0, 0, 0, 3]), 1)
-    bent = LinearCode(ring, code.generator, code.words, code.messages,
+    bent = LinearCode(ring, code.generator, code.words, code.word_of_message,
                       table)
     with pytest.raises(IdentityCheckError,
                        match="^weights change under zero-weight shifts$"
@@ -307,8 +297,10 @@ def test_every_search_hit_matches_srg_oracle(spec, k, n_max):
 
 
 # Random generators with k <= 2 and n <= 4 over products of chain rings,
-# where nonzero words can have weight zero (b0 > 1): the parameters each
-# ring must show with b0 > 1, and the failures it must show.
+# where nonzero words can have weight zero (b0 > 1) and distinct
+# messages can share a word (|C| < order^k, a nontrivial ker G): the
+# parameters each ring must show with b0 > 1, and the failures it must
+# show.
 PRODUCT_CASES = {
     "prod(Z2,Z2)": ({(4, 2, 0, 2), (8, 6, 4, 6)}, set()),
     "prod(Z2,Z2,Z2)": ({(4, 2, 0, 2)}, set()),
@@ -323,6 +315,7 @@ def test_random_product_ring_codes_match_srg_oracle(spec):
     ring = ring_from_text(spec)
     rng = np.random.default_rng(0)
     with_fat_zero = set()
+    with_kernel = set()
     failures = set()
     for _ in range(300):
         k, n = int(rng.integers(1, 3)), int(rng.integers(1, 5))
@@ -333,6 +326,8 @@ def test_random_product_ring_codes_match_srg_oracle(spec):
         if two_weight_profile(code) is None:
             continue
         outcome = assert_matches_srg_oracle(code)
+        if code.size < ring.order ** code.k:
+            with_kernel.add(code.b0 > 1)
         if isinstance(outcome, SrgParams):
             if code.b0 > 1:
                 with_fat_zero.add(outcome.as_tuple())
@@ -340,6 +335,7 @@ def test_random_product_ring_codes_match_srg_oracle(spec):
             failures.add(outcome[0])
     params, messages = PRODUCT_CASES[spec]
     assert params <= with_fat_zero
+    assert with_kernel == {False, True}
     assert failures == messages
 
 
@@ -505,5 +501,6 @@ def test_equivalence_needs_trivial_zero_class():
 
 def test_column_module_of_identity_code():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    module, preimages = column_module(ring, code.generator)
+    module, keys = column_module(ring, code.generator)
     assert len(module) == 9
+    assert keys.tolist() == list(range(9))

@@ -260,11 +260,10 @@ def column_matrices(draw):
 @given(column_matrices())
 def test_column_module_matches_rn_oracle(case):
     ring, G = case
-    module, preimages = column_module(ring, G)
-    keys = encode_vectors(module, ring.order)
+    module, keys = column_module(ring, G)
+    assert (keys == encode_vectors(module, ring.order)).all()
     assert (np.diff(keys) > 0).all()
     assert np.array_equal(module, rn_column_space(ring, G))
-    assert np.array_equal(apply_matrix(ring, G, preimages), module)
 
 
 @settings(max_examples=100, deadline=None, database=None)
