@@ -61,10 +61,13 @@ def _emit_json(payload, path):
         print(text, end="")
 
 
-def _check_sample(sample):
-    if sample is not None and sample < 1:
+def _check_sampling(args):
+    if args.sample is not None and args.sample < 1:
         raise PreconditionError(
-            f"--sample must be a positive integer, got {sample}")
+            f"--sample must be a positive integer, got {args.sample}")
+    if args.seed < 0:
+        raise PreconditionError(
+            f"--seed must be a nonnegative integer, got {args.seed}")
 
 
 def _load_code(path, cap):
@@ -121,7 +124,7 @@ def cmd_weights(args):
 
 
 def cmd_verify(args):
-    _check_sample(args.sample)
+    _check_sampling(args)
     ring = ring_from_text(args.spec)
     table = weight_table(ring)
     if args.inject_fault:
@@ -158,7 +161,7 @@ def _profile_payload(profile):
 
 
 def cmd_analyze(args):
-    _check_sample(args.sample)
+    _check_sampling(args)
     ring, code = _load_code(args.file, args.cap)
     checks = sweep_code_identities(code, args.full, args.sample, args.seed,
                                    args.cap)
@@ -457,6 +460,9 @@ def _parse_args(argv=None):
             extras = []
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if getattr(args, "cap", None) is not None and args.cap < 1:
+        raise PreconditionError(
+            f"--cap must be a positive integer, got {args.cap}")
     return args
 
 

@@ -31,10 +31,10 @@ from .errors import (
 )
 from .homweight import SAMPLE_COUNT, weight_table
 from .spans import (
-    combine_rows,
     decode_vectors,
     encode_vectors,
     enumerate_vectors,
+    message_words,
     point_ids,
     unit_orbit,
 )
@@ -154,17 +154,16 @@ def build_code(ring, generator, cap=None):
     if len(zero_cols) > 0:
         raise ZeroColumnError(
             f"generator column {int(zero_cols[0])} is all-zero")
-    X = enumerate_vectors(ring.order, G.shape[0], cap)
-    all_words = combine_rows(ring, G, X)
+    all_words = message_words(ring, G, cap)
     _, first, word_of_message = np.unique(
         encode_vectors(all_words, ring.order), return_index=True,
         return_inverse=True)
     code = LinearCode(ring, G, all_words[first], word_of_message,
                       weight_table(ring))
-    if len(X) % code.size != 0:
+    if len(all_words) % code.size != 0:
         raise IdentityCheckError(
             "code size does not divide the message space",
-            witness={"size": code.size, "messages": len(X)})
+            witness={"size": code.size, "messages": len(all_words)})
     code.coset_keys  # raises when the zero-weight words are not closed
     return code
 

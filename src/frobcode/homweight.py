@@ -9,6 +9,11 @@ modulo the e-th cyclotomic polynomial must leave an integer constant
 exact rational (D - k)/D with D = |U|.  Weights are stored as integer
 numerators over the common denominator D, which keeps every downstream
 identity check in integer arithmetic.
+
+The word correlation sums run over every x in R^k.  Both its sweeps,
+the exhaustive one and the sampled one, take the words x g of their
+columns g from spans.message_words, one outer-sum pass per block of
+columns, within the cap that would bound an enumeration of R^k.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ import numpy as np
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
 from .rings import order2_socle_part
-from .spans import (BLOCK_ENTRIES, combine_rows, encode_vectors, enum_cap,
-                    enumerate_vectors, point_ids)
+from .spans import (BLOCK_ENTRIES, encode_vectors, enum_cap,
+                    enumerate_vectors, enumeration_size, message_words,
+                    point_ids)
 
 _IDEAL_COUNT_CAP = 4096
 
@@ -398,7 +404,7 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
     if len(vecs) * max_num * max_num * int(sizes.max()) >= (1 << 53):
         raise CapExceededError(
             "word correlation sweep would overflow exact float64 range")
-    dots = combine_rows(ring, vecs[cols].T, vecs)
+    dots = message_words(ring, vecs[cols].T, cap)
     wg = num[dots.T].astype(np.float64)
     pids, sizes = pids[cols - 1], sizes[cols - 1]
     same = pids[:, None] == pids[None, :]
@@ -441,9 +447,10 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
 def _sampled_correlation_vectors(ring, k, table, sample, seed):
     """The word correlation identity at `sample` draws (g, h, s) from
     default_rng(seed); a draw with g or h zero takes no s and is
-    skipped.  R^k is enumerated once, under the default cap, and the
-    draws are summed in int64 in blocks of at most BLOCK_ENTRIES words
-    x."""
+    skipped.  R^k must be within the default cap, but it is never
+    formed: the draws are taken in blocks of at most BLOCK_ENTRIES
+    entries (draw, x), each block's words x g and x h are
+    message_words, and each draw is summed over R^k in int64."""
     order = ring.order
     rng = np.random.default_rng(seed)
     draws = []
@@ -455,19 +462,19 @@ def _sampled_correlation_vectors(ring, k, table, sample, seed):
     if not draws:
         return
     g, h, s = (np.array(part) for part in zip(*draws))
-    vecs = enumerate_vectors(order, k)
+    total = enumeration_size(order, k)
     num = table.numerators
     pg, mg = point_ids(ring, g)
     ph, _ = point_ids(ring, h)
     big = max(int(np.abs(num).max()), table.denominator)
-    if len(vecs) * big * big * (int(mg.max()) + 2) >= (1 << 63):
+    if total * big * big * (int(mg.max()) + 2) >= (1 << 63):
         raise CapExceededError(
             "sampled word correlation would overflow int64")
-    block = max(1, BLOCK_ENTRIES // len(vecs))
+    block = max(1, BLOCK_ENTRIES // total)
     for start in range(0, len(s), block):
         part = slice(start, start + block)
-        xg = combine_rows(ring, g[part].T, vecs)
-        xh = combine_rows(ring, h[part].T, vecs)
+        xg = message_words(ring, g[part].T)
+        xh = message_words(ring, h[part].T)
         lhs, rhs, den = correlation_vectors(
             ring, table, num[xg.T][:, None, :], xh.T[:, :, None],
             s[part, None, None], (pg == ph)[part, None, None],
@@ -518,7 +525,7 @@ def identity_suite(ring, table=None, checks=None, k_max=2, cap=None,
         # only R^k past the cap falls back to sampling, not a sweep past
         # its work bound
         try:
-            enumerate_vectors(ring.order, k, cap)
+            enumeration_size(ring.order, k, cap)
         except CapExceededError:
             if full:
                 raise

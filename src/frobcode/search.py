@@ -36,10 +36,10 @@ from .graphs import (
 from .homweight import weight_table
 from .spans import (
     BLOCK_ENTRIES,
-    combine_rows,
     encode_vectors,
     enum_cap,
     enumerate_vectors,
+    message_words,
     point_ids,
 )
 
@@ -152,6 +152,8 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     """
     if k < 1 or n_max < 1:
         raise PreconditionError("search needs k >= 1 and n_max >= 1")
+    if mult_cap is not None and mult_cap < 1:
+        raise PreconditionError("search needs mult_cap >= 1")
     # a column multiplicity is at most the length, so mult_cap past
     # n_max admits nothing more
     mult_cap = n_max if mult_cap is None else min(mult_cap, n_max)
@@ -235,7 +237,8 @@ class _PointTables:
         if bound >= 1 << 63:
             raise CapExceededError(
                 f"weight numerators up to {bound} exceed int64")
-        products = combine_rows(ring, reps.T, vectors)
+        # vectors is all of R^k, already within the cap
+        products = message_words(ring, reps.T, cap=len(vectors))
         self.weights = table.numerators[products].T
         self.nonzero = (products != 0).T.astype(np.int64)
         diffs = np.empty((count, count, count), dtype=np.int64)

@@ -13,6 +13,12 @@ Either way ==, np.unique, np.searchsorted, np.isin and np.minimum work
 on keys unchanged.  Sets of vectors are kept as row-sorted unique
 arrays, and ``lookup`` finds keys in their sorted keys.
 
+The words x G of every message x in R^k (a code's words, the word
+correlation sweeps, the search's point tables) come from one pass,
+``message_words``: nested outer sums of the multiples R G[i] of each
+row, so R^k itself is never formed and each word entry costs about one
+add gather.  ``enumeration_size`` is the one cap rule for R^n.
+
 One closure grows every submodule M: a generator M holds costs one
 key lookup, and each kept one at least doubles M, so it runs at most
 log2 |M| passes of |M| * q sums.  ``column_module`` and ``span`` (over
@@ -96,10 +102,10 @@ def lookup(keys, query):
     return pos, keys[pos] == query
 
 
-def enumerate_vectors(order, n, cap=None):
-    """All order**n vectors of length n, in encoded (lexicographic)
-    order.  Raises CapExceededError past the cap; the message gives
-    order**n in digits only when it fits int64."""
+def enumeration_size(order, n, cap=None):
+    """order**n, the number of vectors of length n, when they are
+    within the cap and int64 keys; otherwise raises CapExceededError,
+    whose message gives order**n in digits only when it fits int64."""
     if cap is None:
         cap = enum_cap()
     # order**n >= 2**bits: past both int64 and the cap, it is not built
@@ -113,6 +119,13 @@ def enumerate_vectors(order, n, cap=None):
     if not _fits_int64(order, n):
         raise CapExceededError(
             f"enumerating {order}**{n} vectors exceeds an int64 range")
+    return total
+
+
+def enumerate_vectors(order, n, cap=None):
+    """All order**n vectors of length n, in encoded (lexicographic)
+    order; raises the CapExceededError of enumeration_size."""
+    total = enumeration_size(order, n, cap)
     return decode_vectors(np.arange(total, dtype=np.int64), order, n)
 
 
@@ -204,6 +217,25 @@ def combine_rows(ring, matrix, coefficients):
     return acc
 
 
+def message_words(ring, matrix, cap=None):
+    """The words x @ G of a k x n matrix G for every x in R^k, in the
+    key order of x, as combine_rows over enumerate_vectors(order, k,
+    cap) gives them.  They are nested outer sums of the multiples
+    R G[i] of each row: about order**k * n add gathers, where
+    combine_rows takes 2k - 1 per entry, and R^k is never formed.
+    Raises the CapExceededError of enumeration_size(order, k, cap)
+    before it builds anything."""
+    G = np.asarray(matrix, dtype=np.int32)
+    k, n = G.shape
+    enumeration_size(ring.order, k, cap)
+    acc = ring.mul_table[:, G[0]]
+    for row in G[1:]:
+        # the sums for x = (prefix, x_i) at row prefix * order + x_i
+        sums = ring.add_table[acc[:, None, :], ring.mul_table[:, row][None]]
+        acc = sums.reshape(len(acc) * ring.order, n)
+    return acc
+
+
 def apply_matrix(ring, matrix, vectors):
     """Rows (G @ y^T)^T for each vector y (right-side combination)."""
     G = np.asarray(matrix, dtype=np.int32)
@@ -218,11 +250,8 @@ def apply_matrix(ring, matrix, vectors):
 
 def row_space(ring, matrix, cap=None):
     """All combinations x @ G for x in R^k, as sorted unique rows."""
-    G = np.asarray(matrix, dtype=np.int32)
-    k = G.shape[0]
-    X = enumerate_vectors(ring.order, k, cap)
-    rows = combine_rows(ring, G, X)
-    out, _ = _sorted_unique_rows(rows, ring.order)
+    out, _ = _sorted_unique_rows(message_words(ring, matrix, cap),
+                                 ring.order)
     return out
 
 

@@ -1,13 +1,18 @@
-"""Per-row ring-table builders, kept as a test oracle.
+"""Per-row ring-table builders and the cubic axiom check, kept as test
+oracles.
 
-These are the row-at-a-time constructions that `frobcode.rings` used
-before its builders moved to blocked int32 passes built directly in
-identity-pinned order.  They build int64 tables in the constructor's
+The builders are the row-at-a-time constructions that `frobcode.rings`
+used before its builders moved to blocked int32 passes built directly
+in identity-pinned order.  They build int64 tables in the constructor's
 natural order and then move the identity to index 1 with two full
 re-index gathers.  `oracle_ring` runs them, recursively for the base
 field and the product factors, and derives `neg_table`, `units_array`
 and commutativity the way `FiniteRing.__init__` did, so the oracle
 shares no table code with the path it checks.
+
+`cubic_axiom_failures` is the per-element check of the ring laws on
+every triple that `FiniteRing` ran before it proved them on an additive
+generating set.
 """
 
 import math
@@ -260,3 +265,27 @@ def _realize_product(spec):
     one_idx = int(np.array([1] * t, dtype=np.int64) @ radix)
     meta = {"components": comps}
     return labels, add, mul, exps, e, one_idx, meta, factors
+
+
+def cubic_axiom_failures(add, mul):
+    """The ring laws that fail on some triple, by the per-element check
+    of every triple: a subset of "addition not associative",
+    "multiplication not associative", "left distributivity fails" and
+    "right distributivity fails"."""
+    failed = set()
+    for a in range(len(add)):
+        add_a = add[a]
+        mul_a = mul[a]
+        if not (add[add_a] == np.take(add_a, add)).all():
+            failed.add("addition not associative")
+        if not (mul[mul_a] == np.take(mul_a, mul)).all():
+            failed.add("multiplication not associative")
+        # a(b+c) == ab + ac; add[x][:, x][b, c] is add[x[b], x[c]]
+        if not (np.take(mul_a, add)
+                == np.take(add[mul_a], mul_a, axis=1)).all():
+            failed.add("left distributivity fails")
+        # (b+c)a == ba + ca
+        col = mul[:, a]
+        if not (np.take(col, add) == np.take(add[col], col, axis=1)).all():
+            failed.add("right distributivity fails")
+    return failed

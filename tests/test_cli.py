@@ -733,6 +733,43 @@ def test_sample_must_be_positive(capsys, tmp_path, command, sample):
     assert err == f"error: --sample must be a positive integer, got {sample}\n"
 
 
+def refuse_ring_builds(monkeypatch):
+    def build(text):
+        raise AssertionError(f"ring {text} built")
+
+    monkeypatch.setattr("frobcode.cli.ring_from_text", build)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_seed_must_be_nonnegative(capsys, tmp_path, monkeypatch, command):
+    target = ("M2(GF(2))" if command == "verify"
+              else write_code(tmp_path, "gf2.code", GF2_HALVES))
+    refuse_ring_builds(monkeypatch)
+    rc, out, err = run_cli(capsys, [command, target, "--cap", "15",
+                                    "--seed", "-1"])
+    assert rc == 2 and out == ""
+    assert err == "error: --seed must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "Z4"], ["analyze", "missing.code"], ["graph", "missing.code"],
+    ["dual", "missing.code"], ["search", "GF(2)", "k=2"]])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_must_be_positive(capsys, monkeypatch, argv, cap):
+    refuse_ring_builds(monkeypatch)
+    rc, out, err = run_cli(capsys, [*argv, "--cap", cap])
+    assert rc == 2 and out == ""
+    assert err == f"error: --cap must be a positive integer, got {cap}\n"
+
+
+@pytest.mark.parametrize("mult_cap", ["0", "-2"])
+def test_search_mult_cap_must_be_positive(capsys, mult_cap):
+    rc, out, err = run_cli(capsys, ["search", "GF(2)", "k=2", "n_max=4",
+                                    f"mult_cap={mult_cap}"])
+    assert rc == 2 and out == ""
+    assert err == "error: search needs mult_cap >= 1\n"
+
+
 def test_analyze_sample_sets_the_shift_count(capsys, tmp_path, monkeypatch):
     seen = []
 

@@ -44,7 +44,8 @@ from frobcode.homweight import (
 )
 from frobcode.rings import FiniteRing, opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import combine_rows, enumerate_vectors, point_ids
+from frobcode.spans import (combine_rows, enumerate_vectors, message_words,
+                            point_ids)
 import identity_oracle
 from identity_oracle import (
     all_one_sided_ideals_every_element,
@@ -218,6 +219,20 @@ def test_ring_sweeps_fail_with_the_recorded_witness(spec, x, delta):
             == ("word correlation identity fails", sampled)
 
 
+@pytest.mark.parametrize("spec,x,delta", sorted(RING_FAULTS))
+def test_sampled_witness_holds_with_one_draw_per_block(spec, x, delta,
+                                                      monkeypatch):
+    # each draw's words over R^k are formed and summed in a block of
+    # their own
+    monkeypatch.setattr(homweight, "BLOCK_ENTRIES", 1)
+    ring = ring_from_text(spec)
+    table = bump_unit_orbit(ring, weight_table(ring), x, delta)
+    for k, sampled in enumerate(RING_FAULTS[spec, x, delta][3:], 1):
+        assert witness_of(
+            lambda: _sampled_correlation_vectors(ring, k, table, 200, 0)) \
+            == ("word correlation identity fails", sampled)
+
+
 # ------------------------------------------------ reduced ideal sweeps
 
 # rings on which the orbit- and coset-reduced sweeps must agree with the
@@ -318,11 +333,11 @@ def test_word_correlation_takes_one_column_per_right_unit_orbit(
         table = table.with_bumped_numerator(ring.order - 1, 1)
     swept = []
 
-    def spy(ring, matrix, coefficients):
+    def spy(ring, matrix, cap=None):
         swept.append(np.asarray(matrix).T.tolist())
-        return combine_rows(ring, matrix, coefficients)
+        return message_words(ring, matrix, cap)
 
-    monkeypatch.setattr(homweight, "combine_rows", spy)
+    monkeypatch.setattr(homweight, "message_words", spy)
     outcome(lambda: check_correlation_vectors(ring, k, table))
 
     def key(v):

@@ -7,6 +7,7 @@ checked against complex exponentials.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from frobcode.rings import (
     OpSpec,
     Product,
     Zm,
+    _additive_generators,
     build_ring,
     is_generating_character,
     opposite_ring,
@@ -37,6 +39,7 @@ from frobcode.rings import (
     parse_ring_spec,
     ring_from_text,
 )
+from ring_oracle import cubic_axiom_failures
 from socle_oracle import gf_matrix_rank, structural_socle
 
 ACCEPTANCE_RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)",
@@ -216,6 +219,140 @@ def test_corrupted_table_rejected():
     with pytest.raises((RingConstructionError, CharacterError)):
         FiniteRing(z6.spec, z6.labels, z6.add_table, mul,
                    tuple(int(v) for v in z6.char_exponents), z6.exponent)
+
+
+FAULT_RINGS = ["Z4", "Z6", "Z8", "GF(4)", "M2(GF(2))", "prod(Z2,Z2)",
+               "prod(Z2,Z4)"]
+# the laws a construction-time axiom failure names, and each law on
+# its named witness
+AXIOM_LAWS = {
+    "addition not associative": lambda add, mul, x, g, y:
+        add[add[x, g], y] == add[x, add[g, y]],
+    "left distributivity fails": lambda add, mul, a, b, c:
+        mul[a, add[b, c]] == add[mul[a, b], mul[a, c]],
+    "right distributivity fails": lambda add, mul, a, b, c:
+        mul[add[b, c], a] == add[mul[b, a], mul[c, a]],
+    "multiplication not associative": lambda add, mul, a, b, c:
+        mul[mul[a, b], c] == mul[a, mul[b, c]],
+}
+
+
+def _laws_checked_before_the_axioms(add, mul):
+    """0 is an additive identity with unique inverses, + commutes, 1 is
+    a multiplicative identity and 0 annihilates."""
+    idx = np.arange(len(add))
+    return bool((add[0] == idx).all() and ((add == 0).sum(axis=1) == 1).all()
+                and (add == add.T).all() and (mul[1] == idx).all()
+                and (mul[:, 1] == idx).all() and (mul[0] == 0).all()
+                and (mul[:, 0] == 0).all())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_axiom_faults_match_the_cubic_oracle(data):
+    # an isomorphic relabelling (fixing 0 and 1) of a small ring, with
+    # mul entries and symmetric add pairs overwritten
+    ring = ring_from_text(data.draw(st.sampled_from(FAULT_RINGS)))
+    n = ring.order
+    perm = np.array([0, 1] + data.draw(st.permutations(range(2, n))))
+    inv = np.argsort(perm)
+    add = inv[ring.add_table[np.ix_(perm, perm)]].astype(np.int32)
+    mul = inv[ring.mul_table[np.ix_(perm, perm)]].astype(np.int32)
+    entry = st.integers(0, n - 1)
+    for table, a, b, v in data.draw(st.lists(
+            st.tuples(st.sampled_from(["add", "mul"]), entry, entry, entry),
+            max_size=3)):
+        if table == "mul":
+            mul[a, b] = v
+        else:
+            add[a, b] = add[b, a] = v
+    exps = tuple(int(e) for e in ring.char_exponents[perm])
+    try:
+        FiniteRing(ring.spec, ring.labels, add, mul, exps, ring.exponent)
+        error = None
+    except RingConstructionError as exc:
+        error = str(exc)
+    except CharacterError:
+        error = None
+    if not _laws_checked_before_the_axioms(add, mul):
+        assert error is not None
+        return
+    law = next((name for name in AXIOM_LAWS
+                if error and error.startswith(name)), None)
+    # the laws are proved in order: + associative, both distributive
+    # laws, * associative; the first that fails on some triple is named
+    failed = cubic_axiom_failures(add, mul)
+    for laws in (["addition not associative"],
+                 ["left distributivity fails", "right distributivity fails"],
+                 ["multiplication not associative"]):
+        if failed & set(laws):
+            assert law in failed & set(laws)
+            break
+    else:
+        assert law is None
+    if law is not None:
+        assert not AXIOM_LAWS[law](add, mul, *_witness(error))
+
+
+def _witness(error):
+    """The triple an axiom failure message names."""
+    return [int(v) for v in re.search(
+        r"= \((\d+), (\d+), (\d+)\)$", error).groups()]
+
+
+@pytest.mark.parametrize("law,failed,twist", [
+    # bilinear, so both distributive laws hold
+    ("multiplication not associative", {"multiplication not associative"},
+     lambda bit, a, b: bit(a, 1) & bit(b, 2)),
+    # additive in b but quadratic in a
+    ("right distributivity fails",
+     {"right distributivity fails", "multiplication not associative"},
+     lambda bit, a, b: bit(a, 1) & bit(a, 3) & bit(b, 2)),
+])
+def test_twisted_multiplication_names_its_law(law, failed, twist):
+    # M2(GF(2)) with the product ab moved by a fixed z wherever twist
+    # holds on the coordinates of a and b over the additive generators,
+    # which form a basis of (Z2)^4 with 1 first; 0 and 1 stay identities
+    ring = ring_from_text("M2(GF(2))")
+    add = ring.add_table
+    gens = _additive_generators(add)
+    coords = np.zeros(ring.order, dtype=int)
+    for mask in range(1 << len(gens)):
+        x = 0
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                x = add[x, g]
+        coords[x] = mask
+
+    def bit(x, i):
+        return coords[x] >> i & 1
+
+    mul = ring.mul_table.copy()
+    for a in range(ring.order):
+        for b in range(ring.order):
+            if twist(bit, a, b):
+                mul[a, b] = add[mul[a, b], gens[3]]
+    assert cubic_axiom_failures(add, mul) == failed
+    with pytest.raises(RingConstructionError) as info:
+        FiniteRing(ring.spec, ring.labels, add, mul,
+                   tuple(int(e) for e in ring.char_exponents), ring.exponent)
+    error = str(info.value)
+    assert error.startswith(law)
+    assert not AXIOM_LAWS[law](add, mul, *_witness(error))
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_RINGS + [
+    "Z32", "GF(8)", "M2(GF(3))", "M2(GF(4))", "prod(Z4,Z2,Z3)"])
+def test_additive_generators_reach_the_whole_ring(text):
+    ring = ring_from_text(text)
+    gens = _additive_generators(ring.add_table)
+    reached, fresh = {0}, {0}
+    while fresh:
+        fresh = {int(ring.add_table[r, g]) for r in fresh for g in gens}
+        fresh -= reached
+        reached |= fresh
+    assert reached == set(range(ring.order))
+    assert 2 ** len(gens) <= ring.order
 
 
 # ------------------------------------------------------- opposite rings

@@ -26,6 +26,7 @@ from frobcode.spans import (
     enumerate_vectors,
     is_submodule,
     lookup,
+    message_words,
     point_ids,
     row_space,
     scalar_orbit,
@@ -132,6 +133,38 @@ def test_enumerate_needs_int64_positions():
     # bound the enumeration; nothing is built
     with pytest.raises(CapExceededError, match="exceeds an int64 range"):
         enumerate_vectors(2, 63, cap=1 << 64)
+
+
+MESSAGE_RINGS = ["Z4", "Z6", "GF(4)", "M2(GF(2))", "prod(Z2,Z2)"]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_message_words_match_combine_rows(data):
+    ring = ring_from_text(data.draw(st.sampled_from(MESSAGE_RINGS)))
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 4))
+    G = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n),
+        min_size=k, max_size=k)), dtype=np.int32).reshape(k, n)
+    words = message_words(ring, G)
+    want = combine_rows(ring, G, enumerate_vectors(ring.order, k))
+    assert words.dtype == want.dtype
+    assert words.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("text,k,cap", [
+    ("Z4", 11, 1 << 20), ("Z2", 63, 1 << 64), ("Z2", 70, None),
+    ("GF(4)", 8, 65535), ("M2(GF(2))", 5, None)])
+def test_message_words_refuse_as_enumerate_vectors(text, k, cap,
+                                                   monkeypatch):
+    monkeypatch.setenv("FROBCODE_CAP", "65535")
+    ring = ring_from_text(text)
+    with pytest.raises(CapExceededError) as want:
+        enumerate_vectors(ring.order, k, cap)
+    with pytest.raises(CapExceededError) as got:
+        message_words(ring, np.ones((k, 2), dtype=np.int32), cap)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("text", ["Z6", "GF(4)", "M2(GF(2))"])
