@@ -186,8 +186,11 @@ def cmd_analyze(args):
 
 def _dot_text(graph, adjacency):
     ring = graph.code.ring
+    words = graph.least_words()
+    order = np.lexsort(words.T[::-1])
+    adjacency = adjacency[np.ix_(order, order)]
     lines = ["graph coset_graph {"]
-    for i, rep in enumerate(graph.representatives):
+    for i, rep in enumerate(words[order]):
         label = " ".join(ring.labels[int(v)] for v in rep)
         lines.append(f'  v{i} [label="{label}"];')
     for i in range(len(adjacency)):
@@ -208,7 +211,7 @@ def cmd_graph(args):
         adjacency = graph.adjacency(args.cap)
         with open(args.dot, "w") as handle:
             handle.write(_dot_text(graph, adjacency))
-        print(f"wrote {args.dot}: {len(graph.representatives)} vertices, "
+        print(f"wrote {args.dot}: {len(graph.messages)} vertices, "
               f"{int(adjacency.sum()) // 2} edges")
     if args.cert or args.dot is None:
         print(f"measured:  N={measured.vertices} K={measured.degree} "

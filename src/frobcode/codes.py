@@ -1,18 +1,15 @@
 """Left linear codes over a finite ring, their weight profiles, and the
 closed-form identities tying modular two-weight codes to their graphs.
 
-A code is stored as the sorted array of its codewords, the generator
-matrix that produced it, and its message table: the word of every
-message in R^k.  A sum or difference of words is the word of the sum or
-difference of their messages, so the group passes over a code (its
-zero-weight cosets, its coset graph) run on k-long messages with int64
-keys.  Column multiplicities are tracked per projective point (right
-unit orbit of a nonzero column); a code is modular when every occurring
-point has multiplicity proportional to its orbit size, and the
-proportionality constant is the index.  Each code also keys every word
-by the least key in its coset of the zero-weight subcode; each
-generator of that subcode at least doubles it, so the cost grows with
-the number of generators, at most log2 b0, not with b0.
+A code is held on its message space R^k: the weight numerator of the
+word x G of each message x, and ker G.  Size, b0 and the weight
+distribution are message counts over |ker G|.  A subgroup growth keys
+each message by the least key of its coset of the zero-weight messages
+(its coset graph vertex), at a cost that grows with the number of
+generators, at most log2 (|ker G| b0).  Words are formed, in blocks and
+never keyed, only where a claim reads them.  A code is modular when
+every occurring column point (right unit orbit of a nonzero column) has
+multiplicity proportional to its orbit size; the ratio is the index.
 """
 
 from __future__ import annotations
@@ -31,9 +28,12 @@ from .errors import (
 )
 from .homweight import SAMPLE_COUNT, weight_table
 from .spans import (
+    BLOCK_ENTRIES,
+    combine_rows,
     decode_vectors,
     encode_vectors,
     enumerate_vectors,
+    enumeration_size,
     message_words,
     point_ids,
     unit_orbit,
@@ -46,39 +46,32 @@ _BATCH_ENTRIES = 1 << 22
 
 
 class LinearCode:
-    """A left linear code, fully enumerated: its words in sorted order,
-    and its message table, the index of the word x G of every message
-    x in R^k, by the key of x.  The facts derived from them (points,
-    index, weights, two-weight profile, support) are computed once, at
-    first use."""
+    """A left linear code, held on its messages: the weight numerator of
+    each message's word x G, by key, summed over column blocks, and the
+    keys of ker G.  The facts derived from them are computed once."""
 
-    def __init__(self, ring, generator, words, word_of_message, table):
-        self.ring = ring
+    def __init__(self, ring, generator, table):
+        self.ring, self.table = ring, table
         self.generator = np.ascontiguousarray(generator, dtype=np.int32)
         self.k, self.n = self.generator.shape
-        self.words = words
-        self.word_of_message = word_of_message
-        self.word_keys = encode_vectors(words, ring.order)
-        self.table = table
-        self.word_numerators = table.word_numerator(words)
         self.denominator = table.denominator
+        self.numerators = np.zeros(ring.order ** self.k, dtype=np.int64)
+        in_kernel = np.ones(len(self.numerators), dtype=bool)
+        for _, words in _column_blocks(self, BLOCK_ENTRIES):
+            self.numerators += table.word_numerator(words)
+            in_kernel &= ~words.any(axis=1)
+        self.kernel = np.flatnonzero(in_kernel)
 
     @property
     def size(self):
-        return len(self.words)
-
-    @cached_property
-    def messages(self):
-        """The least message x of each word, with x G equal to it."""
-        _, first = np.unique(self.word_of_message, return_index=True)
-        return decode_vectors(first, self.ring.order, self.k)
+        return len(self.numerators) // len(self.kernel)
 
     @cached_property
     def weight_distribution(self):
         """Mapping weight -> number of codewords of that weight, by
         ascending weight."""
-        vals, counts = np.unique(self.word_numerators, return_counts=True)
-        return {Fraction(int(v), self.denominator): int(c)
+        vals, counts = np.unique(self.numerators, return_counts=True)
+        return {Fraction(int(v), self.denominator): int(c) // len(self.kernel)
                 for v, c in zip(vals, counts)}
 
     @cached_property
@@ -88,7 +81,7 @@ class LinearCode:
 
     @property
     def b0(self):
-        return int((self.word_numerators == 0).sum())
+        return int((self.numerators == 0).sum()) // len(self.kernel)
 
     @cached_property
     def points(self):
@@ -112,9 +105,33 @@ class LinearCode:
 
     @cached_property
     def coset_keys(self):
-        """The least key of each word's coset of the zero-weight subcode
-        (see _zero_cosets)."""
-        return _zero_cosets(self)
+        """The least key of each message's coset of the group S that the
+        zero-weight messages (ker G among them) generate, which leaves
+        them exactly when their words are not closed under addition.  S
+        grows by the first zero-weight message w outside it: with step
+        the key of x + w, the key of x becomes the least over x, x + w,
+        x + 2w, ... up to the first multiple of w already in S."""
+        order, zero = self.ring.order, np.flatnonzero(self.numerators == 0)
+        least = np.arange(len(self.numerators))
+        if (least[zero] != 0).any():
+            x = decode_vectors(least, order, self.k)
+        while (outside := zero[least[zero] != 0]).size:
+            step = encode_vectors(self.ring.add_table[x, x[outside[0]]], order)
+            grown, at, multiple = least.copy(), np.arange(len(least)), step[0]
+            while least[multiple] != 0:
+                at, multiple = step[at], step[multiple]
+                np.minimum(grown, least[at], out=grown)
+            least = grown
+        if (self.numerators[least == 0] != 0).any():
+            raise IdentityCheckError(
+                "zero-weight words are not closed under addition",
+                witness={"ring": self.ring.spec.text()})
+        return least
+
+    def words_of(self, keys, columns=slice(None)):
+        """The words x G of the given message keys, in the columns."""
+        x = decode_vectors(keys, self.ring.order, self.k)
+        return combine_rows(self.ring, self.generator[:, columns], x)
 
     @cached_property
     def support(self):
@@ -143,7 +160,7 @@ class LinearCode:
 
 
 def build_code(ring, generator, cap=None):
-    """Enumerate the left code generated by the rows of a k x n matrix."""
+    """The left code of the rows of a k x n matrix, held on R^k."""
     G = np.ascontiguousarray(generator, dtype=np.int32)
     if G.ndim != 2 or G.size == 0:
         raise PreconditionError("generator must be a nonempty 2-D matrix")
@@ -154,44 +171,34 @@ def build_code(ring, generator, cap=None):
     if len(zero_cols) > 0:
         raise ZeroColumnError(
             f"generator column {int(zero_cols[0])} is all-zero")
-    all_words = message_words(ring, G, cap)
-    _, first, word_of_message = np.unique(
-        encode_vectors(all_words, ring.order), return_index=True,
-        return_inverse=True)
-    code = LinearCode(ring, G, all_words[first], word_of_message,
-                      weight_table(ring))
-    if len(all_words) % code.size != 0:
-        raise IdentityCheckError(
-            "code size does not divide the message space",
-            witness={"size": code.size, "messages": len(all_words)})
+    enumeration_size(ring.order, G.shape[0], cap)
+    code = LinearCode(ring, G, weight_table(ring))
     code.coset_keys  # raises when the zero-weight words are not closed
     return code
 
 
-def _zero_cosets(code):
-    """The least key of each word's coset of the group S generated by
-    the zero-weight words; S leaves those words exactly when they are
-    not closed under addition.  S grows one generator w at a time, the
-    first zero-weight word outside it: with step the position of c + w,
-    the word of the message x_c + x_w, the key of c becomes the least
-    over c, c + w, c + 2w, ... up to the first multiple of w already in
-    S."""
-    zero = code.word_numerators == 0
-    least = code.word_keys.copy()
-    while (outside := np.flatnonzero(zero & (least != 0))).size:
-        x = code.messages
-        shifted = code.ring.add_table[x, x[outside[0]]]
-        step = code.word_of_message[encode_vectors(shifted, code.ring.order)]
-        grown, at, multiple = least.copy(), np.arange(code.size), step[0]
-        while least[multiple] != 0:
-            at, multiple = step[at], step[multiple]
-            np.minimum(grown, least[at], out=grown)
-        least = grown
-    if not zero[least == 0].all():
-        raise IdentityCheckError(
-            "zero-weight words are not closed under addition",
-            witness={"ring": code.ring.spec.text()})
-    return least
+def _column_blocks(code, entries):
+    """(columns, words): the words x G of every message x in R^k, by
+    key, a block of at most `entries` entries' columns at a time."""
+    total, G = code.ring.order ** code.k, code.generator
+    width = max(1, entries // total)
+    for j in range(0, code.n, width):
+        yield slice(j, j + width), message_words(code.ring, G[:, j:j + width],
+                                                 total)
+
+
+def least_messages(code, labels, count):
+    """For each label 0 .. count - 1 (-1: none), the least message key
+    with the lexicographically least word of that label's messages: by
+    column, the messages still tied keep their label's least entry."""
+    alive = np.flatnonzero(labels >= 0)
+    for j in range(code.n):
+        entries = code.words_of(alive, [j])[:, 0]
+        least = np.full(count, code.ring.order)
+        np.minimum.at(least, labels[alive], entries)
+        alive = alive[entries == least[labels[alive]]]
+    _, first = np.unique(labels[alive], return_index=True)
+    return alive[first]
 
 
 def modular_index(code):
@@ -302,17 +309,17 @@ def _identity_sides(code):
       b1 w1 + (b1 - b1 w1 / n) w(d), per coordinate b1 w1 / n + the same
       slope; over the larger-weight class, n |C| - b0 w(d) minus that.
 
-    Returns the coefficient rows, const, slope and the denominators."""
+    Returns the message coefficient rows, const, slope and denominators."""
     index = code.index
     if index is None:
         raise PreconditionError("correlation identity needs a modular code")
     profile, D, n, size = code.profile, code.denominator, code.n, code.size
     p, q = index.numerator, index.denominator
-    rows, dens = [q * code.word_numerators], [q * D * D]
+    rows, dens = [q * code.numerators], [q * D * D]
     const, slope = [size * D * D * (n * q + p)], [-size * p * D]
     if profile is not None:
         b0, b1, w1num = profile.b0, profile.b1, int(profile.w1 * D)
-        rows += [n * D * (code.word_numerators == int(w * D))
+        rows += [n * D * (code.numerators == int(w * D))
                  for w in (profile.w1, profile.w2)]
         dens += [n * D * D] * 2
         const += [b1 * w1num * D, n * size * D * D - b1 * w1num * D]
@@ -327,11 +334,12 @@ def shifted_weight_sums(code, ds):
     in the rows of ds, as (rows, len(ds)) arrays, and the
     denominators."""
     rows, const, slope, dens = _identity_sides(code)
-    num = code.table.numerators
-    shifted = num[code.ring.add_table[code.words[:, None, :],
-                                      ds[None, :, :]]].sum(axis=2)
+    num, add = code.table.numerators, code.ring.add_table
+    shifted = sum(num[add[words[:, None, :], ds[None, :, at]]].sum(axis=2)
+                  for at, words in _column_blocks(
+                      code, _BATCH_ENTRIES // max(1, len(ds))))
     rhs = code.n * const[:, None] + slope[:, None] * num[ds].sum(axis=1)
-    return rows @ shifted, rhs, dens
+    return rows @ shifted // len(code.kernel), rhs, dens
 
 
 def coordinate_weight_sums(code, js):
@@ -340,8 +348,10 @@ def coordinate_weight_sums(code, js):
     (rows, len(js), order) arrays, and the denominators."""
     rows, const, slope, dens = _identity_sides(code)
     num = code.table.numerators
-    columns = num[code.ring.add_table[code.words[:, js], :]]
-    lhs = np.einsum("rc,cjv->rjv", rows[:2], columns)
+    words = message_words(code.ring, code.generator[:, js],
+                          len(code.numerators))
+    lhs = np.einsum("rc,cjv->rjv", rows[:2],
+                    num[code.ring.add_table[words, :]]) // len(code.kernel)
     rhs = const[:2, None] + slope[:2, None] * num
     return lhs, np.broadcast_to(rhs[:, None, :], lhs.shape), dens[:2]
 

@@ -1,22 +1,18 @@
 """Dual two-weight codes and the certification of their parameters.
 
-The dual of a two-weight code collects the smaller-weight codewords as
-the rows of a matrix m1 and takes the right code generated by its
-columns: the left code of m1^T over the opposite ring, whose weight
-table coincides with the original.  Its words are b1 long.
-
-``dual_pipeline`` builds no code.  Each smaller-weight codeword has a
-message, so m1 = X1 G, and m1 y = X1 (G y) for every y in R^n: the dual
-word of y, and the class of y, depend only on z = G y.  As y runs over
-R^n, z runs over the column module Z of G (the right span of its
-columns, with |Z| = |C| elements), and each z is hit by a fibre of
-|ker G| = order^n / |Z| vectors.  The dual is therefore {X1 z : z in Z},
-and every claim about it is certified on Z, keyed in R^k: the weight of
-each X1 z by its class, which also makes z -> X1 z injective and gives
-the dual's frequencies; index one on the rows of m1; and, as in the
-classical case, its graph, the Cayley graph on Z whose connection set
-is the occurring points.  The dual words X1 z are formed a block of z
-at a time and only their weights are kept.
+The dual of a two-weight code is the right code generated by the
+columns of m1, its smaller-weight words: the left code of m1^T over the
+opposite ring, whose weight table coincides with the original.
+``dual_pipeline`` builds no code and forms no word: with X1 one message
+per smaller-weight word, m1 y = X1 (G y), so the dual word and the
+class of y in R^n depend only on z = G y in the column module Z
+(|Z| = |C|, each z hit by |ker G| = order^n / |Z| vectors y).  The dual
+is {X1 z : z in Z}, and each claim is certified in R^k: the weight of
+X1 z by the class of z, index one as the smaller-weight messages
+closed under left units, the smaller-weight words generating the code
+as their messages spanning R^k, and the dual graph, the Cayley graph
+on Z connected by the occurring points.  The words X1 z are formed a
+block of z at a time and only their weights are kept.
 """
 
 from __future__ import annotations
@@ -34,50 +30,41 @@ from .graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
-from .rings import opposite_ring
 from .spans import (
     BLOCK_ENTRIES,
     apply_matrix,
     column_module,
-    combine_rows,
+    decode_vectors,
     encode_vectors,
-    point_ids,
     span,
 )
 
 
 def _smaller_class_mask(code):
     profile = code.two_weight("dual construction")
-    return code.word_numerators == int(profile.w1 * code.denominator)
+    return code.numerators == int(profile.w1 * code.denominator)
 
 
 @dataclass(frozen=True)
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
-    with the keys, the fibre size |ker G|, the smaller-weight matrix
-    m1, and the messages X1 of its rows."""
+    with the keys, the fibre size |ker G|, and the messages X1, one per
+    smaller-weight word."""
     elements: np.ndarray
     keys: np.ndarray
     fibre: int
-    m1: np.ndarray
     x1: np.ndarray
 
 
 def _column_module(code, cap):
     """The column module of the code's generator, enumerated once and
-    shared by the dual and the message classification.  Checks that the
-    messages X1 of the smaller-weight codewords give X1 G = m1, that
-    |Z| = |C|, and that |Z| divides order^n."""
-    ring, G = code.ring, code.generator
-    order, n = ring.order, code.n
-    mask = _smaller_class_mask(code)
-    m1, x1 = code.words[mask], code.messages[mask]
-    if not (combine_rows(ring, G, x1) == m1).all():
-        raise IdentityCheckError(
-            "smaller-weight messages do not reproduce their codewords",
-            witness={"ring": ring.spec.text()})
-
-    z, keys = column_module(ring, G, cap)
+    shared by the dual and the message classification.  Checks that
+    |Z| = |C| and that |Z| divides order^n."""
+    ring, order, n = code.ring, code.ring.order, code.n
+    # b0 = 1: the least message of a word is the least of its coset
+    least = code.coset_keys == np.arange(len(code.coset_keys))
+    x1 = np.flatnonzero(_smaller_class_mask(code) & least)
+    z, keys = column_module(ring, code.generator, cap)
     if len(z) != code.size:
         raise IdentityCheckError(
             "column module size differs from the code size",
@@ -87,7 +74,7 @@ def _column_module(code, cap):
         raise IdentityCheckError(
             "column module size does not divide the message space",
             witness={"column_module": len(z), "messages": f"{order}**{n}"})
-    return _ColumnModule(z, keys, fibre, m1, x1)
+    return _ColumnModule(z, keys, fibre, decode_vectors(x1, order, code.k))
 
 
 @dataclass(frozen=True)
@@ -127,17 +114,11 @@ def dual_pipeline(code, cap=None):
     module = _column_module(code, cap)
     on_point, class_counts = _check_message_classification(
         code, module, w1_dual, w2_dual)
-    pids, sizes = point_ids(opposite_ring(code.ring), module.m1)
-    _, first, mult = np.unique(pids, return_index=True, return_counts=True)
-    if (mult != sizes[first]).any():
-        raise IdentityCheckError(
-            "dual is not modular of index one",
-            witness={"ratios": sorted({f"{m}/{s}" for m, s
-                                       in zip(mult, sizes[first])})})
+    _check_index_one(code, module.x1)
 
     b1_dual = int(on_point.sum())
     dual_profile = _checked_profile(TwoWeightProfile(
-        n=len(module.m1), size=size, b0=1, w1=w1_dual, w2=w2_dual,
+        n=len(module.x1), size=size, b0=1, w1=w1_dual, w2=w2_dual,
         b1=b1_dual, b2=size - 1 - b1_dual, index=Fraction(1)))
     measured = _cayley_srg(code.ring, module.elements[on_point],
                            module.keys, np.arange(size), on_point)
@@ -155,7 +136,7 @@ def dual_pipeline(code, cap=None):
             witness={"dual_trivial": measured.trivial, "w1": str(w1),
                      "n": n})
 
-    _check_smaller_class_spans(code, module.m1, cap)
+    _check_smaller_class_spans(code, cap)
     return DualReport(
         dual_size=size, w1_dual=w1_dual, w2_dual=w2_dual,
         b1_dual=dual_profile.b1, b2_dual=dual_profile.b2,
@@ -204,11 +185,28 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
     return on_point, counts
 
 
-def _check_smaller_class_spans(code, m1, cap):
-    """The smaller-weight codewords, the rows of m1, generate the whole
-    code."""
-    _, keys = span(code.ring, m1, cap=cap)
-    if len(keys) != code.size or not (keys == code.word_keys).all():
+def _check_index_one(code, x1):
+    """The dual, whose columns are the smaller-weight words c = x G, has
+    index one: the left unit orbit of each c, the words of the messages
+    u x, has the smaller weight; else the first such x and u fail."""
+    ring, smaller = code.ring, _smaller_class_mask(code)
+    for u in ring.units_array:
+        bad = np.flatnonzero(~smaller[encode_vectors(ring.mul_table[u, x1],
+                                                     ring.order)])
+        if len(bad):
+            raise IdentityCheckError(
+                "dual is not modular of index one",
+                witness={"message": x1[bad[0]].tolist(), "unit": int(u)})
+
+
+def _check_smaller_class_spans(code, cap):
+    """The smaller-weight codewords generate the whole code: the span
+    of their messages, whose image is the words' span, is all of R^k."""
+    rows = decode_vectors(np.flatnonzero(_smaller_class_mask(code)),
+                          code.ring.order, code.k)
+    _, keys = span(code.ring, rows, cap=cap)
+    if len(keys) != len(code.numerators):
         raise IdentityCheckError(
             "smaller-weight codewords do not generate the code",
-            witness={"spanned": len(keys), "code": code.size})
+            witness={"spanned": len(keys) // len(code.kernel),
+                     "code": code.size})

@@ -1,21 +1,16 @@
 """Strongly regular graphs attached to two-weight codes.
 
 The graph of a two-weight code has the cosets of the zero-weight
-subcode as vertices, read off the code's coset keys at a cost that
-grows with the subcode's generators, not with b0; two cosets are
-adjacent when their difference has the smaller weight.  It is the
-Cayley graph of the quotient group whose connection set S is the set
-of smaller-weight cosets, so its measured parameters come from
-counting the differences s - t over S x S: lambda is the count on S,
-mu the count on the other nonzero cosets.  A word difference is the
-word of a message difference, so the counts, the adjacency matrix and
-the negation check run on one message in R^k per coset, keyed in
-int64 and sent to its coset through the code's message table, however
-long the words are.  Predicted parameters come from closed forms in
-the weights and frequencies.  The same difference counts certify
-partial difference sets inside an ambient module and the equivalence
-between two-weight codes and such sets.  ``measure_srg`` measures an
-explicit adjacency matrix by common-neighbour counting.
+subcode as vertices, two adjacent when their difference has the
+smaller weight: the Cayley graph on R^k modulo the zero-weight
+messages, whose connection set S is the smaller-weight cosets.  Its
+parameters come from counting the differences s - t over S x S, keyed
+on k-long messages however long the words: lambda is the count on S,
+mu the count on the other nonzero cosets.  Predicted parameters come
+from closed forms in the weights and frequencies.  The same counts
+certify partial difference sets in an ambient module and the
+equivalence between two-weight codes and such sets.  ``measure_srg``
+measures an explicit adjacency matrix by common-neighbour counting.
 """
 
 from __future__ import annotations
@@ -25,10 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .codes import least_messages
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .spans import (
     BLOCK_ENTRIES,
     column_module,
+    decode_vectors,
     enum_cap,
     encode_vectors,
     is_submodule,
@@ -159,28 +156,20 @@ def predicted_dual_srg(profile):
 
 @dataclass
 class CosetGraph:
-    """The coset graph in Cayley form: the coset representatives (the
-    least member of each coset, ascending by key) and the message of
-    each, the coset index of every codeword, and the connection mask
-    marking the smaller-weight cosets."""
+    """The coset graph in Cayley form on R^k modulo the zero-weight
+    messages: the vertex of every message, by key (vertices ordered by
+    the least key of their coset), the least message of each vertex,
+    and the connection mask marking the smaller-weight vertices."""
 
     code: object
-    representatives: np.ndarray
+    vertices: np.ndarray
     messages: np.ndarray
-    coset_index: np.ndarray
     connection: np.ndarray
 
-    @property
-    def message_cosets(self):
-        """The coset index of every message x, by the key of x: that of
-        its word x G."""
-        return self.coset_index[self.code.word_of_message]
-
     def adjacency(self, cap=None):
-        """The 0/1 adjacency matrix over the representatives, refused
-        when its entries exceed the cap (default: the enumeration
-        cap)."""
-        count = len(self.representatives)
+        """The 0/1 adjacency matrix over the vertices, refused when its
+        entries exceed the cap (default: the enumeration cap)."""
+        count = len(self.messages)
         if cap is None:
             cap = enum_cap()
         if count * count > cap:
@@ -190,48 +179,49 @@ class CosetGraph:
         ring = self.code.ring
         x = self.messages
         neg_x = ring.neg_table[x]
-        cosets = self.message_cosets
         adjacency = np.empty((count, count), dtype=np.int8)
         block = max(1, BLOCK_ENTRIES // x.size)
         for start in range(0, count, block):
             diffs = ring.add_table[x[start:start + block, None, :],
                                    neg_x[None, :, :]]
-            keys = encode_vectors(diffs, ring.order)
-            adjacency[start:start + block] = self.connection[cosets[keys]]
+            adjacency[start:start + block] = self.connection[
+                self.vertices[encode_vectors(diffs, ring.order)]]
         return adjacency
+
+    def least_words(self):
+        """The lexicographically least word of each vertex's coset."""
+        return self.code.words_of(least_messages(
+            self.code, self.vertices, len(self.messages)))
 
 
 def build_coset_graph(code):
     """The graph on cosets of the zero-weight subcode, adjacency given
-    by the smaller weight, in Cayley form, on the cosets of the code's
-    coset keys.  Verifies that weights are constant on each coset, that
-    the cosets tile the code, and that the connection set is closed
-    under negation."""
+    by the smaller weight, in Cayley form on the cosets of the
+    zero-weight messages in R^k, which tile R^k by construction.
+    Verifies that weights are constant on each coset and that the
+    connection set is closed under negation."""
     profile = code.two_weight("coset graph")
     ring = code.ring
     least = code.coset_keys
-    is_rep = least == code.word_keys
-    reps = code.words[is_rep]
-    coset_index = np.searchsorted(code.word_keys[is_rep], least)
-    changed = np.flatnonzero(code.word_numerators
-                             != code.word_numerators[is_rep][coset_index])
-    if len(changed):
-        word, rep = code.words[changed[0]], reps[coset_index[changed[0]]]
+    keys = np.flatnonzero(least == np.arange(len(least)))
+    vertices = np.searchsorted(keys, least)
+    if (code.numerators != code.numerators[least]).any():
+        # named by the least word whose weight differs from its coset's
+        # least word, and by its shift from that word
+        reps = code.words_of(least_messages(code, vertices, len(keys)))
+        changed = code.numerators != code.table.word_numerator(reps)[vertices]
+        (x,) = least_messages(code, np.where(changed, 0, -1), 1)
+        word, rep = code.words_of([x])[0], reps[vertices[x]]
         raise IdentityCheckError(
             "weights change under zero-weight shifts",
             witness={"word": word.tolist(), "shift": ring.add_table[
                 word, ring.neg_table[rep]].tolist()})
-    if len(reps) * code.b0 != code.size:
-        raise IdentityCheckError(
-            "cosets of the zero-weight subcode do not tile the code",
-            witness={"cosets": len(reps), "b0": code.b0})
-    connection = (code.word_numerators[is_rep]
+    connection = (code.numerators[keys]
                   == int(profile.w1 * code.denominator))
-    graph = CosetGraph(code, reps, code.messages[is_rep], coset_index,
-                       connection)
+    graph = CosetGraph(code, vertices,
+                       decode_vectors(keys, ring.order, code.k), connection)
     negated = ring.neg_table[graph.messages[connection]]
-    if not connection[graph.message_cosets[
-            encode_vectors(negated, ring.order)]].all():
+    if not connection[vertices[encode_vectors(negated, ring.order)]].all():
         raise IdentityCheckError("coset adjacency is not symmetric")
     return graph
 
@@ -240,10 +230,9 @@ def coset_graph_srg(graph):
     """Certify a coset graph as strongly regular, as the Cayley graph
     on the cosets connected by the smaller-weight ones, counted on the
     messages of the connection set in R^k."""
-    code = graph.code
-    return _cayley_srg(code.ring, graph.messages[graph.connection],
-                       np.arange(len(code.word_of_message)),
-                       graph.message_cosets, graph.connection)
+    return _cayley_srg(graph.code.ring, graph.messages[graph.connection],
+                       np.arange(len(graph.vertices)), graph.vertices,
+                       graph.connection)
 
 
 def _cayley_srg(ring, rows, keys, labels, connection):

@@ -135,13 +135,28 @@ def _unit_orbit_minima(ring, side):
     return _class_minima(ring.order, lambda x: ring.mul_table[x, units])
 
 
+def _ideal_sum(add, a, b):
+    """The ideal a + b in a's dtype, grown from a as
+    rings._additive_generators grows a group from its generators g, the
+    least elements of b not yet reached."""
+    reached = np.zeros(len(add), dtype=bool)
+    reached[a] = True
+    while not (held := reached[b]).all():
+        fresh = np.flatnonzero(reached)
+        while len(fresh):
+            fresh = add[fresh, b[np.argmin(held)]]
+            fresh = fresh[~reached[fresh]]
+            reached[fresh] = True
+    return np.flatnonzero(reached).astype(a.dtype)
+
+
 def all_one_sided_ideals(ring, side="left"):
     """Every nonzero left (or right) ideal, as sorted element-index
     arrays ordered by size, then elements.  Built by closing the
     principal ideals under pairwise ideal sums.  A principal ideal
     depends only on the unit orbit of its generator (R ux = Rx,
     xuR = xR), so one is built per orbit; each pair of distinct ideals
-    is summed once."""
+    is summed once, by _ideal_sum."""
     found = {}
     for x in _unit_orbit_minima(ring, side):
         ideal = principal_ideal_elements(ring, x, side)
@@ -159,7 +174,7 @@ def all_one_sided_ideals(ring, side="left"):
             for b_key, b in list(found.items()):
                 if b_key in summed:
                     continue
-                s = np.unique(ring.add_table[np.ix_(a, b)])
+                s = _ideal_sum(ring.add_table, a, b)
                 key = s.tobytes()
                 if key not in found:
                     found[key] = s

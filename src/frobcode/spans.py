@@ -1,23 +1,17 @@
 """Vector enumeration and module spans over a tables-backed finite ring.
 
-Vectors of length n over a ring of order q are numpy int32 rows.  Each
-row has one canonical key, the big-endian number
-sum(v[i] * q**(n-1-i)), so keys sort in the lexicographic order of the
-rows.  The key is an int64 while q**n <= 2**62; past that it is the same
-number as a Python int in an object array.  Only the object path runs
-on wide rows (the words of a long code, n = 65 over GF(8)); on narrow
-rows the int64 path is many times faster, so it stays the rule there.
-A code's words are keyed once, to sort them; after that its group
-passes run on k-long messages.
-Either way ==, np.unique, np.searchsorted, np.isin and np.minimum work
-on keys unchanged.  Sets of vectors are kept as row-sorted unique
-arrays, and ``lookup`` finds keys in their sorted keys.
+Vectors of length n over a ring of order q are numpy int32 rows, keyed
+by the big-endian int64 sum(v[i] * q**(n-1-i)), so keys sort as the
+rows do, and ==, np.unique, np.searchsorted, np.isin and np.minimum
+work on them.  A row with q**n > 2**62 has no key and is refused; the
+passes over a code key only its k-long messages.  Sets of vectors are
+row-sorted unique arrays, and ``lookup`` finds keys in their sorted
+keys.
 
-The words x G of every message x in R^k (a code's words, the word
-correlation sweeps, the search's point tables) come from one pass,
-``message_words``: nested outer sums of the multiples R G[i] of each
-row, so R^k itself is never formed and each word entry costs about one
-add gather.  ``enumeration_size`` is the one cap rule for R^n.
+``message_words`` forms the words x G of every message x in R^k as
+nested outer sums of the multiples R G[i] of each row, so R^k itself is
+never formed and each word entry costs about one add gather.
+``enumeration_size`` is the one cap rule for R^n.
 
 One closure grows every submodule M: a generator M holds costs one
 key lookup, and each kept one at least doubles M, so it runs at most
@@ -62,27 +56,16 @@ def _fits_int64(order, n):
     return n <= 62 and int(order) ** n <= 1 << 62
 
 
-def _int64_keys(vectors, order):
-    n = vectors.shape[-1]
-    radix = np.array([order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    return vectors.astype(np.int64) @ radix
-
-
 def encode_vectors(vectors, order):
-    """Big-endian keys for an (..., n) array of vectors: int64 while
-    order**n <= 2**62, else Python ints in an object array, each built
-    from the int64 key of every column block short enough for one."""
+    """Big-endian int64 keys for an (..., n) array of vectors; raises
+    CapExceededError when order**n > 2**62."""
     vectors = np.asarray(vectors)
     n = vectors.shape[-1]
-    if _fits_int64(order, n):
-        return _int64_keys(vectors, order)
-    width = max(w for w in range(1, 63) if _fits_int64(order, w))
-    keys = np.zeros(vectors.shape[:-1], dtype=object)
-    for start in range(0, n, width):
-        part = vectors[..., start:start + width]
-        keys = (keys * order ** part.shape[-1]
-                + _int64_keys(part, order).astype(object))
-    return keys
+    if not _fits_int64(order, n):
+        raise CapExceededError(
+            f"keys of {order}**{n} vectors exceed an int64 range")
+    radix = np.array([order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    return vectors.astype(np.int64) @ radix
 
 
 def decode_vectors(keys, order, n):
@@ -152,7 +135,7 @@ def _closure(ring, generators, cap, name):
     scalars = np.arange(order, dtype=np.int32)
     generator_keys = encode_vectors(generators, order)
     rows = np.zeros((1, generators.shape[1]), dtype=np.int32)
-    keys = np.zeros(1, dtype=generator_keys.dtype)
+    keys = np.zeros(1, dtype=np.int64)
     pending = np.arange(len(generators))
     while True:
         pending = pending[~lookup(keys, generator_keys[pending])[1]]

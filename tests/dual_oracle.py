@@ -23,13 +23,16 @@ from frobcode.spans import (
     encode_vectors,
     enumerate_vectors,
 )
+from span_oracle import code_words
 from srg_oracle import oracle_srg
 
 
 def smaller_class_matrix(code):
     """The smaller-weight codewords, in sorted word order, as rows."""
     w1 = two_weight_profile(code).w1
-    return code.words[code.word_numerators == int(w1 * code.denominator)]
+    words = code_words(code)
+    return words[code.table.word_numerator(words)
+                 == int(w1 * code.denominator)]
 
 
 def oracle_build_dual(code, cap=None):

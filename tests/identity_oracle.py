@@ -23,6 +23,7 @@ from frobcode.errors import CapExceededError, IdentityCheckError
 from frobcode.homweight import WeightTable, _fixing_unit_count, \
     correlation_vectors, ideal_correlation, weight_table
 from frobcode.spans import combine_rows, enumerate_vectors, point_ids
+from span_oracle import code_words
 
 
 def _w(table, x):
@@ -64,14 +65,14 @@ def code_correlation_lhs(code, d):
     table = code.table
     return sum((_word_weight(table, c)
                 * _word_weight(table, _shifted(code.ring, c, d))
-                for c in code.words.tolist()), Fraction(0))
+                for c in code_words(code).tolist()), Fraction(0))
 
 
 def class_coset_sum_lhs(code, weight, d):
     """sum of w(c + d) over the codewords c of the given weight."""
     table = code.table
     return sum((_word_weight(table, _shifted(code.ring, c, d))
-                for c in code.words.tolist()
+                for c in code_words(code).tolist()
                 if _word_weight(table, c) == weight), Fraction(0))
 
 
@@ -80,14 +81,14 @@ def coordinate_correlation_lhs(code, j, dj):
     table = code.table
     return sum((_word_weight(table, c)
                 * _w(table, int(code.ring.add_table[c[j], dj]))
-                for c in code.words.tolist()), Fraction(0))
+                for c in code_words(code).tolist()), Fraction(0))
 
 
 def coordinate_class_sum_lhs(code, weight, j, dj):
     """sum of w(c_j + d_j) over the codewords c of the given weight."""
     table = code.table
     return sum((_w(table, int(code.ring.add_table[c[j], dj]))
-                for c in code.words.tolist()
+                for c in code_words(code).tolist()
                 if _word_weight(table, c) == weight), Fraction(0))
 
 

@@ -13,6 +13,11 @@ shares no table code with the path it checks.
 `cubic_axiom_failures` is the per-element check of the ring laws on
 every triple that `FiniteRing` ran before it proved them on an additive
 generating set.
+
+`pairwise_one_sided_ideals` is the ideal enumeration that
+`homweight.all_one_sided_ideals` ran before it grew each ideal sum
+I + J from I: every sum is the unique entries of the |I| x |J| table
+of pairwise sums.
 """
 
 import math
@@ -21,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from frobcode.errors import ReduciblePolynomialError, RingConstructionError
+from frobcode.homweight import _unit_orbit_minima, principal_ideal_elements
 from frobcode.rings import (
     GF,
     MatRing,
@@ -289,3 +295,31 @@ def cubic_axiom_failures(add, mul):
         if not (np.take(col, add) == np.take(add[col], col, axis=1)).all():
             failed.add("right distributivity fails")
     return failed
+
+
+def pairwise_one_sided_ideals(ring, side="left"):
+    """Every nonzero left (or right) ideal, as sorted element-index
+    arrays ordered by size, then elements: the principal ideals of the
+    unit orbit minima, closed under sums, each I + J taken as the unique
+    entries of all |I| |J| pairwise sums."""
+    found = {}
+    for x in _unit_orbit_minima(ring, side):
+        ideal = principal_ideal_elements(ring, x, side)
+        found.setdefault(ideal.tobytes(), ideal)
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        summed = set()
+        for a_key in frontier:
+            a = found[a_key]
+            summed.add(a_key)
+            for b_key, b in list(found.items()):
+                if b_key in summed:
+                    continue
+                s = np.unique(ring.add_table[np.ix_(a, b)])
+                if s.tobytes() not in found:
+                    found[s.tobytes()] = s
+                    fresh.append(s.tobytes())
+        frontier = fresh
+    ideals = sorted(found.values(), key=lambda v: (len(v), v.tolist()))
+    return [i for i in ideals if len(i) > 1 or i[0] != 0]

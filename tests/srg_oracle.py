@@ -1,7 +1,7 @@
 """Dense oracle for the coset graph: the representatives found by a
-Python loop over every codeword and the N x N adjacency matrix built
-from the weights of all representative differences, measured by
-common-neighbour counting.
+Python loop over every codeword, formed from all of R^k and compared by
+row, and the N x N adjacency matrix built from the weights of all
+representative differences, measured by common-neighbour counting.
 
 This is the direct reading of the definitions, with O(N^2) memory and
 O(N^3) time, so it serves only as an independent check of
@@ -14,7 +14,7 @@ import numpy as np
 from frobcode.codes import two_weight_profile
 from frobcode.errors import IdentityCheckError, PreconditionError
 from frobcode.graphs import measure_srg
-from frobcode.spans import encode_vectors
+from span_oracle import code_words
 
 
 def oracle_coset_graph(code):
@@ -26,23 +26,24 @@ def oracle_coset_graph(code):
         raise PreconditionError("coset graph needs a two-weight code")
     ring = code.ring
     num = code.table.numerators
-    zero_words = code.words[code.word_numerators == 0]
+    words = code_words(code)
+    numerators = code.table.word_numerator(words)
+    zero_words = words[numerators == 0]
 
     for z in zero_words:
-        shifted = num[ring.add_table[code.words, z[None, :]]].sum(axis=1)
-        if not (shifted == code.word_numerators).all():
+        shifted = num[ring.add_table[words, z[None, :]]].sum(axis=1)
+        if not (shifted == numerators).all():
             raise IdentityCheckError(
                 "weights change under zero-weight shifts",
                 witness={"shift": z.tolist()})
 
-    coset_min = {}
-    for idx in range(code.size):
-        members = ring.add_table[zero_words, code.words[idx][None, :]]
-        least = int(encode_vectors(members, ring.order).min())
-        if least == int(code.word_keys[idx]):
-            coset_min[least] = idx
-    reps = code.words[[coset_min[k] for k in sorted(coset_min)]]
-    if len(reps) * len(zero_words) != code.size:
+    reps = []
+    for word in words:
+        members = ring.add_table[zero_words, word[None, :]]
+        if (members[np.lexsort(members.T[::-1])[0]] == word).all():
+            reps.append(word)
+    reps = np.array(reps)
+    if len(reps) * len(zero_words) != len(words):
         raise IdentityCheckError(
             "cosets of the zero-weight subcode do not tile the code",
             witness={"cosets": len(reps), "b0": len(zero_words)})

@@ -26,7 +26,7 @@ from frobcode.homweight import identity_suite, weight_table
 from frobcode.rings import FiniteRing, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import encode_vectors, enumerate_vectors, lookup
-from span_oracle import check_row_column_cardinality
+from span_oracle import check_row_column_cardinality, code_words
 
 SUITE_RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)",
                "GF(4)", "M2(GF(2))"]
@@ -108,8 +108,9 @@ def zero_and_larger_closed(code):
     closed under addition, i.e. form a subcode."""
     ring = code.ring
     w2 = int(code.profile.w2 * code.denominator)
-    rows = code.words[(code.word_numerators == 0)
-                      | (code.word_numerators == w2)]
+    words = code_words(code)
+    numerators = code.table.word_numerator(words)
+    rows = words[(numerators == 0) | (numerators == w2)]
     sums = ring.add_table[rows[:, None, :], rows[None, :, :]]
     keys = np.sort(encode_vectors(rows, ring.order))
     return bool(lookup(keys, encode_vectors(sums.reshape(-1, code.n),

@@ -11,10 +11,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frobcode.cli import main
-from frobcode.codes import sweep_shifts
+from frobcode.codes import format_code_file, sweep_shifts
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
@@ -28,6 +29,16 @@ ELLIPTIC_QUADRIC = ("ring: GF(3)\nk: 4 n: 10\n0 1 1 1 1 1 1 1 1 1\n"
                     "0 0 1 2 1 2 1 2 0 0\n")
 HYPEROVAL = ("ring: GF(4)\nk: 3 n: 6\n1 1 1 1 0 0\n0 1 2 3 0 1\n"
              "0 1 3 2 1 0\n")
+# prod(Z2,Z2), k=2: the b0 = 2 code of GRAPH_GOLDEN["p22"] with each
+# column repeated 8 times, n=32, so 4^32 > 2^62 and no word has an
+# int64 key
+P22_X8 = format_code_file("prod(Z2,Z2)", np.repeat(
+    [[3, 0, 2, 1], [1, 1, 1, 1]], 8, axis=1))
+# GF(2), k=4: the columns e1, e2, e1+e2, e3, e4, e3+e4 tiled 11 times,
+# n=66; its coset graph and its dual's graph are srg(16,6,2,2)
+HALVES_66 = format_code_file("GF(2)", np.tile(
+    [[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1],
+     [0, 0, 0, 0, 1, 1]], 11))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -274,6 +285,16 @@ GRAPH_GOLDEN = {
     "p22": ("ring: prod(Z2,Z2)\nk: 2 n: 4\n3 0 2 1\n1 1 1 1\n",
             "712006d7f644407171c4aa6a47be0d45d46cef7a5d116e62090cfb8faf770de7",
             "8e53fd295b845b6c46c008e2ce36e4f4881ddcfb514b922e1cbff469b91e741e"),
+    # recorded while the words were still stored and keyed: the labels
+    # are words past int64 keys (p22x8) or 66 long (halves66)
+    "p22x8": (
+        P22_X8,
+        "712006d7f644407171c4aa6a47be0d45d46cef7a5d116e62090cfb8faf770de7",
+        "59175106a7efa5c1da092d5487c46e3b7930b1383f35db0a6cd3f6324afca987"),
+    "halves66": (
+        HALVES_66,
+        "5fda5a3eef1937b8aaab81583afa4296e3832f4eaca3f9ebe021e15379ae522e",
+        "196a928d0c612f9c6023f29e93a89d7d5f24539efd19deef8a03d74f9db1ef6d"),
 }
 
 
@@ -643,10 +664,11 @@ k: 6 n: 14
 EMPTY = hashlib.sha256(b"").hexdigest()
 PASS_7 = "4ba48b76ebeb307416b1f1520551558181b147a1e2cc778c4eaceb7953308bdc"
 
-# argv (an analyze run takes its code file last), exit code, and the
-# sha256 of stdout and of stderr, recorded before each weight identity
-# had one evaluator (the verify, ring and analyze runs) and before the
-# search settled every candidate from point tables (the search runs)
+# argv (an analyze or dual run takes its code file's text in place of
+# its path), exit code, and the sha256 of stdout and of stderr, recorded
+# before each weight identity had one evaluator (the verify, ring and
+# analyze runs) and before the search settled every candidate from
+# point tables (the search runs)
 CLI_GOLDEN = {
     "verify Z32": (["verify", "Z32"], 0, PASS_7, EMPTY),
     "verify Z32 --json": (
@@ -708,14 +730,35 @@ CLI_GOLDEN = {
         ["analyze", GRAPH_GOLDEN["p22"][0]], 0,
         "c5e5e61754716dc252df2090f18aeeeef1456ec4bb197be281fe25d39199c5d6",
         EMPTY),
+    # recorded while the words were still stored and keyed
+    "analyze prod(Z2,Z2) n=32": (
+        ["analyze", P22_X8], 0,
+        "98534ae06d14c5b681e8244b995d3f55e3283a7bc8e821f7d88e3e9b797a4f97",
+        EMPTY),
+    "analyze GF(2) n=66": (
+        ["analyze", HALVES_66], 0,
+        "7d5fd12833d86b9fd968b3e60b94fe4757442518fce8033e473a969b7b10a838",
+        EMPTY),
+    "dual GF(2) n=66 --json": (
+        ["dual", HALVES_66, "--json"], 0,
+        "c15abdfdecfe1f9950901c243ed78aa3e71aeb8c8dc09a9f77c645dc225499cd",
+        EMPTY),
+    "dual GF(4) hyperoval --json": (
+        ["dual", HYPEROVAL, "--json"], 0,
+        "34df549fb5e3c303ae35c1f1485ad5173117a58545d44a4259ceb685058db342",
+        EMPTY),
+    "dual GF(3) --json": (
+        ["dual", F3_IDENTITY, "--json"], 0,
+        "6fdeed32ce94173cb18572b4aed8a59b11568ce4f8a7918b96bcb3ddb13bd309",
+        EMPTY),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
 def test_cli_golden_digests(capsys, tmp_path, name):
     argv, code, stdout_digest, stderr_digest = CLI_GOLDEN[name]
-    if argv[0] == "analyze":
-        argv = ["analyze", write_code(tmp_path, "x.code", argv[1])]
+    if argv[0] in ("analyze", "dual"):
+        argv = [argv[0], write_code(tmp_path, "x.code", argv[1]), *argv[2:]]
     rc, out, err = run_cli(capsys, argv)
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest

@@ -20,6 +20,7 @@ from frobcode.codes import (
 )
 from frobcode.errors import PreconditionError
 from frobcode.rings import ring_from_text
+from span_oracle import code_words
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 SPIED = ("two_weight_profile", "modular_index", "support_with_zero")
@@ -106,7 +107,8 @@ def test_cached_facts_equal_the_free_functions(case):
     got = {fact: _read(code, fact) for fact in order}
     # every fact again, from the free functions on a fresh code
     fresh = build_code(ring, generator)
-    vals, counts = np.unique(fresh.word_numerators, return_counts=True)
+    vals, counts = np.unique(fresh.table.word_numerator(code_words(fresh)),
+                             return_counts=True)
     distribution = {Fraction(int(v), fresh.denominator): int(c)
                     for v, c in zip(vals, counts)}
     nonzero = tuple(sorted(w for w in distribution if w != 0))

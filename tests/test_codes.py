@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import frobcode
 from frobcode.codes import (
     LinearCode,
-    _zero_cosets,
     build_code,
     coordinate_weight_sums,
     format_code_file,
@@ -34,9 +33,10 @@ from frobcode.errors import (
 )
 from frobcode.homweight import weight_table
 from frobcode.rings import ring_from_text
-from frobcode.spans import encode_vectors, lookup
+from frobcode.spans import encode_vectors, enumerate_vectors, message_words
 from identity_oracle import bump_unit_orbit
 from search_oracle import one_weight_characterization
+from span_oracle import code_words
 
 
 def make(text, rows):
@@ -118,7 +118,8 @@ def test_non_modular_code():
 
 def zero_words_closed(code):
     """Whether every pairwise sum of zero-weight words is one."""
-    rows = code.words[code.word_numerators == 0]
+    words = code_words(code)
+    rows = words[code.table.word_numerator(words) == 0]
     sums = code.ring.add_table[rows[:, None, :], rows[None, :, :]]
     keys = encode_vectors(rows, code.ring.order)
     return bool(np.isin(encode_vectors(sums, code.ring.order), keys).all())
@@ -138,25 +139,27 @@ def test_zero_class_check_matches_pairwise_sums(text, rows):
     verdicts = set()
     for x in range(1, ring.order):
         table = bump_unit_orbit(ring, base, x, -int(base.numerators[x]))
-        bumped = LinearCode(ring, code.generator, code.words,
-                            code.word_of_message, table)
+        bumped = LinearCode(ring, code.generator, table)
         closed = zero_words_closed(bumped)
         verdicts.add(closed)
         if closed:
-            _zero_cosets(bumped)
+            bumped.coset_keys
             continue
         with pytest.raises(IdentityCheckError,
                            match="not closed under addition"):
-            _zero_cosets(bumped)
+            bumped.coset_keys
     assert verdicts == {True, False}
 
 
 def brute_coset_keys(code):
-    """The least key of c + z over every zero-weight word z, per word."""
-    zero_words = code.words[code.word_numerators == 0]
-    members = code.ring.add_table[code.words[:, None, :],
-                                  zero_words[None, :, :]]
-    return encode_vectors(members, code.ring.order).min(axis=1)
+    """The least key of x + z over every message z whose word has
+    weight zero, per message x."""
+    ring = code.ring
+    x = enumerate_vectors(ring.order, code.k)
+    words = message_words(ring, code.generator, len(x))
+    zero = x[code.table.word_numerator(words) == 0]
+    members = ring.add_table[x[:, None, :], zero[None, :, :]]
+    return encode_vectors(members, ring.order).min(axis=1)
 
 
 @st.composite
@@ -181,14 +184,15 @@ def test_coset_keys_are_least_over_zero_weight_shifts(case):
 
 
 def test_coset_keys_past_int64():
-    # 4^32 > 2^62, so the keys are Python ints; (1,1) has weight 0, so
-    # the all-(1,1) row spans zero-weight words
+    # 4^32 > 2^62, so the words have no int64 keys, and the cosets are
+    # keyed on messages; (1,1) has weight 0, so the all-(1,1) row spans
+    # zero-weight words
     ring = ring_from_text("prod(Z2,Z2)")
     rng = np.random.default_rng(0)
     rows = np.stack([np.ones(32, dtype=np.int32),
                      rng.integers(1, 4, size=32, dtype=np.int32)])
     code = build_code(ring, rows)
-    assert code.word_keys.dtype == object and code.b0 > 1
+    assert code.b0 > 1
     assert (code.coset_keys == brute_coset_keys(code)).all()
 
 
@@ -227,8 +231,7 @@ def test_bad_entries_rejected():
 
 
 def contains(code, word):
-    key = encode_vectors(np.array([word]), code.ring.order)
-    return bool(lookup(code.word_keys, key)[1][0])
+    return bool((code_words(code) == word).all(axis=1).any())
 
 
 def test_membership_and_points():

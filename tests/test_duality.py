@@ -4,6 +4,7 @@ coset graphs of the classical codes whose duals are certified here."""
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,8 +16,14 @@ from hypothesis import strategies as st
 from dual_oracle import oracle_build_dual, oracle_dual_report
 from frobcode import codes
 from frobcode.cli import main
-from frobcode.codes import build_code, format_code_file, two_weight_profile
+from frobcode.codes import (
+    LinearCode,
+    build_code,
+    format_code_file,
+    two_weight_profile,
+)
 from frobcode.duality import (
+    _check_index_one,
     _check_message_classification,
     _check_smaller_class_spans,
     _column_module,
@@ -34,14 +41,23 @@ from frobcode.graphs import (
     build_coset_graph,
     coset_graph_srg,
 )
-from frobcode.homweight import weight_table
+from frobcode.homweight import WeightTable, weight_table
 from frobcode.rings import opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import column_module, encode_vectors, enumerate_vectors
+from frobcode.spans import (
+    column_module,
+    combine_rows,
+    encode_vectors,
+    enumerate_vectors,
+)
 
 # the hyperoval {(1,t,t^2)} + (0,0,1) + (0,1,0) in PG(2,4): its
 # smaller-weight class, so the length of its dual words, is 45
 HYPEROVAL = [[1, 1, 1, 1, 0, 0], [0, 1, 2, 3, 0, 1], [0, 1, 3, 2, 1, 0]]
+# GF(2), k=4: the columns e1, e2, e1+e2, e3, e4, e3+e4 tiled 11 times,
+# n=66, so no word has an int64 key; its graph is srg(16,6,2,2)
+HALVES_66 = np.tile([[1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0],
+                     [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]], 11)
 
 
 def make(text, rows):
@@ -50,9 +66,10 @@ def make(text, rows):
 
 
 def test_smaller_class_matrix_frozen():
-    # the dual's generator is the transposed smaller-weight matrix m1
+    # the dual's generator is the transposed smaller-weight matrix
+    # m1 = X1 G
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    m1 = _column_module(code, None).m1
+    m1 = combine_rows(ring, code.generator, _column_module(code, None).x1)
     assert [tuple(r) for r in m1.tolist()] == [
         (0, 1), (0, 2), (1, 0), (2, 0)]
     assert (oracle_build_dual(code).generator.T == m1).all()
@@ -155,6 +172,19 @@ def test_classification_witness_is_a_column_module_element():
     assert len(info.value.witness["z"]) == code.k
 
 
+def test_index_one_failure_names_a_message_and_a_unit():
+    # Z9, [1 2], with w(4) = 2: the smaller-weight class holds the word
+    # (1, 2) of the message 1, but not the word (2, 4) of 2 * 1
+    ring = ring_from_text("Z9")
+    table = WeightTable(ring, np.array([0, 1, 1, 1, 2, 1, 1, 1, 1]), 1)
+    code = LinearCode(ring, np.array([[1, 2]]), table)
+    assert code.weight_distribution == {0: 1, 2: 6, 3: 2}
+    with pytest.raises(IdentityCheckError,
+                       match="^dual is not modular of index one$") as info:
+        _check_index_one(code, _column_module(code, None).x1)
+    assert info.value.witness == {"message": [1], "unit": 2}
+
+
 def test_cap_bounds_the_column_module():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     with pytest.raises(CapExceededError):
@@ -180,21 +210,37 @@ def elliptic_quadric_code(text):
 
 
 def test_elliptic_quadric_q8_smaller_words_span_the_code():
-    # Q^-(3,8): GF(8), k=4, n=65; the span of its 3640 smaller-weight
-    # words skips every word it already holds, so it takes 4 passes,
-    # not one per word
+    # Q^-(3,8): GF(8), k=4, n=65; the span of the messages of its 3640
+    # smaller-weight words skips every message it already holds, so it
+    # takes 4 passes, not one per word
     ring, code = elliptic_quadric_code("GF(8)")
     assert (code.k, code.n, code.size) == (4, 65, 4096)
-    m1 = code.words[_smaller_class_mask(code)]
-    assert len(m1) == 3640
-    _check_smaller_class_spans(code, m1, None)
+    assert _smaller_class_mask(code).sum() == 3640
+    _check_smaller_class_spans(code, None)
     module, _ = column_module(ring, code.generator)
     assert len(module) == 4096
 
 
+def test_elliptic_quadric_q16_code_memory():
+    # Q^-(3,16): GF(16), k=4, n=257.  Held on its 65536 messages, the
+    # code and its profile stay far below its 65536 x 257 words (64 MiB
+    # as int32)
+    tracemalloc.start()
+    try:
+        ring, code = elliptic_quadric_code("GF(16)")
+        profile = code.profile
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code.k, code.n, profile.size, profile.b0) == (4, 257, 65536, 1)
+    assert (profile.b1, profile.b2) == (61680, 3855)
+    assert peak < 64 * 2 ** 20
+
+
 @pytest.mark.parametrize("q,srg", [
     (4, [256, 51, 2, 12]), (5, [625, 104, 3, 20]), (8, [4096, 455, 6, 56]),
-], ids=["4", "5", "8"])
+    (9, [6561, 656, 7, 72]),
+], ids=["4", "5", "8", "9"])
 def test_elliptic_quadric_dual_graph(capsys, tmp_path, q, srg):
     # the dual graph of Q^-(3,q) is srg(q^4, (q^2+1)(q-1), q-2, q(q-1));
     # for q = 8 the dual's words are 3640 long, and the dual is
@@ -211,8 +257,8 @@ def test_elliptic_quadric_dual_graph(capsys, tmp_path, q, srg):
 
 @pytest.mark.parametrize("q,srg", [
     (4, [256, 204, 164, 156]), (5, [625, 520, 435, 420]),
-    (8, [4096, 3640, 3240, 3192]),
-], ids=["4", "5", "8"])
+    (8, [4096, 3640, 3240, 3192]), (9, [6561, 5904, 5319, 5256]),
+], ids=["4", "5", "8", "9"])
 def test_elliptic_quadric_coset_graph(capsys, tmp_path, q, srg):
     # the coset graph of Q^-(3,q) is the complement of its dual graph;
     # for q = 8 the words are 65 long, and the 3640^2 differences are
@@ -245,14 +291,28 @@ def spy_encode_lengths(monkeypatch):
 
 
 def test_coset_graph_keys_only_messages(monkeypatch):
-    # the words are keyed once, when the code is built; the coset graph,
-    # its measurement and its adjacency matrix key only k-long messages
+    # the coset graph, its measurement and its adjacency matrix key only
+    # k-long messages
     ring = ring_from_text("GF(4)")
     code = build_code(ring, np.array(HYPEROVAL, dtype=np.int32))
     lengths = spy_encode_lengths(monkeypatch)
     graph = build_coset_graph(code)
     assert coset_graph_srg(graph).as_tuple() == (64, 45, 32, 30)
     assert graph.adjacency().sum() == 64 * 45
+    assert lengths and set(lengths) == {code.k}
+
+
+def test_build_graph_and_dual_key_only_messages(monkeypatch):
+    # n = 66 over GF(2): building the code, its coset graph, the graph's
+    # measurement and adjacency matrix, and the dual pipeline key no row
+    # longer than a message
+    ring = ring_from_text("GF(2)")
+    lengths = spy_encode_lengths(monkeypatch)
+    code = build_code(ring, HALVES_66)
+    graph = build_coset_graph(code)
+    assert coset_graph_srg(graph).as_tuple() == (16, 6, 2, 2)
+    assert graph.adjacency().sum() == 16 * 6
+    assert dual_pipeline(code).srg.as_tuple() == (16, 6, 2, 2)
     assert lengths and set(lengths) == {code.k}
 
 
@@ -290,8 +350,8 @@ def test_column_module_graph_fails_like_coset_graph():
     with pytest.raises(IdentityCheckError) as on_z:
         _cayley_srg(ring, z[connection], keys, np.arange(len(z)),
                     connection)
-    graph = CosetGraph(code, code.words, code.messages,
-                       np.arange(code.size), connection)
+    graph = CosetGraph(code, np.arange(code.size),
+                       enumerate_vectors(ring.order, code.k), connection)
     with pytest.raises(IdentityCheckError) as on_cosets:
         coset_graph_srg(graph)
     assert str(on_z.value) == str(on_cosets.value) \
@@ -323,7 +383,9 @@ def assert_matches_oracle(ring, generator):
     code = build_code(ring, generator)
     oracle_dual, oracle_report = oracle_dual_report(code)
     assert dual_pipeline(code) == oracle_report
-    assert (_column_module(code, None).m1 == oracle_dual.generator.T).all()
+    m1 = combine_rows(ring, code.generator, _column_module(code, None).x1)
+    assert np.array_equal(m1[np.lexsort(m1.T[::-1])],
+                          oracle_dual.generator.T)
 
 
 @pytest.mark.parametrize("spec,k,n_max", ORACLE_CASES,
@@ -336,12 +398,12 @@ def test_every_search_hit_matches_oracle(spec, k, n_max):
 
 
 def test_dual_past_int64_keys_matches_oracle():
-    # the hyperoval's dual words have length 45, so the oracle's dual
-    # keys them as Python ints
+    # the hyperoval's dual words have length 45, past int64 keys, and
+    # the oracle's dual is held on its messages like every code
     ring = ring_from_text("GF(4)")
     generator = np.array(HYPEROVAL, dtype=np.int32)
     dual = oracle_build_dual(build_code(ring, generator))
-    assert dual.word_keys.dtype == object
+    assert dual.n == 45
     assert_matches_oracle(ring, generator)
 
 

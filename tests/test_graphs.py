@@ -32,7 +32,13 @@ from frobcode.graphs import (
 from frobcode.homweight import WeightTable
 from frobcode.rings import ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import column_module, encode_vectors, row_space
+from frobcode.spans import (
+    column_module,
+    combine_rows,
+    encode_vectors,
+    enumerate_vectors,
+    row_space,
+)
 from srg_oracle import oracle_coset_graph
 
 
@@ -111,7 +117,7 @@ def test_f3_coset_graph_is_the_rook_graph():
     assert measured.as_tuple() == (9, 4, 1, 2)
     # independent construction: words differ in exactly one coordinate
     # exactly when they share a row or column of the 3 x 3 grid
-    reps = graph.representatives
+    reps = graph.least_words()
     rook = np.zeros((9, 9), dtype=np.int8)
     for i in range(9):
         for j in range(9):
@@ -150,7 +156,7 @@ def test_trivial_graph_structure():
     assert measured.trivial
     # complete multipartite: adjacent exactly across the cosets of the
     # zero- and larger-weight subcode {00, 11}
-    reps = graph.representatives.tolist()
+    reps = graph.least_words().tolist()
     part = [min(r, [1 - v for v in r]) for r in reps]
     assert adjacency.tolist() == [[int(p != q) for q in part] for p in part]
     profile = two_weight_profile(code)
@@ -161,16 +167,20 @@ def test_coset_graph_cayley_form():
     ring, code = make("prod(Z2,Z2)", [[3, 0, 2, 1], [1, 1, 1, 1]])
     assert code.b0 == 2
     graph = build_coset_graph(code)
-    reps = graph.representatives
+    reps = graph.messages
     assert len(reps) == 8
     assert (np.diff(encode_vectors(reps, ring.order)) > 0).all()
-    # each word differs from its coset's representative by a zero-weight
-    # word, and every coset has b0 members
-    offsets = ring.add_table[code.words,
-                             ring.neg_table[reps[graph.coset_index]]]
-    assert (code.table.word_numerator(offsets) == 0).all()
-    assert np.bincount(graph.coset_index).tolist() == [2] * 8
-    assert graph.connection.tolist() == [False] + [True] * 6 + [False]
+    # each message differs from its vertex's least message by a message
+    # of a zero-weight word, and every vertex has b0 |ker G| messages
+    x = enumerate_vectors(ring.order, code.k)
+    offsets = ring.add_table[x, ring.neg_table[reps[graph.vertices]]]
+    assert (code.table.word_numerator(
+        combine_rows(ring, code.generator, offsets)) == 0).all()
+    assert np.bincount(graph.vertices).tolist() == [2] * 8
+    # by the least word of each vertex: the zero coset, the six
+    # smaller-weight cosets, then the larger-weight coset
+    order = np.lexsort(graph.least_words().T[::-1])
+    assert graph.connection[order].tolist() == [False] + [True] * 6 + [False]
     assert coset_graph_srg(graph).as_tuple() == (8, 6, 4, 6)
 
 
@@ -181,8 +191,7 @@ def test_weight_change_names_the_word_and_its_shift():
     ring, code = make("prod(Z2,Z2)", [[1, 3, 1]])
     assert ring.labels[1:] == ["(1,1)", "(0,1)", "(1,0)"]
     table = WeightTable(ring, np.array([0, 0, 0, 3]), 1)
-    bent = LinearCode(ring, code.generator, code.words, code.word_of_message,
-                      table)
+    bent = LinearCode(ring, code.generator, table)
     with pytest.raises(IdentityCheckError,
                        match="^weights change under zero-weight shifts$"
                        ) as info:
@@ -270,8 +279,10 @@ def assert_matches_srg_oracle(code):
     with the same message and witness.  Returns that outcome."""
     reps, dense = oracle_coset_graph(code)
     graph = build_coset_graph(code)
-    assert (graph.representatives == reps).all()
-    assert (graph.adjacency() == dense).all()
+    words = graph.least_words()
+    order = np.lexsort(words.T[::-1])
+    assert (words[order] == reps).all()
+    assert (graph.adjacency()[np.ix_(order, order)] == dense).all()
     expected = srg_outcome(lambda: measure_srg(dense))
     assert srg_outcome(lambda: coset_graph_srg(graph)) == expected
     return expected

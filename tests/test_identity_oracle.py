@@ -558,8 +558,7 @@ def test_code_sweeps_fail_with_the_recorded_witness(key, monkeypatch):
     ring = ring_from_text(spec)
     code = build_code(ring, np.array(rows, dtype=np.int32))
     table = bump_unit_orbit(ring, weight_table(ring), x, delta)
-    code = LinearCode(ring, code.generator, code.words, code.word_of_message,
-                      table)
+    code = LinearCode(ring, code.generator, table)
     sweeps = (lambda: sweep_code_identities(code, full=True),
               lambda: sweep_code_identities(code, sample=200))
     oracles = (code_correlation_lhs,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from frobcode import rings
 from frobcode.errors import CharacterError, RingConstructionError
+from frobcode.homweight import all_one_sided_ideals
 from frobcode.rings import (
     FiniteRing,
     GeneratingCharacter,
@@ -28,7 +29,7 @@ from frobcode.rings import (
     ring_from_text,
 )
 
-from ring_oracle import oracle_ring
+from ring_oracle import oracle_ring, pairwise_one_sided_ideals
 
 ORACLE_RINGS = ["Z2", "Z32", "Z4096", "GF(2)", "GF(4)", "GF(8)", "GF(9)",
                 "GF(16)", "M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M3(GF(2))",
@@ -174,3 +175,18 @@ def test_order2_socle_gens_match_per_column_oracle(text):
     assert gens == unique_column_gens(ring)
     with small_blocks(ring):
         assert order2_socle_part(ring) == (gens, part)
+
+
+# -------------------------------------------------------------- ideals
+
+
+@pytest.mark.parametrize("text", ORACLE_RINGS)
+def test_ideal_sums_grown_match_pairwise_oracle(text):
+    # each ideal sum I + J grows from I instead of taking the unique
+    # pairwise sums; same ideals, same order, same int32 dtype
+    ring = ring_from_text(text)
+    for side in ("left", "right"):
+        got = all_one_sided_ideals(ring, side)
+        want = pairwise_one_sided_ideals(ring, side)
+        assert [(i.dtype, i.tolist()) for i in got] \
+            == [(i.dtype, i.tolist()) for i in want]

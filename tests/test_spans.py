@@ -90,9 +90,17 @@ def rows_near_int64(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(rows_near_int64())
 def test_keys_order_rows_on_both_sides_of_int64(case):
+    # rows past int64 keys have none: encoding them is refused
     order, longest, rows, queries = case
+    n = rows.shape[1]
+    if n > longest:
+        with pytest.raises(CapExceededError) as info:
+            encode_vectors(rows, order)
+        assert str(info.value) \
+            == f"keys of {order}**{n} vectors exceed an int64 range"
+        return
     keys = encode_vectors(rows, order)
-    assert (keys.dtype == np.int64) == (rows.shape[1] <= longest)
+    assert keys.dtype == np.int64
     assert (decode_vectors(keys, order, rows.shape[1]) == rows).all()
     by_key = [tuple(r) for r in rows[np.argsort(keys, kind="stable")]]
     assert by_key == sorted(tuple(r) for r in rows.tolist())
@@ -107,9 +115,13 @@ def test_keys_order_rows_on_both_sides_of_int64(case):
 @settings(max_examples=50, deadline=None, database=None)
 @given(rows_near_int64())
 def test_point_ids_on_both_sides_of_int64(case):
-    # a dual's points are read from rows as long as the primal code
-    order, _, rows, _ = case
+    # points are orbit keys, so rows past int64 keys have none
+    order, longest, rows, _ = case
     ring = ring_from_text(f"GF({order})")
+    if rows.shape[1] > longest:
+        with pytest.raises(CapExceededError, match="exceed an int64 range$"):
+            point_ids(ring, rows)
+        return
     pids, sizes = point_ids(ring, rows)
     for row, pid, size in zip(rows, pids, sizes):
         orbit = unit_orbit(ring, row)
@@ -185,6 +197,18 @@ def test_span_matches_brute_force(text, side):
         assert {tuple(int(v) for v in row) for row in rows} == expected
         assert (keys == encode_vectors(rows, ring.order)).all()
         assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("build", [span, row_space], ids=["span", "row_space"])
+def test_rows_past_int64_keys_are_refused(build):
+    # GF(4)^32 has 2^64 vectors: the span and the row space of such rows
+    # are refused in one line instead of keyed as Python ints
+    ring = ring_from_text("GF(4)")
+    rows = np.ones((2, 32), dtype=np.int32)
+    rows[1, 0] = 2
+    with pytest.raises(CapExceededError) as info:
+        build(ring, rows)
+    assert str(info.value) == "keys of 4**32 vectors exceed an int64 range"
 
 
 def test_span_membership_queries():
