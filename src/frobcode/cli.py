@@ -62,7 +62,7 @@ def _emit_json(payload, path):
 
 
 def _check_sampling(args):
-    if args.sample is not None and args.sample < 1:
+    if args.sample < 1:
         raise PreconditionError(
             f"--sample must be a positive integer, got {args.sample}")
     if args.seed < 0:
@@ -74,8 +74,7 @@ def _load_code(path, cap):
     with open(path) as handle:
         data = parse_code_file(handle.read())
     ring = ring_from_text(data.ring_text)
-    generator = np.array(data.rows, dtype=np.int32)
-    return ring, build_code(ring, generator, cap)
+    return ring, build_code(ring, data.rows, cap)
 
 
 # --------------------------------------------------------- ring, weights
@@ -161,10 +160,8 @@ def _profile_payload(profile):
 
 
 def cmd_analyze(args):
-    _check_sampling(args)
     ring, code = _load_code(args.file, args.cap)
-    checks = sweep_code_identities(code, args.full, args.sample, args.seed,
-                                   args.cap)
+    checks = sweep_code_identities(code)
     histogram = {_rat(w): c for w, c in code.weight_distribution.items()}
     payload = {
         "ring": ring.spec.text(),
@@ -415,9 +412,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="report on a code file")
     p.add_argument("file")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_analyze)
 

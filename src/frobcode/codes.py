@@ -26,23 +26,17 @@ from .errors import (
     SpecParseError,
     ZeroColumnError,
 )
-from .homweight import SAMPLE_COUNT, weight_table
+from .homweight import weight_table
 from .spans import (
     BLOCK_ENTRIES,
     combine_rows,
     decode_vectors,
     encode_vectors,
-    enumerate_vectors,
     enumeration_size,
     message_words,
     point_ids,
     unit_orbit,
 )
-
-# The code sweeps check every shift in R^n up to this many, and take
-# their shifts in batches of at most _BATCH_ENTRIES summands.
-_EXHAUSTIVE_SHIFTS = 4096
-_BATCH_ENTRIES = 1 << 22
 
 
 class LinearCode:
@@ -161,12 +155,14 @@ class LinearCode:
 
 def build_code(ring, generator, cap=None):
     """The left code of the rows of a k x n matrix, held on R^k."""
-    G = np.ascontiguousarray(generator, dtype=np.int32)
+    # the entries are range-checked before they are narrowed to int32
+    G = np.asarray(generator)
     if G.ndim != 2 or G.size == 0:
         raise PreconditionError("generator must be a nonempty 2-D matrix")
     if (G < 0).any() or (G >= ring.order).any():
         raise PreconditionError(
             f"generator entries must be element indices below {ring.order}")
+    G = np.ascontiguousarray(G, dtype=np.int32)
     zero_cols = np.flatnonzero((G == 0).all(axis=0))
     if len(zero_cols) > 0:
         raise ZeroColumnError(
@@ -329,100 +325,64 @@ def _identity_sides(code):
             np.array(slope), dens)
 
 
-def shifted_weight_sums(code, ds):
-    """Both sides of every identity of _identity_sides at each shift d
-    in the rows of ds, as (rows, len(ds)) arrays, and the
-    denominators."""
+def coordinate_weight_sums(code):
+    """Both sides of every identity of _identity_sides at every
+    coordinate j and value d_j, as (rows, n, order) arrays, and the
+    denominators.  The messages are counted by their column of row
+    coefficients and by the entry e = c_j of their word, a block of
+    columns at a time; the left side at (j, d_j) is those counts times
+    the coefficients and w(e + d_j), summed over e."""
     rows, const, slope, dens = _identity_sides(code)
-    num, add = code.table.numerators, code.ring.add_table
-    shifted = sum(num[add[words[:, None, :], ds[None, :, at]]].sum(axis=2)
-                  for at, words in _column_blocks(
-                      code, _BATCH_ENTRIES // max(1, len(ds))))
-    rhs = code.n * const[:, None] + slope[:, None] * num[ds].sum(axis=1)
-    return rows @ shifted // len(code.kernel), rhs, dens
-
-
-def coordinate_weight_sums(code, js):
-    """Both sides of the correlation and smaller-class identities of
-    _identity_sides at each coordinate j in js and every value d_j, as
-    (rows, len(js), order) arrays, and the denominators."""
-    rows, const, slope, dens = _identity_sides(code)
-    num = code.table.numerators
-    words = message_words(code.ring, code.generator[:, js],
-                          len(code.numerators))
-    lhs = np.einsum("rc,cjv->rjv", rows[:2],
-                    num[code.ring.add_table[words, :]]) // len(code.kernel)
-    rhs = const[:2, None] + slope[:2, None] * num
-    return lhs, np.broadcast_to(rhs[:, None, :], lhs.shape), dens[:2]
+    order, num = code.ring.order, code.table.numerators
+    coefficients, label = np.unique(rows, axis=1, return_inverse=True)
+    label, kinds = label.reshape(-1, 1), coefficients.shape[1]
+    by_entry = []
+    for _, words in _column_blocks(code, BLOCK_ENTRIES):
+        width = words.shape[1]
+        bins = (np.arange(width) * kinds + label) * order + words
+        counts = np.bincount(bins.ravel(), minlength=width * kinds * order)
+        by_entry.append(np.einsum("rk,jke->rje", coefficients,
+                                  counts.reshape(width, kinds, order)))
+    lhs = (np.concatenate(by_entry, axis=1) @ num[code.ring.add_table]
+           // len(code.kernel))
+    rhs = const[:, None] + slope[:, None] * num
+    return lhs, np.broadcast_to(rhs[:, None, :], lhs.shape), dens
 
 
 # ------------------------------------------------------------- the sweep
 
 
-def sweep_shifts(code, full=False, sample=None, seed=0, cap=None):
-    """The shifts d that the code sweeps check: all of R^n with `full`,
-    or when no sample size is given and R^n has at most 4096 vectors;
-    otherwise `sample` (default 200) vectors from default_rng(seed)."""
-    order = code.ring.order
-    if full or (sample is None and order ** code.n <= _EXHAUSTIVE_SHIFTS):
-        return enumerate_vectors(order, code.n, cap)
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, order, size=(sample or SAMPLE_COUNT, code.n),
-                        endpoint=False).astype(np.int32)
-
-
-def _evaluate_in_blocks(evaluate, code, items, block):
-    parts = [evaluate(code, items[start:start + block])
-             for start in range(0, len(items), block)]
-    return (np.concatenate([lhs for lhs, _, _ in parts], axis=1),
-            np.concatenate([rhs for _, rhs, _ in parts], axis=1),
-            parts[0][2])
-
-
-def sweep_code_identities(code, full=False, sample=None, seed=0, cap=None):
-    """Check the identities of _identity_sides that the code has, and
-    return the names of the checks passed: none unless it is modular,
-    "code-correlation" at every shift of sweep_shifts, and for a
-    two-weight code "class-coset-sums" at the same shifts and
-    "coordinate-identities", with the smaller-class column sum
-    b1 w1 / n, at every coordinate and value.  Every batch is evaluated
-    before any is checked, so batching does not change the witness."""
+def sweep_code_identities(code):
+    """Check the identities of _identity_sides that the code has at
+    every coordinate j and value d_j, and return the names of the checks
+    passed: none unless it is modular, "code-correlation", and for a
+    two-weight code "class-coset-sums" and "coordinate-identities", the
+    latter with the smaller-class column sum b1 w1 / n.  Since
+    w(c + d) = sum_j w(c_j + d_j), and both right sides add up the same
+    way, the coordinate sides summed over j are the sides at the shift
+    d: checking every (j, d_j) proves the identity at every d in R^n."""
     profile = code.profile  # a corrupted profile fails before any sweep
     if code.index is None:
         return []
     ring = code.ring.spec.text()
-    shifts = sweep_shifts(code, full, sample, seed, cap)
-    lhs, rhs, dens = _evaluate_in_blocks(
-        shifted_weight_sums, code, shifts,
-        max(1, _BATCH_ENTRIES // max(1, code.size * code.n)))
-    names = ("codeword correlation identity",
-             "smaller-class shifted weight sum",
-             "larger-class shifted weight sum")
-    for name, row_lhs, row_rhs, den in zip(names, lhs, rhs, dens):
-        bad = np.flatnonzero(row_lhs != row_rhs)
-        if len(bad):
-            raise IdentityCheckError(
-                f"{name} fails",
-                witness={"ring": ring, "d": shifts[bad[0]].tolist(),
-                         "lhs": str(Fraction(int(row_lhs[bad[0]]), den))})
-    if profile is None:
-        return ["code-correlation"]
-
-    lhs, rhs, (_, den) = _evaluate_in_blocks(
-        coordinate_weight_sums, code, np.arange(code.n),
-        max(1, _BATCH_ENTRIES // max(1, code.size * code.ring.order)))
-    column_sum = profile.b1 * profile.w1 / code.n
+    lhs, rhs, dens = coordinate_weight_sums(code)
+    names = ("correlation", "class sum", "larger-class sum")
     for j in range(code.n):
-        for name, i in (("correlation", 0), ("class sum", 1)):
-            bad = np.flatnonzero(lhs[i, j] != rhs[i, j])
+        for name, row_lhs, row_rhs in zip(names, lhs[:, j], rhs[:, j]):
+            bad = np.flatnonzero(row_lhs != row_rhs)
             if len(bad):
                 raise IdentityCheckError(
                     f"per-coordinate {name} identity fails",
                     witness={"ring": ring, "j": j, "dj": int(bad[0])})
-        if Fraction(int(lhs[1, j, 0]), den) != column_sum:
+        if profile is None:
+            continue
+        if (Fraction(int(lhs[1, j, 0]), dens[1])
+                != profile.b1 * profile.w1 / code.n):
             raise IdentityCheckError(
                 "smaller-class column sum is not b1 w1 / n",
                 witness={"ring": ring, "j": j})
+    if profile is None:
+        return ["code-correlation"]
     return ["code-correlation", "class-coset-sums", "coordinate-identities"]
 
 

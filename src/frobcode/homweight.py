@@ -462,10 +462,14 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
 def _sampled_correlation_vectors(ring, k, table, sample, seed):
     """The word correlation identity at `sample` draws (g, h, s) from
     default_rng(seed); a draw with g or h zero takes no s and is
-    skipped.  R^k must be within the default cap, but it is never
-    formed: the draws are taken in blocks of at most BLOCK_ENTRIES
-    entries (draw, x), each block's words x g and x h are
-    message_words, and each draw is summed over R^k in int64."""
+    skipped.  R^k must be within the default cap, and so must the
+    number of draws, which are held in memory; R^k is never formed:
+    the draws are taken in blocks of at most BLOCK_ENTRIES entries
+    (draw, x), each block's words x g and x h are message_words, and
+    each draw is summed over R^k in int64."""
+    if sample > enum_cap():
+        raise CapExceededError(
+            f"{sample} sampled draws exceed cap {enum_cap()}")
     order = ring.order
     rng = np.random.default_rng(seed)
     draws = []

@@ -189,7 +189,7 @@ def test_criterion_7_shift_identity_sweeps():
     with criterion(7, "shift identity sweeps", 300.0):
         for text, ring, rec in hits():
             code = build_code(ring, generator_for_record(ring, rec))
-            assert sweep_code_identities(code, seed=0) == [
+            assert sweep_code_identities(code) == [
                 "code-correlation", "class-coset-sums",
                 "coordinate-identities"]
 

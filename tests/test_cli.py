@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from frobcode.cli import main
-from frobcode.codes import format_code_file, sweep_shifts
+from frobcode.codes import format_code_file
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
@@ -651,7 +651,7 @@ def test_usage_error_exit_2():
 
 
 # GF(2), k=6, n=14: one column per nonzero vector of span(e1, e2, e3)
-# and of span(e4, e5, e6).  2^14 > 4096, so `analyze` samples shifts.
+# and of span(e4, e5, e6).
 GF2_HALVES = """ring: GF(2)
 k: 6 n: 14
 0 0 0 1 1 1 1 0 0 0 0 0 0 0
@@ -765,12 +765,10 @@ def test_cli_golden_digests(capsys, tmp_path, name):
     assert hashlib.sha256(err.encode()).hexdigest() == stderr_digest
 
 
-@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("sample", ["-3", "0"])
-def test_sample_must_be_positive(capsys, tmp_path, command, sample):
-    target = ("M2(GF(2))" if command == "verify"
-              else write_code(tmp_path, "gf2.code", GF2_HALVES))
-    rc, out, err = run_cli(capsys, [command, target, "--cap", "255",
+def test_sample_must_be_positive(capsys, command, sample):
+    rc, out, err = run_cli(capsys, [command, "M2(GF(2))", "--cap", "255",
                                     "--sample", sample])
     assert rc == 2 and out == ""
     assert err == f"error: --sample must be a positive integer, got {sample}\n"
@@ -783,12 +781,10 @@ def refuse_ring_builds(monkeypatch):
     monkeypatch.setattr("frobcode.cli.ring_from_text", build)
 
 
-@pytest.mark.parametrize("command", ["verify", "analyze"])
-def test_seed_must_be_nonnegative(capsys, tmp_path, monkeypatch, command):
-    target = ("M2(GF(2))" if command == "verify"
-              else write_code(tmp_path, "gf2.code", GF2_HALVES))
+@pytest.mark.parametrize("command", ["verify"])
+def test_seed_must_be_nonnegative(capsys, monkeypatch, command):
     refuse_ring_builds(monkeypatch)
-    rc, out, err = run_cli(capsys, [command, target, "--cap", "15",
+    rc, out, err = run_cli(capsys, [command, "M2(GF(2))", "--cap", "15",
                                     "--seed", "-1"])
     assert rc == 2 and out == ""
     assert err == "error: --seed must be a nonnegative integer, got -1\n"
@@ -813,19 +809,42 @@ def test_search_mult_cap_must_be_positive(capsys, mult_cap):
     assert err == "error: search needs mult_cap >= 1\n"
 
 
-def test_analyze_sample_sets_the_shift_count(capsys, tmp_path, monkeypatch):
-    seen = []
+def test_analyze_takes_no_sampling_flags(capsys, tmp_path):
+    # analyze proves its shift identities one coordinate at a time, so
+    # it has no shifts to sample
+    path = write_code(tmp_path, "gf2.code", GF2_HALVES)
+    for flags in (["--sample", "5"], ["--seed", "1"], ["--full"]):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", path, *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def spy(*args):
-        shifts = sweep_shifts(*args)
-        seen.append(len(shifts))
-        return shifts
 
-    monkeypatch.setattr("frobcode.codes.sweep_shifts", spy)
-    gf2 = write_code(tmp_path, "gf2.code", GF2_HALVES)
-    f3 = write_code(tmp_path, "f3.code", F3_IDENTITY)
-    for argv in ([gf2, "--sample", "5"], [gf2], [gf2, "--full"],
-                 [f3], [f3, "--sample", "5"]):
-        rc, out, err = run_cli(capsys, ["analyze", *argv])
-        assert rc == 0, argv
-    assert seen == [5, 200, 2 ** 14, 9, 5]
+@pytest.mark.parametrize("entry", ["99999999999999999999999", "2147483648"])
+def test_code_file_entry_past_int32_exits_2(capsys, tmp_path, entry):
+    path = write_code(tmp_path, "big.code",
+                      f"ring: Z4\nk: 1 n: 2\n1 {entry}\n")
+    rc, out, err = run_cli(capsys, ["analyze", path])
+    assert rc == 2 and out == ""
+    assert err == "error: generator entries must be element indices below 4\n"
+
+
+def test_verify_sample_past_the_cap_refused_before_drawing(capsys,
+                                                           monkeypatch):
+    monkeypatch.delenv("FROBCODE_CAP", raising=False)
+    start = time.monotonic()
+    rc, out, err = run_cli(capsys, ["verify", "Z4", "--cap", "3", "--sample",
+                                    "99999999999999999999"])
+    assert time.monotonic() - start < 1
+    assert rc == 2 and len(out.splitlines()) == 5
+    assert err == ("error: 99999999999999999999 sampled draws exceed cap "
+                   "1048576\n")
+    # the bound is the default cap, whatever --cap says
+    for cap in ("10", "255", "65535"):
+        rc, out, err = run_cli(capsys, ["verify", "Z4", "--cap", cap,
+                                        "--sample", "200"])
+        assert rc == 0 and err == "", cap
+    # and a run that samples nothing takes the default count under any cap
+    monkeypatch.setenv("FROBCODE_CAP", "100")
+    rc, out, err = run_cli(capsys, ["verify", "Z4"])
+    assert rc == 0 and err == ""

@@ -19,10 +19,8 @@ from frobcode.codes import (
     format_code_file,
     modular_index,
     parse_code_file,
-    shifted_weight_sums,
     support_with_zero,
     sweep_code_identities,
-    sweep_shifts,
     two_weight_profile,
 )
 from frobcode.errors import (
@@ -112,7 +110,7 @@ def test_non_modular_code():
     with pytest.raises(PreconditionError, match="^code is not modular$"):
         code.modular_two_weight("identity sweep")
     with pytest.raises(PreconditionError):
-        shifted_weight_sums(code, sweep_shifts(code))
+        coordinate_weight_sums(code)
     assert sweep_code_identities(code) == []
 
 
@@ -248,16 +246,26 @@ def test_membership_and_points():
 # ----------------------------------------------------- lemma identities
 
 
+def shifted_weight_sums(code, ds):
+    """Both sides of every identity at each shift d in ds, as (rows,
+    len(ds)) arrays, and the denominators: the coordinate sides at
+    d_j, summed over j."""
+    lhs, rhs, dens = coordinate_weight_sums(code)
+    j = np.arange(code.n)
+    return (np.stack([lhs[:, j, d].sum(axis=1) for d in ds], axis=1),
+            np.stack([rhs[:, j, d].sum(axis=1) for d in ds], axis=1), dens)
+
+
 def test_code_correlation_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    lhs, rhs, dens = shifted_weight_sums(code, np.array([[0, 0], [1, 1]]))
+    lhs, rhs, dens = shifted_weight_sums(code, [[0, 0], [1, 1]])
     assert [Fraction(int(v), dens[0]) for v in lhs[0]] \
         == [Fraction(int(v), dens[0]) for v in rhs[0]] == [45, Fraction(63, 2)]
 
 
 def test_class_coset_sum_frozen_values():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    lhs, rhs, dens = shifted_weight_sums(code, np.array([[0, 0], [1, 1]]))
+    lhs, rhs, dens = shifted_weight_sums(code, [[0, 0], [1, 1]])
     assert lhs.shape == rhs.shape == (3, 2)
     (_, lhs1, lhs2), (_, rhs1, rhs2), den = lhs, rhs, dens[1]
     # with no shift the smaller class sums its own weights: 4 * 3/2 = 6
@@ -274,16 +282,15 @@ def test_class_coset_sum_frozen_values():
 
 def test_coordinate_identities_frozen():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    lhs, rhs, _ = coordinate_weight_sums(code, np.array([0, 1]))
-    assert lhs.shape == (2, 2, 3)
+    lhs, rhs, _ = coordinate_weight_sums(code)
+    assert lhs.shape == (3, 2, 3)
     assert lhs.tolist() == rhs.tolist()
     # a modular code that is not two-weight has the correlation row only
     ring, code = make("Z4", [[1, 2, 3]])
     assert code.profile is None
-    lhs, rhs, dens = coordinate_weight_sums(code, np.array([0, 2]))
-    assert lhs.shape == (1, 2, 4) and len(dens) == 1
+    lhs, rhs, dens = coordinate_weight_sums(code)
+    assert lhs.shape == (1, 3, 4) and len(dens) == 1
     assert lhs.tolist() == rhs.tolist()
-    assert shifted_weight_sums(code, sweep_shifts(code))[0].shape == (1, 64)
 
 
 @pytest.mark.parametrize("rows,text", [
@@ -297,28 +304,7 @@ def test_sweeps_green(rows, text):
     checks = ["code-correlation"]
     if two_weight_profile(code) is not None:
         checks += ["class-coset-sums", "coordinate-identities"]
-    assert sweep_code_identities(code, full=True) == checks
-
-
-def test_sampled_sweeps_agree():
-    ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    assert sweep_code_identities(code, sample=200, seed=0) \
-        == sweep_code_identities(code, full=True) \
-        == ["code-correlation", "class-coset-sums", "coordinate-identities"]
-
-
-def test_sweep_shifts_rule():
-    ring, code = make("GF(3)", [[1, 0], [0, 1]])
-    # R^n within 4096 vectors: every shift, unless a sample is asked for
-    assert sweep_shifts(code).tolist() == sweep_shifts(
-        code, full=True).tolist()
-    assert len(sweep_shifts(code)) == 9
-    assert len(sweep_shifts(code, sample=5, seed=3)) == 5
-    assert sweep_shifts(code, sample=5, seed=3).tolist() == \
-        sweep_shifts(code, sample=7, seed=3)[:5].tolist()
-    ring, long = make("GF(2)", [[1] * 13])
-    assert len(sweep_shifts(long)) == 200
-    assert len(sweep_shifts(long, full=True)) == 2 ** 13
+    assert sweep_code_identities(code) == checks
 
 
 # --------------------------------------------------------- code files

@@ -275,6 +275,35 @@ def test_elliptic_quadric_coset_graph(capsys, tmp_path, q, srg):
                      "graph parameters: pass"]
 
 
+@pytest.mark.parametrize("q,profile", [
+    (8, {"n": 65, "size": 4096, "b0": 1, "w1": "64", "w2": "512/7",
+         "b1": 3640, "b2": 455, "index": "1/7", "trivial": False}),
+    (9, {"n": 82, "size": 6561, "b0": 1, "w1": "81", "w2": "729/8",
+         "b1": 5904, "b2": 656, "index": "1/8", "trivial": False}),
+    (16, {"n": 257, "size": 65536, "b0": 1, "w1": "256", "w2": "4096/15",
+          "b1": 61680, "b2": 3855, "index": "1/15", "trivial": False}),
+], ids=["8", "9", "16"])
+def test_elliptic_quadric_analyze(capsys, tmp_path, q, profile):
+    # Q^-(3,q) has n = q^2 + 1, weights q^2 and q^3 / (q - 1) on
+    # (q^2 + 1) q (q - 1) and (q^2 + 1)(q - 1) words, and index
+    # 1 / (q - 1); its shift identities are proved at each of the n
+    # coordinates and q values, never at the q^n shifts
+    assert profile == {
+        "n": q * q + 1, "size": q ** 4, "b0": 1, "w1": str(q * q),
+        "w2": str(Fraction(q ** 3, q - 1)), "b1": (q * q + 1) * q * (q - 1),
+        "b2": (q * q + 1) * (q - 1), "index": str(Fraction(1, q - 1)),
+        "trivial": False}
+    ring, code = elliptic_quadric_code(f"GF({q})")
+    path = tmp_path / "quadric.code"
+    path.write_text(format_code_file(ring.spec.text(), code.generator))
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["profile"] == profile
+    assert report["lemma_checks"] == {"code-correlation": True,
+                                      "class-coset-sums": True,
+                                      "coordinate-identities": True}
+
+
 def spy_encode_lengths(monkeypatch):
     """The length of every row that frobcode encodes from now on."""
     encode, lengths = encode_vectors, []

@@ -24,9 +24,7 @@ from frobcode.codes import (
     LinearCode,
     build_code,
     coordinate_weight_sums,
-    shifted_weight_sums,
     sweep_code_identities,
-    sweep_shifts,
     two_weight_profile,
 )
 from frobcode.errors import IdentityCheckError
@@ -121,34 +119,50 @@ def test_word_correlation_matches_oracle(data):
     assert lhs == rhs == word_correlation_lhs(ring, table, g, h, s)
 
 
+def class_weights(code):
+    """The weights of the class sums of _identity_sides: none, or for a
+    two-weight code the smaller and the larger."""
+    profile = two_weight_profile(code)
+    return () if profile is None else (profile.w1, profile.w2)
+
+
 @SETTINGS
 @given(st.data())
 def test_code_identities_match_oracle(data):
     code = data.draw(st.sampled_from(
         modular_codes(data.draw(st.sampled_from(RINGS)))))
-    order = code.ring.order
-    d = data.draw(st.lists(st.integers(0, order - 1), min_size=code.n,
-                           max_size=code.n))
     j = data.draw(st.integers(0, code.n - 1))
-    dj = data.draw(st.integers(0, order - 1))
-    ds = np.array([d], dtype=np.int32)
+    dj = data.draw(st.integers(0, code.ring.order - 1))
 
     # one row per identity: the correlation, then for a two-weight code
     # the smaller and the larger class
-    profile = two_weight_profile(code)
-    weights = () if profile is None else (profile.w1, profile.w2)
-    lhs, rhs, dens = shifted_weight_sums(code, ds)
-    expected = [code_correlation_lhs(code, d)] + [
-        class_coset_sum_lhs(code, weight, d) for weight in weights]
-    assert [Fraction(int(v), den) for v, den in zip(lhs[:, 0], dens)] \
-        == [Fraction(int(v), den) for v, den in zip(rhs[:, 0], dens)] \
-        == expected
-    lhs, rhs, dens = coordinate_weight_sums(code, np.array([j]))
+    lhs, rhs, dens = coordinate_weight_sums(code)
     expected = [coordinate_correlation_lhs(code, j, dj)] + [
         coordinate_class_sum_lhs(code, weight, j, dj)
-        for weight in weights[:1]]
-    assert [Fraction(int(v), den) for v, den in zip(lhs[:, 0, dj], dens)] \
-        == [Fraction(int(v), den) for v, den in zip(rhs[:, 0, dj], dens)] \
+        for weight in class_weights(code)]
+    assert [Fraction(int(v), den) for v, den in zip(lhs[:, j, dj], dens)] \
+        == [Fraction(int(v), den) for v, den in zip(rhs[:, j, dj], dens)] \
+        == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_coordinate_sums_add_up_to_the_shift_identities(data):
+    # w(c + d) = sum_j w(c_j + d_j): the coordinate sides at d_j, summed
+    # over j, are both sides of each shift identity at d
+    code = data.draw(st.sampled_from(
+        modular_codes(data.draw(st.sampled_from(RINGS)))))
+    d = data.draw(st.lists(st.integers(0, code.ring.order - 1),
+                           min_size=code.n, max_size=code.n))
+    lhs, rhs, dens = coordinate_weight_sums(code)
+    at = np.arange(code.n), d
+    expected = [code_correlation_lhs(code, d)] + [
+        class_coset_sum_lhs(code, weight, d)
+        for weight in class_weights(code)]
+    assert [Fraction(int(v), den)
+            for v, den in zip(lhs[:, at[0], at[1]].sum(axis=1), dens)] \
+        == [Fraction(int(v), den)
+            for v, den in zip(rhs[:, at[0], at[1]].sum(axis=1), dens)] \
         == expected
 
 
@@ -492,37 +506,22 @@ Z4_PROFILE = ("two-weight frequencies disagree with their closed forms",
               {"b1": 2, "b1_closed": "6", "b2": 1, "b2_closed": "-3"})
 
 # (ring, generator, element whose unit orbit is bumped, delta) -> the
-# failing check and witness of the identity sweep over all of R^n and
-# over 200 shifts (seed 0): as is, with the correlation row held, and
-# with the correlation and smaller-class rows held (see hold_rows).  Then
-# the full sweep's witness with every shifted sum held, so that it
-# reaches the per-coordinate checks: as is, with the correlation row
-# held, and with both rows held.  A corrupted profile fails first.  The
-# witnesses reached only with rows held were recorded with the sweep;
-# the others match the per-identity sweeps it replaced.
+# failing check and witness of the identity sweep: as is, with the
+# correlation row held, with the correlation and smaller-class rows
+# held, and with all three rows held (see hold_rows).  A corrupted
+# profile fails first.  All but the third match the witnesses of the
+# per-coordinate checks of the shift sweep this sweep replaced.
 CODE_FAULTS = {
-    ("GF(3)", ((1, 0), (0, 1)), 1, 1): ((GF3_PROFILE,) * 2,) * 3
-    + (GF3_PROFILE,) * 3,
-    ("Z4", ((1, 2, 3),), 2, 1): ((Z4_PROFILE,) * 2,) * 3
-    + (Z4_PROFILE,) * 3,
+    ("GF(3)", ((1, 0), (0, 1)), 1, 1): (GF3_PROFILE,) * 4,
+    ("Z4", ((1, 2, 3),), 2, 1): (Z4_PROFILE,) * 4,
     # the bumped orbit is the zero-weight unit (1,1): the profile holds
     # and the correlation, class and per-coordinate sums fail
     ("prod(Z2,Z2)", ((0, 0), (2, 3)), 1, -1): (
-        (("codeword correlation identity fails",
-          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "22"}),
-         ("codeword correlation identity fails",
-          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-4"})),
-        (("smaller-class shifted weight sum fails",
-          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "3"}),
-         ("smaller-class shifted weight sum fails",
-          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "2"})),
-        (("larger-class shifted weight sum fails",
-          {"ring": "prod(Z2,Z2)", "d": [0, 1], "lhs": "4"}),
-         ("larger-class shifted weight sum fails",
-          {"ring": "prod(Z2,Z2)", "d": [3, 2], "lhs": "-2"})),
         ("per-coordinate correlation identity fails",
          {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1}),
         ("per-coordinate class sum identity fails",
+         {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1}),
+        ("per-coordinate larger-class sum identity fails",
          {"ring": "prod(Z2,Z2)", "j": 0, "dj": 1}),
         ("smaller-class column sum is not b1 w1 / n",
          {"ring": "prod(Z2,Z2)", "j": 0})),
@@ -531,7 +530,7 @@ CODE_FAULTS = {
 
 def hold_rows(monkeypatch, held):
     """Zero the given rows of codes._identity_sides: both sides of those
-    identities are then 0 at every shift and coordinate."""
+    identities are then 0 at every coordinate."""
     sides = codes._identity_sides
 
     def zeroed(code):
@@ -542,16 +541,6 @@ def hold_rows(monkeypatch, held):
     monkeypatch.setattr(codes, "_identity_sides", zeroed)
 
 
-def hold_shifted_sums(monkeypatch):
-    """Make every shifted sum's right side equal its left side."""
-    sums = codes.shifted_weight_sums
-
-    def held(code, ds):
-        lhs, _, dens = sums(code, ds)
-        return lhs, lhs, dens
-    monkeypatch.setattr(codes, "shifted_weight_sums", held)
-
-
 @pytest.mark.parametrize("key", sorted(CODE_FAULTS), ids=str)
 def test_code_sweeps_fail_with_the_recorded_witness(key, monkeypatch):
     spec, rows, x, delta = key
@@ -559,26 +548,26 @@ def test_code_sweeps_fail_with_the_recorded_witness(key, monkeypatch):
     code = build_code(ring, np.array(rows, dtype=np.int32))
     table = bump_unit_orbit(ring, weight_table(ring), x, delta)
     code = LinearCode(ring, code.generator, table)
-    sweeps = (lambda: sweep_code_identities(code, full=True),
-              lambda: sweep_code_identities(code, sample=200))
-    oracles = (code_correlation_lhs,
-               lambda code, d: class_coset_sum_lhs(code, code.profile.w1, d),
-               lambda code, d: class_coset_sum_lhs(code, code.profile.w2, d))
-    for held, expected, oracle in zip(((), (0,), (0, 1)),
-                                      CODE_FAULTS[key][:3], oracles):
+    oracles = (coordinate_correlation_lhs,
+               lambda code, j, dj: coordinate_class_sum_lhs(
+                   code, code.profile.w1, j, dj),
+               lambda code, j, dj: coordinate_class_sum_lhs(
+                   code, code.profile.w2, j, dj))
+    for held, expected in zip(((), (0,), (0, 1), (0, 1, 2)),
+                              CODE_FAULTS[key]):
         with monkeypatch.context() as patch:
             hold_rows(patch, held)
-            assert [witness_of(sweep) for sweep in sweeps] == list(expected)
-        for _, witness in expected:
-            if "lhs" in witness:
-                assert Fraction(witness["lhs"]) == oracle(code, witness["d"])
-    for held, expected in zip(((), (0,), (0, 1)), CODE_FAULTS[key][3:]):
-        with monkeypatch.context() as patch:
-            hold_shifted_sums(patch)
-            hold_rows(patch, held)
-            assert witness_of(sweeps[0]) == expected
-    # one shift and one coordinate per batch: the first witness does not
-    # depend on batching
-    monkeypatch.setattr(codes, "_BATCH_ENTRIES", 1)
-    assert [witness_of(sweep) for sweep in sweeps] \
-        == list(CODE_FAULTS[key][0])
+            assert witness_of(lambda: sweep_code_identities(code)) \
+                == expected
+        _, witness = expected
+        if "dj" in witness:
+            # the failing side is the true coordinate sum
+            row, j, dj = len(held), witness["j"], witness["dj"]
+            lhs, _, dens = coordinate_weight_sums(code)
+            assert Fraction(int(lhs[row, j, dj]), dens[row]) \
+                == oracles[row](code, j, dj)
+    # one coordinate per block: the first witness does not depend on the
+    # blocks
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
+    assert witness_of(lambda: sweep_code_identities(code)) \
+        == CODE_FAULTS[key][0]
