@@ -27,6 +27,7 @@ from .errors import (
     ZeroColumnError,
 )
 from .homweight import weight_table
+from .rings import ELEMENT_DTYPE
 from .spans import (
     BLOCK_ENTRIES,
     combine_rows,
@@ -46,7 +47,7 @@ class LinearCode:
 
     def __init__(self, ring, generator, table):
         self.ring, self.table = ring, table
-        self.generator = np.ascontiguousarray(generator, dtype=np.int32)
+        self.generator = np.ascontiguousarray(generator, dtype=ELEMENT_DTYPE)
         self.k, self.n = self.generator.shape
         self.denominator = table.denominator
         self.numerators = np.zeros(ring.order ** self.k, dtype=np.int64)
@@ -155,14 +156,15 @@ class LinearCode:
 
 def build_code(ring, generator, cap=None):
     """The left code of the rows of a k x n matrix, held on R^k."""
-    # the entries are range-checked before they are narrowed to int32
+    # the entries are range-checked before they are narrowed to the
+    # element dtype
     G = np.asarray(generator)
     if G.ndim != 2 or G.size == 0:
         raise PreconditionError("generator must be a nonempty 2-D matrix")
     if (G < 0).any() or (G >= ring.order).any():
         raise PreconditionError(
             f"generator entries must be element indices below {ring.order}")
-    G = np.ascontiguousarray(G, dtype=np.int32)
+    G = np.ascontiguousarray(G, dtype=ELEMENT_DTYPE)
     zero_cols = np.flatnonzero((G == 0).all(axis=0))
     if len(zero_cols) > 0:
         raise ZeroColumnError(
@@ -266,7 +268,7 @@ def _checked_profile(profile):
 
 def support_with_zero(code):
     """All vectors of R^k lying on an occurring column point, plus 0."""
-    rows = [np.zeros((1, code.k), dtype=np.int32)]
+    rows = [np.zeros((1, code.k), dtype=ELEMENT_DTYPE)]
     for _, rep, _, _ in code.points:
         rows.append(unit_orbit(code.ring, rep))
     stacked = np.concatenate(rows, axis=0)

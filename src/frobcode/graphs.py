@@ -22,6 +22,7 @@ import numpy as np
 
 from .codes import least_messages
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
+from .rings import ELEMENT_DTYPE
 from .spans import (
     BLOCK_ENTRIES,
     column_module,
@@ -296,8 +297,8 @@ def pds_check(ring, group_rows, subset_rows):
     elements.  Returns a certificate, or None with no claim when the
     counts are not constant on the subset and on its complement."""
     order = ring.order
-    group_rows = np.asarray(group_rows, dtype=np.int32)
-    subset_rows = np.asarray(subset_rows, dtype=np.int32)
+    group_rows = np.asarray(group_rows, dtype=ELEMENT_DTYPE)
+    subset_rows = np.asarray(subset_rows, dtype=ELEMENT_DTYPE)
     m = len(subset_rows)
     if m == 0:
         return None

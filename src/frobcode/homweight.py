@@ -25,7 +25,7 @@ import numpy as np
 
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
-from .rings import order2_socle_part
+from .rings import ELEMENT_DTYPE, order2_socle_part
 from .spans import (BLOCK_ENTRIES, encode_vectors, enum_cap,
                     enumerate_vectors, enumeration_size, message_words,
                     point_ids)
@@ -403,7 +403,8 @@ def check_correlation_vectors(ring, k, table=None, cap=None):
     num = table.numerators
     vecs = enumerate_vectors(order, k, cap)
     invariant = _right_unit_invariant(ring, table)
-    units = ring.units_array if invariant else np.array([ring.one])
+    units = (ring.units_array if invariant
+             else np.array([ring.one], dtype=ELEMENT_DTYPE))
     width = _orbit_count(ring, units, k) - 1
     work = order * width ** 2 * len(vecs)
     if work > cap * cap:
@@ -463,24 +464,29 @@ def _sampled_correlation_vectors(ring, k, table, sample, seed):
     """The word correlation identity at `sample` draws (g, h, s) from
     default_rng(seed); a draw with g or h zero takes no s and is
     skipped.  R^k must be within the default cap, and so must the
-    number of draws, which are held in memory; R^k is never formed:
-    the draws are taken in blocks of at most BLOCK_ENTRIES entries
-    (draw, x), each block's words x g and x h are message_words, and
-    each draw is summed over R^k in int64."""
+    number of draws, which are written into arrays of `sample` rows
+    allocated up front; R^k is never formed: the draws are taken in
+    blocks of at most BLOCK_ENTRIES entries (draw, x), each block's
+    words x g and x h are message_words, and each draw is summed over
+    R^k in int64."""
     if sample > enum_cap():
         raise CapExceededError(
             f"{sample} sampled draws exceed cap {enum_cap()}")
     order = ring.order
     rng = np.random.default_rng(seed)
-    draws = []
+    g = np.empty((sample, k), dtype=ELEMENT_DTYPE)
+    h = np.empty((sample, k), dtype=ELEMENT_DTYPE)
+    s = np.empty(sample, dtype=ELEMENT_DTYPE)
+    kept = 0
     for _ in range(sample):
-        g = rng.integers(0, order, size=k)
-        h = rng.integers(0, order, size=k)
-        if g.any() and h.any():
-            draws.append((g, h, int(rng.integers(0, order))))
-    if not draws:
+        gi = rng.integers(0, order, size=k)
+        hi = rng.integers(0, order, size=k)
+        if any(gi) and any(hi):
+            g[kept], h[kept], s[kept] = gi, hi, rng.integers(0, order)
+            kept += 1
+    if not kept:
         return
-    g, h, s = (np.array(part) for part in zip(*draws))
+    g, h, s = g[:kept], h[:kept], s[:kept]
     total = enumeration_size(order, k)
     num = table.numerators
     pg, mg = point_ids(ring, g)

@@ -6,9 +6,12 @@ these.  Elements are indices 0..order-1 with index 0 the zero element and
 index 1 the multiplicative identity; the remaining elements keep the
 constructor's natural order (residues for Z_m, coefficient-vector value
 for GF, row-major entry tuples for matrices, mixed-radix component tuples
-for products).  The int32 operation tables are built, and checked at
+for products).  Every array of ring elements, the operation tables
+among them, has the one dtype ELEMENT_DTYPE (int16), so ring orders are
+bounded by MAX_ORDER = 2^15.  The tables are built, and checked at
 construction, in blocks of at most BLOCK_ENTRIES entries, directly in
-that order.
+that order and directly in that dtype; a block's sums or products that
+can reach 2^15 are formed in int64 first.
 
 Every ring carries a structurally built character, stored as an exponent
 map c with modulus e (the additive exponent), meaning x maps to the
@@ -37,6 +40,11 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 4096
+
+# The dtype of every array of ring elements, and the largest ring order
+# whose element indices 0..order-1 it holds, whatever the order cap.
+ELEMENT_DTYPE = np.int16
+MAX_ORDER = 1 << 15
 
 # Digits of the longest integer the spec parser reads, unless the order
 # cap itself has more digits.
@@ -473,8 +481,8 @@ class FiniteRing:
         self.spec = spec
         self.labels = list(labels)
         self.order = len(self.labels)
-        self.add_table = np.ascontiguousarray(add_table, dtype=np.int32)
-        self.mul_table = np.ascontiguousarray(mul_table, dtype=np.int32)
+        self.add_table = np.ascontiguousarray(add_table, dtype=ELEMENT_DTYPE)
+        self.mul_table = np.ascontiguousarray(mul_table, dtype=ELEMENT_DTYPE)
         self.char_exponents = np.ascontiguousarray(char_exponents,
                                                    dtype=np.int64)
         self.exponent = int(exponent)
@@ -505,7 +513,7 @@ class FiniteRing:
         _verify to report in its order."""
         n = self.order
         add, mul = self.add_table, self.mul_table
-        neg = np.empty(n, dtype=np.int32)
+        neg = np.empty(n, dtype=ELEMENT_DTYPE)
         unit = np.zeros(n, dtype=bool)
         commutative = add_commutes = additive = True
         ex, e = _reduced_exponents(self.character)
@@ -525,7 +533,7 @@ class FiniteRing:
             additive = additive and _additive_rows(ex, e, add, rows)
             hit |= _nonzero_hits(nonzero, mul, rows)
         self.neg_table = neg
-        self.units_array = np.flatnonzero(unit).astype(np.int32)
+        self.units_array = np.flatnonzero(unit).astype(ELEMENT_DTYPE)
         self.units = frozenset(self.units_array.tolist())
         self._commutative = commutative
         return add_commutes, additive, bool(hit[1:].all())
@@ -630,8 +638,8 @@ class FiniteRing:
 
     def _scalar_multiple_nonzero(self, k):
         """True iff k*x != 0 for some x (k-fold addition)."""
-        acc = np.zeros(self.order, dtype=np.int32)
-        base = np.arange(self.order, dtype=np.int32)
+        acc = np.zeros(self.order, dtype=ELEMENT_DTYPE)
+        base = np.arange(self.order, dtype=ELEMENT_DTYPE)
         while k:
             if k & 1:
                 acc = self.add_table[acc, base]
@@ -676,19 +684,21 @@ def _symmetric_rows(table, rows):
 
 def _pinned_order(n, one):
     """Natural indices in identity-pinned order (zero, the identity,
-    then the rest in natural order), and the int32 inverse map."""
+    then the rest in natural order), and the inverse map."""
     perm = np.concatenate(([0, one], np.arange(1, one), np.arange(one + 1, n)))
-    inv = np.empty(n, dtype=np.int32)
-    inv[perm] = np.arange(n, dtype=np.int32)
+    inv = np.empty(n, dtype=ELEMENT_DTYPE)
+    inv[perm] = np.arange(n, dtype=ELEMENT_DTYPE)
     return perm, inv
 
 
 def _radix_table(n, row_parts, keys, inv):
-    """The n x n int32 table whose entry (a, b) is the natural index
+    """The n x n table whose entry (a, b) is the natural index
     sum_f part_f[a, keys_f[b]], mapped through inv, where the parts
     are row_parts(rows): small per-row lookup tables already scaled by
-    their radix.  Built one row block at a time."""
-    table = np.empty((n, n), dtype=np.int32)
+    their radix.  Built one row block at a time.  Each partial sum is
+    at most the natural index, below n <= MAX_ORDER, so the parts and
+    their sums stay in the element dtype."""
+    table = np.empty((n, n), dtype=ELEMENT_DTYPE)
     for rows in _row_blocks(n, n):
         parts = row_parts(rows)
         acc = np.take(parts[0], keys[0], axis=1)
@@ -703,7 +713,7 @@ def _radix_table(n, row_parts, keys, inv):
 def _component_table(n, tables, comps, radix, inv):
     """Table of a componentwise operation: tables[f] acts on component
     f of the elements, whose rows comps holds in pinned order."""
-    scaled = [np.asarray(tab * int(r), dtype=np.int32)
+    scaled = [np.asarray(tab * int(r), dtype=ELEMENT_DTYPE)
               for tab, r in zip(tables, radix)]
     return _radix_table(
         n, lambda rows: [s[comps[rows, f]] for f, s in enumerate(scaled)],
@@ -714,9 +724,10 @@ def _realize_zm(spec):
     m = spec.m
     if m < 2:
         raise RingConstructionError("Z_m needs m >= 2")
+    # a + b and a b reach 2^15, so each block is formed in int64
     idx = np.arange(m, dtype=np.int64)
-    add = np.empty((m, m), dtype=np.int32)
-    mul = np.empty((m, m), dtype=np.int32)
+    add = np.empty((m, m), dtype=ELEMENT_DTYPE)
+    mul = np.empty((m, m), dtype=ELEMENT_DTYPE)
     for rows in _row_blocks(m, m):
         block = np.add.outer(idx[rows], idx)
         np.subtract(block, m, out=block, where=block >= m)
@@ -737,7 +748,8 @@ def _realize_gf(spec):
     q = p ** r
     if r == 1:
         labels, add, mul, exps, _, _ = _realize_zm(Zm(p))
-        return labels, add, mul, exps, p, {"digits": np.arange(p)[:, None]}
+        return labels, add, mul, exps, p, {
+            "digits": np.arange(p, dtype=ELEMENT_DTYPE)[:, None]}
 
     poly = spec.resolved_poly()
     if len(poly) != r + 1 or poly[-1] != 1:
@@ -747,7 +759,7 @@ def _realize_gf(spec):
         raise ReduciblePolynomialError(
             f"{poly} is reducible over F_{p}")
 
-    idx = np.arange(q, dtype=np.int64)
+    idx = np.arange(q, dtype=ELEMENT_DTYPE)
     digits = np.stack([(idx // p ** j) % p for j in range(r)], axis=1)
     pows = p ** np.arange(r, dtype=np.int64)
 
@@ -768,7 +780,8 @@ def _realize_gf(spec):
         columns.append((shifted + prev[:, -1:] * reduce_top) % p)
     mx = np.stack(columns, axis=2)
 
-    mul = np.empty((q, q), dtype=np.int32)
+    # the digit products are formed in int64: mx is int64
+    mul = np.empty((q, q), dtype=ELEMENT_DTYPE)
     for rows in _row_blocks(q, q * r):
         mul[rows] = pows @ (np.matmul(mx[rows], digits.T) % p)
 
@@ -791,7 +804,7 @@ def _realize_mat(spec, order_cap):
     # the identity has a 1 at each diagonal entry i m + i
     perm, inv = _pinned_order(n, int(radix[::m + 1].sum()))
     entries = np.stack([(perm // radix[t]) % q for t in range(mm)],
-                       axis=1).astype(np.int32)
+                       axis=1).astype(ELEMENT_DTYPE)
 
     badd, bmul = base.add_table, base.mul_table
     add = _component_table(n, [badd] * mm, entries, radix, inv)
@@ -844,7 +857,7 @@ def _realize_product(spec, order_cap):
         acc *= orders[f]
     perm, inv = _pinned_order(n, int(radix.sum()))
     comps = np.stack([(perm // radix[f]) % orders[f] for f in range(t)],
-                     axis=1).astype(np.int32)
+                     axis=1).astype(ELEMENT_DTYPE)
 
     add = _component_table(n, [f.add_table for f in factors], comps, radix,
                            inv)
@@ -875,6 +888,10 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
     if order > order_cap:
         raise CapExceededError(
             f"ring order {order} exceeds cap {order_cap}")
+    if order > MAX_ORDER:
+        raise CapExceededError(
+            f"ring order {order} exceeds {MAX_ORDER}, the bound of int16 "
+            "element indices")
     if order < 2:
         raise RingConstructionError("ring order must be >= 2")
 
@@ -932,7 +949,7 @@ def order2_socle_part(ring):
     # x generates an order-2 left ideal iff column x of the
     # multiplication table takes exactly the values 0 and x
     n = ring.order
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n, dtype=ELEMENT_DTYPE)
     inside = np.ones(n, dtype=bool)
     has_zero = np.zeros(n, dtype=bool)
     has_self = np.zeros(n, dtype=bool)
@@ -946,7 +963,7 @@ def order2_socle_part(ring):
     gens = (np.flatnonzero((inside & has_zero & has_self)[1:]) + 1).tolist()
 
     # every subset sum of the generators, and whether its subset is odd
-    sums, odd = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
+    sums, odd = np.zeros(1, dtype=ELEMENT_DTYPE), np.zeros(1, dtype=bool)
     for g in gens:
         sums = np.concatenate([sums, ring.add_table[sums, g]])
         odd = np.concatenate([odd, ~odd])

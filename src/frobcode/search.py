@@ -34,6 +34,7 @@ from .graphs import (
     predicted_srg,
 )
 from .homweight import weight_table
+from .rings import ELEMENT_DTYPE
 from .spans import (
     BLOCK_ENTRIES,
     encode_vectors,
@@ -126,7 +127,7 @@ def _has_index(chosen, orbit_sizes, n_max, mult_cap, index_one):
 def _candidate_generator(ring, subset, index):
     columns = []
     for point in subset:
-        rep = np.array(point.representative, dtype=np.int32)
+        rep = np.array(point.representative, dtype=ELEMENT_DTYPE)
         mult = int(index * point.orbit_size)
         columns.append(np.tile(rep[:, None], (1, mult)))
     return np.concatenate(columns, axis=1)
@@ -228,7 +229,8 @@ class _PointTables:
     def __init__(self, ring, points, vectors, labels):
         order = ring.order
         count = len(points)
-        reps = np.array([p.representative for p in points], dtype=np.int32)
+        reps = np.array([p.representative for p in points],
+                        dtype=ELEMENT_DTYPE)
         self.sizes = np.array([p.orbit_size for p in points], dtype=np.int64)
         table = weight_table(ring)
         self.denominator = table.denominator

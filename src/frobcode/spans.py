@@ -1,12 +1,12 @@
 """Vector enumeration and module spans over a tables-backed finite ring.
 
-Vectors of length n over a ring of order q are numpy int32 rows, keyed
-by the big-endian int64 sum(v[i] * q**(n-1-i)), so keys sort as the
-rows do, and ==, np.unique, np.searchsorted, np.isin and np.minimum
-work on them.  A row with q**n > 2**62 has no key and is refused; the
-passes over a code key only its k-long messages.  Sets of vectors are
-row-sorted unique arrays, and ``lookup`` finds keys in their sorted
-keys.
+Vectors of length n over a ring of order q are numpy rows in the
+element dtype (rings.ELEMENT_DTYPE, int16), keyed by the big-endian
+int64 sum(v[i] * q**(n-1-i)), so keys sort as the rows do, and ==,
+np.unique, np.searchsorted, np.isin and np.minimum work on them.  A
+row with q**n > 2**62 has no key and is refused; the passes over a
+code key only its k-long messages.  Sets of vectors are row-sorted
+unique arrays, and ``lookup`` finds keys in their sorted keys.
 
 ``message_words`` forms the words x G of every message x in R^k as
 nested outer sums of the multiples R G[i] of each row, so R^k itself is
@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .rings import opposite_ring
+from .rings import ELEMENT_DTYPE, opposite_ring
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -71,7 +71,7 @@ def encode_vectors(vectors, order):
 def decode_vectors(keys, order, n):
     """The rows of the given keys (the inverse of encode_vectors)."""
     keys = np.asarray(keys)
-    out = np.empty(keys.shape + (n,), dtype=np.int32)
+    out = np.empty(keys.shape + (n,), dtype=ELEMENT_DTYPE)
     for i in range(n):
         out[..., i] = (keys // order ** (n - 1 - i)) % order
     return out
@@ -120,8 +120,8 @@ def _sorted_unique_rows(vectors, order):
 
 def scalar_orbit(ring, scalars, vector):
     """Rows v*s for s in scalars."""
-    vector = np.asarray(vector, dtype=np.int32)
-    scalars = np.asarray(scalars, dtype=np.int32)
+    vector = np.asarray(vector, dtype=ELEMENT_DTYPE)
+    scalars = np.asarray(scalars, dtype=ELEMENT_DTYPE)
     return ring.mul_table[vector[None, :], scalars[:, None]]
 
 
@@ -132,9 +132,9 @@ def _closure(ring, generators, cap, name):
     least two cosets of M.  Raises CapExceededError when M grows past
     the cap."""
     order = ring.order
-    scalars = np.arange(order, dtype=np.int32)
+    scalars = np.arange(order, dtype=ELEMENT_DTYPE)
     generator_keys = encode_vectors(generators, order)
-    rows = np.zeros((1, generators.shape[1]), dtype=np.int32)
+    rows = np.zeros((1, generators.shape[1]), dtype=ELEMENT_DTYPE)
     keys = np.zeros(1, dtype=np.int64)
     pending = np.arange(len(generators))
     while True:
@@ -157,7 +157,7 @@ def span(ring, generators, cap=None):
     one at least doubles the span."""
     if cap is None:
         cap = enum_cap()
-    generators = np.asarray(generators, dtype=np.int32)
+    generators = np.asarray(generators, dtype=ELEMENT_DTYPE)
     if len(generators) == 0:
         raise PreconditionError("span needs at least one generator")
     return _closure(opposite_ring(ring), generators, cap, "span")
@@ -175,7 +175,7 @@ def point_ids(ring, vectors):
     unit orbit {v u : u a unit} (constant on orbits), and the orbit
     size.  Rows are taken in blocks of at most BLOCK_ENTRIES orbit
     keys."""
-    vectors = np.asarray(vectors, dtype=np.int32)
+    vectors = np.asarray(vectors, dtype=ELEMENT_DTYPE)
     units = ring.units_array
     pids, sizes = [], []
     block = max(1, BLOCK_ENTRIES // len(units))
@@ -190,8 +190,8 @@ def point_ids(ring, vectors):
 
 def combine_rows(ring, matrix, coefficients):
     """Rows x @ G for each coefficient row x (left module combination)."""
-    G = np.asarray(matrix, dtype=np.int32)
-    X = np.asarray(coefficients, dtype=np.int32)
+    G = np.asarray(matrix, dtype=ELEMENT_DTYPE)
+    X = np.asarray(coefficients, dtype=ELEMENT_DTYPE)
     k, n = G.shape
     acc = ring.mul_table[X[:, 0][:, None], G[0][None, :]]
     for i in range(1, k):
@@ -208,7 +208,7 @@ def message_words(ring, matrix, cap=None):
     combine_rows takes 2k - 1 per entry, and R^k is never formed.
     Raises the CapExceededError of enumeration_size(order, k, cap)
     before it builds anything."""
-    G = np.asarray(matrix, dtype=np.int32)
+    G = np.asarray(matrix, dtype=ELEMENT_DTYPE)
     k, n = G.shape
     enumeration_size(ring.order, k, cap)
     acc = ring.mul_table[:, G[0]]
@@ -221,8 +221,8 @@ def message_words(ring, matrix, cap=None):
 
 def apply_matrix(ring, matrix, vectors):
     """Rows (G @ y^T)^T for each vector y (right-side combination)."""
-    G = np.asarray(matrix, dtype=np.int32)
-    Y = np.asarray(vectors, dtype=np.int32)
+    G = np.asarray(matrix, dtype=ELEMENT_DTYPE)
+    Y = np.asarray(vectors, dtype=ELEMENT_DTYPE)
     k, n = G.shape
     acc = ring.mul_table[G[:, 0][None, :], Y[:, 0][:, None]]
     for j in range(1, n):
@@ -244,7 +244,7 @@ def column_module(ring, matrix, cap=None):
     the work is bounded by the module size rather than order**n."""
     if cap is None:
         cap = enum_cap()
-    G = np.asarray(matrix, dtype=np.int32)
+    G = np.asarray(matrix, dtype=ELEMENT_DTYPE)
     return _closure(ring, G.T, cap, "column module")
 
 
@@ -252,7 +252,7 @@ def is_submodule(ring, vectors):
     """True iff the given rows form a right submodule of R^n: they are
     nonempty and equal their own right span, whose closure stops as
     soon as it outgrows them."""
-    vectors = np.asarray(vectors, dtype=np.int32)
+    vectors = np.asarray(vectors, dtype=ELEMENT_DTYPE)
     if vectors.ndim != 2 or len(vectors) == 0:
         return False
     vectors, _ = _sorted_unique_rows(vectors, ring.order)

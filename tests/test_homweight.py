@@ -8,6 +8,7 @@ it while being an exact rational.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
     _fixing_unit_count,
+    _sampled_correlation_vectors,
     all_one_sided_ideals,
     check_correlation_ideal,
     check_coset_sums,
@@ -226,3 +228,17 @@ def test_coset_sums_frozen_example():
     table = weight_table(z6)
     assert table.value(1) + table.value(4) == 2
     check_coset_sums(z6, table)
+
+
+def test_sampled_draws_held_in_arrays():
+    # 50000 draws (g, h, s) as one Python tuple each took 25 MiB on Z4
+    # at k = 2; in preallocated int16 arrays with blocked words, 9 MiB
+    z4 = ring_from_text("Z4")
+    table = weight_table(z4)
+    tracemalloc.start()
+    try:
+        _sampled_correlation_vectors(z4, 2, table, 50000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

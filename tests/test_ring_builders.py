@@ -1,10 +1,11 @@
-"""Blocked int32 ring-table builders and construction checks.
+"""Blocked ring-table builders and construction checks.
 
 `tests/ring_oracle.py` keeps the per-row builders the blocked passes
-replaced.  Every table, label, character exponent and derived array
-must equal the oracle's, for any row-block size, and the construction
-checks must report the same faults with the same messages when the
-fault sits in the last row block.
+replaced, with int32 tables.  Every table, label, character exponent
+and derived array must equal the oracle's in value, for any row-block
+size, and every array of ring elements must have the element dtype
+(int16); the construction checks must report the same faults with the
+same messages when the fault sits in the last row block.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from frobcode import rings
 from frobcode.errors import CharacterError, RingConstructionError
 from frobcode.homweight import all_one_sided_ideals
 from frobcode.rings import (
+    ELEMENT_DTYPE,
     FiniteRing,
     GeneratingCharacter,
     Product,
@@ -41,16 +43,17 @@ FACTORS = ["Z2", "Z3", "Z4", "Z6", "Z9", "GF(4)", "GF(8)", "GF(9)",
 
 def assert_matches_oracle(ring):
     want = oracle_ring(ring.spec)
-    for name in ("add_table", "mul_table", "char_exponents", "neg_table",
-                 "units_array"):
+    for name in ("add_table", "mul_table", "neg_table", "units_array"):
         got, expected = getattr(ring, name), getattr(want, name)
-        assert got.dtype == expected.dtype, name
+        assert got.dtype == ELEMENT_DTYPE, name
         assert np.array_equal(got, expected), name
+    assert ring.char_exponents.dtype == want.char_exponents.dtype
+    assert np.array_equal(ring.char_exponents, want.char_exponents)
     assert ring.exponent == want.exponent
     assert ring.labels == want.labels
     assert ring.is_commutative == want.is_commutative
     for key, expected in want.meta.items():
-        assert ring.meta[key].dtype == expected.dtype, key
+        assert ring.meta[key].dtype == ELEMENT_DTYPE, key
         assert np.array_equal(ring.meta[key], expected), key
 
 
@@ -153,8 +156,8 @@ def test_build_peak_memory(text):
     finally:
         tracemalloc.stop()
     assert ring.order == 4096
-    # two int32 tables of 64 MiB each, plus one table of working space
-    assert peak < 192 * 2 ** 20
+    # two int16 tables of 32 MiB each, plus row blocks of working space
+    assert peak < 96 * 2 ** 20
 
 
 # --------------------------------------------------------------- socle
@@ -183,7 +186,7 @@ def test_order2_socle_gens_match_per_column_oracle(text):
 @pytest.mark.parametrize("text", ORACLE_RINGS)
 def test_ideal_sums_grown_match_pairwise_oracle(text):
     # each ideal sum I + J grows from I instead of taking the unique
-    # pairwise sums; same ideals, same order, same int32 dtype
+    # pairwise sums; same ideals, same order, same element dtype
     ring = ring_from_text(text)
     for side in ("left", "right"):
         got = all_one_sided_ideals(ring, side)

@@ -8,6 +8,7 @@ checked against complex exponentials.
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_order_cap():
         build_ring(parse_ring_spec("Z8000"))
     ring = build_ring(parse_ring_spec("Z8000"), order_cap=8000)
     assert ring.order == 8000
+
+
+def test_order_past_the_element_bound_refused_before_building():
+    # int16 element indices hold orders up to 2^15, whatever the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as err:
+            build_ring(parse_ring_spec("Z40000"), order_cap=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("ring order 40000 exceeds 32768, the bound "
+                              "of int16 element indices")
+    assert "\n" not in str(err.value)
+    assert peak < 2 ** 20
 
 
 # --------------------------------------------------------------- axioms

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from frobcode import spans
 
 from frobcode.errors import CapExceededError
-from frobcode.rings import opposite_ring, ring_from_text
+from frobcode.homweight import all_one_sided_ideals
+from frobcode.rings import ELEMENT_DTYPE, opposite_ring, ring_from_text
 from frobcode.spans import (
     apply_matrix,
     column_module,
@@ -163,6 +164,37 @@ def test_message_words_match_combine_rows(data):
     want = combine_rows(ring, G, enumerate_vectors(ring.order, k))
     assert words.dtype == want.dtype
     assert words.tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_every_element_array_has_the_element_dtype(data):
+    # a mixed dtype would split the .tobytes() keys of the ideals
+    ring = ring_from_text(data.draw(st.sampled_from(MESSAGE_RINGS)))
+    k = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 3))
+    G = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n),
+        min_size=k, max_size=k)), dtype=np.int64).reshape(k, n)
+    keys = data.draw(st.lists(st.integers(0, ring.order ** n - 1),
+                              min_size=1, max_size=5))
+    arrays = {
+        "message_words": message_words(ring, G),
+        "decode_vectors": decode_vectors(keys, ring.order, n),
+        "column_module": column_module(ring, G)[0],
+        "span": span(ring, G)[0],
+        "row_space": row_space(ring, G),
+        "add_table": ring.add_table, "mul_table": ring.mul_table,
+        "neg_table": ring.neg_table, "units_array": ring.units_array,
+    }
+    for side in ("left", "right"):
+        for i, ideal in enumerate(all_one_sided_ideals(ring, side)):
+            arrays[f"{side} ideal {i}"] = ideal
+    for key, value in ring.meta.items():
+        if isinstance(value, np.ndarray):
+            arrays[f"meta {key}"] = value
+    for name, array in arrays.items():
+        assert array.dtype == ELEMENT_DTYPE, name
 
 
 @pytest.mark.parametrize("text,k,cap", [
