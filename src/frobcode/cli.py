@@ -94,9 +94,10 @@ def cmd_ring(args):
     print("zero-weight elements: "
           + " ".join(ring.labels[i] for i in zero_set))
     checks = {}
-    for name, status in identity_suite(ring, table, RING_CHECKS, k_max=0):
+    for name, fn in RING_CHECKS:
+        fn(ring, table)
         checks[name] = True
-        print(f"check {name}: {status}")
+        print(f"check {name}: pass")
     if args.json is not None:
         _emit_json({
             "ring": ring.spec.text(),

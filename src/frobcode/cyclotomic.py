@@ -1,11 +1,15 @@
-"""Dense integer polynomials and cyclotomic polynomials.
+"""The package's integer arithmetic: divisors, dense integer
+polynomials and cyclotomic polynomials.
 
 A polynomial is a tuple of int coefficients in ascending degree with no
 trailing zeros; the empty tuple is the zero polynomial.  Everything here
 is exact integer arithmetic: cyclotomic polynomials are obtained by
 dividing x^e - 1 by the cyclotomic polynomials of the proper divisors
 of e, and reduction modulo them is plain long division (the divisor is
-monic, so no rational coefficients ever appear).
+monic, so no rational coefficients ever appear).  `divisors` is the one
+trial-division loop and `poly_divmod` the one polynomial division:
+`rings` takes primality and irreducibility over F_p from them, and
+`search` the denominators of its multiplicity ratios.
 """
 
 from __future__ import annotations

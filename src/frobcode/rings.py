@@ -15,13 +15,18 @@ can reach 2^15 are formed in int64 first.
 
 Every ring carries a structurally built character, stored as an exponent
 map c with modulus e (the additive exponent), meaning x maps to the
-c(x)-th power of a primitive e-th root of unity.  The generating property
-(no nonzero element is annihilated by the character on its whole
-principal left ideal) is certified at construction time, as are the ring
+c(x)-th power of a primitive e-th root of unity.  Construction certifies
+it with the two public checks, GeneratingCharacter.is_additive_homomorphism
+and is_generating_character (no nonzero element is annihilated by the
+character on its whole principal left ideal), and certifies the ring
 axioms themselves: up to order 256 for every triple, proved on a greedy
 additive generating set S in order^2 |S| checks per law (Light's
 associativity test, then distributivity and trilinearity), and on a
 fixed-seed sample of triples above that.
+
+Primality, prime powers and the minimality of the additive exponent
+come from cyclotomic.divisors, and irreducibility of a field modulus
+from trial division with cyclotomic.poly_divmod.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclotomic import divisors, poly_divmod
 from .errors import (
     CapExceededError,
     CharacterError,
@@ -54,7 +60,12 @@ _FULL_AXIOM_LIMIT = 256
 _AXIOM_SAMPLES = 200_000
 
 # Table passes work on row blocks of at most this many entries, so no
-# working array is order x order; an int64 one holds 8 MiB.
+# working array is order x order; an int64 one holds 8 MiB.  It is four
+# times spans.BLOCK_ENTRIES on purpose: with 2^18 here, a process that
+# has built M2(GF(8)) then runs `verify 'M2(GF(4))' --cap 65535` in
+# 0.59-0.60 s instead of 0.36-0.54 s.  With glibc's malloc thresholds
+# pinned both sizes run alike, which points to glibc's dynamic mmap
+# threshold.
 BLOCK_ENTRIES = 1 << 20
 # Side of the square tiles the symmetry checks compare with their
 # transposes.
@@ -320,73 +331,34 @@ def parse_ring_spec(text, *, order_cap=DEFAULT_ORDER_CAP):
     return spec
 
 
-# ------------------------------------------------- F_p[x] helper routines
+# ------------------------------------- primes and irreducibility over F_p
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return len(divisors(n)) == 2
 
 
 def _prime_power(n):
-    """(p, r) with n = p**r and p prime, or None."""
+    """(p, r) with n = p**r and p prime, or None.  The least divisor
+    p > 1 is prime, and p**r has r + 1 divisors."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            r = 0
-            while n % p == 0:
-                n //= p
-                r += 1
-            return (p, r) if n == 1 else None
-        p += 1
-    return (n, 1)
-
-
-def _fp_trim(c, p):
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_polymod(a, b, p):
-    """Remainder of a modulo b over F_p; b must have invertible lead."""
-    a = _fp_trim(a, p)
-    b = _fp_trim(b, p)
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, d in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * d) % p
-        a = _fp_trim(a, p)
-        if not a:
-            break
-    return a
+    ds = divisors(n)
+    p, r = ds[1], len(ds) - 1
+    return (p, r) if p ** r == n else None
 
 
 def _fp_is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Trial division by every monic polynomial of degree <= deg/2.  The
+    divisor is monic, so the integer remainder reduced mod p is the
+    remainder over F_p."""
     r = len(poly) - 1
     if r < 1:
         return False
     for d in range(1, r // 2 + 1):
         for code in range(p ** d):
-            g = []
-            v = code
-            for _ in range(d):
-                g.append(v % p)
-                v //= p
-            g.append(1)
-            if not _fp_polymod(list(poly), g, p):
+            g = [code // p ** j % p for j in range(d)] + [1]
+            if not any(c % p for c in poly_divmod(poly, g)[1]):
                 return False
     return True
 
@@ -405,8 +377,14 @@ class GeneratingCharacter:
         ex, e = _reduced_exponents(self)
         if ex[0] != 0:
             return False
-        return all(_additive_rows(ex, e, ring.add_table, rows)
-                   for rows in _row_blocks(ring.order, ring.order))
+        for rows in _row_blocks(ring.order, ring.order):
+            # ex[a + b] - ex[b] lies in (-e, e), so it must be ex[a] or
+            # ex[a] - e
+            diff = np.take(ex, ring.add_table[rows]) - ex
+            own = ex[rows, None]
+            if not ((diff == own) | (diff == own - e)).all():
+                return False
+        return True
 
 
 def is_generating_character(ring, character):
@@ -417,7 +395,7 @@ def is_generating_character(ring, character):
     nonzero = ex != 0
     hit = np.zeros(ring.order, dtype=bool)
     for rows in _row_blocks(ring.order, ring.order):
-        hit |= _nonzero_hits(nonzero, ring.mul_table, rows)
+        hit |= np.take(nonzero, ring.mul_table[rows]).any(axis=0)
     return bool(hit[1:].all())
 
 
@@ -426,19 +404,6 @@ def _reduced_exponents(character):
     e = character.modulus
     ex = np.asarray(character.exponents, dtype=np.int64) % e
     return (ex.astype(np.int32) if 2 * e < 2 ** 31 else ex), e
-
-
-def _additive_rows(ex, e, add, rows):
-    """True iff ex[a + b] = ex[a] + ex[b] mod e for every a in rows."""
-    # ex[a + b] - ex[b] lies in (-e, e), so it must be ex[a] or ex[a] - e
-    diff = np.take(ex, add[rows]) - ex
-    own = ex[rows, None]
-    return bool(((diff == own) | (diff == own - e)).all())
-
-
-def _nonzero_hits(nonzero, mul, rows):
-    """Columns x for which nonzero[r x] holds for some r in rows."""
-    return np.take(nonzero, mul[rows]).any(axis=0)
 
 
 def _additive_generators(add):
@@ -493,7 +458,7 @@ class FiniteRing:
 
         self._op = None
         self.meta = meta or {}
-        self._verify(*self._scan_tables())
+        self._verify(self._scan_tables())
 
     # -- conveniences -------------------------------------------------
 
@@ -508,17 +473,13 @@ class FiniteRing:
 
     def _scan_tables(self):
         """One pass over both tables in row blocks.  Sets neg_table, the
-        units and commutativity, and returns whether addition commutes
-        and whether the character is additive and generating, for
-        _verify to report in its order."""
+        units and commutativity, and returns whether addition commutes,
+        for _verify to report in its order."""
         n = self.order
         add, mul = self.add_table, self.mul_table
         neg = np.empty(n, dtype=ELEMENT_DTYPE)
         unit = np.zeros(n, dtype=bool)
-        commutative = add_commutes = additive = True
-        ex, e = _reduced_exponents(self.character)
-        nonzero = ex != 0
-        hit = np.zeros(n, dtype=bool)
+        commutative = add_commutes = True
         for rows in _row_blocks(n, n):
             zero = add[rows] == 0
             if not (zero.sum(axis=1) == 1).all():
@@ -530,15 +491,13 @@ class FiniteRing:
             unit[xs[mul[ys, xs] == 1]] = True
             commutative = commutative and _symmetric_rows(mul, rows)
             add_commutes = add_commutes and _symmetric_rows(add, rows)
-            additive = additive and _additive_rows(ex, e, add, rows)
-            hit |= _nonzero_hits(nonzero, mul, rows)
         self.neg_table = neg
         self.units_array = np.flatnonzero(unit).astype(ELEMENT_DTYPE)
         self.units = frozenset(self.units_array.tolist())
         self._commutative = commutative
-        return add_commutes, additive, bool(hit[1:].all())
+        return add_commutes
 
-    def _verify(self, add_commutes, additive, generating):
+    def _verify(self, add_commutes):
         n = self.order
         idx = np.arange(n)
         if not (self.add_table[0] == idx).all():
@@ -561,9 +520,9 @@ class FiniteRing:
         char = self.character
         if char.exponents[0] % char.modulus != 0:
             raise CharacterError("character does not vanish at 0")
-        if not additive:
+        if not char.is_additive_homomorphism(self):
             raise CharacterError("character exponent map is not additive")
-        if not generating:
+        if not is_generating_character(self, char):
             raise CharacterError(
                 f"character of {self.spec.text()} is not generating")
         if 1 not in self.units:
@@ -631,8 +590,8 @@ class FiniteRing:
         if self._scalar_multiple_nonzero(e):
             raise RingConstructionError(
                 f"additive exponent {e} does not annihilate the group")
-        for p in _prime_factors(e):
-            if not self._scalar_multiple_nonzero(e // p):
+        for p in divisors(e):
+            if _is_prime(p) and not self._scalar_multiple_nonzero(e // p):
                 raise RingConstructionError(
                     f"additive exponent {e} is not minimal")
 
@@ -647,20 +606,6 @@ class FiniteRing:
             if k:
                 base = self.add_table[base, base]
         return bool((acc != 0).any())
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ------------------------------------------------------------- builders
@@ -840,7 +785,8 @@ def _realize_mat(spec, order_cap):
     labels = ["[" + ";".join(" ".join(names[c] for c in row[i * m:(i + 1) * m])
                              for i in range(m)) + "]"
               for row in entries.tolist()]
-    return labels, add, mul, exps, base.exponent, {"entries": entries}, base
+    return (labels, add, mul, exps, base.exponent,
+            {"entries": entries, "base_ring": base})
 
 
 def _realize_product(spec, order_cap):
@@ -875,7 +821,8 @@ def _realize_product(spec, order_cap):
     names = [f.labels for f in factors]
     labels = ["(" + ",".join(lab[c] for lab, c in zip(names, row)) + ")"
               for row in comps.tolist()]
-    return labels, add, mul, exps, e, {"components": comps}, factors
+    return (labels, add, mul, exps, e,
+            {"components": comps, "factor_rings": factors})
 
 
 def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
@@ -895,26 +842,17 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
     if order < 2:
         raise RingConstructionError("ring order must be >= 2")
 
-    base_ring = None
-    factor_rings = None
     if isinstance(spec, Zm):
-        labels, add, mul, exps, e, arrays = _realize_zm(spec)
+        realized = _realize_zm(spec)
     elif isinstance(spec, GF):
-        labels, add, mul, exps, e, arrays = _realize_gf(spec)
+        realized = _realize_gf(spec)
     elif isinstance(spec, MatRing):
-        labels, add, mul, exps, e, arrays, base_ring = _realize_mat(
-            spec, order_cap)
+        realized = _realize_mat(spec, order_cap)
     elif isinstance(spec, Product):
-        labels, add, mul, exps, e, arrays, factor_rings = _realize_product(
-            spec, order_cap)
+        realized = _realize_product(spec, order_cap)
     else:
         raise RingConstructionError(f"cannot build from spec {spec!r}")
-
-    meta = dict(arrays)
-    if base_ring is not None:
-        meta["base_ring"] = base_ring
-    if factor_rings is not None:
-        meta["factor_rings"] = factor_rings
+    labels, add, mul, exps, e, meta = realized
     return FiniteRing(spec, labels, add, mul, exps, e, meta=meta)
 
 

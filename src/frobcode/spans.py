@@ -33,7 +33,9 @@ DEFAULT_ENUM_CAP = 1 << 20
 
 # Entries of one block of pairwise sums or differences: a pairwise pass
 # over m rows takes its left operand in blocks of rows, so its memory
-# stays bounded whatever m is.
+# stays bounded whatever m is.  It is a quarter of rings.BLOCK_ENTRIES
+# on purpose: at 2^20 the benchmark's ring_suite peaks at 138 MiB
+# resident instead of 119 MiB.
 BLOCK_ENTRIES = 1 << 18
 
 

@@ -8,7 +8,8 @@ natural order and then move the identity to index 1 with two full
 re-index gathers.  `oracle_ring` runs them, recursively for the base
 field and the product factors, and derives `neg_table`, `units_array`
 and commutativity the way `FiniteRing.__init__` did, so the oracle
-shares no table code with the path it checks.
+shares no table code with the path it checks.  Primality and
+irreducibility over F_p come from sympy.
 
 `cubic_axiom_failures` is the per-element check of the ring laws on
 every triple that `FiniteRing` ran before it proved them on an additive
@@ -24,17 +25,11 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import sympy
 
 from frobcode.errors import ReduciblePolynomialError, RingConstructionError
 from frobcode.homweight import _unit_orbit_minima, principal_ideal_elements
-from frobcode.rings import (
-    GF,
-    MatRing,
-    Product,
-    Zm,
-    _fp_is_irreducible,
-    _is_prime,
-)
+from frobcode.rings import GF, MatRing, Product, Zm
 
 
 def oracle_ring(spec):
@@ -64,6 +59,12 @@ def oracle_ring(spec):
         exponent=int(e), neg_table=neg_table, units_array=units_array,
         is_commutative=bool((mul_table == mul_table.T).all()),
         meta=arrays)
+
+
+def sympy_irreducible(poly, p):
+    """Whether the ascending coefficients poly are irreducible over F_p."""
+    x = sympy.symbols("x")
+    return sympy.Poly(list(reversed(poly)), x, modulus=p).is_irreducible
 
 
 def _pin_identity(labels, add, mul, exps, one_idx, arrays):
@@ -97,7 +98,7 @@ def _realize_zm(spec):
 
 def _realize_gf(spec):
     p, r = spec.p, spec.r
-    if not _is_prime(p):
+    if not sympy.isprime(p):
         raise RingConstructionError(f"{p} is not prime")
     if r < 1:
         raise RingConstructionError("extension degree must be >= 1")
@@ -110,7 +111,7 @@ def _realize_gf(spec):
     if len(poly) != r + 1 or poly[-1] != 1:
         raise RingConstructionError(
             f"modulus must be monic of degree {r} (got {poly})")
-    if not _fp_is_irreducible(poly, p):
+    if not sympy_irreducible(poly, p):
         raise ReduciblePolynomialError(
             f"{poly} is reducible over F_{p}")
 

@@ -2,16 +2,19 @@
 
 Ring axioms are re-derived here by brute force on small rings rather
 than trusting the construction-time verifier; character values are
-checked against complex exponentials.
+checked against complex exponentials, and the primality and
+irreducibility helpers against sympy.
 """
 
 import cmath
+import itertools
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,9 @@ from frobcode.rings import (
     Product,
     Zm,
     _additive_generators,
+    _fp_is_irreducible,
+    _is_prime,
+    _prime_power,
     build_ring,
     is_generating_character,
     opposite_ring,
@@ -40,7 +46,7 @@ from frobcode.rings import (
     parse_ring_spec,
     ring_from_text,
 )
-from ring_oracle import cubic_axiom_failures
+from ring_oracle import cubic_axiom_failures, sympy_irreducible
 from socle_oracle import gf_matrix_rank, structural_socle
 
 ACCEPTANCE_RINGS = ["Z4", "Z6", "Z8", "Z9", "prod(Z2,Z2)", "prod(Z2,Z3)",
@@ -108,6 +114,26 @@ def test_parse_errors_carry_position():
 def test_reducible_polynomial_rejected():
     with pytest.raises(ReduciblePolynomialError):
         build_ring(parse_ring_spec("GF(2^2,poly=1,0,1)"))
+
+
+def test_prime_helpers_match_sympy():
+    for n in range(5000):
+        factors = sympy.factorint(n) if n >= 2 else {}
+        assert _is_prime(n) == sympy.isprime(n), n
+        want = next(iter(factors.items())) if len(factors) == 1 else None
+        assert _prime_power(n) == want, n
+
+
+def test_irreducibility_matches_sympy():
+    checked = 0
+    for p, max_degree in ((2, 4), (3, 4), (5, 4), (7, 3)):
+        for r in range(1, max_degree + 1):
+            for tail in itertools.product(range(p), repeat=r):
+                poly = tail + (1,)
+                assert _fp_is_irreducible(poly, p) == sympy_irreducible(
+                    poly, p), (poly, p)
+                checked += 1
+    assert checked == 1329
 
 
 def test_order_cap():
