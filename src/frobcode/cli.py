@@ -401,7 +401,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the weight identity suite")
     p.add_argument("spec")
     p.add_argument("--full", action="store_true",
-                   help="insist on exhaustive sweeps (error if too large)")
+                   help="no sampled fallback past the cap: exit 2")
     p.add_argument("--sample", type=int, default=SAMPLE_COUNT,
                    help="sample count for oversized sweeps (default "
                         f"{SAMPLE_COUNT})")

@@ -222,7 +222,11 @@ class TwoWeightProfile:
 
     @property
     def trivial(self):
-        """Predicted graph triviality: smaller weight equals the length."""
+        """Predicted graph triviality of a modular code: smaller weight
+        equals the length.  None for a non-modular code, whose coset
+        graph the closed forms do not predict."""
+        if self.index is None:
+            return None
         return self.w1 == self.n
 
 

@@ -10,10 +10,10 @@ exact rational (D - k)/D with D = |U|.  Weights are stored as integer
 numerators over the common denominator D, which keeps every downstream
 identity check in integer arithmetic.
 
-The word correlation sums run over every x in R^k.  Both its sweeps,
-the exhaustive one and the sampled one, take the words x g of their
-columns g from spans.message_words, one outer-sum pass per block of
-columns, within the cap that would bound an enumeration of R^k.
+The word correlation identity over R^k needs no sweep of its own: it
+follows from the coset sums and the ideal correlation identity (see
+check_correlation_vectors).  Only past the cap does identity_suite
+sample it, taking the words x g of each draw from spans.message_words.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
 from .rings import ELEMENT_DTYPE, order2_socle_part
-from .spans import (BLOCK_ENTRIES, encode_vectors, enum_cap,
-                    enumerate_vectors, enumeration_size, message_words,
-                    point_ids)
+from .spans import (BLOCK_ENTRIES, enum_cap, enumeration_size,
+                    message_words, point_ids)
 
 _IDEAL_COUNT_CAP = 4096
 
@@ -110,20 +109,14 @@ def principal_ideal_elements(ring, x, side="left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _class_least(order, members):
-    """The least member of the class of each x in range(order), for a
-    partition of range(order); members(x) gives the class of x."""
+def _class_minima(order, members):
+    """The least member of each class of a partition of range(order),
+    ascending; members(x) gives the class of x."""
     least = np.full(order, -1)
     for x in range(order):
         if least[x] < 0:
             least[members(x)] = x
-    return least
-
-
-def _class_minima(order, members):
-    """The least member of each class of a partition of range(order),
-    ascending; members(x) gives the class of x."""
-    return np.flatnonzero(_class_least(order, members) == np.arange(order))
+    return np.flatnonzero(least == np.arange(order))
 
 
 def _unit_orbit_minima(ring, side):
@@ -264,15 +257,6 @@ def _right_unit_invariant(ring, table):
                  == num[:, None]).all())
 
 
-def _orbit_count(ring, units, k):
-    """The number of orbits {vu : u in units} of R^k, for a group of
-    units: by Burnside's lemma, the mean over u of the words that u
-    fixes, (|{x : xu = x}|)^k of them."""
-    fixed = (ring.mul_table[:, units] == np.arange(ring.order)[:, None]).sum(
-        axis=0)
-    return sum(int(f) ** k for f in fixed) // len(units)
-
-
 def _fixing_unit_count(ring, ideal):
     """|{u a unit : xu = x for all x in the ideal}|."""
     fixed = ring.mul_table[np.ix_(ideal, ring.units_array)] == ideal[:, None]
@@ -381,86 +365,26 @@ def correlation_vectors(ring, table, wg, xh, s, same, m):
     return lhs, rhs, np.broadcast_to(m * (D * D), lhs.shape)
 
 
-def check_correlation_vectors(ring, k, table=None, cap=None):
-    """Exhaustive sweep of the word correlation identity over nonzero
-    g, h in R^k and every shift s: one float64 matrix product per
-    shift, exact below 2^53.
+def check_correlation_vectors(ring, table=None):
+    """The word correlation identity of correlation_vectors, for every
+    k, nonzero g, h in R^k and shift s, derived from check_coset_sums
+    and check_correlation_ideal, whose errors it raises.
 
-    For units u and v, lhs(gu, h, s) = lhs(g, h, s) and lhs(g, hv, s) =
-    lhs(g, h, sv^-1) when w is right-unit invariant (the right half of
-    check_unit_invariance), and the rhs moves with them; so on such a
-    table g and h run over the least member of each right unit orbit
-    of R^k only, and on any other table over every nonzero vector.
-    With P of them, counted by _orbit_count, the sweep takes
-    order P^2 order^k multiply-adds; past cap^2 it raises
-    CapExceededError before it builds anything order^k x P.  A
-    failure reports the least failing (s, g, h) of the unreduced
-    sweep, by shift and then by key: s = tv, g the representative and
-    h = h'v of a failing representative triple (g, h', t)."""
-    table = table if table is not None else weight_table(ring)
-    cap = enum_cap() if cap is None else cap
-    order = ring.order
-    num = table.numerators
-    vecs = enumerate_vectors(order, k, cap)
-    invariant = _right_unit_invariant(ring, table)
-    units = (ring.units_array if invariant
-             else np.array([ring.one], dtype=ELEMENT_DTYPE))
-    width = _orbit_count(ring, units, k) - 1
-    work = order * width ** 2 * len(vecs)
-    if work > cap * cap:
-        raise CapExceededError(
-            f"word correlation sweep over {order}**{k} vectors takes "
-            f"{work} multiply-adds, past cap**2 = {cap * cap}; "
-            f"--cap {len(vecs) - 1} selects the sampled sweep")
-    pids, sizes = point_ids(ring, vecs[1:])
-    cols = np.arange(1, len(vecs))
-    if invariant:
-        cols = cols[pids == cols]
-    max_num = int(num.max())
-    if len(vecs) * max_num * max_num * int(sizes.max()) >= (1 << 53):
-        raise CapExceededError(
-            "word correlation sweep would overflow exact float64 range")
-    dots = message_words(ring, vecs[cols].T, cap)
-    # float64, not int64: numpy's int64 matmul has no BLAS kernel, and
-    # the guard above keeps every float64 sum exact; int64 took the k=2
-    # sweep of Z32 from 0.05 to 0.20 s and of M2(GF(3)) from 1.7 to 14 s
-    wg = num[dots.T].astype(np.float64)
-    pids, sizes = pids[cols - 1], sizes[cols - 1]
-    same = pids[:, None] == pids[None, :]
-    m = sizes[:, None]
-    # a failure at shift t stands for failures at the shifts tv, the
-    # least of which is lowest[t]: shifts are taken in that order, up
-    # to the first failure's lowest[t]
-    lowest = _class_least(order, lambda t: ring.mul_table[t, units])
-    best = None
-    for t in np.argsort(lowest, kind="stable"):
-        if best is not None and lowest[t] > best[0]:
-            break
-        lhs, rhs, den = correlation_vectors(ring, table, wg, dots, t, same,
-                                            m)
-        bad = lhs != rhs
-        if not bad.any():
-            continue
-        gi = int(np.flatnonzero(bad.any(axis=1))[0])
-        his = np.flatnonzero(bad[gi])
-        vs = units[ring.mul_table[t, units] == lowest[t]]
-        moved = ring.mul_table[vecs[cols[his]][:, None, :],
-                               vs[None, :, None]]
-        keys = encode_vectors(moved, order)
-        at = np.unravel_index(np.argmin(keys), keys.shape)
-        found = (int(lowest[t]), int(cols[gi]), int(keys[at]))
-        if best is None or found < best:
-            hi = his[at[0]]
-            best = found
-            witness = {"ring": ring.spec.text(), "k": k,
-                       "g": vecs[cols[gi]].tolist(),
-                       "h": moved[at].tolist(), "s": found[0],
-                       "lhs": str(Fraction(int(lhs[gi, hi]),
-                                           int(den[gi, hi]))),
-                       "similar": bool(same[gi, hi])}
-    if best is not None:
-        raise IdentityCheckError("word correlation identity fails",
-                                 witness=witness)
+    Every fibre of x -> (x.g, x.h) has |R|^k / |M| elements, M its
+    image, so the left side is |R|^k / |M| times the sum over (a, b) in
+    M of w(a) w(b + s).  Let A = {x.g : x.h = 0} and B = {x.h : x.g = 0},
+    left ideals.
+    - If A != 0, the a over each b form a coset of A, summing to |A|,
+      and the b form the left ideal {x.h}, whose shifted sum is its
+      size: the left side is |R|^k, and g !~ h (h = gu gives A = 0).
+    - If B != 0, the same holds with g and h swapped.
+    - If A = B = 0, x.g -> x.h is an isomorphism of left ideals, on a
+      Frobenius ring right multiplication by a unit u (Wood's extension
+      theorem), so h = gu, and the identity is |R|^k / |I| times the
+      ideal correlation identity of I = {x.g} at r = u: g's orbit has
+      m = |U| / c words, c the units fixing I pointwise."""
+    check_coset_sums(ring, table)
+    check_correlation_ideal(ring, table)
 
 
 def _sampled_correlation_vectors(ring, k, table, sample, seed):
@@ -539,18 +463,17 @@ def identity_suite(ring, table=None, cap=None, full=False,
     as each one passes; raises IdentityCheckError at the first failure.
 
     The checks are IDENTITY_CHECKS, then the word correlation identity
-    for k = 1 and 2: exhaustive when R^k is within the cap, otherwise at
-    `sample` draws from default_rng(seed), which its status names.  With
-    `full` the CapExceededError of enumerating R^k propagates instead.
-    An exhaustive sweep past its own work bound raises CapExceededError
-    either way."""
+    for k = 1 and 2.  When R^k is within the cap it passes with no
+    further work: its premises, the coset sums and the ideal correlation
+    identity (see check_correlation_vectors), passed above on the same
+    table.  Past the cap it is checked at `sample` draws from
+    default_rng(seed), which its status names; with `full` the
+    CapExceededError of enumerating R^k propagates instead."""
     table = table if table is not None else weight_table(ring)
     for name, fn in IDENTITY_CHECKS:
         fn(ring, table)
         yield name, "pass"
     for k in (1, 2):
-        # only R^k past the cap falls back to sampling, not a sweep past
-        # its work bound
         try:
             enumeration_size(ring.order, k, cap)
         except CapExceededError:
@@ -559,7 +482,6 @@ def identity_suite(ring, table=None, cap=None, full=False,
             _sampled_correlation_vectors(ring, k, table, sample, seed)
             status = f"pass (sampled, n={sample}, seed={seed})"
         else:
-            check_correlation_vectors(ring, k, table, cap)
             status = "pass"
         yield f"word-correlation-k{k}", status
 

@@ -129,11 +129,12 @@ class GF(RingSpec):
         return f"GF({self.p}^{self.r})"
 
     def resolved_poly(self):
-        """The modulus actually used: explicit, else built-in, else error."""
-        if self.r == 1:
-            return None
+        """The modulus actually used: explicit, else built-in, else error
+        (None for a prime field without one)."""
         if self.poly is not None:
             return tuple(c % self.p for c in self.poly)
+        if self.r == 1:
+            return None
         try:
             return BUILTIN_POLYS[(self.p, self.r)]
         except KeyError:
@@ -691,15 +692,14 @@ def _realize_gf(spec):
     if r < 1:
         raise RingConstructionError("extension degree must be >= 1")
     q = p ** r
+    poly = spec.resolved_poly()
+    if poly is not None and (len(poly) != r + 1 or poly[-1] != 1):
+        raise RingConstructionError(
+            f"modulus must be monic of degree {r} (got {poly})")
     if r == 1:
         labels, add, mul, exps, _, _ = _realize_zm(Zm(p))
         return labels, add, mul, exps, p, {
             "digits": np.arange(p, dtype=ELEMENT_DTYPE)[:, None]}
-
-    poly = spec.resolved_poly()
-    if len(poly) != r + 1 or poly[-1] != 1:
-        raise RingConstructionError(
-            f"modulus must be monic of degree {r} (got {poly})")
     if not _fp_is_irreducible(poly, p):
         raise ReduciblePolynomialError(
             f"{poly} is reducible over F_{p}")

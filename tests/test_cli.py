@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from frobcode.cli import main
-from frobcode.codes import format_code_file
+from frobcode.codes import build_code, format_code_file
+from frobcode.graphs import build_coset_graph, coset_graph_srg
+from frobcode.rings import ring_from_text
 
 F3_IDENTITY = "ring: GF(3)\nk: 2 n: 2\n1 0\n0 1\n"
 Z4_ONE_WEIGHT = "ring: Z4\nk: 1 n: 3\n1 2 3\n"
@@ -166,24 +168,23 @@ def test_verify_full_respects_cap(capsys):
     assert "error:" in err
 
 
-def test_verify_past_the_work_bound_exits_2_in_2_gib():
-    # the default-cap k=2 sweep of M2(GF(4)) would take 256 * 442^2 *
-    # 65536 multiply-adds, past cap^2 = 2^40: it refuses in one line, in
-    # an address space far below the 16 GiB of an unreduced dot table
+def test_verify_default_cap_m2_gf4_passes_in_2_gib():
+    # both word correlation lines are derived from the checks above
+    # them, with no sweep of R^k, in an address space far below the
+    # 16 GiB of an unreduced dot table
     start = time.monotonic()
     proc = run_module(["verify", "M2(GF(4))"], 60, limit_mb=2048)
-    assert proc.returncode == 2
+    assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines() == [
         f"check {name}: pass" for name in (
             "zero-set", "unit-invariance", "coset-sums", "ideal-correlation",
-            "sum-of-squares", "word-correlation-k1")]
-    assert len(proc.stderr.splitlines()) == 1
-    assert "multiply-adds" in proc.stderr and "--cap 65535" in proc.stderr
+            "sum-of-squares", "word-correlation-k1", "word-correlation-k2")]
     assert time.monotonic() - start < 30
 
 
 def test_parse_errors_exit_2(capsys):
-    for spec in ["Z4x", "Z1", "GF(6)", "M0(GF(2))"]:
+    for spec in ["Z4x", "Z1", "GF(6)", "M0(GF(2))", "GF(2,poly=1,1,1)",
+                 "GF(3^1,poly=0,0,0,1)"]:
         rc, out, err = run_cli(capsys, ["ring", spec])
         assert rc == 2, spec
         assert "error:" in err
@@ -240,6 +241,24 @@ def test_analyze_f3_identity(capsys, tmp_path):
         "class-coset-sums": True,
         "coordinate-identities": True,
     }
+
+
+def test_analyze_non_modular_profile_has_no_triviality(capsys, tmp_path):
+    # a non-modular two-weight code: its coset graph is the nontrivial
+    # srg(9,4,1,2), which the closed forms do not predict, so the
+    # profile states no triviality
+    rows = [[0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 1, 2]]
+    path = write_code(tmp_path, "nonmodular.code",
+                      format_code_file("GF(3)", np.array(rows)))
+    rc, out, err = run_cli(capsys, ["analyze", path])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["modular_index"] is None
+    assert payload["profile"]["index"] is None
+    assert payload["profile"]["trivial"] is None
+    srg = coset_graph_srg(build_coset_graph(
+        build_code(ring_from_text("GF(3)"), rows)))
+    assert srg.as_tuple() == (9, 4, 1, 2) and not srg.trivial
 
 
 def test_analyze_byte_identical(capsys, tmp_path):

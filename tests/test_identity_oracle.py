@@ -1,17 +1,15 @@
 """The batched identity evaluators against the brute-force oracle in
-identity_oracle.py, the orbit- and coset-reduced ideal and word sweeps
-against the unreduced ones there, and the sweeps on corrupted weight
-tables.
+identity_oracle.py, the orbit- and coset-reduced ideal sweeps against
+the unreduced ones there, the derivation of the word correlation
+identity against its every-pair sweep and case by case, and the checks
+on corrupted weight tables.
 
-The corrupted tables move the weight of a whole unit orbit, so they
-pass the zero-set and unit-invariance checks and reach the identity
-sweeps.  Each sweep must then fail the same check with the same first
-witness as the scalar helpers it replaced did; the expected witnesses
-were recorded with those helpers.
+Most corrupted tables move the weight of a whole unit orbit, so they
+pass the unit-invariance check and reach the identity sweeps.  Each
+check must then fail with its recorded first witness.
 """
 
 from fractions import Fraction
-from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +28,6 @@ from frobcode.codes import (
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
     _fixing_unit_count,
-    _orbit_count,
     _sampled_correlation_vectors,
     all_one_sided_ideals,
     check_correlation_ideal,
@@ -38,13 +35,12 @@ from frobcode.homweight import (
     check_coset_sums,
     correlation_vectors,
     ideal_correlation,
+    identity_suite,
     weight_table,
 )
 from frobcode.rings import FiniteRing, opposite_ring, ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
-from frobcode.spans import (combine_rows, enumerate_vectors, message_words,
-                            point_ids)
-import identity_oracle
+from frobcode.spans import combine_rows, enumerate_vectors, point_ids
 from identity_oracle import (
     all_one_sided_ideals_every_element,
     bump_unit_orbit,
@@ -177,35 +173,41 @@ def test_word_evaluator_on_a_corrupted_table_matches_oracle():
 
 # ------------------------------------------------------------- faults
 
-# (ring, element whose unit orbit is bumped, delta) -> the witnesses of
-# the ideal sweep, the word sweeps for k = 1, 2, and the sampled word
-# checks for k = 1, 2 (200 draws, seed 0)
+COSET_SUM = "coset sum over a left ideal misses the ideal size"
+M2_COSET = {"ring": "M2(GF(2))", "side": "left", "ideal": [0, 2, 5, 6],
+            "shift": 1, "sum_numerator": 26, "expected_numerator": 24}
+Z6_COSET = {"ring": "Z6", "side": "left", "ideal": [0, 3], "shift": 1,
+            "sum_numerator": 5, "expected_numerator": 4}
+
+# (ring, element whose unit orbit is bumped, delta) -> the check at
+# which identity_suite stops, with its message and witness; the
+# witnesses of the ideal sweep and of check_correlation_vectors; and
+# those of the sampled word checks for k = 1, 2 (200 draws, seed 0)
 RING_FAULTS = {
     ("M2(GF(2))", 1, 1): (
+        ("coset-sums", COSET_SUM, M2_COSET),
         {"ring": "M2(GF(2))", "ideal": [0, 2, 5, 6], "r": 1, "s": 1,
          "lhs": "14/3", "rhs": "38/9"},
-        {"ring": "M2(GF(2))", "k": 1, "g": [1], "h": [1], "s": 0,
-         "lhs": "121/6", "similar": True},
-        {"ring": "M2(GF(2))", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
-         "lhs": "968/3", "similar": True},
+        (COSET_SUM, M2_COSET),
         {"g": [13], "h": [10], "s": 8, "lhs": "37/2", "rhs": "16"},
         {"g": [13, 10], "h": [8, 4], "s": 4, "lhs": "289", "rhs": "256"}),
+    # the bumped orbit is {(2,0)}, so a shift by the zero-weight
+    # element (2,1) moves the weight, and the suite stops at the zero set
     ("prod(Z4,Z2)", 4, 1): (
+        ("zero-set", "weight not invariant under shift by 5",
+         {"ring": "prod(Z4,Z2)", "shift": 5, "element": 2}),
         {"ring": "prod(Z4,Z2)", "ideal": [0, 2], "r": 1, "s": 4,
          "lhs": "0", "rhs": "-1"},
-        {"ring": "prod(Z4,Z2)", "k": 1, "g": [1], "h": [1], "s": 0,
-         "lhs": "57/4", "similar": True},
-        {"ring": "prod(Z4,Z2)", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
-         "lhs": "114", "similar": True},
+        (COSET_SUM, {"ring": "prod(Z4,Z2)", "side": "left",
+                     "ideal": [0, 2], "shift": 4, "sum_numerator": 5,
+                     "expected_numerator": 4}),
         {"g": [6], "h": [5], "s": 4, "lhs": "41/4", "rhs": "8"},
         {"g": [6, 5], "h": [4, 2], "s": 2, "lhs": "80", "rhs": "64"}),
     ("Z6", 2, 1): (
+        ("coset-sums", COSET_SUM, Z6_COSET),
         {"ring": "Z6", "ideal": [0, 3], "r": 1, "s": 1, "lhs": "4",
          "rhs": "3"},
-        {"ring": "Z6", "k": 1, "g": [1], "h": [1], "s": 0, "lhs": "25/2",
-         "similar": True},
-        {"ring": "Z6", "k": 2, "g": [0, 1], "h": [0, 1], "s": 0,
-         "lhs": "75", "similar": True},
+        (COSET_SUM, Z6_COSET),
         {"g": [5], "h": [3], "s": 3, "lhs": "8", "rhs": "6"},
         {"g": [5, 3], "h": [3, 1], "s": 1, "lhs": "48", "rhs": "36"}),
 }
@@ -217,17 +219,27 @@ def witness_of(check):
     return str(info.value), info.value.witness
 
 
+def suite_stop(ring, table):
+    """The check at which identity_suite stops, its message and its
+    witness."""
+    names = [name for name, _ in homweight.IDENTITY_CHECKS]
+    passed = []
+    with pytest.raises(IdentityCheckError) as info:
+        for name, _ in identity_suite(ring, table):
+            passed.append(name)
+    return names[len(passed)], str(info.value), info.value.witness
+
+
 @pytest.mark.parametrize("spec,x,delta", sorted(RING_FAULTS))
 def test_ring_sweeps_fail_with_the_recorded_witness(spec, x, delta):
     ring = ring_from_text(spec)
     table = bump_unit_orbit(ring, weight_table(ring), x, delta)
-    ideal, word1, word2, sampled1, sampled2 = RING_FAULTS[spec, x, delta]
+    stop, ideal, word, sampled1, sampled2 = RING_FAULTS[spec, x, delta]
+    assert suite_stop(ring, table) == stop
     assert witness_of(lambda: check_correlation_ideal(ring, table)) == (
         "ideal correlation identity fails", ideal)
-    for k, word, sampled in ((1, word1, sampled1), (2, word2, sampled2)):
-        assert witness_of(
-            lambda: check_correlation_vectors(ring, k, table)) == (
-            "word correlation identity fails", word)
+    assert witness_of(lambda: check_correlation_vectors(ring, table)) == word
+    for k, sampled in ((1, sampled1), (2, sampled2)):
         assert witness_of(
             lambda: _sampled_correlation_vectors(ring, k, table, 200, 0)) \
             == ("word correlation identity fails", sampled)
@@ -333,97 +345,70 @@ def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
     assert visited == swept * len(all_one_sided_ideals(ring, "left"))
 
 
-@pytest.mark.parametrize("bumped", [False, True])
-@pytest.mark.parametrize("spec,k", [("M2(GF(3))", 1), ("op(M2(GF(3)))", 1),
-                                    ("M2(GF(2))", 2), ("Z12", 2)])
-def test_word_correlation_takes_one_column_per_right_unit_orbit(
-        spec, k, bumped, monkeypatch):
-    # the columns g and h swept: the least member of each orbit {vu} of
-    # nonzero words; but every nonzero word on a table bumped on one
-    # element, which is not right-unit invariant
-    ring = reduced_ring(spec)
-    table = weight_table(ring)
-    if bumped:
-        table = table.with_bumped_numerator(ring.order - 1, 1)
-    swept = []
-
-    def spy(ring, matrix, cap=None):
-        swept.append(np.asarray(matrix).T.tolist())
-        return message_words(ring, matrix, cap)
-
-    monkeypatch.setattr(homweight, "message_words", spy)
-    outcome(lambda: check_correlation_vectors(ring, k, table))
-
-    def key(v):
-        return sum(int(c) * ring.order ** (k - 1 - i) for i, c in enumerate(v))
-
-    words = [list(v) for v in product(range(ring.order), repeat=k)
-             if any(v)]
-    least = [w for w in words if key(w) == min(
-        key([ring.mul_table[c, u] for c in w]) for u in ring.units)]
-    assert swept == [words if bumped else least]
-
-
 @pytest.mark.parametrize("spec,k", [
     (spec, k) for spec in REDUCED_RINGS for k in (1, 2)
     if REDUCED_ORDERS[spec] ** k <= 256])
 def test_word_correlation_matches_every_pair_oracle(spec, k):
+    # the derivation passes the weight table, as every pair (g, h) of
+    # R^k does, and fails each corrupted table, as some pair does
     ring = reduced_ring(spec)
     tables = bumped_tables(ring)
-    outcomes = [outcome(lambda: check_correlation_vectors(ring, k, table))
-                for table in tables]
-    assert outcomes == [outcome(lambda: check_correlation_vectors_every_pair(
-        ring, k, table)) for table in tables]
-    assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
+    for check in (lambda table: check_correlation_vectors(ring, table),
+                  lambda table: check_correlation_vectors_every_pair(
+                      ring, k, table)):
+        outcomes = [outcome(lambda: check(table)) for table in tables]
+        assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
+
+
+def similar_units(ring, g, h):
+    """The units u with h = g u."""
+    return [u for u in ring.units
+            if all(ring.mul_table[a, u] == b for a, b in zip(g, h))]
 
 
 @pytest.mark.parametrize("spec,k", [
-    ("M2(GF(3))", 1), ("op(M2(GF(3)))", 1), ("Z36", 1), ("M2(GF(2))", 2),
-    ("Z12", 2), ("prod(Z4,Z2)", 2), ("GF(2)[x,y]/(x^2,y^2)", 2)])
-def test_word_sweep_reports_the_unreduced_first_failure(spec, k,
-                                                        monkeypatch):
-    # the identity is made to fail on a sparse pseudo-random set of
-    # triples (g, h, s): where a hash of the weights w(x.h + s) over all
-    # x, plus one of w(x.g) or not, hits a residue modulo a prime and
-    # then modulo P^2 or P, P the number of points.  The set is closed
-    # under (gu, hv, sv), as the failures on a right-unit invariant
-    # table are, but need not start at s = 0 or at the first g and h
+    (spec, k) for spec in REDUCED_RINGS for k in (1, 2, 3)
+    if k < 3 or REDUCED_ORDERS[spec] <= 8])
+def test_word_correlation_follows_from_its_cases(spec, k):
+    # the three cases of check_correlation_vectors, against the
+    # brute-force left side at seeded (g, h, s): h random, h = g u for a
+    # unit u, and h = g r for any r.  With A = {x.g : x.h = 0} and
+    # B = {x.h : x.g = 0}, A or B nonzero gives |R|^k and g !~ h; A = B
+    # = 0 gives h = g u and the ideal correlation identity at r = u
     ring = reduced_ring(spec)
     table = weight_table(ring)
-    points = len(np.unique(point_ids(
-        ring, enumerate_vectors(ring.order, k)[1:])[0]))
-    rng = np.random.default_rng(0)
-    a, b = rng.integers(0, 1 << 20, size=(2, ring.order ** k))
-    outcomes = []
-    for by_g, residue in product((1, 0), range(8)):
-        def fail_on_hash(ring, table, wg, xh, s, same, m):
-            lhs, rhs, den = correlation_vectors(ring, table, wg, xh, s, same,
-                                                m)
-            ws = table.numerators[ring.add_table[xh, s]]
-            hashed = by_g * (wg.astype(np.int64) @ a)[:, None] + ws.T @ b
-            at = hashed % 1000003 % points ** (1 + by_g) == residue
-            return lhs, rhs + at, den
-
-        monkeypatch.setattr(homweight, "correlation_vectors", fail_on_hash)
-        monkeypatch.setattr(identity_oracle, "correlation_vectors",
-                            fail_on_hash)
-        got = outcome(lambda: check_correlation_vectors(ring, k, table))
-        assert got == outcome(lambda: check_correlation_vectors_every_pair(
-            ring, k, table))
-        outcomes.append(got)
-    # the first failures fall at more than one shift
-    assert len({o[1]["s"] for o in outcomes if o != "pass"}) > 1
-
-
-@pytest.mark.parametrize("spec", REDUCED_RINGS)
-def test_orbit_count_counts_the_points(spec):
-    ring = reduced_ring(spec)
-    for k in (1, 2):
-        if ring.order ** k <= 6561:
-            pids, _ = point_ids(ring, enumerate_vectors(ring.order, k))
-            assert _orbit_count(ring, ring.units_array, k) \
-                == len(np.unique(pids))
-        assert _orbit_count(ring, np.array([ring.one]), k) == ring.order ** k
+    order, units = ring.order, sorted(ring.units)
+    total = order ** k
+    vecs = enumerate_vectors(order, k)
+    rng = np.random.default_rng(k)
+    isomorphic = 0
+    for draw in range(6 if total <= 6561 else 2):
+        g = vecs[rng.integers(1, total)]
+        h = vecs[rng.integers(1, total)]
+        if draw % 3:
+            r = units[rng.integers(len(units))] if draw % 3 == 1 \
+                else rng.integers(order)
+            h = ring.mul_table[g, r]
+            if not h.any():
+                continue
+        s = int(rng.integers(order))
+        xg = combine_rows(ring, g[:, None], vecs)[:, 0]
+        xh = combine_rows(ring, h[:, None], vecs)[:, 0]
+        lhs = word_correlation_lhs(ring, table, g.tolist(), h.tolist(), s)
+        if xg[xh == 0].any() or xh[xg == 0].any():
+            assert lhs == total
+            assert not similar_units(ring, g, h)
+            continue
+        isomorphic += 1
+        u = similar_units(ring, g, h)[0]
+        ideal = np.unique(xg)
+        assert lhs == Fraction(total, len(ideal)) * ideal_correlation_lhs(
+            ring, table, ideal, u, s)
+        _, rhs, den = ideal_correlation(ring, table, ideal, np.array([u]),
+                                        _fixing_unit_count(ring, ideal))
+        assert lhs == Fraction(total, len(ideal)) * Fraction(
+            int(rhs[0, s]), den)
+    assert isomorphic
 
 
 def test_fixing_unit_count_is_taken_once_per_ideal(monkeypatch):

@@ -116,6 +116,21 @@ def test_reducible_polynomial_rejected():
         build_ring(parse_ring_spec("GF(2^2,poly=1,0,1)"))
 
 
+@pytest.mark.parametrize("text", ["GF(2,poly=1,1,1)", "GF(3^1,poly=0,0,0,1)",
+                                  "GF(5,poly=1,0)", "GF(3,poly=1)"])
+def test_prime_field_modulus_must_be_monic_of_degree_1(text):
+    with pytest.raises(RingConstructionError, match="monic of degree 1"):
+        build_ring(parse_ring_spec(text))
+
+
+def test_prime_field_takes_a_monic_modulus_of_degree_1():
+    ring = build_ring(parse_ring_spec("GF(3^1,poly=1,1)"))
+    field = build_ring(parse_ring_spec("GF(3)"))
+    assert ring.spec.text() == "GF(3^1,poly=1,1)"
+    assert (ring.add_table == field.add_table).all()
+    assert (ring.mul_table == field.mul_table).all()
+
+
 def test_prime_helpers_match_sympy():
     for n in range(5000):
         factors = sympy.factorint(n) if n >= 2 else {}
