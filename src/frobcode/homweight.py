@@ -13,7 +13,10 @@ identity check in integer arithmetic.
 The word correlation identity over R^k needs no sweep of its own: it
 follows from the coset sums and the ideal correlation identity (see
 check_correlation_vectors).  Only past the cap does identity_suite
-sample it, taking the words x g of each draw from spans.message_words.
+sample it.  correlation_vectors_lhs sums each draw over R^k through
+the weighted addition table w(a + b), whose order^2 entries are at
+most those of R^k, so of a draw's words x g and x h + s it forms only
+the prefixes over the first k - 1 coordinates.
 """
 
 from __future__ import annotations
@@ -143,13 +146,28 @@ def _ideal_sum(add, a, b):
     return np.flatnonzero(reached).astype(a.dtype)
 
 
+_ideal_cache = weakref.WeakKeyDictionary()
+
+
 def all_one_sided_ideals(ring, side="left"):
     """Every nonzero left (or right) ideal, as sorted element-index
-    arrays ordered by size, then elements.  Built by closing the
-    principal ideals under pairwise ideal sums.  A principal ideal
-    depends only on the unit orbit of its generator (R ux = Rx,
-    xuR = xR), so one is built per orbit; each pair of distinct ideals
-    is summed once, by _ideal_sum."""
+    arrays ordered by size, then elements.  They are built once per
+    ring and side, by _one_sided_ideals, and kept as read-only arrays
+    for the life of the ring, as weight_table keeps its table."""
+    cached = _ideal_cache.setdefault(ring, {})
+    if side not in cached:
+        ideals = _one_sided_ideals(ring, side)
+        for ideal in ideals:
+            ideal.flags.writeable = False
+        cached[side] = ideals
+    return list(cached[side])
+
+
+def _one_sided_ideals(ring, side):
+    """all_one_sided_ideals, built by closing the principal ideals under
+    pairwise ideal sums.  A principal ideal depends only on the unit
+    orbit of its generator (R ux = Rx, xuR = xR), so one is built per
+    orbit; each pair of distinct ideals is summed once, by _ideal_sum."""
     found = {}
     for x in _unit_orbit_minima(ring, side):
         ideal = principal_ideal_elements(ring, x, side)
@@ -337,38 +355,53 @@ def sum_of_squares_check(ring, table=None):
     return lhs
 
 
-def correlation_vectors_lhs(ring, table, wg, xh, s):
-    """sum over x in R^k of w(x.g) w(x.h + s), as numerators over D^2,
-    for stacks of word pairs: wg[..., i, x] is the numerator of
-    w(x.g_i) and xh[..., x, j] the element x.h_j, for every x.  One
-    matrix product per stack entry, in the dtype of wg; the callers
-    bound its sums to where that dtype is exact."""
-    ws = table.numerators[ring.add_table[xh, s]]
-    return np.matmul(wg, ws.astype(wg.dtype)).astype(np.int64)
+def correlation_vectors_lhs(ring, num, weighted, g, h, s, work):
+    """sum over x in R^k of w(x.g) w(x.h + s), as int64 numerators over
+    D^2, for each draw d: the words g[d] and h[d] of k entries and the
+    shift s[d], with num the weight numerators.  For k = 1, weighted is
+    None and the weights are gathered from num.  For k >= 2, weighted
+    is the flat weighted addition table, num[a + b] at a * order + b.
+    Writing x = (x', x_k), x.g = x'.g' + x_k g_k, so w(x.g) is weighted
+    at (x'.g') * order + x_k g_k, with the prefixes x'.g' taken from
+    spans.message_words over the first k - 1 coordinates; on the h side
+    the shift s is added to the prefix x'.h'.  work is an int64 array of
+    three rows of at least len(s) * order^k entries, which take the
+    indices and the weights of both words, so that the blocks of one
+    check share one allocation.  The caller bounds the sums below
+    2^63."""
+    index, wg, wh = (row[:len(s) * ring.order ** g.shape[1]].reshape(
+        len(s), -1) for row in work)
+    _word_weights(ring, num, weighted, g, None, index, wg)
+    _word_weights(ring, num, weighted, h, s, index, wh)
+    return np.einsum("dx,dx->d", wg, wh)
 
 
-def correlation_vectors(ring, table, wg, xh, s, same, m):
-    """Both sides of the word correlation identity
-
-        sum over x in R^k of w(x.g) w(x.h + s)
-            = |R|^k + [g ~ h] (|R|^k / m) (1 - w(s)),
-
-    where g ~ h when g and h lie on one point, a right unit orbit of m
-    words, for the word pairs of correlation_vectors_lhs; s, same and
-    m broadcast against its result.  Returns lhs and rhs as int64
-    numerators over m D^2, and those denominators."""
-    D = table.denominator
-    total = wg.shape[-1]
-    lhs = m * correlation_vectors_lhs(ring, table, wg, xh, s)
-    rhs = m * (total * D * D) + same * (
-        total * D * (D - table.numerators[s]))
-    return lhs, rhs, np.broadcast_to(m * (D * D), lhs.shape)
+def _word_weights(ring, num, weighted, words, shift, index, out):
+    """out[d, x] = w(x.words[d] + shift[d]) for every x in R^k, in the
+    key order of x, as correlation_vectors_lhs describes; no shift when
+    shift is None.  index is scratch of out's shape.  take writes into
+    out directly in mode "clip" (mode "raise" goes through a buffer),
+    and every index is in range."""
+    mul, add = ring.mul_table, ring.add_table
+    last = mul[:, words[:, -1]].T
+    if weighted is None:
+        np.copyto(index, last if shift is None
+                  else add[last, shift[:, None]])
+        num.take(index, out=out, mode="clip")
+        return
+    prefix = message_words(ring, words[:, :-1].T)
+    if shift is not None:
+        prefix = add[prefix, shift]
+    np.add(prefix.T.astype(np.int64)[:, :, None] * ring.order,
+           last[:, None, :], out=index.reshape(len(words), -1, ring.order))
+    weighted.take(index, out=out, mode="clip")
 
 
 def check_correlation_vectors(ring, table=None):
-    """The word correlation identity of correlation_vectors, for every
-    k, nonzero g, h in R^k and shift s, derived from check_coset_sums
-    and check_correlation_ideal, whose errors it raises.
+    """The word correlation identity of _sampled_correlation_vectors,
+    for every k, nonzero g, h in R^k and shift s, derived from
+    check_coset_sums and check_correlation_ideal, whose errors it
+    raises.
 
     Every fibre of x -> (x.g, x.h) has |R|^k / |M| elements, M its
     image, so the left side is |R|^k / |M| times the sum over (a, b) in
@@ -388,14 +421,20 @@ def check_correlation_vectors(ring, table=None):
 
 
 def _sampled_correlation_vectors(ring, k, table, sample, seed):
-    """The word correlation identity at `sample` draws (g, h, s) from
-    default_rng(seed); a draw with g or h zero takes no s and is
-    skipped.  R^k must be within the default cap, and so must the
-    number of draws, which are written into arrays of `sample` rows
-    allocated up front; R^k is never formed: the draws are taken in
-    blocks of at most BLOCK_ENTRIES entries (draw, x), each block's
-    words x g and x h are message_words, and each draw is summed over
-    R^k in int64."""
+    """The word correlation identity
+
+        sum over x in R^k of w(x.g) w(x.h + s)
+            = |R|^k + [g ~ h] (|R|^k / m) (1 - w(s)),
+
+    where g ~ h when g and h lie on one point, a right unit orbit of m
+    words, at `sample` draws (g, h, s) from default_rng(seed); a draw
+    with g or h zero takes no s and is skipped.  R^k must be within the
+    default cap, and so must the number of draws, which are written
+    into arrays of `sample` rows allocated up front.  R^k is never
+    formed: correlation_vectors_lhs sums the draws in int64, in blocks
+    of at most BLOCK_ENTRIES entries (draw, x) over both words, which
+    share one work array.  For k >= 2 it reads the weighted addition
+    table, whose order^2 entries are at most those of R^k."""
     if sample > enum_cap():
         raise CapExceededError(
             f"{sample} sampled draws exceed cap {enum_cap()}")
@@ -416,32 +455,34 @@ def _sampled_correlation_vectors(ring, k, table, sample, seed):
     g, h, s = g[:kept], h[:kept], s[:kept]
     total = enumeration_size(order, k)
     num = table.numerators
+    D = table.denominator
     pg, mg = point_ids(ring, g)
     ph, _ = point_ids(ring, h)
-    big = max(int(np.abs(num).max()), table.denominator)
+    big = max(int(np.abs(num).max()), D)
     if total * big * big * (int(mg.max()) + 2) >= (1 << 63):
         raise CapExceededError(
             "sampled word correlation would overflow int64")
-    block = max(1, BLOCK_ENTRIES // total)
+    weighted = num[ring.add_table].ravel() if k > 1 else None
+    block = max(1, BLOCK_ENTRIES // (2 * total))
+    work = np.empty((3, min(block, len(s)) * total), dtype=np.int64)
     for start in range(0, len(s), block):
         part = slice(start, start + block)
-        xg = message_words(ring, g[part].T)
-        xh = message_words(ring, h[part].T)
-        lhs, rhs, den = correlation_vectors(
-            ring, table, num[xg.T][:, None, :], xh.T[:, :, None],
-            s[part, None, None], (pg == ph)[part, None, None],
-            mg[part, None, None])
-        lhs, rhs, den = lhs.ravel(), rhs.ravel(), den.ravel()
+        m = mg[part]
+        lhs = m * correlation_vectors_lhs(ring, num, weighted, g[part],
+                                          h[part], s[part], work)
+        rhs = m * (total * D * D) + (pg == ph)[part] * (
+            total * D * (D - num[s[part]]))
         bad = np.flatnonzero(lhs != rhs)
         if len(bad):
             j = bad[0]
             i = start + j
+            den = int(m[j]) * D * D
             raise IdentityCheckError(
                 "word correlation identity fails",
                 witness={"g": g[i].tolist(), "h": h[i].tolist(),
                          "s": int(s[i]),
-                         "lhs": str(Fraction(int(lhs[j]), int(den[j]))),
-                         "rhs": str(Fraction(int(rhs[j]), int(den[j])))})
+                         "lhs": str(Fraction(int(lhs[j]), den)),
+                         "rhs": str(Fraction(int(rhs[j]), den))})
 
 
 IDENTITY_CHECKS = (

@@ -10,8 +10,12 @@ The unreduced sweeps below enumerate every one-sided ideal from one
 principal ideal per element, sum the coset sums at every shift, take
 the ideal correlation at every multiplier r and the word correlation
 at every pair of nonzero words: the work the orbit- and coset-reduced
-sweeps of ``frobcode.homweight`` skip.  All of them serve only as
-checks on small rings and codes.
+sweeps of ``frobcode.homweight`` skip.  ``correlation_vectors``, which
+that word sweep and the tests call, evaluates the word correlation
+identity on whole stacks of words, independently of the weighted
+addition table through which ``homweight.correlation_vectors_lhs``
+sums the sampled draws.  All of them serve only as checks on small
+rings and codes.
 """
 
 from fractions import Fraction
@@ -21,7 +25,7 @@ import numpy as np
 
 from frobcode.errors import CapExceededError, IdentityCheckError
 from frobcode.homweight import WeightTable, _fixing_unit_count, \
-    correlation_vectors, ideal_correlation, weight_table
+    ideal_correlation, weight_table
 from frobcode.spans import combine_rows, enumerate_vectors, point_ids
 from span_oracle import code_words
 
@@ -90,6 +94,28 @@ def coordinate_class_sum_lhs(code, weight, j, dj):
     return sum((_w(table, int(code.ring.add_table[c[j], dj]))
                 for c in code_words(code).tolist()
                 if _word_weight(table, c) == weight), Fraction(0))
+
+
+def correlation_vectors(ring, table, wg, xh, s, same, m):
+    """Both sides of the word correlation identity
+
+        sum over x in R^k of w(x.g) w(x.h + s)
+            = |R|^k + [g ~ h] (|R|^k / m) (1 - w(s)),
+
+    where g ~ h when g and h lie on one point, a right unit orbit of m
+    words, for stacks of word pairs: wg[..., i, x] is the numerator of
+    w(x.g_i) and xh[..., x, j] the element x.h_j, for every x; s, same
+    and m broadcast against the result.  One matrix product per stack
+    entry, in the dtype of wg; the callers bound its sums to where that
+    dtype is exact.  Returns lhs and rhs as int64 numerators over
+    m D^2, and those denominators."""
+    D = table.denominator
+    total = wg.shape[-1]
+    ws = table.numerators[ring.add_table[xh, s]]
+    lhs = m * np.matmul(wg, ws.astype(wg.dtype)).astype(np.int64)
+    rhs = m * (total * D * D) + same * (
+        total * D * (D - table.numerators[s]))
+    return lhs, rhs, np.broadcast_to(m * (D * D), lhs.shape)
 
 
 def bump_unit_orbit(ring, table, x, delta):

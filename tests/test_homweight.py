@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from frobcode.errors import IdentityCheckError
 from frobcode.homweight import (
     _fixing_unit_count,
+    _one_sided_ideals,
     _sampled_correlation_vectors,
     all_one_sided_ideals,
     check_correlation_ideal,
@@ -209,6 +210,21 @@ def test_ideal_enumeration():
     assert len(left) == len(right) == 4
 
 
+def test_ideals_built_once_per_ring_and_side():
+    m2 = ring_from_text("M2(GF(2))")
+    for side in ("left", "right"):
+        cached = all_one_sided_ideals(m2, side)
+        assert [i.tolist() for i in cached] \
+            == [i.tolist() for i in _one_sided_ideals(m2, side)]
+        again = all_one_sided_ideals(m2, side)
+        assert all(a is b for a, b in zip(again, cached))
+        with pytest.raises(ValueError):
+            cached[0][0] = 1
+        # the returned list is the caller's own
+        cached.clear()
+        assert len(all_one_sided_ideals(m2, side)) == len(again)
+
+
 def test_fault_injection_breaks_coset_sums():
     z4 = ring_from_text("Z4")
     table = weight_table(z4)
@@ -242,3 +258,18 @@ def test_sampled_draws_held_in_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_sampled_kernel_working_set():
+    # 200 draws at k = 2 on M2(GF(4)), 65536 messages each: forming
+    # both word stacks per block peaks at 7.0 MiB, summing through the
+    # weighted addition table in half-size blocks at 3.6 MiB
+    m2 = ring_from_text("M2(GF(4))")
+    table = weight_table(m2)
+    tracemalloc.start()
+    try:
+        _sampled_correlation_vectors(m2, 2, table, 200, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20

@@ -33,7 +33,7 @@ from frobcode.homweight import (
     check_correlation_ideal,
     check_correlation_vectors,
     check_coset_sums,
-    correlation_vectors,
+    correlation_vectors_lhs,
     ideal_correlation,
     identity_suite,
     weight_table,
@@ -51,6 +51,7 @@ from identity_oracle import (
     code_correlation_lhs,
     coordinate_class_sum_lhs,
     coordinate_correlation_lhs,
+    correlation_vectors,
     ideal_correlation_lhs,
     word_correlation_lhs,
 )
@@ -169,6 +170,75 @@ def test_word_evaluator_on_a_corrupted_table_matches_oracle():
                     ([1, 0], [1, 0], 0)):
         lhs, _ = word_pair(ring, table, g, h, s)
         assert lhs == word_correlation_lhs(ring, table, g, h, s)
+
+
+# rings of order at most 9, on which the sampled kernel is checked
+# against the brute-force sum over R^k for k up to 3
+KERNEL_RINGS = ["Z4", "Z6", "Z8", "Z9", "GF(4)", "GF(8)", "GF(9)",
+                "prod(Z2,Z2)", "prod(Z4,Z2)"]
+
+
+def weighted_addition_table(ring, table, k):
+    """The weighted table correlation_vectors_lhs reads at k >= 2."""
+    return table.numerators[ring.add_table].ravel() if k > 1 else None
+
+
+@SETTINGS
+@given(st.data())
+def test_sampled_kernel_matches_brute_force(data):
+    ring = ring_from_text(data.draw(st.sampled_from(KERNEL_RINGS)))
+    table = weight_table(ring)
+    if data.draw(st.booleans()):
+        table = bump_unit_orbit(ring, table,
+                                data.draw(st.integers(0, ring.order - 1)),
+                                data.draw(st.integers(-2, 2)))
+    k = data.draw(st.integers(1, 3))
+    draws = data.draw(st.integers(1, 3))
+    element = st.integers(0, ring.order - 1)
+    word = st.lists(element, min_size=k, max_size=k)
+    g = np.array([data.draw(word) for _ in range(draws)], dtype=np.int16)
+    h = np.array([data.draw(word) for _ in range(draws)], dtype=np.int16)
+    s = np.array([data.draw(element) for _ in range(draws)],
+                 dtype=np.int16)
+    work = np.empty((3, draws * ring.order ** k), dtype=np.int64)
+    sums = correlation_vectors_lhs(
+        ring, table.numerators, weighted_addition_table(ring, table, k),
+        g, h, s, work)
+    D = table.denominator
+    assert [Fraction(int(v), D * D) for v in sums] == [
+        word_correlation_lhs(ring, table, gi.tolist(), hi.tolist(), int(si))
+        for gi, hi, si in zip(g, h, s)]
+
+
+def test_sampled_draws_match_the_word_stack_evaluator(monkeypatch):
+    # every draw verify 'M2(GF(4))' --cap 65535 --seed 1 takes at k = 2,
+    # summed on the weight table and on a bumped copy, on which the sum
+    # depends on s even when g and h lie on different points
+    ring = ring_from_text("M2(GF(4))")
+    table = weight_table(ring)
+    blocks = []
+
+    def spy(ring, num, weighted, g, h, s, work):
+        blocks.append((g, h, s))
+        return correlation_vectors_lhs(ring, num, weighted, g, h, s, work)
+
+    monkeypatch.setattr(homweight, "correlation_vectors_lhs", spy)
+    homweight._sampled_correlation_vectors(ring, 2, table, 200, 1)
+    assert sum(len(s) for _, _, s in blocks) == 200
+    vecs = enumerate_vectors(ring.order, 2)
+    for table in (table, bump_unit_orbit(ring, table, 1, 1)):
+        weighted = weighted_addition_table(ring, table, 2)
+        for g, h, s in blocks:
+            work = np.empty((3, len(s) * len(vecs)), dtype=np.int64)
+            sums = correlation_vectors_lhs(ring, table.numerators,
+                                           weighted, g, h, s, work)
+            xg = combine_rows(ring, g.T, vecs)
+            xh = combine_rows(ring, h.T, vecs)
+            lhs, _, _ = correlation_vectors(
+                ring, table, table.numerators[xg.T][:, None, :],
+                xh.T[:, :, None], s[:, None, None], False,
+                np.ones((len(s), 1, 1), dtype=np.int64))
+            assert lhs.ravel().tolist() == sums.tolist()
 
 
 # ------------------------------------------------------------- faults
