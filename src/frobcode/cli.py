@@ -9,18 +9,20 @@ verification check failed, 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .codes import (
+    TwoWeightProfile,
     build_code,
     parse_code_file,
     sweep_code_identities,
 )
-from .duality import dual_pipeline
+from .duality import DualReport, dual_pipeline
 from .errors import (
     CapExceededError,
     CharacterError,
@@ -31,6 +33,8 @@ from .errors import (
     ZeroColumnError,
 )
 from .graphs import (
+    EquivalenceReport,
+    SrgParams,
     build_coset_graph,
     coset_graph_srg,
     predicted_dual_srg,
@@ -38,7 +42,7 @@ from .graphs import (
 )
 from .homweight import RING_CHECKS, SAMPLE_COUNT, identity_suite, weight_table
 from .rings import ring_from_text
-from .search import search_modular_codes
+from .search import SearchRecord, search_modular_codes
 from .spans import enum_cap
 
 USAGE_ERRORS = (SpecParseError, ZeroColumnError, CapExceededError,
@@ -52,13 +56,55 @@ def _rat(x):
     return str(Fraction(x))
 
 
-def _emit_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
+# the text of each scalar type a report holds, by exact type
+_SCALARS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _write_json(value, write, newline="\n", render=None):
+    """Write value through write(chunk) exactly as json.dumps(value,
+    indent=2, sort_keys=True) renders it, when the value starts on a
+    line whose indentation newline ends with.  Only dict with str keys,
+    list, str, int, bool and None are written; a value of any other
+    type goes to render(value, write, newline), and without render
+    raises TypeError, so no float or numpy scalar reaches a report."""
+    kind = type(value)
+    if kind in _SCALARS:
+        write(_SCALARS[kind](value))
+    elif (kind is dict or kind is list) and value:
+        inner = newline + "  "
+        if kind is dict:
+            # encode_basestring_ascii raises TypeError on a key not str
+            items = [(f"{encode_basestring_ascii(key)}: ", value[key])
+                     for key in sorted(value)]
+            separator, closing = "{" + inner, newline + "}"
+        else:
+            items = [("", item) for item in value]
+            separator, closing = "[" + inner, newline + "]"
+        for label, item in items:
+            write(separator + label)
+            _write_json(item, write, inner, render)
+            separator = "," + inner
+        write(closing)
+    elif kind is dict or kind is list:
+        write("{}" if kind is dict else "[]")
+    elif render is not None:
+        render(value, write, newline)
     else:
-        print(text, end="")
+        raise TypeError(f"Object of type {kind.__name__} "
+                        "is not JSON serializable")
+
+
+def _emit_json(payload, path, render=None):
+    """Write the report payload, as _write_json renders it plus a
+    newline, to the file at path or to stdout when path is empty."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as handle:
+        _write_json(payload, handle.write, render=render)
+        handle.write("\n")
 
 
 def _check_sampling(args):
@@ -281,45 +327,86 @@ def _record_line(rec):
 
 
 def _record_payload(rec):
-    payload = {
+    """A search record's report entry.  Its index, weights, srg,
+    profile, dual and equivalence stay objects, for _RecordRenderer to
+    render once per report."""
+    return {
         "ring": rec.ring_text,
         "k": rec.k,
         "point_ids": list(rec.point_ids),
-        "index": _rat(rec.index),
+        "index": rec.index,
         "n": rec.n,
         "size": rec.size,
         "b0": rec.b0,
         "classification": rec.classification,
-        "weights": [_rat(w) for w in rec.weights],
-        "profile": _profile_payload(rec.profile),
-        "srg": list(rec.srg.as_tuple()) if rec.srg is not None else None,
+        "weights": rec.weights,
+        "profile": rec.profile,
+        "srg": rec.srg,
         "trivial": rec.srg.trivial if rec.srg is not None else None,
+        "dual": rec.dual,
+        "equivalence": rec.equivalence,
     }
-    if rec.dual is not None:
-        payload["dual"] = {
-            "w1_dual": _rat(rec.dual.w1_dual),
-            "w2_dual": _rat(rec.dual.w2_dual),
-            "srg": list(rec.dual.srg.as_tuple()),
-        }
-    else:
-        payload["dual"] = None
-    if rec.equivalence is not None:
-        cert = rec.equivalence.pds
-        payload["equivalence"] = {
-            "two_weight": rec.equivalence.two_weight,
-            "pds": None if cert is None else {
-                "group_size": cert.group_size,
-                "set_size": cert.set_size,
-                "lam": cert.lam,
-                "mu": cert.mu,
-            },
-            "omega_with_zero_submodule":
-                rec.equivalence.omega_with_zero_submodule,
-            "complement_submodule": rec.equivalence.complement_submodule,
-        }
-    else:
-        payload["equivalence"] = None
-    return payload
+
+
+def _dual_payload(dual):
+    return {
+        "w1_dual": _rat(dual.w1_dual),
+        "w2_dual": _rat(dual.w2_dual),
+        "srg": dual.srg,
+    }
+
+
+def _equivalence_payload(report):
+    cert = report.pds
+    return {
+        "two_weight": report.two_weight,
+        "pds": None if cert is None else {
+            "group_size": cert.group_size,
+            "set_size": cert.set_size,
+            "lam": cert.lam,
+            "mu": cert.mu,
+        },
+        "omega_with_zero_submodule": report.omega_with_zero_submodule,
+        "complement_submodule": report.complement_submodule,
+    }
+
+
+# the payload of each sub-object type of a search record; the tuple is
+# its weights
+_SUB_OBJECT_PAYLOADS = {
+    Fraction: _rat,
+    tuple: lambda weights: [_rat(w) for w in weights],
+    SrgParams: lambda srg: list(srg.as_tuple()),
+    TwoWeightProfile: _profile_payload,
+    DualReport: _dual_payload,
+    EquivalenceReport: _equivalence_payload,
+}
+
+
+class _RecordRenderer:
+    """The render hook of the search report.  It writes each search
+    record's payload, and renders each distinct sub-object once per
+    report, keyed by its source object and indentation: a repeat
+    reuses that text."""
+
+    def __init__(self):
+        self._texts = {}
+
+    def __call__(self, value, write, newline):
+        if type(value) is SearchRecord:
+            write(self._text(_record_payload(value), newline))
+            return
+        key = value, newline
+        text = self._texts.get(key)
+        if text is None:
+            payload = _SUB_OBJECT_PAYLOADS[type(value)](value)
+            text = self._texts[key] = self._text(payload, newline)
+        write(text)
+
+    def _text(self, payload, newline):
+        chunks = []
+        _write_json(payload, chunks.append, newline, self)
+        return "".join(chunks)
 
 
 SEARCH_DEFAULTS = {"k": 2, "n_max": 4, "mult_cap": None}
@@ -362,8 +449,8 @@ def cmd_search(args):
             "k": params["k"],
             "n_max": params["n_max"],
             "index_one": bool(args.index1),
-            "records": [_record_payload(rec) for rec in records],
-        }, args.json)
+            "records": records,
+        }, args.json, _RecordRenderer())
     return 0
 
 

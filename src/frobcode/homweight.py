@@ -37,12 +37,18 @@ _IDEAL_COUNT_CAP = 4096
 
 class WeightTable:
     """Homogeneous weights of one ring as numerators over a common
-    denominator (the unit group size)."""
+    denominator (the unit group size).  The table holds its ring
+    weakly, so that weight_table's cache, keyed weakly by the ring,
+    lets the ring go."""
 
     def __init__(self, ring, numerators, denominator):
-        self.ring = ring
+        self._ring = weakref.ref(ring)
         self.numerators = np.ascontiguousarray(numerators, dtype=np.int64)
         self.denominator = int(denominator)
+
+    @property
+    def ring(self):
+        return self._ring()
 
     def value(self, x):
         return Fraction(int(self.numerators[x]), self.denominator)

@@ -233,7 +233,9 @@ class _PointTables:
                         dtype=ELEMENT_DTYPE)
         self.sizes = np.array([p.orbit_size for p in points], dtype=np.int64)
         table = weight_table(ring)
+        self.ring_text = ring.spec.text()
         self.denominator = table.denominator
+        self._weights = {}
         self.zero_only = table.zero_set() == {0}
         bound = int(np.abs(table.numerators).max()) * int(self.sizes.sum())
         if bound >= 1 << 63:
@@ -357,10 +359,9 @@ class _PointTables:
         intended index needs no check: the columns are the point
         representatives with multiplicities index * orbit size."""
         numerators, size, b0, equivalence = row
-        n = int(index * sum(p.orbit_size for p in subset))
-        scale = self.denominator * index.denominator
-        weights = tuple(Fraction(v * index.numerator, scale)
-                        for v in numerators)
+        r, s = index.numerator, index.denominator
+        n = r * sum(p.orbit_size for p in subset) // s
+        weights = tuple(self._weight(v, r, s) for v in numerators)
         classification = _CLASSIFICATIONS.get(len(weights), "mixed")
         generator = partial(_candidate_generator, ring, subset, index)
         profile = srg = dual = report = None
@@ -394,8 +395,17 @@ class _PointTables:
                 zero_only=self.zero_only, omega_size=omega_size,
                 ambient_size=ambient, generator=generator)
         return SearchRecord(
-            ring_text=ring.spec.text(), k=k,
+            ring_text=self.ring_text, k=k,
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
             size=size, b0=b0, classification=classification,
             weights=weights, profile=profile, srg=srg, dual=dual,
             equivalence=report)
+
+    def _weight(self, numerator, r, s):
+        """The weight of a word with this numerator at index r/s: one
+        Fraction per distinct (numerator, index) in a search."""
+        key = numerator, r, s
+        if key not in self._weights:
+            self._weights[key] = Fraction(numerator * r,
+                                          self.denominator * s)
+        return self._weights[key]

@@ -7,8 +7,10 @@ it while being an exact rational.
 """
 
 import cmath
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +225,21 @@ def test_ideals_built_once_per_ring_and_side():
         # the returned list is the caller's own
         cached.clear()
         assert len(all_one_sided_ideals(m2, side)) == len(again)
+
+
+def test_cached_table_and_ideals_let_their_ring_go():
+    # the cached table once held its ring, which kept the weak key, and
+    # the ideals cached with it, alive for the life of the process
+    m2 = ring_from_text("M2(GF(2))")
+    table = weight_table(m2)
+    assert table.ring is m2
+    for side in ("left", "right"):
+        all_one_sided_ideals(m2, side)
+    ring = weakref.ref(m2)
+    del m2
+    gc.collect()
+    assert ring() is None
+    assert table.ring is None
 
 
 def test_fault_injection_breaks_coset_sums():
