@@ -13,12 +13,22 @@ closed under left units, the smaller-weight words generating the code
 as their messages spanning R^k, and the dual graph, the Cayley graph
 on Z connected by the occurring points.  The words X1 z are formed a
 block of z at a time and only their weights are kept.
+
+``dual_pipeline`` is a measurement step and a closed-form step.  A
+``DualMeasurement`` holds what is measured on Z: the dual word weights,
+index one, the dual graph and the span.  ``certify_dual`` checks the
+closed forms of a profile against it: the two forms of the smaller
+dual weight, the weight of each class of z, the dual profile, the dual
+graph parameters and the triviality criterion.  The measurement does
+not read the index, so the search measures it once per point subset
+and runs the closed forms of each further index against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -48,22 +58,27 @@ def _smaller_class_mask(code):
 @dataclass(frozen=True)
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
-    with the keys, the fibre size |ker G|, and the messages X1, one per
-    smaller-weight word."""
+    with the keys, the fibre size |ker G|, the messages X1, one per
+    smaller-weight word, the weight numerator of each dual word X1 z,
+    and the mask of the z on an occurring column point."""
     elements: np.ndarray
     keys: np.ndarray
     fibre: int
     x1: np.ndarray
+    numerators: np.ndarray
+    on_point: np.ndarray
 
 
 def _column_module(code, cap):
     """The column module of the code's generator, enumerated once and
     shared by the dual and the message classification.  Checks that
-    |Z| = |C| and that |Z| divides order^n."""
+    |Z| = |C| and that |Z| divides order^n.  The dual words X1 z are
+    formed in blocks of z of at most BLOCK_ENTRIES entries."""
     ring, order, n = code.ring, code.ring.order, code.n
     # b0 = 1: the least message of a word is the least of its coset
     least = code.coset_keys == np.arange(len(code.coset_keys))
-    x1 = np.flatnonzero(_smaller_class_mask(code) & least)
+    x1 = decode_vectors(np.flatnonzero(_smaller_class_mask(code) & least),
+                        order, code.k)
     z, keys = column_module(ring, code.generator, cap)
     if len(z) != code.size:
         raise IdentityCheckError(
@@ -74,7 +89,14 @@ def _column_module(code, cap):
         raise IdentityCheckError(
             "column module size does not divide the message space",
             witness={"column_module": len(z), "messages": f"{order}**{n}"})
-    return _ColumnModule(z, keys, fibre, decode_vectors(x1, order, code.k))
+    block = max(1, BLOCK_ENTRIES // len(x1))
+    numerators = np.concatenate([
+        code.table.word_numerator(apply_matrix(ring, x1,
+                                               z[start:start + block]))
+        for start in range(0, len(z), block)])
+    on_point = np.isin(keys, encode_vectors(code.support, order))
+    on_point[keys == 0] = False
+    return _ColumnModule(z, keys, fibre, x1, numerators, on_point)
 
 
 @dataclass(frozen=True)
@@ -95,7 +117,52 @@ def dual_pipeline(code, cap=None):
     two-weight code with trivial zero-weight subcode on the column
     module Z.  Returns a report; raises IdentityCheckError on the first
     discrepancy."""
-    profile = code.modular_two_weight("dual pipeline")
+    return certify_dual(code.modular_two_weight("dual pipeline"),
+                        DualMeasurement(code, cap))
+
+
+class DualMeasurement:
+    """The measured side of a dual: the column module Z with the dual
+    word weight of each z, the dual's index one, its graph on Z and the
+    span of the smaller-weight messages.  None of them reads the code's
+    index, so a code whose numerators are m times this code's, with the
+    same kernel, has the same ones, its fibres order^(n - n0) times as
+    large.  Each is measured at first use, so certify_dual interleaves
+    them with the closed forms in one fixed order and fails first where
+    that order does."""
+
+    def __init__(self, code, cap):
+        self.code, self.cap = code, cap
+
+    @cached_property
+    def module(self):
+        return _column_module(self.code, self.cap)
+
+    @cached_property
+    def index_one(self):
+        """None, once the dual is of index one (see _check_index_one)."""
+        _check_index_one(self.code, self.module.x1)
+
+    @cached_property
+    def srg(self):
+        """The measured Cayley graph on Z connected by the on-point z."""
+        module = self.module
+        return _cayley_srg(self.code.ring, module.elements[module.on_point],
+                           module.keys, np.arange(len(module.keys)),
+                           module.on_point)
+
+    @cached_property
+    def spans(self):
+        """None, once the smaller-weight words generate the code (see
+        _check_smaller_class_spans)."""
+        _check_smaller_class_spans(self.code, self.cap)
+
+
+def certify_dual(profile, measurement):
+    """The dual report of a code with this modular two-weight profile
+    and trivial zero-weight subcode, from the closed forms in the
+    profile checked against the measurement of that code, or of the
+    code of its points at an index that divides its own."""
     if profile.b0 != 1:
         raise PreconditionError(
             "dual pipeline needs a trivial zero-weight subcode")
@@ -111,17 +178,18 @@ def dual_pipeline(code, cap=None):
             witness={"first": str(w1_dual), "second": str(w1_dual_alt)})
     w2_dual = (w2 - n) * size / (w2 - w1)
 
-    module = _column_module(code, cap)
+    module, code = measurement.module, measurement.code
     on_point, class_counts = _check_message_classification(
         code, module, w1_dual, w2_dual)
-    _check_index_one(code, module.x1)
+    measurement.index_one  # raises unless the dual has index one
+    scale = code.ring.order ** (n - code.n)
+    class_counts = tuple(scale * count for count in class_counts)
 
     b1_dual = int(on_point.sum())
     dual_profile = _checked_profile(TwoWeightProfile(
         n=len(module.x1), size=size, b0=1, w1=w1_dual, w2=w2_dual,
         b1=b1_dual, b2=size - 1 - b1_dual, index=Fraction(1)))
-    measured = _cayley_srg(code.ring, module.elements[on_point],
-                           module.keys, np.arange(size), on_point)
+    measured = measurement.srg
     predicted = predicted_dual_srg(profile)
     also_predicted = predicted_srg(dual_profile)
     if measured != predicted or measured != also_predicted:
@@ -136,7 +204,7 @@ def dual_pipeline(code, cap=None):
             witness={"dual_trivial": measured.trivial, "w1": str(w1),
                      "n": n})
 
-    _check_smaller_class_spans(code, cap)
+    measurement.spans  # raises unless the smaller-weight words span the code
     return DualReport(
         dual_size=size, w1_dual=w1_dual, w2_dual=w2_dual,
         b1_dual=dual_profile.b1, b2_dual=dual_profile.b2,
@@ -150,18 +218,10 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
     weight the smaller closed form), or neither (the larger closed
     form).  Only z = 0 may have a dual word of weight 0.  Returns the
     mask of the on-point z and the class sizes, each z standing for its
-    whole fibre.  The dual words are formed in blocks of z of at most
-    BLOCK_ENTRIES entries."""
+    whole fibre."""
     D = code.denominator
-    z, x1 = module.elements, module.x1
-    block = max(1, BLOCK_ENTRIES // len(x1))
-    wnum = np.concatenate([
-        code.table.word_numerator(apply_matrix(code.ring, x1,
-                                               z[start:start + block]))
-        for start in range(0, len(z), block)])
+    wnum, on_point = module.numerators, module.on_point
     zero = module.keys == 0
-    on_point = np.isin(module.keys, encode_vectors(
-        code.support, code.ring.order)) & ~zero
     other = ~zero & ~on_point
     for cls, mask, expected in (("kernel", zero, 0),
                                 ("on-point", on_point, int(w1_dual * D)),
@@ -170,7 +230,7 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
         if len(bad):
             raise IdentityCheckError(
                 f"dual word weight disagrees with its {cls} class",
-                witness={"z": z[bad[0]].tolist(),
+                witness={"z": module.elements[bad[0]].tolist(),
                          "weight": str(Fraction(int(wnum[bad[0]]), D))})
     counts = tuple(module.fibre * int(mask.sum())
                    for mask in (zero, on_point, other))

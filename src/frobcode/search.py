@@ -9,6 +9,18 @@ certifies all the predicted graph, dual, and difference-set structure
 on the spot.  Every candidate is classified and its difference-set
 claims certified from point tables; a code is built only for the
 claims that read its codewords.
+
+Changing the index scales every weight by the same factor and leaves
+the zero-weight and smaller-weight messages, the column module, the
+coset graph and the dual words as they are.  So a two-weight point
+subset's measured facts are taken once, at its first index: the srg of
+its coset graph and, for b0 = 1, its dual's column module, word
+weights, index one, graph and span.  Each further index still builds
+its own code, certifies it as the first index's code scaled (the
+numerators m times as large and the same kernel, m = index / first
+index), and checks its own closed forms against the shared facts: the
+predicted graph, the dual weights and classes, the dual graph and the
+triviality criterion.
 """
 
 from __future__ import annotations
@@ -20,9 +32,14 @@ from functools import partial
 
 import numpy as np
 
-from .codes import TwoWeightProfile, build_code, one_weight_verdict
+from .codes import (
+    LinearCode,
+    TwoWeightProfile,
+    build_code,
+    one_weight_verdict,
+)
 from .cyclotomic import divisors
-from .duality import DualReport, dual_pipeline
+from .duality import DualMeasurement, DualReport, certify_dual
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .graphs import (
     EquivalenceReport,
@@ -178,6 +195,7 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     # a mask costs |R^k| message entries and count^2 point-pair terms
     step = max(1, BLOCK_ENTRIES // max(count * count, len(vectors)))
     records = []
+    base = None
     for start in range(1, 1 << count, step):
         masks = np.arange(start, min(start + step, 1 << count))
         chosen = (masks[:, None] >> np.arange(count)) & 1
@@ -188,9 +206,42 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
             sizes = [p.orbit_size for p in subset]
             for index in _admissible_indices(sizes, n_max, mult_cap,
                                              index_one):
-                records.append(tables.record(ring, k, subset, index, row,
-                                             cap))
+                record, base = tables.record(ring, k, subset, index, row,
+                                             cap, base)
+                records.append(record)
+            # a subset's measurement serves its own indices only
+            base = None
     return records
+
+
+@dataclass(frozen=True)
+class _Base:
+    """What a two-weight point subset measured at its first index: the
+    code there, the srg of its coset graph, and for b0 = 1 the
+    measurement of its dual."""
+    index: Fraction
+    code: LinearCode
+    srg: SrgParams
+    dual: DualMeasurement | None
+
+    def check(self, code, subset, index):
+        """Certify the subset's code at a further index as the base code
+        scaled: m = index / base index is an integer, its numerators are
+        m times the base's and its kernel is the base's.  Its zero-weight
+        and smaller-weight messages, so its coset graph, are then the
+        base's, and with the base's points so are its column module and
+        dual words."""
+        m = index / self.index
+        if (m.denominator != 1
+                or not np.array_equal(code.numerators,
+                                      m.numerator * self.code.numerators)
+                or not np.array_equal(code.kernel, self.code.kernel)):
+            raise IdentityCheckError(
+                "code is not its subset's base code scaled by the index "
+                "ratio",
+                witness={"points": [p.pid for p in subset],
+                         "index": str(index),
+                         "base_index": str(self.index)})
 
 
 def _level(values, mask):
@@ -351,13 +402,21 @@ class _PointTables:
             self._sums[m, p] = found
         return self._sums[m, p]
 
-    def record(self, ring, k, subset, index, row, cap):
-        """The certified record of a candidate with classify's row.  A
-        code is built only for the claims that read its codewords: the
-        coset graph and dual of a two-weight candidate, and the
-        zero-weight subgroup check of a candidate with b0 > 1.  The
-        intended index needs no check: the columns are the point
-        representatives with multiplicities index * orbit size."""
+    def record(self, ring, k, subset, index, row, cap, base=None):
+        """The certified record of a candidate with classify's row, and
+        the measurement its subset's further indices share.  A code is
+        built only for the claims that read its codewords: the coset
+        graph and dual of a two-weight candidate, and the zero-weight
+        subgroup check of a candidate with b0 > 1.  The intended index
+        needs no check: the columns are the point representatives with
+        multiplicities index * orbit size.
+
+        A two-weight candidate's coset graph srg and, for b0 = 1, its
+        dual measurement are measured at its subset's first index and
+        returned as the base.  Given that base, a further index builds
+        its own code, certifies it as the base code scaled by
+        index / base index, and checks its own closed forms against the
+        shared srg and dual measurement."""
         numerators, size, b0, equivalence = row
         r, s = index.numerator, index.denominator
         n = r * sum(p.orbit_size for p in subset) // s
@@ -374,7 +433,13 @@ class _PointTables:
         if classification == "two-weight":
             profile = code.profile
             predicted = predicted_srg(profile)
-            srg = coset_graph_srg(build_coset_graph(code))
+            if base is None:
+                base = _Base(index, code,
+                             coset_graph_srg(build_coset_graph(code)),
+                             DualMeasurement(code, cap) if b0 == 1 else None)
+            else:
+                base.check(code, subset, index)
+            srg = base.srg
             if srg != predicted:
                 raise IdentityCheckError(
                     "measured graph parameters disagree with the closed "
@@ -384,7 +449,7 @@ class _PointTables:
                              "points": [p.pid for p in subset],
                              "index": str(index)})
             if b0 == 1:
-                dual = dual_pipeline(code, cap)
+                dual = certify_dual(profile, base.dual)
         if b0 == 1:
             # the column module lies in R^k, which _point_layer
             # enumerated under the cap
@@ -399,7 +464,7 @@ class _PointTables:
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
             size=size, b0=b0, classification=classification,
             weights=weights, profile=profile, srg=srg, dual=dual,
-            equivalence=report)
+            equivalence=report), base
 
     def _weight(self, numerator, r, s):
         """The weight of a word with this numerator at index r/s: one

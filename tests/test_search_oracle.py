@@ -3,6 +3,7 @@ records, the same first failure under corrupted weight tables, and a
 memoised column module equal to the one spanned by each candidate's
 generator."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,8 @@ from identity_oracle import bump_unit_orbit
 from search_oracle import certify_candidate, search_per_candidate
 
 # (spec, k, n_max, index_one): every classification, indices other than
-# 1, and b0 > 1 (prod(Z2,Z2), where the weight vanishes off 0)
+# 1, and b0 > 1 (prod(Z2,Z2), where the weight vanishes off 0), with
+# two-weight subsets of several indices for b0 = 1 and b0 > 1
 CASES = [
     ("GF(2)", 2, 6, False),
     ("GF(3)", 2, 6, False),
@@ -31,6 +33,7 @@ CASES = [
     ("M2(GF(2))", 1, 5, False),
     ("prod(Z2,Z2)", 2, 3, False),
     ("prod(Z4,Z2)", 1, 3, False),
+    ("prod(Z2,Z2)", 2, 4, False),
 ]
 SMALL_CASES = [
     ("Z4", 2, 4, False),
@@ -92,6 +95,17 @@ def test_cases_cover_every_path():
                      ("two-weight", False), ("mixed", False)}
     assert any(r.index != 1 for r in records
                if r.classification == "mixed" and r.b0 == 1)
+    # two-weight subsets whose further indices share their first
+    # index's measurement, with b0 = 1 and b0 > 1
+    indices = {}
+    for r in records:
+        if r.classification == "two-weight":
+            key = r.ring_text, r.k, r.point_ids, r.b0 == 1
+            indices.setdefault(key, set()).add(r.index)
+    for trivial in (True, False):
+        assert any(len(found) > 1
+                   and any(i.denominator != 1 for i in found)
+                   for key, found in indices.items() if key[3] == trivial)
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,7 +206,9 @@ def test_search_cap_overrides_env_cap_like_oracle(monkeypatch):
 
 def _compare_each(ring, k, n_max, index_one, cap=None):
     """The failure messages of every candidate, each one asserted equal
-    to the oracle's outcome for it."""
+    to the oracle's outcome for it.  A subset's further indices are
+    certified from the base its first passing two-weight index
+    measured, as the search certifies them."""
     points, vectors, labels = search._point_layer(ring, k, cap)
     tables = search._PointTables(ring, points, vectors, labels)
     masks = np.arange(1, 1 << len(points))
@@ -201,10 +217,13 @@ def _compare_each(ring, k, n_max, index_one, cap=None):
     for mask, row in zip(masks.tolist(), tables.classify(chosen)):
         subset = [p for i, p in enumerate(points) if mask >> i & 1]
         sizes = [p.orbit_size for p in subset]
+        base = None
         for index in search._admissible_indices(sizes, n_max, n_max,
                                                 index_one):
             got = _outcome(lambda: tables.record(ring, k, subset, index,
-                                                 row, cap))
+                                                 row, cap, base))
+            if isinstance(got[0], search.SearchRecord):
+                got, base = got
             want = _outcome(lambda: certify_candidate(
                 ring, k, subset, index, cap))
             assert got == want
@@ -239,3 +258,74 @@ def test_settled_candidates_skip_code_and_equivalence(monkeypatch):
             r.classification == "two-weight" or r.b0 > 1 for r in records)
         assert 0 < calls["build_code"] < len(records)
     assert calls["equivalence_check"] == calls["pds_check"] == 0
+
+
+def _two_weight_counts(records):
+    """The two-weight or b0 > 1 records, and the distinct two-weight
+    point subsets."""
+    return (sum(r.classification == "two-weight" or r.b0 > 1
+                for r in records),
+            len({r.point_ids for r in records
+                 if r.classification == "two-weight"}))
+
+
+def test_subset_measured_once_across_its_indices(monkeypatch):
+    # k=2, n_max=8: each two-weight point subset's coset graph and dual
+    # are measured once, and each of its indices still builds its code
+    calls = {"build_code": 0, "coset_graph_srg": 0, "DualMeasurement": 0}
+
+    def spy(name):
+        real = getattr(search, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(search, name, counted)
+
+    for name in calls:
+        spy(name)
+    totals = [0, 0]
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "Z4"):
+        records = search.search_modular_codes(_ring(spec), 2, 8)
+        built, subsets = _two_weight_counts(records)
+        assert all(r.b0 == 1 for r in records)
+        assert calls == {"build_code": built, "coset_graph_srg": subsets,
+                         "DualMeasurement": subsets}
+        totals[0] += built
+        totals[1] += subsets
+        calls.update(dict.fromkeys(calls, 0))
+    assert totals == [254, 101]
+
+
+def test_base_of_another_subset_or_index_is_refused():
+    # GF(3), k=2: points {1, 3} and {1, 4} are two-weight at indices 1/2
+    # and 1; the base of another subset, or of a later index, certifies
+    # nothing
+    ring = _ring("GF(3)")
+    points, vectors, labels = search._point_layer(ring, 2, None)
+    tables = search._PointTables(ring, points, vectors, labels)
+    masks = np.arange(1, 1 << len(points))
+    chosen = (masks[:, None] >> np.arange(len(points))) & 1
+    rows = dict(zip(masks.tolist(), tables.classify(chosen)))
+    half, one = Fraction(1, 2), Fraction(1)
+
+    def record(mask, index, base=None):
+        subset = [p for i, p in enumerate(points) if mask >> i & 1]
+        return tables.record(ring, 2, subset, index, rows[mask], None, base)
+
+    first, second = 0b0011, 0b0101
+    got, base = record(first, half)
+    assert got.classification == "two-weight"
+    assert record(first, one, base)[0] == record(first, one)[0]
+    _, other = record(second, half)
+    _, later = record(first, one)
+    for mask, index, wrong, base_index in ((first, one, other, "1/2"),
+                                           (first, half, later, "1")):
+        with pytest.raises(IdentityCheckError,
+                           match="^code is not its subset's base code "
+                                 "scaled by the index ratio$") as info:
+            record(mask, index, wrong)
+        assert info.value.witness == {
+            "points": [p.pid for i, p in enumerate(points)
+                       if mask >> i & 1],
+            "index": str(index), "base_index": base_index}
