@@ -40,13 +40,22 @@ from .spans import (
 )
 
 
+def evaluate_form(form, profile):
+    """A closed form of a two-weight profile, evaluated on the spot.
+    Every closed form reads only the profile's fields, so a caller that
+    meets one profile many times may pass a memo of it instead (the
+    search does)."""
+    return form(profile)
+
+
 class LinearCode:
     """A left linear code, held on its messages: the weight numerator of
     each message's word x G, by key, summed over column blocks, and the
-    keys of ker G.  The facts derived from them are computed once."""
+    keys of ker G.  The facts derived from them are computed once, the
+    closed forms of the profile through evaluate (see evaluate_form)."""
 
-    def __init__(self, ring, generator, table):
-        self.ring, self.table = ring, table
+    def __init__(self, ring, generator, table, evaluate=evaluate_form):
+        self.ring, self.table, self.evaluate = ring, table, evaluate
         self.generator = np.ascontiguousarray(generator, dtype=ELEMENT_DTYPE)
         self.k, self.n = self.generator.shape
         self.denominator = table.denominator
@@ -154,8 +163,9 @@ class LinearCode:
                 f"n={self.n}, size={self.size})")
 
 
-def build_code(ring, generator, cap=None):
-    """The left code of the rows of a k x n matrix, held on R^k."""
+def build_code(ring, generator, cap=None, evaluate=evaluate_form):
+    """The left code of the rows of a k x n matrix, held on R^k, whose
+    profile's closed forms are taken through evaluate."""
     # the entries are range-checked before they are narrowed to the
     # element dtype
     G = np.asarray(generator)
@@ -170,7 +180,7 @@ def build_code(ring, generator, cap=None):
         raise ZeroColumnError(
             f"generator column {int(zero_cols[0])} is all-zero")
     enumeration_size(ring.order, G.shape[0], cap)
-    code = LinearCode(ring, G, weight_table(ring))
+    code = LinearCode(ring, G, weight_table(ring), evaluate)
     code.coset_keys  # raises when the zero-weight words are not closed
     return code
 
@@ -233,12 +243,12 @@ class TwoWeightProfile:
 def two_weight_profile(code):
     """The two-weight profile of the code, or None if the number of
     distinct nonzero weights differs from two; checked by
-    _checked_profile."""
+    _checked_profile, through the code's evaluate."""
     if len(code.nonzero_weights) != 2:
         return None
     dist = code.weight_distribution
     w1, w2 = code.nonzero_weights
-    return _checked_profile(TwoWeightProfile(
+    return code.evaluate(_checked_profile, TwoWeightProfile(
         n=code.n, size=code.size, b0=dist.get(Fraction(0), 0), w1=w1,
         w2=w2, b1=dist[w1], b2=dist[w2], index=code.index))
 

@@ -16,12 +16,17 @@ block of z at a time and only their weights are kept.
 
 ``dual_pipeline`` is a measurement step and a closed-form step.  A
 ``DualMeasurement`` holds what is measured on Z: the dual word weights,
-index one, the dual graph and the span.  ``certify_dual`` checks the
-closed forms of a profile against it: the two forms of the smaller
-dual weight, the weight of each class of z, the dual profile, the dual
-graph parameters and the triviality criterion.  The measurement does
-not read the index, so the search measures it once per point subset
-and runs the closed forms of each further index against it.
+index one, the dual graph and the span.  The measurement does not read
+the index, so the search measures it once per point subset.  The
+closed forms read only a profile's fields: the dual weights
+(``_dual_weights``: both forms of the smaller, and the larger), the
+checks of the dual profile, and the dual graph predicted from the
+primal profile and from the dual profile.  ``certify_dual`` takes each
+through an ``evaluate`` hook, which evaluates it on the spot unless
+the caller passes a memo; the search passes one that evaluates each
+form once per distinct profile.  The comparisons run on every call:
+the weight of each class of z, the dual frequencies as counted on Z,
+the dual graph against both forms, and the triviality criterion.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import TwoWeightProfile, _checked_profile
+from .codes import TwoWeightProfile, _checked_profile, evaluate_form
 from .errors import IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
@@ -158,25 +163,33 @@ class DualMeasurement:
         _check_smaller_class_spans(self.code, self.cap)
 
 
-def certify_dual(profile, measurement):
-    """The dual report of a code with this modular two-weight profile
-    and trivial zero-weight subcode, from the closed forms in the
-    profile checked against the measurement of that code, or of the
-    code of its points at an index that divides its own."""
-    if profile.b0 != 1:
-        raise PreconditionError(
-            "dual pipeline needs a trivial zero-weight subcode")
+def _dual_weights(profile):
+    """The closed forms of the dual weights of a modular two-weight
+    profile with b0 = 1, (w1_dual, w2_dual), once the two forms of
+    w1_dual agree."""
     r = profile.index
     n, w1, w2 = profile.n, profile.w1, profile.w2
     size = profile.size
-
     w1_dual = (w2 - n - r) * size / (w2 - w1)
     w1_dual_alt = Fraction(profile.b1) * w1 / n
     if w1_dual != w1_dual_alt:
         raise IdentityCheckError(
             "the two closed forms for the smaller dual weight disagree",
             witness={"first": str(w1_dual), "second": str(w1_dual_alt)})
-    w2_dual = (w2 - n) * size / (w2 - w1)
+    return w1_dual, (w2 - n) * size / (w2 - w1)
+
+
+def certify_dual(profile, measurement, evaluate=evaluate_form):
+    """The dual report of a code with this modular two-weight profile
+    and trivial zero-weight subcode, from the closed forms in the
+    profile checked against the measurement of that code, or of the
+    code of its points at an index that divides its own.  Each closed
+    form is taken through evaluate, in the order the checks read it."""
+    if profile.b0 != 1:
+        raise PreconditionError(
+            "dual pipeline needs a trivial zero-weight subcode")
+    n, w1, size = profile.n, profile.w1, profile.size
+    w1_dual, w2_dual = evaluate(_dual_weights, profile)
 
     module, code = measurement.module, measurement.code
     on_point, class_counts = _check_message_classification(
@@ -186,12 +199,12 @@ def certify_dual(profile, measurement):
     class_counts = tuple(scale * count for count in class_counts)
 
     b1_dual = int(on_point.sum())
-    dual_profile = _checked_profile(TwoWeightProfile(
+    dual_profile = evaluate(_checked_profile, TwoWeightProfile(
         n=len(module.x1), size=size, b0=1, w1=w1_dual, w2=w2_dual,
         b1=b1_dual, b2=size - 1 - b1_dual, index=Fraction(1)))
     measured = measurement.srg
-    predicted = predicted_dual_srg(profile)
-    also_predicted = predicted_srg(dual_profile)
+    predicted = evaluate(predicted_dual_srg, profile)
+    also_predicted = evaluate(predicted_srg, dual_profile)
     if measured != predicted or measured != also_predicted:
         raise IdentityCheckError(
             "dual graph parameters disagree with the closed forms",

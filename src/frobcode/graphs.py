@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import least_messages
+from .codes import evaluate_form, least_messages
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .rings import ELEMENT_DTYPE
 from .spans import (
@@ -333,7 +333,8 @@ class EquivalenceReport:
 
 
 def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
-                        zero_only, omega_size, ambient_size, generator):
+                        zero_only, omega_size, ambient_size, generator,
+                        evaluate=evaluate_form):
     """Certify the equivalence claims of a modular code with trivial
     zero-weight subcode from its facts, and return its report.  The code
     is two-weight exactly when it has a profile, and that holds exactly
@@ -343,7 +344,8 @@ def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
     only at 0 (zero_only), the complement of the points in the column
     module is a submodule exactly for trivial two-weight codes.  The
     difference-set graph of a two-weight code has the dual closed-form
-    parameters.  generator is called for the witness of a failure."""
+    parameters, predicted through evaluate.  generator is called for the
+    witness of a failure."""
     two_weight = profile is not None
     trivial = two_weight and profile.trivial
     witness = None
@@ -364,7 +366,7 @@ def equivalence_verdict(*, one_weight, profile, pds, omega_sub, comp_sub,
             message, witness={"generator": generator().tolist(), **witness})
 
     if two_weight:
-        predicted = predicted_dual_srg(profile)
+        predicted = evaluate(predicted_dual_srg, profile)
         measured = pds.srg_params()
         if measured != predicted:
             raise IdentityCheckError(

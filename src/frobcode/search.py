@@ -16,11 +16,20 @@ coset graph and the dual words as they are.  So a two-weight point
 subset's measured facts are taken once, at its first index: the srg of
 its coset graph and, for b0 = 1, its dual's column module, word
 weights, index one, graph and span.  Each further index still builds
-its own code, certifies it as the first index's code scaled (the
+its own code and certifies it as the first index's code scaled (the
 numerators m times as large and the same kernel, m = index / first
-index), and checks its own closed forms against the shared facts: the
-predicted graph, the dual weights and classes, the dual graph and the
-triviality criterion.
+index).
+
+The closed forms read only a two-weight profile's fields (n, |C|, b0,
+w1, w2, b1, b2 and the index), so each is evaluated once per distinct
+profile in a search: the checked profile, the predicted graph, the
+dual weights, the checked dual profile and its graph, and the
+predicted dual graph.  Every record still compares its own facts with
+them: the shared coset graph srg, the dual's message classes, counted
+frequencies, graph and triviality, and the difference-set graph of
+the equivalence verdict.  A form that raises is not kept, so the
+search fails at the first record that reads it, as it would with
+every form evaluated at every record.
 """
 
 from __future__ import annotations
@@ -287,6 +296,7 @@ class _PointTables:
         self.ring_text = ring.spec.text()
         self.denominator = table.denominator
         self._weights = {}
+        self._forms = {}
         self.zero_only = table.zero_set() == {0}
         bound = int(np.abs(table.numerators).max()) * int(self.sizes.sum())
         if bound >= 1 << 63:
@@ -415,8 +425,8 @@ class _PointTables:
         dual measurement are measured at its subset's first index and
         returned as the base.  Given that base, a further index builds
         its own code, certifies it as the base code scaled by
-        index / base index, and checks its own closed forms against the
-        shared srg and dual measurement."""
+        index / base index, and checks its own closed forms (see _form)
+        against the shared srg and dual measurement."""
         numerators, size, b0, equivalence = row
         r, s = index.numerator, index.denominator
         n = r * sum(p.orbit_size for p in subset) // s
@@ -425,14 +435,14 @@ class _PointTables:
         generator = partial(_candidate_generator, ring, subset, index)
         profile = srg = dual = report = None
         if classification == "two-weight" or b0 > 1:
-            code = build_code(ring, generator(), cap)
+            code = build_code(ring, generator(), cap, self._form)
         if classification == "one-weight" and b0 == 1:
             # every candidate is modular by construction
             one_weight_verdict(ring, is_one=True, is_mod=True,
                                is_sub=equivalence[1], generator=generator)
         if classification == "two-weight":
             profile = code.profile
-            predicted = predicted_srg(profile)
+            predicted = self._form(predicted_srg, profile)
             if base is None:
                 base = _Base(index, code,
                              coset_graph_srg(build_coset_graph(code)),
@@ -449,7 +459,7 @@ class _PointTables:
                              "points": [p.pid for p in subset],
                              "index": str(index)})
             if b0 == 1:
-                dual = certify_dual(profile, base.dual)
+                dual = certify_dual(profile, base.dual, self._form)
         if b0 == 1:
             # the column module lies in R^k, which _point_layer
             # enumerated under the cap
@@ -458,7 +468,8 @@ class _PointTables:
                 one_weight=classification == "one-weight", profile=profile,
                 pds=pds, omega_sub=omega_sub, comp_sub=comp_sub,
                 zero_only=self.zero_only, omega_size=omega_size,
-                ambient_size=ambient, generator=generator)
+                ambient_size=ambient, generator=generator,
+                evaluate=self._form)
         return SearchRecord(
             ring_text=self.ring_text, k=k,
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
@@ -474,3 +485,13 @@ class _PointTables:
             self._weights[key] = Fraction(numerator * r,
                                           self.denominator * s)
         return self._weights[key]
+
+    def _form(self, form, profile):
+        """form(profile), evaluated once per distinct profile in this
+        search and kept by its exact fields.  A form that raises is not
+        kept, so each record that reads it raises again."""
+        key = form, profile
+        found = self._forms.get(key)
+        if found is None:
+            found = self._forms[key] = form(profile)
+        return found

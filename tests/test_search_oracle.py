@@ -1,7 +1,8 @@
 """The table-driven search against the per-candidate oracle: equal
-records, the same first failure under corrupted weight tables, and a
-memoised column module equal to the one spanned by each candidate's
-generator."""
+records, the same first failure under corrupted weight tables and
+planted closed-form faults, a memoised column module equal to the one
+spanned by each candidate's generator, and each distinct profile's
+closed forms evaluated once per search."""
 
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcode import graphs, homweight, search
+import search_oracle
+from frobcode import codes, duality, graphs, homweight, search
+from frobcode.codes import TwoWeightProfile
 from frobcode.errors import FrobcodeError, IdentityCheckError
 from frobcode.rings import ring_from_text
 from frobcode.spans import column_module, encode_vectors, is_submodule
@@ -329,3 +332,155 @@ def test_base_of_another_subset_or_index_is_refused():
             "points": [p.pid for i, p in enumerate(points)
                        if mask >> i & 1],
             "index": str(index), "base_index": base_index}
+
+
+# each closed form of a profile, by its defining module; the first two
+# also read the dual profile of a b0 = 1 two-weight code
+FORMS = {"_checked_profile": codes, "predicted_srg": graphs,
+         "predicted_dual_srg": graphs, "_dual_weights": duality}
+DUAL_SIDE = ("_checked_profile", "predicted_srg")
+
+
+def _replace_everywhere(monkeypatch, name, make):
+    """Bind make(real) in place of the function under every module name
+    bound to it, the oracle's too: one object, so the search's memo,
+    keyed on the form, still sees one form."""
+    real = getattr(FORMS.get(name, search), name)
+    fake = make(real)
+    for module in (codes, duality, graphs, search, search_oracle):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, fake)
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        def make(real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+        return make
+
+    for name in names:
+        _replace_everywhere(monkeypatch, name, counting(name))
+    return calls
+
+
+def test_each_profile_forms_evaluated_once_per_search(monkeypatch):
+    # the forms run once per distinct profile (a dual profile equal to
+    # a primal one shares its forms), and every record still compares
+    # its own measured facts with them: four srg comparisons per
+    # two-weight record (coset graph, dual graph against both forms,
+    # difference-set graph), a dual certificate per two-weight record
+    # and an equivalence verdict per b0 = 1 record
+    calls = _count_calls(monkeypatch, [*FORMS, "certify_dual",
+                                       "equivalence_verdict"])
+    compared = [0]
+    real_eq = graphs.SrgParams.__eq__
+
+    def eq(self, other):
+        compared[0] += 1
+        return real_eq(self, other)
+
+    monkeypatch.setattr(graphs.SrgParams, "__eq__", eq)
+    forms = ("_checked_profile", "predicted_srg", "predicted_dual_srg",
+             "_dual_weights")
+    expected = {("GF(2)", 2, 8, False): (4, 4, 4, 4),
+                ("GF(3)", 2, 8, False): (6, 6, 6, 6),
+                ("GF(4)", 2, 8, False): (10, 10, 8, 8),
+                ("Z4", 2, 8, False): (22, 22, 19, 19),
+                ("GF(3)", 3, 13, True): (2, 2, 2, 2)}
+    two_weight = []
+    for (spec, k, n_max, index_one), counts in expected.items():
+        calls.update(dict.fromkeys(calls, 0))
+        compared[0] = 0
+        records = search.search_modular_codes(_ring(spec), k, n_max,
+                                              index_one=index_one)
+        assert tuple(calls[name] for name in forms) == counts, spec
+        hits = sum(r.classification == "two-weight" for r in records)
+        assert all(r.b0 == 1 for r in records)
+        assert calls["certify_dual"] == hits
+        assert compared[0] == 4 * hits
+        assert calls["equivalence_verdict"] == len(records)
+        two_weight.append((hits, len(records)))
+    assert [sum(h for h, _ in two_weight[:4]),
+            sum(n for _, n in two_weight[:4])] == [254, 741]
+    assert two_weight[4] == (130, 4095)
+
+
+def test_forms_memo_lives_for_one_search(monkeypatch):
+    # two identical searches in one process evaluate the same forms
+    calls = _count_calls(monkeypatch, FORMS)
+    seen = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        search.search_modular_codes(_ring("GF(4)"), 2, 8)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] == {"_checked_profile": 10,
+                                  "predicted_srg": 10,
+                                  "predicted_dual_srg": 8,
+                                  "_dual_weights": 8}
+
+
+def _dual_profile(record):
+    """The dual profile a b0 = 1 two-weight record's forms read."""
+    dual = record.dual
+    return TwoWeightProfile(
+        n=record.profile.b1, size=record.size, b0=1, w1=dual.w1_dual,
+        w2=dual.w2_dual, b1=dual.b1_dual, b2=dual.b2_dual,
+        index=Fraction(1))
+
+
+@pytest.mark.parametrize("name,side", [
+    ("_checked_profile", "primal"), ("_checked_profile", "dual"),
+    ("predicted_srg", "primal"), ("predicted_srg", "dual"),
+    ("predicted_dual_srg", "primal"), ("_dual_weights", "primal")])
+def test_planted_form_fault_fails_like_oracle(name, side, monkeypatch):
+    # one closed form raises for one profile, read by several records:
+    # the search fails at the first record that reads it, with the
+    # oracle's message and witness, though it keeps its forms
+    case = ("GF(4)", 2, 6, False)
+    ring = _ring(case[0])
+    clean = _oracle_records(case)
+    readers = {}
+    for at, record in enumerate(clean):
+        if record.profile is None:
+            continue
+        read = [record.profile]
+        if name in DUAL_SIDE and record.dual is not None:
+            read.append(_dual_profile(record))
+        for profile in read:
+            readers.setdefault(profile, []).append(at)
+    if side == "primal":
+        candidates = {r.profile for r in clean if r.profile is not None}
+    else:
+        candidates = {_dual_profile(r) for r in clean
+                      if r.dual is not None} - {r.profile for r in clean}
+    # the profile first read last among those read more than once
+    chosen = max((p for p in candidates if len(readers[p]) > 1),
+                 key=lambda p: readers[p][0])
+    first = readers[chosen][0]
+    assert 0 < first < readers[chosen][-1]
+
+    def make(real):
+        def faulty(profile):
+            if profile == chosen:
+                raise IdentityCheckError(
+                    "planted fault", witness={"profile": repr(profile)})
+            return real(profile)
+        return faulty
+
+    _replace_everywhere(monkeypatch, name, make)
+    made = {"search": 0, "oracle": 0}
+    for module, key in ((search, "search"), (search_oracle, "oracle")):
+        def counted(*args, _real=module.SearchRecord, _key=key, **kwargs):
+            made[_key] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "SearchRecord", counted)
+    batched = _outcome(lambda: search.search_modular_codes(ring, 2, 6))
+    oracle = _outcome(lambda: search_per_candidate(ring, 2, 6))
+    assert batched == oracle == (IdentityCheckError, "planted fault",
+                                 {"profile": repr(chosen)})
+    assert made == {"search": first, "oracle": first}
