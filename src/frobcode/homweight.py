@@ -8,7 +8,10 @@ modulo the e-th cyclotomic polynomial must leave an integer constant
 (the sum is fixed by every Galois conjugation), so every weight is the
 exact rational (D - k)/D with D = |U|.  Weights are stored as integer
 numerators over the common denominator D, which keeps every downstream
-identity check in integer arithmetic.
+identity check in integer arithmetic.  The weight is constant on unit
+orbits, which come from one partition, _unit_orbits (each element's
+least left or right orbit member): the table, the ideals, the
+invariance check and the ideal correlation sweep all read it.
 
 The word correlation identity over R^k needs no sweep of its own: it
 follows from the coset sums and the ideal correlation identity (see
@@ -82,29 +85,20 @@ def _compute_table(ring):
     e = ring.exponent
     units = ring.units_array
     D = len(units)
-    order = ring.order
-    num = np.full(order, -1, dtype=np.int64)
-    num[0] = 0
     exps = ring.char_exponents % e
     phi = cyclotomic(e)
-    for x in range(1, order):
-        if num[x] >= 0:
-            continue
-        prods = ring.mul_table[units, x]
-        coeffs = np.bincount(exps[prods], minlength=e)
+    labels = _unit_orbits(ring, "left")
+    num = np.zeros(ring.order, dtype=np.int64)
+    for x in _minima(labels)[1:]:
+        coeffs = np.bincount(exps[ring.mul_table[units, x]], minlength=e)
         try:
             k = constant_remainder(tuple(int(c) for c in coeffs), phi)
         except ValueError as exc:
             raise CharacterError(
                 f"unit-orbit character sum at element {x} is not an "
                 f"integer: {exc}") from None
-        orbit = np.unique(prods)
-        num[orbit] = D - k
-    if (num < 0).any():
-        missing = int(np.flatnonzero(num < 0)[0])
-        raise CharacterError(
-            f"element {missing} received no weight (orbit cover failed)")
-    return WeightTable(ring, num, D)
+        num[x] = D - k
+    return WeightTable(ring, num[labels], D)
 
 
 # ---------------------------------------------------- ideal enumeration
@@ -118,23 +112,28 @@ def principal_ideal_elements(ring, x, side="left"):
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _class_minima(order, members):
-    """The least member of each class of a partition of range(order),
-    ascending; members(x) gives the class of x."""
+def _class_labels(order, members):
+    """The least member of the class of each x, for a partition of
+    range(order); members(x) gives the class of x."""
     least = np.full(order, -1)
     for x in range(order):
         if least[x] < 0:
             least[members(x)] = x
-    return np.flatnonzero(least == np.arange(order))
+    return least
 
 
-def _unit_orbit_minima(ring, side):
-    """The least member of each orbit {ux} (side "left") or {xu} (side
-    "right") of the unit group, ascending."""
+def _minima(labels):
+    """The least member of each class, ascending, from _class_labels."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
+def _unit_orbits(ring, side):
+    """The least member of the orbit {ux} (side "left") or {xu} (side
+    "right") of the unit group, for each element."""
     units = ring.units_array
     if side == "left":
-        return _class_minima(ring.order, lambda x: ring.mul_table[units, x])
-    return _class_minima(ring.order, lambda x: ring.mul_table[x, units])
+        return _class_labels(ring.order, lambda x: ring.mul_table[units, x])
+    return _class_labels(ring.order, lambda x: ring.mul_table[x, units])
 
 
 def _ideal_sum(add, a, b):
@@ -175,7 +174,7 @@ def _one_sided_ideals(ring, side):
     orbit of its generator (R ux = Rx, xuR = xR), so one is built per
     orbit; each pair of distinct ideals is summed once, by _ideal_sum."""
     found = {}
-    for x in _unit_orbit_minima(ring, side):
+    for x in _minima(_unit_orbits(ring, side)):
         ideal = principal_ideal_elements(ring, x, side)
         found.setdefault(ideal.tobytes(), ideal)
     frontier = list(found)
@@ -233,20 +232,20 @@ def check_zero_set(ring, table=None):
 
 
 def check_unit_invariance(ring, table=None):
-    """w(ux) = w(x) = w(xu) for every unit u."""
+    """w(ux) = w(x) = w(xu) for every unit u: w is constant on the unit
+    orbits.  Only on failure are the units scanned, ascending, for the
+    witness: the first unit that moves a weight, at its least element."""
     table = table if table is not None else weight_table(ring)
-    num = table.numerators
-    units = ring.units_array
-    left = num[ring.mul_table[units, :]]
-    right = num[ring.mul_table[:, units].T]
-    for name, scaled in (("left", left), ("right", right)):
-        bad = scaled != num[None, :]
-        if bad.any():
-            u_pos, x = np.argwhere(bad)[0]
-            raise IdentityCheckError(
-                f"weight not {name}-unit invariant",
-                witness={"ring": ring.spec.text(),
-                         "unit": int(units[u_pos]), "element": int(x)})
+    num, mul = table.numerators, ring.mul_table
+    for side in ("left", "right"):
+        if not (num == num[_unit_orbits(ring, side)]).all():
+            for u in ring.units_array:
+                moved = num[mul[u] if side == "left" else mul[:, u]] != num
+                if moved.any():
+                    raise IdentityCheckError(
+                        f"weight not {side}-unit invariant",
+                        witness={"ring": ring.spec.text(), "unit": int(u),
+                                 "element": int(np.argmax(moved))})
 
 
 def check_coset_sums(ring, table=None):
@@ -259,8 +258,8 @@ def check_coset_sums(ring, table=None):
     D = table.denominator
     for side in ("left", "right"):
         for ideal in all_one_sided_ideals(ring, side):
-            shifts = _class_minima(ring.order,
-                                   lambda c: ring.add_table[c, ideal])
+            shifts = _minima(_class_labels(
+                ring.order, lambda c: ring.add_table[c, ideal]))
             sums = num[ring.add_table[np.ix_(shifts, ideal)]].sum(axis=1)
             expected = len(ideal) * D
             if not (sums == expected).all():
@@ -274,22 +273,15 @@ def check_coset_sums(ring, table=None):
                              "expected_numerator": expected})
 
 
-def _right_unit_invariant(ring, table):
-    """True iff w(xu) = w(x) for every element x and unit u."""
-    num = table.numerators
-    return bool((num[ring.mul_table[:, ring.units_array]]
-                 == num[:, None]).all())
-
-
 def _fixing_unit_count(ring, ideal):
     """|{u a unit : xu = x for all x in the ideal}|."""
     fixed = ring.mul_table[np.ix_(ideal, ring.units_array)] == ideal[:, None]
     return int(fixed.all(axis=0).sum())
 
 
-def ideal_correlation(ring, table, ideal, rs, fixing):
+def ideal_correlation(ring, table, ideal, rs, ss, fixing):
     """Both sides of the ideal correlation identity of a left ideal I,
-    for each r in rs and every shift s:
+    for each r in rs and each shift s in ss:
 
         sum over x in I of w(x) w(xr + s)
             = |I| + (|I| c / |U|) (1 - w(s))   if x -> xr is injective on I,
@@ -297,53 +289,60 @@ def ideal_correlation(ring, table, ideal, rs, fixing):
             = |I| w(s)                         if Ir = 0,
 
     with c = fixing, the number of units u that fix I pointwise (xu = x;
-    see _fixing_unit_count).  Returns lhs and rhs as (len(rs), order)
+    see _fixing_unit_count).  Returns lhs and rhs as (len(rs), len(ss))
     int64 numerators over D^2, D = |U|, and that denominator."""
     num = table.numerators
     D = table.denominator
     size = len(ideal)
     images = ring.mul_table[np.ix_(ideal, rs)]
-    lhs = num[ideal] @ num[ring.add_table[images.T, :]]
+    lhs = num[ideal] @ num[ring.add_table[images.T[:, :, None], ss]]
     image_sizes = 1 + (np.diff(np.sort(images, axis=0), axis=0) != 0).sum(
         axis=0)[:, None]
     flat = size * D * D
     rhs = np.where(
         image_sizes == size,
-        flat + size * fixing * (D - num),
-        np.where(image_sizes > 1, flat, size * D * num))
+        flat + size * fixing * (D - num[ss]),
+        np.where(image_sizes > 1, flat, size * D * num[ss]))
     return lhs, rhs, D * D
+
+
+def _sweep_points(ring, num, side):
+    """The side's unit orbit minima if w is constant on them, else all."""
+    labels = _unit_orbits(ring, side)
+    if (num == num[labels]).all():
+        return _minima(labels)
+    return np.arange(ring.order)
 
 
 def check_correlation_ideal(ring, table=None):
     """Exhaustive sweep of the ideal correlation identity over all
     nonzero left ideals and all pairs (r, s), with r taken in blocks
-    of at most BLOCK_ENTRIES summands.  For a unit u, lhs(I, ru, s) =
-    lhs(I, r, su^-1) when w is right-unit invariant (the right half of
-    check_unit_invariance), and the rhs moves with it; so on such a
-    table r runs over the least member of each right unit orbit {ru}
-    only, and on any other table over every element."""
+    of at most BLOCK_ENTRIES summands.  For units u and v, lhs(I, ru, s)
+    = lhs(I, r, su^-1) if w is right-unit invariant, lhs(I, r, vs) =
+    lhs(I, r, s) if w is left-unit invariant, and the rhs reads only
+    w(s).  So r and s each run over the least members of the right and
+    left unit orbits when w is constant on them, else over every element;
+    the least failing s is a least member either way."""
     table = table if table is not None else weight_table(ring)
-    order = ring.order
-    if _right_unit_invariant(ring, table):
-        multipliers = _unit_orbit_minima(ring, "right")
-    else:
-        multipliers = np.arange(order)
+    multipliers = _sweep_points(ring, table.numerators, "right")
+    shifts = _sweep_points(ring, table.numerators, "left")
     for ideal in all_one_sided_ideals(ring, "left"):
         fixing = _fixing_unit_count(ring, ideal)
-        block = max(1, BLOCK_ENTRIES // (len(ideal) * order))
+        block = max(1, BLOCK_ENTRIES // (len(ideal) * len(shifts)))
         for start in range(0, len(multipliers), block):
             rs = multipliers[start:start + block]
-            lhs, rhs, den = ideal_correlation(ring, table, ideal, rs, fixing)
+            lhs, rhs, den = ideal_correlation(ring, table, ideal, rs,
+                                              shifts, fixing)
             bad = np.argwhere(lhs != rhs)
             if len(bad):
-                i, s = bad[0]
+                i, j = bad[0]
                 raise IdentityCheckError(
                     "ideal correlation identity fails",
                     witness={"ring": ring.spec.text(),
                              "ideal": ideal.tolist(), "r": int(rs[i]),
-                             "s": int(s),
-                             "lhs": str(Fraction(int(lhs[i, s]), den)),
-                             "rhs": str(Fraction(int(rhs[i, s]), den))})
+                             "s": int(shifts[j]),
+                             "lhs": str(Fraction(int(lhs[i, j]), den)),
+                             "rhs": str(Fraction(int(rhs[i, j]), den))})
 
 
 def sum_of_squares_check(ring, table=None):

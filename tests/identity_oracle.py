@@ -6,11 +6,12 @@ one entry at a time in the operation tables, and exact ``Fraction``
 weights.  They are independent of the batched evaluators in
 ``frobcode.homweight`` and ``frobcode.codes``.
 
-The unreduced sweeps below enumerate every one-sided ideal from one
-principal ideal per element, sum the coset sums at every shift, take
-the ideal correlation at every multiplier r and the word correlation
-at every pair of nonzero words: the work the orbit- and coset-reduced
-sweeps of ``frobcode.homweight`` skip.  ``correlation_vectors``, which
+The unreduced sweeps below test the unit invariance at every unit,
+enumerate every one-sided ideal from one principal ideal per element,
+sum the coset sums at every shift, take the ideal correlation at every
+multiplier r and shift s and the word correlation at every pair of
+nonzero words: the work the orbit- and coset-reduced sweeps of
+``frobcode.homweight`` skip.  ``correlation_vectors``, which
 that word sweep and the tests call, evaluates the word correlation
 identity on whole stacks of words, independently of the weighted
 addition table through which ``homweight.correlation_vectors_lhs``
@@ -130,6 +131,36 @@ def bump_unit_orbit(ring, table, x, delta):
     return WeightTable(ring, numerators, table.denominator)
 
 
+def bump_one_sided_orbit(ring, table, x, delta, side):
+    """A copy of the table with the weight of the left unit orbit {ux}
+    (side "left") or the right one {xu} of x moved by delta / |U|; on a
+    noncommutative ring it is then, in general, unit-invariant on that
+    side only."""
+    units = ring.units_array
+    orbit = np.unique(ring.mul_table[units, x] if side == "left"
+                      else ring.mul_table[x, units])
+    numerators = table.numerators.copy()
+    numerators[orbit] += delta
+    return WeightTable(ring, numerators, table.denominator)
+
+
+def check_unit_invariance_every_unit(ring, table):
+    """check_unit_invariance by gathering w(ux) and w(xu) for every unit
+    u and element x, as two |U| x order arrays."""
+    num = table.numerators
+    units = ring.units_array
+    left = num[ring.mul_table[units, :]]
+    right = num[ring.mul_table[:, units].T]
+    for name, scaled in (("left", left), ("right", right)):
+        bad = scaled != num[None, :]
+        if bad.any():
+            u_pos, x = np.argwhere(bad)[0]
+            raise IdentityCheckError(
+                f"weight not {name}-unit invariant",
+                witness={"ring": ring.spec.text(),
+                         "unit": int(units[u_pos]), "element": int(x)})
+
+
 def all_one_sided_ideals_every_element(ring, side="left"):
     """Every nonzero left (or right) ideal, sorted by size and then
     elements: the principal ideal of every element, closed under the sum
@@ -173,12 +204,13 @@ def check_coset_sums_every_shift(ring, table):
 
 
 def check_correlation_ideal_every_r(ring, table):
-    """check_correlation_ideal with r over the whole ring, one r at a
-    time."""
+    """check_correlation_ideal with r and s over the whole ring, one r at
+    a time."""
+    shifts = np.arange(ring.order)
     for ideal in all_one_sided_ideals_every_element(ring, "left"):
         for r in range(ring.order):
             lhs, rhs, den = ideal_correlation(
-                ring, table, ideal, np.array([r]),
+                ring, table, ideal, np.array([r]), shifts,
                 _fixing_unit_count(ring, ideal))
             bad = np.flatnonzero(lhs[0] != rhs[0])
             if len(bad):

@@ -28,7 +28,8 @@ import numpy as np
 import sympy
 
 from frobcode.errors import ReduciblePolynomialError, RingConstructionError
-from frobcode.homweight import _unit_orbit_minima, principal_ideal_elements
+from frobcode.homweight import (_minima, _unit_orbits,
+                                principal_ideal_elements)
 from frobcode.rings import GF, MatRing, Product, Zm
 
 
@@ -304,7 +305,7 @@ def pairwise_one_sided_ideals(ring, side="left"):
     unit orbit minima, closed under sums, each I + J taken as the unique
     entries of all |I| |J| pairwise sums."""
     found = {}
-    for x in _unit_orbit_minima(ring, side):
+    for x in _minima(_unit_orbits(ring, side)):
         ideal = principal_ideal_elements(ring, x, side)
         found.setdefault(ideal.tobytes(), ideal)
     frontier = list(found)

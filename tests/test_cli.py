@@ -182,6 +182,18 @@ def test_verify_default_cap_m2_gf4_passes_in_2_gib():
     assert time.monotonic() - start < 30
 
 
+@pytest.mark.parametrize("spec", ["M2(GF(8))", "Z4096"])
+def test_verify_order_4096_passes_at_a_cap_of_order_squared(capsys, spec):
+    # at the ring order cap, with R^2 within the enumeration cap, both
+    # word correlation lines are derived from the checks above them
+    rc, out, err = run_cli(capsys, ["verify", spec, "--cap", "16777216"])
+    assert rc == 0 and err == ""
+    assert out.splitlines() == [
+        f"check {name}: pass" for name in (
+            "zero-set", "unit-invariance", "coset-sums", "ideal-correlation",
+            "sum-of-squares", "word-correlation-k1", "word-correlation-k2")]
+
+
 def test_parse_errors_exit_2(capsys):
     for spec in ["Z4x", "Z1", "GF(6)", "M0(GF(2))", "GF(2,poly=1,1,1)",
                  "GF(3^1,poly=0,0,0,1)"]:

@@ -187,7 +187,7 @@ def test_ideal_correlation_zero_image_branch():
     z4 = ring_from_text("Z4")
     ideal = np.array([0, 2], dtype=np.int64)
     lhs, rhs, den = ideal_correlation(z4, weight_table(z4), ideal,
-                                      np.array([2, 1]),
+                                      np.array([2, 1]), np.arange(4),
                                       _fixing_unit_count(z4, ideal))
     assert Fraction(int(lhs[0, 2]), den) == Fraction(int(rhs[0, 2]), den) \
         == 4

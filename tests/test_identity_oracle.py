@@ -1,6 +1,7 @@
 """The batched identity evaluators against the brute-force oracle in
-identity_oracle.py, the orbit- and coset-reduced ideal sweeps against
-the unreduced ones there, the derivation of the word correlation
+identity_oracle.py, the unit-orbit partition against brute force, the
+orbit-reduced invariance check and the orbit- and coset-reduced ideal
+sweeps against the unreduced ones there, the derivation of the word correlation
 identity against its every-pair sweep and case by case, and the checks
 on corrupted weight tables.
 
@@ -33,6 +34,7 @@ from frobcode.homweight import (
     check_correlation_ideal,
     check_correlation_vectors,
     check_coset_sums,
+    check_unit_invariance,
     correlation_vectors_lhs,
     ideal_correlation,
     identity_suite,
@@ -43,10 +45,12 @@ from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import combine_rows, enumerate_vectors, point_ids
 from identity_oracle import (
     all_one_sided_ideals_every_element,
+    bump_one_sided_orbit,
     bump_unit_orbit,
     check_correlation_ideal_every_r,
     check_correlation_vectors_every_pair,
     check_coset_sums_every_shift,
+    check_unit_invariance_every_unit,
     class_coset_sum_lhs,
     code_correlation_lhs,
     coordinate_class_sum_lhs,
@@ -96,6 +100,7 @@ def test_ideal_correlation_matches_oracle(data):
     r = data.draw(st.integers(0, ring.order - 1))
     s = data.draw(st.integers(0, ring.order - 1))
     lhs, rhs, den = ideal_correlation(ring, table, ideal, np.array([r]),
+                                      np.arange(ring.order),
                                       _fixing_unit_count(ring, ideal))
     expected = ideal_correlation_lhs(ring, table, ideal, r, s)
     assert Fraction(int(lhs[0, s]), den) == expected
@@ -386,33 +391,45 @@ def unit_invariant_tables(ring):
     return tables
 
 
+def orbit_minima(ring, side):
+    """The least member of each unit orbit {us} (left) or {su} (right),
+    by brute force over the units."""
+    units = sorted(ring.units)
+    return sorted({min(int(ring.mul_table[u, s] if side == "left"
+                           else ring.mul_table[s, u]) for u in units)
+                   for s in range(ring.order)})
+
+
 @pytest.mark.parametrize("bumped", [False, True])
 @pytest.mark.parametrize("spec", ["M2(GF(3))", "op(M2(GF(3)))"])
 def test_ideal_correlation_takes_one_r_per_right_unit_orbit(spec, bumped,
                                                            monkeypatch):
-    # the faults above all surface at r = 0 or 1, so the r swept are
-    # pinned here, with a spy that passes every r so the whole sweep is
-    # seen: the least member of each orbit {ru}, per ideal; but every r
-    # on a table bumped on one element, which is not right-unit
-    # invariant, so that the orbit reduction does not hold
+    # the faults above all surface at r = 0 or 1, so the r and s swept
+    # are pinned here, with a spy that passes every (r, s) so the whole
+    # sweep is seen: per ideal, the least member of each orbit {ru}, and
+    # in every block the least member of each orbit {us}; but every r
+    # and every s on a table bumped on one element, which is neither
+    # right- nor left-unit invariant, so that the orbit reductions do
+    # not hold
     ring = reduced_ring(spec)
     table = weight_table(ring)
     if bumped:
         table = table.with_bumped_numerator(ring.order - 1, 1)
-    visited = []
+    visited, shifts = [], []
 
-    def spy(ring, table, ideal, rs, fixing):
+    def spy(ring, table, ideal, rs, ss, fixing):
         visited.extend(rs.tolist())
-        agree = np.zeros((len(rs), ring.order), dtype=np.int64)
+        shifts.append(ss.tolist())
+        agree = np.zeros((len(rs), len(ss)), dtype=np.int64)
         return agree, agree, 1
 
     monkeypatch.setattr(homweight, "ideal_correlation", spy)
     check_correlation_ideal(ring, table)
-    units = sorted(ring.units)
-    minima = sorted({min(int(ring.mul_table[r, u]) for u in units)
-                     for r in range(ring.order)})
-    swept = list(range(ring.order)) if bumped else minima
-    assert visited == swept * len(all_one_sided_ideals(ring, "left"))
+    every = list(range(ring.order))
+    rs, ss = (every, every) if bumped else (
+        orbit_minima(ring, "right"), orbit_minima(ring, "left"))
+    assert visited == rs * len(all_one_sided_ideals(ring, "left"))
+    assert shifts and all(s == ss for s in shifts)
 
 
 @pytest.mark.parametrize("spec,k", [
@@ -475,6 +492,7 @@ def test_word_correlation_follows_from_its_cases(spec, k):
         assert lhs == Fraction(total, len(ideal)) * ideal_correlation_lhs(
             ring, table, ideal, u, s)
         _, rhs, den = ideal_correlation(ring, table, ideal, np.array([u]),
+                                        np.arange(order),
                                         _fixing_unit_count(ring, ideal))
         assert lhs == Fraction(total, len(ideal)) * Fraction(
             int(rhs[0, s]), den)
@@ -553,6 +571,80 @@ def test_ideal_correlation_matches_every_r_oracle(spec):
     assert outcomes == [outcome(lambda: check_correlation_ideal_every_r(
         ring, table)) for table in tables]
     assert outcomes[0] == "pass" and "pass" not in outcomes[1:]
+
+
+@pytest.mark.parametrize("spec", REDUCED_RINGS)
+def test_unit_orbits_match_brute_force(spec):
+    ring = reduced_ring(spec)
+    units = ring.units_array
+    left = homweight._unit_orbits(ring, "left")
+    right = homweight._unit_orbits(ring, "right")
+    assert left.tolist() == ring.mul_table[units, :].min(axis=0).tolist()
+    assert right.tolist() == ring.mul_table[:, units].min(axis=1).tolist()
+    if spec in ("M2(GF(3))", "op(M2(GF(3)))"):
+        assert left.tolist() != right.tolist()
+
+
+@pytest.mark.parametrize("spec", [spec for spec in REDUCED_RINGS
+                                  if REDUCED_ORDERS[spec] <= 81])
+def test_unit_invariance_matches_every_unit_oracle(spec):
+    # the weight table, each copy bumped by 1, -1 or 3 on one element,
+    # and each copy bumped on one left or right unit orbit, which on a
+    # noncommutative ring fails on the other side only: the same
+    # outcome, with the first unit and its least element as witness
+    ring = reduced_ring(spec)
+    table = weight_table(ring)
+    tables = [table] + [table.with_bumped_numerator(x, delta)
+                        for x in range(ring.order) for delta in (1, -1, 3)]
+    tables += [bump_one_sided_orbit(ring, table, x, 1, side)
+               for side in ("left", "right")
+               for x in orbit_minima(ring, side)]
+    outcomes = [outcome(lambda: check_unit_invariance(ring, table))
+                for table in tables]
+    assert outcomes == [outcome(lambda: check_unit_invariance_every_unit(
+        ring, table)) for table in tables]
+    assert outcomes[0] == "pass"
+    sides = {out[0] for out in outcomes[1:] if out != "pass"}
+    assert sides == ({"weight not left-unit invariant"} if ring.is_commutative
+                     else {"weight not left-unit invariant",
+                           "weight not right-unit invariant"})
+
+
+# rings of order at most 256 on which the orbit-reduced ideal
+# correlation sweep must fail or pass, on unit-orbit bumps, as the sweep
+# over every r and s does, with the same witness
+ORBIT_RINGS = REDUCED_RINGS + [
+    "Z8", "Z9", "Z16", "Z25", "Z27", "Z32", "Z64", "GF(8)", "GF(9)",
+    "GF(16)", "prod(Z2,Z2)", "prod(Z2,Z2,Z2)", "prod(GF(4),M2(GF(2)))"]
+
+
+def orbit_bumped_tables(ring):
+    """The weight table, then copies bumped by 1, -1 and 3 on each
+    two-sided unit orbit, and on a noncommutative ring by 1 on each left
+    and each right unit orbit."""
+    table = weight_table(ring)
+    units = ring.units_array
+    two_sided = sorted({int(ring.mul_table[np.ix_(ring.mul_table[units, x],
+                                                  units)].min())
+                        for x in range(ring.order)})
+    tables = [table] + [bump_unit_orbit(ring, table, x, delta)
+                        for x in two_sided for delta in (1, -1, 3)]
+    if not ring.is_commutative:
+        tables += [bump_one_sided_orbit(ring, table, x, 1, side)
+                   for side in ("left", "right")
+                   for x in orbit_minima(ring, side)]
+    return tables
+
+
+@pytest.mark.parametrize("spec", ORBIT_RINGS)
+def test_ideal_correlation_on_orbit_bumps_matches_every_r_oracle(spec):
+    ring = reduced_ring(spec)
+    tables = orbit_bumped_tables(ring)
+    outcomes = [outcome(lambda: check_correlation_ideal(ring, table))
+                for table in tables]
+    assert outcomes == [outcome(lambda: check_correlation_ideal_every_r(
+        ring, table)) for table in tables]
+    assert outcomes[0] == "pass"
 
 
 GF3_PROFILE = ("two-weight frequencies disagree with their closed forms",
