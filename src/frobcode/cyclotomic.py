@@ -39,11 +39,15 @@ def poly_divmod(num, den):
     rem = list(trim(num))
     dd = len(den) - 1
     quo = [0] * max(0, len(rem) - dd)
+    # only the divisor's nonzero terms below the leading one touch rem
+    # (x^2048 + 1 has one); the leading term clears rem[i]
+    lower = [(j, d) for j, d in enumerate(den[:-1]) if d]
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
             quo[i - dd] = c
-            for j, d in enumerate(den):
+            rem[i] = 0
+            for j, d in lower:
                 rem[i - dd + j] -= c * d
     return trim(quo), trim(rem)
 

@@ -10,8 +10,10 @@ for products).  Every array of ring elements, the operation tables
 among them, has the one dtype ELEMENT_DTYPE (int16), so ring orders are
 bounded by MAX_ORDER = 2^15.  The tables are built, and checked at
 construction, in blocks of at most BLOCK_ENTRIES entries, directly in
-that order and directly in that dtype; a block's sums or products that
-can reach 2^15 are formed in int64 first.
+that order and directly in that dtype.  A componentwise table or a
+matrix product is one broadcast outer sum of small per-row parts per
+row block, relabelled by one gather; Z_m addition copies a sliding
+window, and Z_m products are formed in int32.
 
 Every ring carries a structurally built character, stored as an exponent
 map c with modulus e (the additive exponent), meaning x maps to the
@@ -31,6 +33,7 @@ from trial division with cyclotomic.poly_divmod.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -401,10 +404,11 @@ def is_generating_character(ring, character):
 
 
 def _reduced_exponents(character):
-    """The exponents mod the modulus e, as int32 while 2e fits in it."""
+    """The exponents mod the modulus e, in the smallest signed integer
+    dtype that holds 2e (int64 at most)."""
     e = character.modulus
     ex = np.asarray(character.exponents, dtype=np.int64) % e
-    return (ex.astype(np.int32) if 2 * e < 2 ** 31 else ex), e
+    return ex.astype(np.min_scalar_type(-min(2 * e + 1, 2 ** 63))), e
 
 
 def _additive_generators(add):
@@ -482,14 +486,14 @@ class FiniteRing:
         unit = np.zeros(n, dtype=bool)
         commutative = add_commutes = True
         for rows in _row_blocks(n, n):
+            # exactly one zero in each row: a zero at each row's
+            # argmax, and as many zeros as rows
             zero = add[rows] == 0
-            if not (zero.sum(axis=1) == 1).all():
+            neg[rows] = first = zero.argmax(axis=1)
+            if not (np.count_nonzero(zero) == len(first)
+                    and zero[np.arange(len(first)), first].all()):
                 raise RingConstructionError("additive inverses are not unique")
-            neg[rows] = zero.argmax(axis=1)
-            # x is a unit iff x y = 1 = y x for some y
-            xs, ys = np.nonzero(mul[rows] == 1)
-            xs += rows.start
-            unit[xs[mul[ys, xs] == 1]] = True
+            _scan_units(mul, rows, unit)
             commutative = commutative and _symmetric_rows(mul, rows)
             add_commutes = add_commutes and _symmetric_rows(add, rows)
         self.neg_table = neg
@@ -571,19 +575,30 @@ class FiniteRing:
                 f"(a, b, c) = ({a}, {b}, {c})")
 
     def _check_axioms_sampled(self):
+        """The four laws on one fixed-seed sample of triples (a, b, c),
+        gathered from the flat tables at int64 offsets x n + y; the sums
+        and products of a, b and c are formed once for all four."""
         rng = np.random.default_rng(0)
-        add, mul = self.add_table, self.mul_table
-        a = rng.integers(0, self.order, _AXIOM_SAMPLES)
-        b = rng.integers(0, self.order, _AXIOM_SAMPLES)
-        c = rng.integers(0, self.order, _AXIOM_SAMPLES)
-        if not (add[add[a, b], c] == add[a, add[b, c]]).all():
+        n = self.order
+        add, mul = self.add_table.ravel(), self.mul_table.ravel()
+        a = rng.integers(0, n, _AXIOM_SAMPLES)
+        b = rng.integers(0, n, _AXIOM_SAMPLES)
+        c = rng.integers(0, n, _AXIOM_SAMPLES)
+
+        def at(table, x, y):
+            return table.take(np.multiply(x, n, dtype=np.int64) + y)
+
+        add_ab, add_bc = at(add, a, b), at(add, b, c)
+        if not (at(add, add_ab, c) == at(add, a, add_bc)).all():
             raise RingConstructionError("addition not associative (sampled)")
-        if not (mul[mul[a, b], c] == mul[a, mul[b, c]]).all():
+        mul_ab, mul_bc = at(mul, a, b), at(mul, b, c)
+        if not (at(mul, mul_ab, c) == at(mul, a, mul_bc)).all():
             raise RingConstructionError(
                 "multiplication not associative (sampled)")
-        if not (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all():
+        mul_ac = at(mul, a, c)
+        if not (at(mul, a, add_bc) == at(add, mul_ab, mul_ac)).all():
             raise RingConstructionError("left distributivity fails (sampled)")
-        if not (mul[add[a, b], c] == add[mul[a, c], mul[b, c]]).all():
+        if not (at(mul, add_ab, c) == at(add, mul_ac, mul_bc)).all():
             raise RingConstructionError("right distributivity fails (sampled)")
 
     def _verify_exponent(self):
@@ -628,6 +643,22 @@ def _symmetric_rows(table, rows):
                for c in range(r0, len(table), _TILE))
 
 
+def _scan_units(mul, rows, unit):
+    """Set unit[x] for x in rows: x is a unit iff x y = 1 = y x for some
+    y.  Each row tries its first y with x y = 1; only the rows that hold
+    1 more than once try every such y."""
+    hits = mul[rows] == 1
+    xs = np.arange(rows.start, rows.stop)
+    ys = hits.argmax(axis=1)
+    first = hits[xs - rows.start, ys]
+    unit[rows] = first & (mul[ys, xs] == 1)
+    if np.count_nonzero(hits) > np.count_nonzero(first):
+        many = np.flatnonzero(np.count_nonzero(hits, axis=1) > 1)
+        i, ys = np.nonzero(hits[many])
+        xs = xs[many[i]]
+        unit[xs[mul[ys, xs] == 1]] = True
+
+
 def _pinned_order(n, one):
     """Natural indices in identity-pinned order (zero, the identity,
     then the rest in natural order), and the inverse map."""
@@ -637,52 +668,70 @@ def _pinned_order(n, one):
     return perm, inv
 
 
-def _radix_table(n, row_parts, keys, inv):
-    """The n x n table whose entry (a, b) is the natural index
-    sum_f part_f[a, keys_f[b]], mapped through inv, where the parts
-    are row_parts(rows): small per-row lookup tables already scaled by
-    their radix.  Built one row block at a time.  Each partial sum is
-    at most the natural index, below n <= MAX_ORDER, so the parts and
+def _radix_table(shape, one, row_parts, axes):
+    """The n x n table, rows and columns in identity-pinned order, whose
+    entry (a, b) is the natural index sum_f part_f[a, key_f(b)] in
+    pinned order.  A natural index has the mixed-radix digits shape,
+    most significant first, and key_f(b) is the mixed-radix value of
+    b's digits on the ascending axes[f].  The parts are row_parts(rows):
+    small per-row lookup tables already scaled by their radix.
+
+    Each row block is one broadcast outer sum, in natural column
+    order: part f is reshaped so that its digits sit on their own axes.
+    One gather relabels the sums, and the pinned column prefix (0, one,
+    then 1..one-1) is a rotation of columns 1..one.  Each partial sum is
+    at most a natural index, below n <= MAX_ORDER, so the parts and
     their sums stay in the element dtype."""
+    n = math.prod(shape)
+    inv = _pinned_order(n, one)[1]
     table = np.empty((n, n), dtype=ELEMENT_DTYPE)
     for rows in _row_blocks(n, n):
-        parts = row_parts(rows)
-        acc = np.take(parts[0], keys[0], axis=1)
-        for part, key in zip(parts[1:], keys[1:]):
-            acc += np.take(part, key, axis=1)
+        acc = None
+        for part, digits in zip(row_parts(rows), axes):
+            view = [len(part)] + [1] * len(shape)
+            for d in digits:
+                view[1 + d] = shape[d]
+            part = part.reshape(view)
+            acc = part if acc is None else acc + part
         # indices are in range by construction; clip mode writes
         # straight into the table
-        np.take(inv, acc, out=table[rows], mode="clip")
+        np.take(inv, acc.reshape(-1, n), out=table[rows], mode="clip")
+        if one > 1:
+            moved = table[rows, 1:one + 1]
+            moved[:] = np.roll(moved, 1, axis=1)
     return table
 
 
-def _component_table(n, tables, comps, radix, inv):
+def _component_table(tables, comps, radix, one):
     """Table of a componentwise operation: tables[f] acts on component
-    f of the elements, whose rows comps holds in pinned order."""
+    f of the elements, whose rows comps holds in pinned order, with
+    place value radix[f] in the natural index, most significant first."""
     scaled = [np.asarray(tab * int(r), dtype=ELEMENT_DTYPE)
               for tab, r in zip(tables, radix)]
     return _radix_table(
-        n, lambda rows: [s[comps[rows, f]] for f, s in enumerate(scaled)],
-        [comps[:, f] for f in range(len(scaled))], inv)
+        [len(tab) for tab in tables], one,
+        lambda rows: [s[comps[rows, f]] for f, s in enumerate(scaled)],
+        [(f,) for f in range(len(tables))])
 
 
 def _realize_zm(spec):
     m = spec.m
     if m < 2:
         raise RingConstructionError("Z_m needs m >= 2")
-    # a + b and a b reach 2^15, so each block is formed in int64
-    idx = np.arange(m, dtype=np.int64)
-    add = np.empty((m, m), dtype=ELEMENT_DTYPE)
+    idx = np.arange(m, dtype=ELEMENT_DTYPE)
+    # row a of a + b is the window of 0..m-1, 0..m-1 that starts at a
+    twice = np.concatenate((idx, idx))
+    step = twice.itemsize
+    add = np.lib.stride_tricks.as_strided(twice, (m, m), (step, step)).copy()
+    # a b < m^2 <= 2^30 fits in int32
+    wide = idx.astype(np.int32)
     mul = np.empty((m, m), dtype=ELEMENT_DTYPE)
     for rows in _row_blocks(m, m):
-        block = np.add.outer(idx[rows], idx)
-        np.subtract(block, m, out=block, where=block >= m)
-        add[rows] = block
-        np.multiply.outer(idx[rows], idx, out=block)
+        block = np.multiply.outer(wide[rows], wide)
         np.remainder(block, m, out=block)
         mul[rows] = block
     labels = [str(i) for i in range(m)]
-    return labels, add, mul, idx.copy(), m, {}
+    return labels, add, mul, idx.astype(np.int64), m, {}
 
 
 def _realize_gf(spec):
@@ -710,9 +759,9 @@ def _realize_gf(spec):
 
     zp = np.arange(p)
     zp_add = (zp[:, None] + zp[None, :]) % p
-    # the identity x^0 is already at index 1
-    add = _component_table(q, [zp_add] * r, digits, pows,
-                           _pinned_order(q, 1)[1])
+    # the identity x^0 is already at index 1; digit r-1 is the most
+    # significant
+    add = _component_table([zp_add] * r, digits[:, ::-1], pows[::-1], 1)
 
     # column j of mx[a] holds the digits of a x^j, so mx[a] is the
     # F_p-matrix of b -> a b; x^r = -(poly[0] + ... + poly[r-1] x^(r-1))
@@ -747,20 +796,20 @@ def _realize_mat(spec, order_cap):
     # row-major entries, first entry most significant
     radix = np.array([q ** (mm - 1 - t) for t in range(mm)], dtype=np.int64)
     # the identity has a 1 at each diagonal entry i m + i
-    perm, inv = _pinned_order(n, int(radix[::m + 1].sum()))
+    one = int(radix[::m + 1].sum())
+    perm = _pinned_order(n, one)[0]
     entries = np.stack([(perm // radix[t]) % q for t in range(mm)],
                        axis=1).astype(ELEMENT_DTYPE)
 
     badd, bmul = base.add_table, base.mul_table
-    add = _component_table(n, [badd] * mm, entries, radix, inv)
+    add = _component_table([badd] * mm, entries, radix, one)
 
     # a b is a acting on each column of b: over the q^m column vectors
     # v (first entry most significant), column k of a b contributes
-    # sum_i (a v)_i radix[i m + k] to the natural index
+    # sum_i (a v)_i radix[i m + k] to the natural index, and v is the
+    # value of b's entries j m + k
     vecs = np.arange(q ** m)
     vdig = [(vecs // q ** (m - 1 - j)) % q for j in range(m)]
-    col_keys = [sum(entries[:, j * m + k].astype(np.int64) * q ** (m - 1 - j)
-                    for j in range(m)) for k in range(m)]
 
     def column_parts(rows):
         ea = entries[rows]
@@ -773,7 +822,8 @@ def _realize_mat(spec, order_cap):
         return [sum(av[i] * int(radix[i * m + k]) for i in range(m))
                 for k in range(m)]
 
-    mul = _radix_table(n, column_parts, col_keys, inv)
+    mul = _radix_table([q] * mm, one, column_parts,
+                       [range(k, mm, m) for k in range(m)])
 
     # character: base character of the matrix trace
     tr = entries[:, 0]
@@ -781,10 +831,11 @@ def _realize_mat(spec, order_cap):
         tr = badd[tr, entries[:, i * m + i]]
     exps = base.char_exponents[tr]
 
-    names = base.labels
-    labels = ["[" + ";".join(" ".join(names[c] for c in row[i * m:(i + 1) * m])
-                             for i in range(m)) + "]"
-              for row in entries.tolist()]
+    row_labels = [" ".join(row)
+                  for row in itertools.product(base.labels, repeat=m)]
+    natural = ["[" + ";".join(rows) + "]"
+               for rows in itertools.product(row_labels, repeat=m)]
+    labels = [natural[x] for x in perm.tolist()]
     return (labels, add, mul, exps, base.exponent,
             {"entries": entries, "base_ring": base})
 
@@ -801,14 +852,13 @@ def _realize_product(spec, order_cap):
     for f in range(t - 1, -1, -1):
         radix[f] = acc
         acc *= orders[f]
-    perm, inv = _pinned_order(n, int(radix.sum()))
+    one = int(radix.sum())
+    perm = _pinned_order(n, one)[0]
     comps = np.stack([(perm // radix[f]) % orders[f] for f in range(t)],
                      axis=1).astype(ELEMENT_DTYPE)
 
-    add = _component_table(n, [f.add_table for f in factors], comps, radix,
-                           inv)
-    mul = _component_table(n, [f.mul_table for f in factors], comps, radix,
-                           inv)
+    add = _component_table([f.add_table for f in factors], comps, radix, one)
+    mul = _component_table([f.mul_table for f in factors], comps, radix, one)
 
     e = 1
     for f in factors:
@@ -818,9 +868,9 @@ def _realize_product(spec, order_cap):
         exps += factors[f].char_exponents[comps[:, f]] * (e // factors[f].exponent)
     exps %= e
 
-    names = [f.labels for f in factors]
-    labels = ["(" + ",".join(lab[c] for lab, c in zip(names, row)) + ")"
-              for row in comps.tolist()]
+    natural = ["(" + ",".join(tup) + ")"
+               for tup in itertools.product(*(f.labels for f in factors))]
+    labels = [natural[x] for x in perm.tolist()]
     return (labels, add, mul, exps, e,
             {"components": comps, "factor_rings": factors})
 

@@ -7,8 +7,9 @@ in identity-pinned order.  They build int64 tables in the constructor's
 natural order and then move the identity to index 1 with two full
 re-index gathers.  `oracle_ring` runs them, recursively for the base
 field and the product factors, and derives `neg_table`, `units_array`
-and commutativity the way `FiniteRing.__init__` did, so the oracle
-shares no table code with the path it checks.  Primality and
+(by `two_sided_units`, the rule "x y = 1 = y x for some y" on whole
+tables) and commutativity the way `FiniteRing.__init__` did, so the
+oracle shares no table code with the path it checks.  Primality and
 irreducibility over F_p come from sympy.
 
 `cubic_axiom_failures` is the per-element check of the ring laws on
@@ -50,9 +51,7 @@ def oracle_ring(spec):
     add_table = np.ascontiguousarray(add, dtype=np.int32)
     mul_table = np.ascontiguousarray(mul, dtype=np.int32)
     neg_table = np.argmax(add_table == 0, axis=1).astype(np.int32)
-    left_inv = mul_table == 1
-    two_sided = left_inv & left_inv.T
-    units_array = np.flatnonzero(two_sided.any(axis=1)).astype(np.int32)
+    units_array = two_sided_units(mul_table)
     return SimpleNamespace(
         order=len(labels), labels=list(labels), add_table=add_table,
         mul_table=mul_table,
@@ -60,6 +59,14 @@ def oracle_ring(spec):
         exponent=int(e), neg_table=neg_table, units_array=units_array,
         is_commutative=bool((mul_table == mul_table.T).all()),
         meta=arrays)
+
+
+def two_sided_units(mul):
+    """The x with x y = 1 = y x for some y, ascending as int32, from the
+    whole order x order table of left inverses and its transpose."""
+    left_inv = np.asarray(mul) == 1
+    two_sided = left_inv & left_inv.T
+    return np.flatnonzero(two_sided.any(axis=1)).astype(np.int32)
 
 
 def sympy_irreducible(poly, p):

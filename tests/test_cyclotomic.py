@@ -5,6 +5,8 @@ the divisor-product identity and explicit remainders are checked by
 direct construction.
 """
 
+import random
+
 import pytest
 import sympy
 
@@ -95,3 +97,62 @@ def test_constant_remainder_matches_sympy_rem(e):
             ours = constant_remainder(tuple(coeffs), cyclotomic(e))
             theirs = 0 if rem.is_zero else int(rem.all_coeffs()[0])
             assert ours == theirs
+
+
+def x_power_minus_one(e):
+    return tuple([-1] + [0] * (e - 1) + [1])
+
+
+SPARSE_DIVISORS = [cyclotomic(4096)] + [x_power_minus_one(e)
+                                        for e in (1, 7, 64, 2048)]
+SPARSE_IDS = ["x^2048+1", "x-1", "x^7-1", "x^64-1", "x^2048-1"]
+# sympy's sparse polynomials: its dense Poly.div takes seconds at
+# degree 4095
+ZX, _ = sympy.ring("x", sympy.ZZ)
+
+
+def sympy_poly(coeffs):
+    return ZX.from_list(list(reversed(coeffs)))
+
+
+def ascending(poly):
+    """The ascending coefficients of a sympy polynomial, trimmed."""
+    return trim(int(c) for c in reversed(poly.to_dense()))
+
+
+def test_phi_4096_is_sparse():
+    assert cyclotomic(4096) == tuple([1] + [0] * 2047 + [1])
+    assert cyclotomic(4096) == sympy_coeffs(4096)
+
+
+@pytest.mark.parametrize("den", SPARSE_DIVISORS, ids=SPARSE_IDS)
+def test_poly_divmod_by_sparse_divisor_matches_sympy(den):
+    # long division touches only the divisor's nonzero terms; quotient
+    # and remainder must still be sympy's, for numerators below, at and
+    # above the divisor's degree, up to the degree-4095 orbit sums of
+    # Z4096's weight table
+    rng = random.Random(len(den))
+    dd = len(den) - 1
+    for degree in sorted({0, dd - 1, dd, dd + 3, 4095} - {-1}):
+        num = [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 9)]
+        want_quo, want_rem = sympy_poly(num).div(sympy_poly(den))
+        assert poly_divmod(num, den) == (ascending(want_quo),
+                                         ascending(want_rem))
+
+
+@pytest.mark.parametrize("den", SPARSE_DIVISORS, ids=SPARSE_IDS)
+def test_constant_remainder_by_sparse_divisor_matches_sympy(den):
+    # c plus a multiple of den, of degree 4095, reduces to c; one more
+    # x^(deg den - 1) leaves a nonconstant remainder
+    rng = random.Random(len(den) + 1)
+    dd = len(den) - 1
+    multiple = sympy_poly(den) * sympy_poly(
+        [rng.randint(-3, 3) for _ in range(4095 - dd)] + [1])
+    assert sympy_poly(ascending(multiple + 5)).rem(sympy_poly(den)) == 5
+    for c in (0, 5, -2):
+        num = list(ascending(multiple + c))
+        assert constant_remainder(tuple(num), den) == c
+        if dd >= 2:
+            num[dd - 1] += 1
+            with pytest.raises(ValueError):
+                constant_remainder(tuple(num), den)

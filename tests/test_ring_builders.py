@@ -8,6 +8,7 @@ size, and every array of ring elements must have the element dtype
 same messages when the fault sits in the last row block.
 """
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +25,7 @@ from frobcode.rings import (
     FiniteRing,
     GeneratingCharacter,
     Product,
+    Zm,
     build_ring,
     is_generating_character,
     order2_socle_part,
@@ -31,7 +33,8 @@ from frobcode.rings import (
     ring_from_text,
 )
 
-from ring_oracle import oracle_ring, pairwise_one_sided_ideals
+from ring_oracle import (oracle_ring, pairwise_one_sided_ideals,
+                         two_sided_units)
 
 ORACLE_RINGS = ["Z2", "Z32", "Z4096", "GF(2)", "GF(4)", "GF(8)", "GF(9)",
                 "GF(16)", "M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M3(GF(2))",
@@ -41,8 +44,8 @@ FACTORS = ["Z2", "Z3", "Z4", "Z6", "Z9", "GF(4)", "GF(8)", "GF(9)",
            "GF(3^2,poly=2,2,1)", "M2(GF(2))", "M1(GF(3))"]
 
 
-def assert_matches_oracle(ring):
-    want = oracle_ring(ring.spec)
+def assert_matches_oracle(ring, want=None):
+    want = oracle_ring(ring.spec) if want is None else want
     for name in ("add_table", "mul_table", "neg_table", "units_array"):
         got, expected = getattr(ring, name), getattr(want, name)
         assert got.dtype == ELEMENT_DTYPE, name
@@ -72,6 +75,71 @@ def test_products_match_oracle_for_any_block(factors, block_rows, tile):
             mock.patch.object(rings, "_TILE", tile):
         ring = build_ring(spec)
     assert_matches_oracle(ring)
+
+
+BUILDER_SPECS = st.one_of(
+    st.integers(2, 300).map(Zm),
+    st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)", "GF(16)",
+                     "GF(3^2,poly=2,2,1)", "GF(5^2,poly=2,1,1)",
+                     "M1(GF(3))", "M1(GF(8))", "M2(GF(2))", "M2(GF(3))",
+                     "M2(GF(4))", "M3(GF(2))"]).map(parse_ring_spec))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_oracle(spec):
+    return oracle_ring(spec)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(BUILDER_SPECS, st.integers(1, 64), st.integers(1, 16))
+def test_every_builder_matches_oracle_for_any_block(spec, block_rows, tile):
+    # row blocks down to one row put block boundaries inside the outer
+    # sums, the relabelling and the pinned column move of every builder
+    with mock.patch.object(rings, "BLOCK_ENTRIES", block_rows * spec.order), \
+            mock.patch.object(rings, "_TILE", tile):
+        ring = build_ring(spec)
+    assert_matches_oracle(ring, cached_oracle(spec))
+
+
+# ------------------------------------------------------------- unit scan
+
+
+def scanned_units(mul, block_rows):
+    """units_array of FiniteRing's table scan on mul, in row blocks of
+    block_rows rows, with a valid add table beside it."""
+    n = len(mul)
+    scan = object.__new__(FiniteRing)
+    scan.order = n
+    scan.add_table = ring_from_text(f"Z{n}").add_table
+    scan.mul_table = np.ascontiguousarray(mul, dtype=ELEMENT_DTYPE)
+    with mock.patch.object(rings, "BLOCK_ENTRIES", block_rows * n):
+        scan._scan_tables()
+    return scan.units_array
+
+
+def corrupted_z8(*entries):
+    mul = ring_from_text("Z8").mul_table.copy()
+    for x, y, v in entries:
+        mul[x, y] = v
+    return mul
+
+
+@pytest.mark.parametrize("mul", [
+    # row 3 holds 1 at y = 2 (2 * 3 = 6) before y = 3 (3 * 3 = 1)
+    corrupted_z8((3, 2, 1)),
+    # row 2 holds 1 twice, and neither y gives y 2 = 1
+    corrupted_z8((2, 5, 1), (2, 6, 1)),
+    # 2 * 5 = 1 but 5 * 2 = 2; 6 * 7 = 1 = 7 * 6 with 7 * 7 still 1
+    corrupted_z8((2, 5, 1)),
+    corrupted_z8((6, 7, 1), (7, 6, 1)),
+    # the last row holds 1 twice, the second hit two-sided
+    corrupted_z8((7, 0, 1), (0, 7, 3)),
+], ids=["second-y-two-sided", "twice-one-sided", "one-sided",
+        "new-two-sided", "last-row"])
+@pytest.mark.parametrize("block_rows", [1, 3, 8])
+def test_unit_scan_matches_two_sided_oracle(mul, block_rows):
+    assert scanned_units(mul, block_rows).tolist() \
+        == two_sided_units(mul).tolist()
 
 
 # ------------------------------------------------ block-boundary faults

@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobcode import rings
 from frobcode.errors import (
     CapExceededError,
     CharacterError,
@@ -357,7 +359,7 @@ def _witness(error):
         r"= \((\d+), (\d+), (\d+)\)$", error).groups()]
 
 
-@pytest.mark.parametrize("law,failed,twist", [
+TWISTS = [
     # bilinear, so both distributive laws hold
     ("multiplication not associative", {"multiplication not associative"},
      lambda bit, a, b: bit(a, 1) & bit(b, 2)),
@@ -365,12 +367,14 @@ def _witness(error):
     ("right distributivity fails",
      {"right distributivity fails", "multiplication not associative"},
      lambda bit, a, b: bit(a, 1) & bit(a, 3) & bit(b, 2)),
-])
-def test_twisted_multiplication_names_its_law(law, failed, twist):
-    # M2(GF(2)) with the product ab moved by a fixed z wherever twist
-    # holds on the coordinates of a and b over the additive generators,
-    # which form a basis of (Z2)^4 with 1 first; 0 and 1 stay identities
-    ring = ring_from_text("M2(GF(2))")
+]
+
+
+def twisted_multiplication(ring, twist):
+    """The multiplication table of ring (M2(GF(2))) with the product ab
+    moved by a fixed z wherever twist holds on the coordinates of a and
+    b over the additive generators, which form a basis of (Z2)^4 with 1
+    first; 0 and 1 stay identities."""
     add = ring.add_table
     gens = _additive_generators(add)
     coords = np.zeros(ring.order, dtype=int)
@@ -389,13 +393,56 @@ def test_twisted_multiplication_names_its_law(law, failed, twist):
         for b in range(ring.order):
             if twist(bit, a, b):
                 mul[a, b] = add[mul[a, b], gens[3]]
-    assert cubic_axiom_failures(add, mul) == failed
+    return mul
+
+
+def construction_error(ring, add=None, mul=None):
+    """The message FiniteRing raises on ring's tables with add or mul
+    replaced."""
+    add = ring.add_table if add is None else add
+    mul = ring.mul_table if mul is None else mul
     with pytest.raises(RingConstructionError) as info:
         FiniteRing(ring.spec, ring.labels, add, mul,
                    tuple(int(e) for e in ring.char_exponents), ring.exponent)
-    error = str(info.value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("law,failed,twist", TWISTS)
+def test_twisted_multiplication_names_its_law(law, failed, twist):
+    ring = ring_from_text("M2(GF(2))")
+    add = ring.add_table
+    mul = twisted_multiplication(ring, twist)
+    assert cubic_axiom_failures(add, mul) == failed
+    error = construction_error(ring, mul=mul)
     assert error.startswith(law)
     assert not AXIOM_LAWS[law](add, mul, *_witness(error))
+
+
+@pytest.mark.parametrize("twist,message", [
+    # each twist breaks * associativity, the second law the sample checks
+    (TWISTS[0][2], "multiplication not associative (sampled)"),
+    (TWISTS[1][2], "multiplication not associative (sampled)"),
+])
+def test_sampled_axiom_check_names_the_first_failing_law(twist, message):
+    # with the exhaustive limit below 8, M2(GF(2)) and Z8 take the
+    # fixed-seed sampled check, which must name the same law as before
+    ring = ring_from_text("M2(GF(2))")
+    mul = twisted_multiplication(ring, twist)
+    with mock.patch.object(rings, "_FULL_AXIOM_LIMIT", 4):
+        assert construction_error(ring, mul=mul) == message
+
+
+def test_sampled_axiom_check_finds_a_non_associative_add_pair():
+    # 2 + 3 = 6 instead of 5 in Z8 keeps 0 an identity, the inverses
+    # unique and + commutative, but (2 + 3) + c != 2 + (3 + c)
+    z8 = ring_from_text("Z8")
+    add = z8.add_table.copy()
+    add[2, 3] = add[3, 2] = 6
+    with mock.patch.object(rings, "_FULL_AXIOM_LIMIT", 4):
+        assert construction_error(z8, add=add) == (
+            "addition not associative (sampled)")
+    assert construction_error(z8, add=add).startswith(
+        "addition not associative at (x + g) + y")
 
 
 @pytest.mark.parametrize("text", ACCEPTANCE_RINGS + [
