@@ -24,14 +24,13 @@ the prefixes over the first k - 1 coordinates.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import constant_remainder, cyclotomic
 from .errors import CapExceededError, CharacterError, IdentityCheckError
-from .rings import ELEMENT_DTYPE, order2_socle_part
+from .rings import ELEMENT_DTYPE, _adjoin, order2_socle_part
 from .spans import (BLOCK_ENTRIES, enum_cap, enumeration_size,
                     message_words, point_ids)
 
@@ -40,18 +39,12 @@ _IDEAL_COUNT_CAP = 4096
 
 class WeightTable:
     """Homogeneous weights of one ring as numerators over a common
-    denominator (the unit group size).  The table holds its ring
-    weakly, so that weight_table's cache, keyed weakly by the ring,
-    lets the ring go."""
+    denominator (the unit group size).  It holds no reference to its
+    ring; weight_table keeps the ring's table in ring.derived."""
 
-    def __init__(self, ring, numerators, denominator):
-        self._ring = weakref.ref(ring)
+    def __init__(self, numerators, denominator):
         self.numerators = np.ascontiguousarray(numerators, dtype=np.int64)
         self.denominator = int(denominator)
-
-    @property
-    def ring(self):
-        return self._ring()
 
     def value(self, x):
         return Fraction(int(self.numerators[x]), self.denominator)
@@ -67,17 +60,14 @@ class WeightTable:
         """A corrupted copy for fault-injection drills; never cached."""
         numerators = self.numerators.copy()
         numerators[x] += delta
-        return WeightTable(self.ring, numerators, self.denominator)
-
-
-_table_cache = weakref.WeakKeyDictionary()
+        return WeightTable(numerators, self.denominator)
 
 
 def weight_table(ring):
-    table = _table_cache.get(ring)
+    """The ring's weight table, computed once and kept in its derived."""
+    table = ring.derived.get("weight_table")
     if table is None:
-        table = _compute_table(ring)
-        _table_cache[ring] = table
+        table = ring.derived["weight_table"] = _compute_table(ring)
     return table
 
 
@@ -98,7 +88,7 @@ def _compute_table(ring):
                 f"unit-orbit character sum at element {x} is not an "
                 f"integer: {exc}") from None
         num[x] = D - k
-    return WeightTable(ring, num[labels], D)
+    return WeightTable(num[labels], D)
 
 
 # ---------------------------------------------------- ideal enumeration
@@ -137,35 +127,28 @@ def _unit_orbits(ring, side):
 
 
 def _ideal_sum(add, a, b):
-    """The ideal a + b in a's dtype, grown from a as
-    rings._additive_generators grows a group from its generators g, the
-    least elements of b not yet reached."""
+    """The ideal a + b in a's dtype, grown from a by rings._adjoin with
+    the least element of b not yet reached, until b is reached."""
     reached = np.zeros(len(add), dtype=bool)
     reached[a] = True
     while not (held := reached[b]).all():
-        fresh = np.flatnonzero(reached)
-        while len(fresh):
-            fresh = add[fresh, b[np.argmin(held)]]
-            fresh = fresh[~reached[fresh]]
-            reached[fresh] = True
+        _adjoin(add, reached, b[np.argmin(held)])
     return np.flatnonzero(reached).astype(a.dtype)
-
-
-_ideal_cache = weakref.WeakKeyDictionary()
 
 
 def all_one_sided_ideals(ring, side="left"):
     """Every nonzero left (or right) ideal, as sorted element-index
     arrays ordered by size, then elements.  They are built once per
     ring and side, by _one_sided_ideals, and kept as read-only arrays
-    for the life of the ring, as weight_table keeps its table."""
-    cached = _ideal_cache.setdefault(ring, {})
-    if side not in cached:
-        ideals = _one_sided_ideals(ring, side)
+    in the ring's derived, as weight_table keeps its table; the caller
+    gets a list of its own."""
+    key = ("all_one_sided_ideals", side)
+    ideals = ring.derived.get(key)
+    if ideals is None:
+        ideals = ring.derived[key] = _one_sided_ideals(ring, side)
         for ideal in ideals:
             ideal.flags.writeable = False
-        cached[side] = ideals
-    return list(cached[side])
+    return list(ideals)
 
 
 def _one_sided_ideals(ring, side):

@@ -7,13 +7,14 @@ index 1 the multiplicative identity; the remaining elements keep the
 constructor's natural order (residues for Z_m, coefficient-vector value
 for GF, row-major entry tuples for matrices, mixed-radix component tuples
 for products).  Every array of ring elements, the operation tables
-among them, has the one dtype ELEMENT_DTYPE (int16), so ring orders are
-bounded by MAX_ORDER = 2^15.  The tables are built, and checked at
-construction, in blocks of at most BLOCK_ENTRIES entries, directly in
-that order and directly in that dtype.  A componentwise table or a
-matrix product is one broadcast outer sum of small per-row parts per
-row block, relabelled by one gather; Z_m addition copies a sliding
-window, and Z_m products are formed in int32.
+among them, has the one dtype ELEMENT_DTYPE (int16), which holds the
+indices of every order up to ORDER_CAP = 4096.  The tables are built,
+and checked at construction, in blocks of at most BLOCK_ENTRIES
+entries, directly in that order and directly in that dtype.  A
+componentwise table or a matrix product is one broadcast outer sum of
+small per-row parts per row block, relabelled by one gather; Z_m
+addition copies a sliding window, and Z_m products are formed in
+int32.
 
 Every ring carries a structurally built character, stored as an exponent
 map c with modulus e (the additive exponent), meaning x maps to the
@@ -48,15 +49,14 @@ from .errors import (
     SpecParseError,
 )
 
-DEFAULT_ORDER_CAP = 4096
-
-# The dtype of every array of ring elements, and the largest ring order
-# whose element indices 0..order-1 it holds, whatever the order cap.
+# The largest ring order built, and the dtype of every array of ring
+# elements, which holds the element indices 0..order-1 of every order
+# up to the cap.
+ORDER_CAP = 4096
 ELEMENT_DTYPE = np.int16
-MAX_ORDER = 1 << 15
+assert ORDER_CAP - 1 <= np.iinfo(ELEMENT_DTYPE).max
 
-# Digits of the longest integer the spec parser reads, unless the order
-# cap itself has more digits.
+# Digits of the longest integer the spec parser reads.
 _MAX_INT_DIGITS = 100
 
 _FULL_AXIOM_LIMIT = 256
@@ -192,9 +192,8 @@ class OpSpec(RingSpec):
 
 
 class _Cursor:
-    def __init__(self, text, order_cap):
+    def __init__(self, text):
         self.text = text
-        self.order_cap = order_cap
         self.pos = 0
 
     def skip_ws(self):
@@ -227,10 +226,10 @@ class _Cursor:
         # an integer this long exceeds the order cap, and int() would
         # refuse it (past 4300 digits) or take quadratic time: refuse it
         # before parsing; shorter ones reach check_order's message
-        if len(digits) > max(_MAX_INT_DIGITS, len(str(self.order_cap))):
+        if len(digits) > _MAX_INT_DIGITS:
             raise SpecParseError(
                 f"integer of {len(digits)} digits exceeds the order cap "
-                f"{self.order_cap}", position=start)
+                f"{ORDER_CAP}", position=start)
         return int(self.text[start:self.pos])
 
     def at_end(self):
@@ -243,7 +242,7 @@ class _Cursor:
     def check_order(self, base, exponent):
         """Refuse an order base**exponent past the order cap before any
         work depends on it, without computing a power beyond the cap."""
-        cap = self.order_cap
+        cap = ORDER_CAP
         if base < 2:
             return
         if exponent == 1 or (base <= cap and exponent <= cap.bit_length()):
@@ -324,11 +323,11 @@ def _parse_gf(cur):
     return GF(p, r, poly)
 
 
-def parse_ring_spec(text, *, order_cap=DEFAULT_ORDER_CAP):
+def parse_ring_spec(text):
     """Parse the ring spec grammar: Z<m>, GF(p^r[,poly=c0,c1,..]),
     M<m>(GF(..)), prod(spec,..), op(spec).  A field or matrix ring whose order
-    exceeds order_cap is refused here, before its primality tests."""
-    cur = _Cursor(text, order_cap)
+    exceeds ORDER_CAP is refused here, before its primality tests."""
+    cur = _Cursor(text)
     spec = _parse_spec(cur)
     if not cur.at_end():
         cur.fail("trailing characters after ring spec")
@@ -411,23 +410,30 @@ def _reduced_exponents(character):
     return ex.astype(np.min_scalar_type(-min(2 * e + 1, 2 ** 63))), e
 
 
+def _adjoin(add, reached, g):
+    """Grow the boolean mask reached, breadth-first by r + g, until it
+    is closed under adding g.  When + is a group and reached a
+    subgroup, it becomes the subgroup that reached and g generate."""
+    fresh = np.flatnonzero(reached)
+    while len(fresh):
+        fresh = add[fresh, g]
+        fresh = fresh[~reached[fresh]]
+        reached[fresh] = True
+
+
 def _additive_generators(add):
     """A greedy additive generating set S of the table's elements, in
-    order: the least element not yet reached joins S, and the reached
-    set grows from {0} by r + g for g in S until it is closed.  So
-    every element is 0 or a left-nested sum ((g1 + g2) + ...) + gm of
-    generators.  When + is a group, each g at least doubles the
-    subgroup reached, so |S| <= log2 of the order."""
+    order: the least element not yet reached joins S, and _adjoin grows
+    the reached set, from {0}, by r + g for it.  So every element is 0
+    or a left-nested sum ((g1 + g2) + ...) + gm of generators.  When +
+    is a group, each g at least doubles the subgroup reached, so |S| <=
+    log2 of the order."""
     reached = np.zeros(len(add), dtype=bool)
     reached[0] = True
     gens = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        fresh = np.flatnonzero(reached)
-        while len(fresh):
-            sums = np.unique(add[fresh[:, None], gens])
-            fresh = sums[~reached[sums]]
-            reached[fresh] = True
+        _adjoin(add, reached, gens[-1])
     return gens
 
 
@@ -443,7 +449,11 @@ def _first(bad):
 class FiniteRing:
     """Tables-backed finite unital ring on element indices 0..order-1.
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share.  The
+    one exception is derived, where other layers keep what they compute
+    from the ring once (its weight table, its one-sided ideals, its
+    opposite ring), keyed by the function that computes it, for the
+    life of the ring.  Only the opposite ring refers back to the ring.
     """
 
     def __init__(self, spec, labels, add_table, mul_table, char_exponents,
@@ -461,8 +471,8 @@ class FiniteRing:
         self.zero = 0
         self.one = 1
 
-        self._op = None
         self.meta = meta or {}
+        self.derived = {}
         self._verify(self._scan_tables())
 
     # -- conveniences -------------------------------------------------
@@ -680,7 +690,7 @@ def _radix_table(shape, one, row_parts, axes):
     order: part f is reshaped so that its digits sit on their own axes.
     One gather relabels the sums, and the pinned column prefix (0, one,
     then 1..one-1) is a rotation of columns 1..one.  Each partial sum is
-    at most a natural index, below n <= MAX_ORDER, so the parts and
+    at most a natural index, below n <= ORDER_CAP, so the parts and
     their sums stay in the element dtype."""
     n = math.prod(shape)
     inv = _pinned_order(n, one)[1]
@@ -785,11 +795,11 @@ def _realize_gf(spec):
             {"digits": digits})
 
 
-def _realize_mat(spec, order_cap):
+def _realize_mat(spec):
     m = spec.m
     if m < 1:
         raise RingConstructionError("matrix size must be >= 1")
-    base = build_ring(spec.base, order_cap=order_cap)
+    base = build_ring(spec.base)
     q = base.order
     mm = m * m
     n = q ** mm
@@ -840,10 +850,10 @@ def _realize_mat(spec, order_cap):
             {"entries": entries, "base_ring": base})
 
 
-def _realize_product(spec, order_cap):
+def _realize_product(spec):
     if not spec.factors:
         raise RingConstructionError("product needs at least one factor")
-    factors = [build_ring(f, order_cap=order_cap) for f in spec.factors]
+    factors = [build_ring(f) for f in spec.factors]
     orders = [f.order for f in factors]
     t = len(factors)
     n = math.prod(orders)
@@ -875,20 +885,15 @@ def _realize_product(spec, order_cap):
             {"components": comps, "factor_rings": factors})
 
 
-def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
+def build_ring(spec):
     """Build the ring described by spec, with all invariants verified.
     The tables are built directly in identity-pinned order; op(spec) is
     the opposite_ring of spec's ring."""
     if isinstance(spec, OpSpec):
-        return opposite_ring(build_ring(spec.base, order_cap=order_cap))
+        return opposite_ring(build_ring(spec.base))
     order = spec.order
-    if order > order_cap:
-        raise CapExceededError(
-            f"ring order {order} exceeds cap {order_cap}")
-    if order > MAX_ORDER:
-        raise CapExceededError(
-            f"ring order {order} exceeds {MAX_ORDER}, the bound of int16 "
-            "element indices")
+    if order > ORDER_CAP:
+        raise CapExceededError(f"ring order {order} exceeds cap {ORDER_CAP}")
     if order < 2:
         raise RingConstructionError("ring order must be >= 2")
 
@@ -897,34 +902,33 @@ def build_ring(spec, *, order_cap=DEFAULT_ORDER_CAP):
     elif isinstance(spec, GF):
         realized = _realize_gf(spec)
     elif isinstance(spec, MatRing):
-        realized = _realize_mat(spec, order_cap)
+        realized = _realize_mat(spec)
     elif isinstance(spec, Product):
-        realized = _realize_product(spec, order_cap)
+        realized = _realize_product(spec)
     else:
         raise RingConstructionError(f"cannot build from spec {spec!r}")
     labels, add, mul, exps, e, meta = realized
     return FiniteRing(spec, labels, add, mul, exps, e, meta=meta)
 
 
-def ring_from_text(text, *, order_cap=DEFAULT_ORDER_CAP):
-    return build_ring(parse_ring_spec(text, order_cap=order_cap),
-                      order_cap=order_cap)
+def ring_from_text(text):
+    return build_ring(parse_ring_spec(text))
 
 
 def opposite_ring(ring):
     """The opposite ring (multiplication reversed); same element set,
     labels, character, and units.  Commutative rings are their own
-    opposite and are returned unchanged."""
-    if ring._op is not None:
-        return ring._op
+    opposite and are returned unchanged; a noncommutative ring and its
+    opposite are built once and keep each other in their derived."""
     if ring.is_commutative:
-        ring._op = ring
         return ring
-    op = FiniteRing(OpSpec(ring.spec), ring.labels, ring.add_table,
-                    ring.mul_table.T.copy(), ring.char_exponents,
-                    ring.exponent, meta={})
-    ring._op = op
-    op._op = ring
+    op = ring.derived.get("opposite_ring")
+    if op is None:
+        op = FiniteRing(OpSpec(ring.spec), ring.labels, ring.add_table,
+                        ring.mul_table.T.copy(), ring.char_exponents,
+                        ring.exponent, meta={})
+        ring.derived["opposite_ring"] = op
+        op.derived["opposite_ring"] = ring
     return op
 
 

@@ -128,7 +128,7 @@ def bump_unit_orbit(ring, table, x, delta):
                                             units)])
     numerators = table.numerators.copy()
     numerators[orbit] += delta
-    return WeightTable(ring, numerators, table.denominator)
+    return WeightTable(numerators, table.denominator)
 
 
 def bump_one_sided_orbit(ring, table, x, delta, side):
@@ -141,7 +141,7 @@ def bump_one_sided_orbit(ring, table, x, delta, side):
                       else ring.mul_table[x, units])
     numerators = table.numerators.copy()
     numerators[orbit] += delta
-    return WeightTable(ring, numerators, table.denominator)
+    return WeightTable(numerators, table.denominator)
 
 
 def check_unit_invariance_every_unit(ring, table):

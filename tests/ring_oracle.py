@@ -306,6 +306,24 @@ def cubic_axiom_failures(add, mul):
     return failed
 
 
+def greedy_additive_generators(add):
+    """The greedy additive generating set of rings._additive_generators,
+    each new generator's closure taken over all generators so far: the
+    least element not yet reached joins the set, and the reached set
+    grows by r + g for every g in it until it is closed."""
+    reached = np.zeros(len(add), dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        fresh = np.flatnonzero(reached)
+        while len(fresh):
+            sums = np.unique(add[fresh[:, None], gens])
+            fresh = sums[~reached[sums]]
+            reached[fresh] = True
+    return gens
+
+
 def pairwise_one_sided_ideals(ring, side="left"):
     """Every nonzero left (or right) ideal, as sorted element-index
     arrays ordered by size, then elements: the principal ideals of the

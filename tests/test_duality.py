@@ -176,7 +176,7 @@ def test_index_one_failure_names_a_message_and_a_unit():
     # Z9, [1 2], with w(4) = 2: the smaller-weight class holds the word
     # (1, 2) of the message 1, but not the word (2, 4) of 2 * 1
     ring = ring_from_text("Z9")
-    table = WeightTable(ring, np.array([0, 1, 1, 1, 2, 1, 1, 1, 1]), 1)
+    table = WeightTable(np.array([0, 1, 1, 1, 2, 1, 1, 1, 1]), 1)
     code = LinearCode(ring, np.array([[1, 2]]), table)
     assert code.weight_distribution == {0: 1, 2: 6, 3: 2}
     with pytest.raises(IdentityCheckError,

@@ -190,7 +190,7 @@ def test_weight_change_names_the_word_and_its_shift():
     # weight 9
     ring, code = make("prod(Z2,Z2)", [[1, 3, 1]])
     assert ring.labels[1:] == ["(1,1)", "(0,1)", "(1,0)"]
-    table = WeightTable(ring, np.array([0, 0, 0, 3]), 1)
+    table = WeightTable(np.array([0, 0, 0, 3]), 1)
     bent = LinearCode(ring, code.generator, table)
     with pytest.raises(IdentityCheckError,
                        match="^weights change under zero-weight shifts$"

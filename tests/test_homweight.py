@@ -33,7 +33,7 @@ from frobcode.homweight import (
     sum_of_squares_check,
     weight_table,
 )
-from frobcode.rings import order2_socle_part, ring_from_text
+from frobcode.rings import opposite_ring, order2_socle_part, ring_from_text
 from socle_oracle import (
     gf_matrix_rank,
     socle_rank_data,
@@ -228,18 +228,44 @@ def test_ideals_built_once_per_ring_and_side():
 
 
 def test_cached_table_and_ideals_let_their_ring_go():
-    # the cached table once held its ring, which kept the weak key, and
-    # the ideals cached with it, alive for the life of the process
+    # the ring keeps its table and ideals, and neither refers back to it
     m2 = ring_from_text("M2(GF(2))")
     table = weight_table(m2)
-    assert table.ring is m2
     for side in ("left", "right"):
         all_one_sided_ideals(m2, side)
     ring = weakref.ref(m2)
     del m2
     gc.collect()
     assert ring() is None
-    assert table.ring is None
+    # the table outlives its ring
+    assert table.value(0) == 0
+
+
+def test_weight_table_computed_once_per_ring():
+    z4 = ring_from_text("Z4")
+    assert weight_table(z4) is weight_table(z4)
+
+
+@pytest.mark.parametrize("text,cyclic", [("Z4", False),
+                                         ("M2(GF(2))", True)])
+def test_derived_data_freed_with_its_ring(text, cyclic):
+    # a commutative ring is its own opposite and goes by reference
+    # counting; a noncommutative one and its opposite refer to each
+    # other, so the cycle collector frees them
+    ring = ring_from_text(text)
+    weight_table(ring)
+    for side in ("left", "right"):
+        all_one_sided_ideals(ring, side)
+    opposite_ring(ring)
+    ref = weakref.ref(ring)
+    gc.disable()
+    try:
+        del ring
+        assert (ref() is None) is not cyclic
+        gc.collect()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fault_injection_breaks_coset_sums():

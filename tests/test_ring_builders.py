@@ -33,8 +33,8 @@ from frobcode.rings import (
     ring_from_text,
 )
 
-from ring_oracle import (oracle_ring, pairwise_one_sided_ideals,
-                         two_sided_units)
+from ring_oracle import (greedy_additive_generators, oracle_ring,
+                         pairwise_one_sided_ideals, two_sided_units)
 
 ORACLE_RINGS = ["Z2", "Z32", "Z4096", "GF(2)", "GF(4)", "GF(8)", "GF(9)",
                 "GF(16)", "M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M3(GF(2))",
@@ -246,6 +246,17 @@ def test_order2_socle_gens_match_per_column_oracle(text):
     assert gens == unique_column_gens(ring)
     with small_blocks(ring):
         assert order2_socle_part(ring) == (gens, part)
+
+
+@pytest.mark.parametrize("text", [
+    text for text in ORACLE_RINGS
+    if parse_ring_spec(text).order <= rings._FULL_AXIOM_LIMIT])
+def test_additive_generators_match_all_generators_closure(text):
+    # each reached set is a subgroup, so closing it under the newest
+    # generator alone reaches what closing it under all of them does
+    add = ring_from_text(text).add_table
+    assert rings._additive_generators(add) \
+        == greedy_additive_generators(add)
 
 
 # -------------------------------------------------------------- ideals

@@ -10,7 +10,6 @@ import cmath
 import itertools
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,11 +28,11 @@ from frobcode.errors import (
 )
 from frobcode.rings import (
     BUILTIN_POLYS,
-    DEFAULT_ORDER_CAP,
     GF,
     FiniteRing,
     GeneratingCharacter,
     MatRing,
+    ORDER_CAP,
     OpSpec,
     Product,
     Zm,
@@ -79,7 +78,7 @@ def test_parser_round_trips():
 FIELDS = [GF(p) for p in (2, 3, 5, 7, 11, 13)] + [
     GF(p, r) for p, r in sorted(BUILTIN_POLYS)]
 MATRIX_RINGS = [MatRing(m, f) for m in (1, 2, 3) for f in FIELDS
-                if f.order ** (m * m) <= DEFAULT_ORDER_CAP]
+                if f.order ** (m * m) <= ORDER_CAP]
 
 
 def nested_specs():
@@ -94,7 +93,7 @@ def nested_specs():
             st.lists(inner, min_size=1, max_size=3).map(
                 lambda factors: Product(tuple(factors))),
             inner.map(OpSpec)),
-        max_leaves=4).filter(lambda spec: spec.order <= DEFAULT_ORDER_CAP)
+        max_leaves=4).filter(lambda spec: spec.order <= ORDER_CAP)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -153,26 +152,24 @@ def test_irreducibility_matches_sympy():
     assert checked == 1329
 
 
-def test_order_cap():
-    with pytest.raises(CapExceededError):
-        build_ring(parse_ring_spec("Z8000"))
-    ring = build_ring(parse_ring_spec("Z8000"), order_cap=8000)
-    assert ring.order == 8000
+def test_cap_order_builds():
+    assert ORDER_CAP == 4096
+    assert ring_from_text("Z4096").order == ORDER_CAP
 
 
-def test_order_past_the_element_bound_refused_before_building():
-    # int16 element indices hold orders up to 2^15, whatever the cap
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceededError) as err:
-            build_ring(parse_ring_spec("Z40000"), order_cap=10 ** 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(err.value) == ("ring order 40000 exceeds 32768, the bound "
-                              "of int16 element indices")
-    assert "\n" not in str(err.value)
-    assert peak < 2 ** 20
+@pytest.mark.parametrize("text,spec,order", [
+    # refused when built: Z_m and products are not bounded while parsed
+    ("Z4097", Zm(4097), 4097),
+    ("prod(Z64,Z65)", Product((Zm(64), Zm(65))), 4160),
+    # refused when parsed, before any primality test
+    ("GF(2^13)", GF(2, 13), 8192),
+    ("M2(GF(9))", MatRing(2, GF(3, 2)), 6561),
+], ids=["Z4097", "prod(Z64,Z65)", "GF(2^13)", "M2(GF(9))"])
+def test_order_past_the_cap_refused(text, spec, order):
+    message = f"^ring order {order} exceeds cap 4096$"
+    for build in (lambda: ring_from_text(text), lambda: build_ring(spec)):
+        with pytest.raises(CapExceededError, match=message):
+            build()
 
 
 # --------------------------------------------------------------- axioms
@@ -468,11 +465,17 @@ def test_opposite_ring_transposes_multiplication():
     assert (op.mul_table == ring.mul_table.T).all()
     assert (op.add_table == ring.add_table).all()
     assert opposite_ring(op).mul_table.tolist() == ring.mul_table.tolist()
+    # built once: the pair keep each other
+    assert opposite_ring(ring) is op
+    assert opposite_ring(op) is ring
 
 
 def test_opposite_of_commutative_is_itself():
     z6 = ring_from_text("Z6")
     assert opposite_ring(z6) is z6
+    z4 = ring_from_text("Z4")
+    assert opposite_ring(z4) is z4
+    assert z4.derived == {}
 
 
 def test_op_spec_builds_the_opposite_ring():

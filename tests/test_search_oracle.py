@@ -169,7 +169,7 @@ def _outcome(fn):
 def test_bumped_orbit_fails_like_oracle(spec, x, delta, monkeypatch):
     ring = _ring(spec)
     table = bump_unit_orbit(ring, homweight.weight_table(ring), x, delta)
-    monkeypatch.setitem(homweight._table_cache, ring, table)
+    monkeypatch.setitem(ring.derived, "weight_table", table)
     batched = _outcome(lambda: search.search_modular_codes(ring, 1, 6))
     oracle = _outcome(lambda: search_per_candidate(ring, 1, 6))
     assert batched == oracle
@@ -189,7 +189,7 @@ def test_each_settled_candidate_fails_like_oracle(monkeypatch):
         for x in range(1, ring.order):
             for delta in (-1, 2):
                 table = bump_unit_orbit(ring, base, x, delta)
-                monkeypatch.setitem(homweight._table_cache, ring, table)
+                monkeypatch.setitem(ring.derived, "weight_table", table)
                 failures |= _compare_each(ring, k, n_max, index_one)
     assert failures == {
         "complement submodule test disagrees with triviality",
