@@ -371,23 +371,36 @@ def _equivalence_payload(report):
     }
 
 
-# the payload of each sub-object type of a search record; the tuple is
-# its weights
-_SUB_OBJECT_PAYLOADS = {
-    Fraction: _rat,
-    tuple: lambda weights: [_rat(w) for w in weights],
-    SrgParams: lambda srg: list(srg.as_tuple()),
-    TwoWeightProfile: _profile_payload,
-    DualReport: _dual_payload,
-    EquivalenceReport: _equivalence_payload,
+def _fraction_key(x):
+    return x.numerator, x.denominator
+
+
+def _same(value):
+    return value
+
+
+# the payload of each sub-object type of a search record, and the key
+# of its text: what the payload reads, with each Fraction as its
+# numerator and denominator, so that no Fraction is hashed; the tuple
+# is its weights
+_SUB_OBJECTS = {
+    Fraction: (_rat, _fraction_key),
+    tuple: (lambda weights: [_rat(w) for w in weights],
+            lambda weights: tuple(map(_fraction_key, weights))),
+    SrgParams: (lambda srg: list(srg.as_tuple()), _same),
+    TwoWeightProfile: (_profile_payload, lambda profile: profile.key),
+    DualReport: (_dual_payload,
+                 lambda dual: (_fraction_key(dual.w1_dual),
+                               _fraction_key(dual.w2_dual), dual.srg)),
+    EquivalenceReport: (_equivalence_payload, _same),
 }
 
 
 class _RecordRenderer:
     """The render hook of the search report.  It writes each search
     record's payload, and renders each distinct sub-object once per
-    report, keyed by its source object and indentation: a repeat
-    reuses that text."""
+    report, keyed by its type, its payload's source fields and the
+    indentation: a repeat reuses that text."""
 
     def __init__(self):
         self._texts = {}
@@ -396,11 +409,11 @@ class _RecordRenderer:
         if type(value) is SearchRecord:
             write(self._text(_record_payload(value), newline))
             return
-        key = value, newline
+        payload, key = _SUB_OBJECTS[type(value)]
+        key = type(value), key(value), newline
         text = self._texts.get(key)
         if text is None:
-            payload = _SUB_OBJECT_PAYLOADS[type(value)](value)
-            text = self._texts[key] = self._text(payload, newline)
+            text = self._texts[key] = self._text(payload(value), newline)
         write(text)
 
     def _text(self, payload, newline):

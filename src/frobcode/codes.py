@@ -231,6 +231,18 @@ class TwoWeightProfile:
     index: Fraction = None
 
     @property
+    def key(self):
+        """The fields as integers, each weight and the index as its
+        numerator and denominator: equal for equal profiles, and hashed
+        without hashing a Fraction."""
+        index = self.index
+        return (self.n, self.size, self.b0, self.w1.numerator,
+                self.w1.denominator, self.w2.numerator, self.w2.denominator,
+                self.b1, self.b2,
+                None if index is None else index.numerator,
+                None if index is None else index.denominator)
+
+    @property
     def trivial(self):
         """Predicted graph triviality of a modular code: smaller weight
         equals the length.  None for a non-modular code, whose coset

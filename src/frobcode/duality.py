@@ -17,14 +17,15 @@ block of z at a time and only their weights are kept.
 ``dual_pipeline`` is a measurement step and a closed-form step.  A
 ``DualMeasurement`` holds what is measured on Z: the dual word weights,
 index one, the dual graph and the span.  The measurement does not read
-the index, so the search measures it once per point subset.  The
-closed forms read only a profile's fields: the dual weights
-(``_dual_weights``: both forms of the smaller, and the larger), the
-checks of the dual profile, and the dual graph predicted from the
-primal profile and from the dual profile.  ``certify_dual`` takes each
-through an ``evaluate`` hook, which evaluates it on the spot unless
-the caller passes a memo; the search passes one that evaluates each
-form once per distinct profile.  The comparisons run on every call:
+the index, and the search measures the same facts for a block of point
+subsets at once from its tables of R^k.  The closed forms read only a
+profile's fields: the dual weights (``_dual_weights``: both forms of
+the smaller, and the larger), the checks of the dual profile, and the
+dual graph predicted from the primal profile and from the dual
+profile.  ``certify_dual`` takes each through an ``evaluate`` hook,
+which evaluates it on the spot unless the caller passes a memo; the
+search passes one that evaluates each form once per distinct
+profile.  The comparisons run on every call:
 the weight of each class of z, the dual frequencies as counted on Z,
 the dual graph against both forms, and the triviality criterion.
 """
@@ -42,6 +43,7 @@ from .errors import IdentityCheckError, PreconditionError
 from .graphs import (
     SrgParams,
     _cayley_srg,
+    _certified,
     predicted_dual_srg,
     predicted_srg,
 )
@@ -60,40 +62,35 @@ def _smaller_class_mask(code):
     return code.numerators == int(profile.w1 * code.denominator)
 
 
+def _dual_messages(code):
+    """X1: one message per smaller-weight word, the least of its coset
+    of ker G (b0 = 1: the zero-weight messages are ker G)."""
+    least = code.coset_keys == np.arange(len(code.coset_keys))
+    return decode_vectors(np.flatnonzero(_smaller_class_mask(code) & least),
+                          code.ring.order, code.k)
+
+
 @dataclass(frozen=True)
 class _ColumnModule:
     """The column module Z of a code's generator G, by ascending key,
-    with the keys, the fibre size |ker G|, the messages X1, one per
-    smaller-weight word, the weight numerator of each dual word X1 z,
-    and the mask of the z on an occurring column point."""
+    with the keys, the weight numerator of each dual word X1 z, the
+    mask of the z on an occurring column point and, when measured from
+    the code itself, the messages X1 (the search sums the dual word
+    weights over its smaller-weight masks instead)."""
     elements: np.ndarray
     keys: np.ndarray
-    fibre: int
-    x1: np.ndarray
     numerators: np.ndarray
     on_point: np.ndarray
+    x1: np.ndarray | None = None
 
 
 def _column_module(code, cap):
     """The column module of the code's generator, enumerated once and
-    shared by the dual and the message classification.  Checks that
-    |Z| = |C| and that |Z| divides order^n.  The dual words X1 z are
-    formed in blocks of z of at most BLOCK_ENTRIES entries."""
-    ring, order, n = code.ring, code.ring.order, code.n
-    # b0 = 1: the least message of a word is the least of its coset
-    least = code.coset_keys == np.arange(len(code.coset_keys))
-    x1 = decode_vectors(np.flatnonzero(_smaller_class_mask(code) & least),
-                        order, code.k)
+    shared by the dual and the message classification.  The dual words
+    X1 z are formed in blocks of z of at most BLOCK_ENTRIES entries."""
+    ring, order = code.ring, code.ring.order
+    x1 = _dual_messages(code)
     z, keys = column_module(ring, code.generator, cap)
-    if len(z) != code.size:
-        raise IdentityCheckError(
-            "column module size differs from the code size",
-            witness={"column_module": len(z), "code": code.size})
-    fibre, rest = divmod(order ** n, len(z))
-    if rest:
-        raise IdentityCheckError(
-            "column module size does not divide the message space",
-            witness={"column_module": len(z), "messages": f"{order}**{n}"})
     block = max(1, BLOCK_ENTRIES // len(x1))
     numerators = np.concatenate([
         code.table.word_numerator(apply_matrix(ring, x1,
@@ -101,7 +98,7 @@ def _column_module(code, cap):
         for start in range(0, len(z), block)])
     on_point = np.isin(keys, encode_vectors(code.support, order))
     on_point[keys == 0] = False
-    return _ColumnModule(z, keys, fibre, x1, numerators, on_point)
+    return _ColumnModule(z, keys, numerators, on_point, x1)
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,16 @@ def dual_pipeline(code, cap=None):
 class DualMeasurement:
     """The measured side of a dual: the column module Z with the dual
     word weight of each z, the dual's index one, its graph on Z and the
-    span of the smaller-weight messages.  None of them reads the code's
-    index, so a code whose numerators are m times this code's, with the
-    same kernel, has the same ones, its fibres order^(n - n0) times as
-    large.  Each is measured at first use, so certify_dual interleaves
-    them with the closed forms in one fixed order and fails first where
-    that order does."""
+    span of the smaller-weight messages, with the ring order and the
+    weight denominator they are read with.  None of them reads the
+    code's index.  Each is measured at first use, so certify_dual
+    interleaves them with the closed forms in one fixed order and fails
+    first where that order does.  The search gives certify_dual the
+    same attributes, measured for a block of codes at once."""
 
     def __init__(self, code, cap):
         self.code, self.cap = code, cap
+        self.order, self.denominator = code.ring.order, code.denominator
 
     @cached_property
     def module(self):
@@ -152,9 +150,10 @@ class DualMeasurement:
     def srg(self):
         """The measured Cayley graph on Z connected by the on-point z."""
         module = self.module
-        return _cayley_srg(self.code.ring, module.elements[module.on_point],
-                           module.keys, np.arange(len(module.keys)),
-                           module.on_point)
+        (result,) = _cayley_srg(self.code.ring, module.elements, module.keys,
+                                np.arange(len(module.keys)),
+                                module.on_point[None])
+        return _certified(result)
 
     @cached_property
     def spans(self):
@@ -182,25 +181,25 @@ def _dual_weights(profile):
 def certify_dual(profile, measurement, evaluate=evaluate_form):
     """The dual report of a code with this modular two-weight profile
     and trivial zero-weight subcode, from the closed forms in the
-    profile checked against the measurement of that code, or of the
-    code of its points at an index that divides its own.  Each closed
-    form is taken through evaluate, in the order the checks read it."""
+    profile checked against the measurement of that code (or of any
+    code with its smaller-weight messages, column module and occurring
+    points: those of its points at another index).  Each closed form
+    is taken through evaluate, in the order the checks read it."""
     if profile.b0 != 1:
         raise PreconditionError(
             "dual pipeline needs a trivial zero-weight subcode")
     n, w1, size = profile.n, profile.w1, profile.size
     w1_dual, w2_dual = evaluate(_dual_weights, profile)
 
-    module, code = measurement.module, measurement.code
+    module = measurement.module
+    fibre = _fibre(len(module.keys), profile, measurement.order)
     on_point, class_counts = _check_message_classification(
-        code, module, w1_dual, w2_dual)
+        module, measurement.denominator, fibre, w1_dual, w2_dual)
     measurement.index_one  # raises unless the dual has index one
-    scale = code.ring.order ** (n - code.n)
-    class_counts = tuple(scale * count for count in class_counts)
 
     b1_dual = int(on_point.sum())
     dual_profile = evaluate(_checked_profile, TwoWeightProfile(
-        n=len(module.x1), size=size, b0=1, w1=w1_dual, w2=w2_dual,
+        n=profile.b1, size=size, b0=1, w1=w1_dual, w2=w2_dual,
         b1=b1_dual, b2=size - 1 - b1_dual, index=Fraction(1)))
     measured = measurement.srg
     predicted = evaluate(predicted_dual_srg, profile)
@@ -225,14 +224,32 @@ def certify_dual(profile, measurement, evaluate=evaluate_form):
         kernel_size=class_counts[0], class_counts=class_counts)
 
 
-def _check_message_classification(code, module, w1_dual, w2_dual):
+def _fibre(size, profile, order):
+    """The number of y in R^n with G y = z, for each z of a column
+    module of the given size, once that size is the code size and
+    divides order^n."""
+    if size != profile.size:
+        raise IdentityCheckError(
+            "column module size differs from the code size",
+            witness={"column_module": size, "code": profile.size})
+    fibre, rest = divmod(order ** profile.n, size)
+    if rest:
+        raise IdentityCheckError(
+            "column module size does not divide the message space",
+            witness={"column_module": size,
+                     "messages": f"{order}**{profile.n}"})
+    return fibre
+
+
+def _check_message_classification(module, denominator, fibre, w1_dual,
+                                  w2_dual):
     """Every message vector y lands in one of three classes by its image
     z = G y: zero (dual word zero), on an occurring column point (dual
     weight the smaller closed form), or neither (the larger closed
     form).  Only z = 0 may have a dual word of weight 0.  Returns the
     mask of the on-point z and the class sizes, each z standing for its
-    whole fibre."""
-    D = code.denominator
+    fibre of y."""
+    D = denominator
     wnum, on_point = module.numerators, module.on_point
     zero = module.keys == 0
     other = ~zero & ~on_point
@@ -245,7 +262,7 @@ def _check_message_classification(code, module, w1_dual, w2_dual):
                 f"dual word weight disagrees with its {cls} class",
                 witness={"z": module.elements[bad[0]].tolist(),
                          "weight": str(Fraction(int(wnum[bad[0]]), D))})
-    counts = tuple(module.fibre * int(mask.sum())
+    counts = tuple(fibre * int(mask.sum())
                    for mask in (zero, on_point, other))
     if counts[1] == 0 or counts[2] == 0:
         raise IdentityCheckError(
@@ -273,13 +290,19 @@ def _check_index_one(code, x1):
 
 
 def _check_smaller_class_spans(code, cap):
-    """The smaller-weight codewords generate the whole code: the span
-    of their messages, whose image is the words' span, is all of R^k."""
+    """The smaller-weight codewords generate the whole code (see
+    _check_messages_span)."""
     rows = decode_vectors(np.flatnonzero(_smaller_class_mask(code)),
                           code.ring.order, code.k)
-    _, keys = span(code.ring, rows, cap=cap)
-    if len(keys) != len(code.numerators):
+    _check_messages_span(code.ring, rows, len(code.kernel), code.size, cap)
+
+
+def _check_messages_span(ring, rows, kernel_size, size, cap):
+    """The words of the messages rows, the smaller-weight words of a
+    code of this size and |ker G|, generate the code: the span of the
+    messages, whose image is the words' span, is all of R^k."""
+    _, keys = span(ring, rows, cap=cap)
+    if len(keys) != ring.order ** rows.shape[1]:
         raise IdentityCheckError(
             "smaller-weight codewords do not generate the code",
-            witness={"spanned": len(keys) // len(code.kernel),
-                     "code": code.size})
+            witness={"spanned": len(keys) // kernel_size, "code": size})

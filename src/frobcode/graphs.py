@@ -72,35 +72,58 @@ def measure_srg(adjacency):
     K = int(degrees[0])
     M = A @ A
     off = ~np.eye(N, dtype=bool)
-    return _srg_from_counts(N, K, M[(A == 1) & off], M[(A == 0) & off])
+    (result,) = _srg_from_counts([N], [K], M.reshape(1, -1),
+                                 ((A == 1) & off).reshape(1, -1),
+                                 ((A == 0) & off).reshape(1, -1))
+    return _certified(result)
 
 
-def _srg_from_counts(N, K, lam_counts, mu_counts):
-    """The parameters of a K-regular graph on N vertices from the
-    common-neighbour counts of its adjacent and of its nonadjacent
-    pairs; raises IdentityCheckError when either holds two values."""
-    if len(lam_counts):
-        lam_vals = np.unique(lam_counts)
-        if len(lam_vals) != 1:
-            raise IdentityCheckError(
-                "adjacent pairs disagree on common neighbours",
-                witness={"values": lam_vals.tolist()})
-        lam = int(lam_vals[0])
-    else:
-        lam = 0
-    if len(mu_counts):
-        mu_vals = np.unique(mu_counts)
-        if len(mu_vals) != 1:
-            raise IdentityCheckError(
-                "nonadjacent pairs disagree on common neighbours",
-                witness={"values": mu_vals.tolist()})
-        mu = int(mu_vals[0])
-    else:
-        # complete graph: every pair adjacent
-        mu = 0
-        lam = K - 1 if N > 1 else 0
-    trivial = mu == 0 or mu == K
-    return SrgParams(N, K, lam, mu, trivial)
+def _level(values, mask):
+    """Per row: the largest value under the mask (0 when the mask is
+    empty), and whether every value under the mask equals it."""
+    high = np.where(mask, values, -1).max(axis=1)
+    constant = np.where(mask, values, high[:, None]).min(axis=1) == high
+    return np.maximum(high, 0), constant
+
+
+def _srg_from_counts(vertices, degrees, counts, adjacent, others):
+    """Per row j of a stack: the parameters of the degrees[j]-regular
+    graph on vertices[j] vertices whose pairs have counts[j] common
+    neighbours, read on its adjacent pairs (marked by adjacent[j]) and
+    on its nonadjacent ones (others[j]), or the IdentityCheckError that
+    refutes it when either holds two values.  Only the entries a row
+    marks are read."""
+    lam, lam_constant = _level(counts, adjacent)
+    mu, mu_constant = _level(counts, others)
+    complete = ~others.any(axis=1)
+    results = []
+    for j, (N, K) in enumerate(zip(vertices, degrees)):
+        try:
+            for name, constant, mask in (("adjacent", lam_constant, adjacent),
+                                         ("nonadjacent", mu_constant, others)):
+                if not constant[j]:
+                    raise IdentityCheckError(
+                        f"{name} pairs disagree on common neighbours",
+                        witness={"values": np.unique(
+                            counts[j][mask[j]]).tolist()})
+            if complete[j]:
+                # complete graph: every pair adjacent
+                lam_j, mu_j = (K - 1 if N > 1 else 0), 0
+            else:
+                lam_j, mu_j = int(lam[j]), int(mu[j])
+            results.append(SrgParams(N, K, lam_j, mu_j,
+                                     mu_j == 0 or mu_j == K))
+        except IdentityCheckError as exc:
+            results.append(exc)
+    return results
+
+
+def _certified(result):
+    """A stacked measurement's result: its SrgParams, or its
+    IdentityCheckError raised."""
+    if isinstance(result, IdentityCheckError):
+        raise result
+    return result
 
 
 def predicted_srg(profile):
@@ -204,19 +227,9 @@ def build_coset_graph(code):
     profile = code.two_weight("coset graph")
     ring = code.ring
     least = code.coset_keys
-    keys = np.flatnonzero(least == np.arange(len(least)))
-    vertices = np.searchsorted(keys, least)
+    keys, vertices = _cosets(least)
     if (code.numerators != code.numerators[least]).any():
-        # named by the least word whose weight differs from its coset's
-        # least word, and by its shift from that word
-        reps = code.words_of(least_messages(code, vertices, len(keys)))
-        changed = code.numerators != code.table.word_numerator(reps)[vertices]
-        (x,) = least_messages(code, np.where(changed, 0, -1), 1)
-        word, rep = code.words_of([x])[0], reps[vertices[x]]
-        raise IdentityCheckError(
-            "weights change under zero-weight shifts",
-            witness={"word": word.tolist(), "shift": ring.add_table[
-                word, ring.neg_table[rep]].tolist()})
+        raise _shift_failure(code)
     connection = (code.numerators[keys]
                   == int(profile.w1 * code.denominator))
     graph = CosetGraph(code, vertices,
@@ -227,31 +240,56 @@ def build_coset_graph(code):
     return graph
 
 
+def _cosets(least):
+    """The least keys of the cosets, given each message's, and the
+    coset (vertex) of each message."""
+    keys = np.flatnonzero(least == np.arange(len(least)))
+    return keys, np.searchsorted(keys, least)
+
+
+def _shift_failure(code):
+    """The failure of a code whose weights change under zero-weight
+    shifts: named by the least word whose weight differs from its
+    coset's least word, and by its shift from that word."""
+    ring = code.ring
+    keys, vertices = _cosets(code.coset_keys)
+    reps = code.words_of(least_messages(code, vertices, len(keys)))
+    changed = code.numerators != code.table.word_numerator(reps)[vertices]
+    (x,) = least_messages(code, np.where(changed, 0, -1), 1)
+    word, rep = code.words_of([x])[0], reps[vertices[x]]
+    return IdentityCheckError(
+        "weights change under zero-weight shifts",
+        witness={"word": word.tolist(), "shift": ring.add_table[
+            word, ring.neg_table[rep]].tolist()})
+
+
 def coset_graph_srg(graph):
     """Certify a coset graph as strongly regular, as the Cayley graph
     on the cosets connected by the smaller-weight ones, counted on the
     messages of the connection set in R^k."""
-    return _cayley_srg(graph.code.ring, graph.messages[graph.connection],
-                       np.arange(len(graph.vertices)), graph.vertices,
-                       graph.connection)
+    (result,) = _cayley_srg(graph.code.ring, graph.messages, None,
+                            graph.vertices, graph.connection[None])
+    return _certified(result)
 
 
-def _cayley_srg(ring, rows, keys, labels, connection):
-    """Certify as strongly regular the Cayley graph on a group of N
-    elements labelled 0 (zero) to N - 1, whose connection set S, given
-    by one preimage row each, is marked by connection; keys are the
-    sorted keys of a group that maps onto it, and labels the label of
-    each key's image.  The common neighbours of two
-    elements are the count of their difference as s - t over S x S, so
-    lambda is read on S and mu on the other nonzero elements: on a
-    translation-invariant graph the value sets measure_srg sees, so the
-    messages, witnesses and complete-graph convention are the same."""
-    N = len(connection)
-    counts = _difference_counts(ring, rows, keys, labels, N)
-    others = ~connection
-    others[0] = False
-    return _srg_from_counts(N, int(connection.sum()), counts[connection],
-                            counts[others])
+def _cayley_srg(ring, rows, keys, labels, connections):
+    """Per connection mask of a stack over one group of N elements
+    labelled 0 (zero) to N - 1, one preimage row each in rows: the srg
+    of its Cayley graph, or the IdentityCheckError that refutes it (see
+    _srg_from_counts).  keys are the sorted keys of a group that maps
+    onto it (None: R^k, keyed by position), and labels the label of
+    each key's image.  The common
+    neighbours of two elements are the count of their difference as
+    s - t over S x S, so lambda is read on S and mu on the other
+    nonzero elements: on a translation-invariant graph the value sets
+    measure_srg sees, so the messages, witnesses and complete-graph
+    convention are the same."""
+    counts = _difference_counts(ring, rows, keys, labels, connections)
+    others = ~connections
+    others[:, 0] = False
+    degrees = connections.sum(axis=1).tolist()
+    return _srg_from_counts([connections.shape[1]] * len(connections),
+                            degrees, counts, connections, others)
 
 
 # ---------------------------------------------------------------- PDS
@@ -270,25 +308,64 @@ class PdsCertificate:
                          self.mu, trivial)
 
 
-def _difference_counts(ring, rows, keys, labels, length):
-    """Count the nonzero differences a - b of the given rows by class:
-    a difference is found in the sorted keys and counted under the
-    label of its position.  The rows are taken in blocks, so memory
-    stays bounded.  Raises PreconditionError when a difference is not
-    among the keys."""
-    m, n = rows.shape
+def _difference_counts(ring, rows, keys, labels, connections):
+    """For each connection mask of a stack over the N rows, count the
+    nonzero differences a - b of the rows it marks by class: a
+    difference is found in the sorted keys of the group (None: the
+    group is R^k, keyed by position) and counted under the label of
+    its position, labels holding one label per key for the whole
+    stack or one row of them per mask.  Returns the stack's counts, N
+    per mask.  Only the rows some mask of a part of the stack marks
+    are differenced, the masks a part at a time and the rows in
+    blocks, so the work is about the marked rows squared per mask and
+    memory stays bounded.  Raises PreconditionError when a difference
+    is not among the keys."""
+    height, length = connections.shape
+    counts = np.zeros((height, length), dtype=np.int64)
+    marked = int(connections.any(axis=0).sum())
+    part = max(1, BLOCK_ENTRIES // max(1, marked * marked))
+    for first in range(0, height, part):
+        stack = connections[first:first + part]
+        held = np.flatnonzero(stack.any(axis=0))
+        counts[first:first + part] = _stack_counts(
+            ring, rows[held], keys,
+            labels if labels.ndim == 1 else labels[first:first + part],
+            length, stack[:, held])
+    return counts
+
+
+def _stack_counts(ring, rows, keys, labels, length, members):
+    """_difference_counts on the rows some mask of the stack marks:
+    members[j] marks the rows of mask j; labels is shared, or
+    labels[j] labels the keys for mask j."""
+    (m, n), height = rows.shape, len(members)
     neg_rows = ring.neg_table[rows]
-    counts = np.zeros(length, dtype=np.int64)
-    block = max(1, BLOCK_ENTRIES // max(1, rows.size))
+    counts = np.zeros(height * length, dtype=np.int64)
+    block = max(1, BLOCK_ENTRIES // max(1, m * max(n, height)))
     for start in range(0, m, block):
         diffs = ring.add_table[rows[start:start + block, None, :],
                                neg_rows[None, :, :]]
-        dkeys = encode_vectors(diffs.reshape(-1, n), ring.order)
-        pos, found = lookup(keys, dkeys[dkeys != 0])
-        if not found.all():
+        dkeys = encode_vectors(diffs.reshape(-1, n), ring.order).reshape(
+            diffs.shape[:2])
+        pairs = dkeys != 0
+        if height == 1:
+            # a stack of one marks every row it was restricted to
+            dkeys = dkeys[pairs]
+        else:
+            pairs = (pairs & members[:, start:start + block, None]
+                     & members[:, None, :])
+        # each difference is looked up once for the whole stack
+        pos, found = (dkeys, True) if keys is None else lookup(keys, dkeys)
+        if height == 1:
+            labelled = labels[..., pos].ravel()
+        else:
+            found = found if keys is None else found[pairs.any(axis=0)]
+            labelled = (labels[..., pos] + (np.arange(height) * length)[
+                :, None, None])[pairs]
+        if not np.all(found):
             raise PreconditionError("differences leave the group")
-        counts += np.bincount(labels[pos], minlength=length)
-    return counts
+        counts += np.bincount(labelled, minlength=height * length)
+    return counts.reshape(height, length)
 
 
 def pds_check(ring, group_rows, subset_rows):
@@ -302,18 +379,24 @@ def pds_check(ring, group_rows, subset_rows):
     m = len(subset_rows)
     if m == 0:
         return None
-    gkeys = np.sort(encode_vectors(group_rows, order))
+    group_keys = encode_vectors(group_rows, order)
+    by_key = np.argsort(group_keys)
+    gkeys = group_keys[by_key]
     skeys = np.sort(encode_vectors(subset_rows, order))
+    at, inside = lookup(gkeys, skeys)
+    if not inside.all():
+        raise PreconditionError("subset leaves the group")
     if lookup(skeys, [0])[1][0]:
         return None
     neg_keys = np.sort(encode_vectors(ring.neg_table[subset_rows], order))
     if not (neg_keys == skeys).all():
         return None
 
-    try:
-        srg = _cayley_srg(ring, subset_rows, gkeys, np.arange(len(gkeys)),
-                          np.isin(gkeys, skeys))
-    except IdentityCheckError:
+    connection = np.zeros((1, len(gkeys)), dtype=bool)
+    connection[0, at] = True
+    (srg,) = _cayley_srg(ring, group_rows[by_key], gkeys,
+                         np.arange(len(gkeys)), connection)
+    if isinstance(srg, IdentityCheckError):
         return None
     return PdsCertificate(len(group_rows), m, srg.common_adjacent,
                           srg.common_nonadjacent)

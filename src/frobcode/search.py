@@ -6,26 +6,30 @@ column multiplicity to orbit size.  The search enumerates every subset
 of points and every admissible rational ratio within a length budget,
 classifies each candidate by its number of nonzero weights, and
 certifies all the predicted graph, dual, and difference-set structure
-on the spot.  Every candidate is classified and its difference-set
-claims certified from point tables; a code is built only for the
-claims that read its codewords.
+on the spot.  No candidate's code is built: everything is measured on
+the messages of R^k, for a block of point subsets at once.
 
 Changing the index scales every weight by the same factor and leaves
 the zero-weight and smaller-weight messages, the column module, the
-coset graph and the dual words as they are.  So a two-weight point
-subset's measured facts are taken once, at its first index: the srg of
-its coset graph and, for b0 = 1, its dual's column module, word
-weights, index one, graph and span.  Each further index still builds
-its own code and certifies it as the first index's code scaled (the
-numerators m times as large and the same kernel, m = index / first
-index).
+coset graph and the dual words as they are.  So the facts of a point
+subset are measured once, on its classify row, for all its indices:
+from the weight numerator of every message, the zero-weight and
+smaller-weight masks give the coset graph, counted on the message
+group by one stacked call of graphs._difference_counts for the whole
+block; for b0 = 1 the same call counts the dual graph on the column
+module, one int64 matmul per block gives the dual word weights, and
+the left unit orbits of the messages give index one.  Each record then
+runs the checks of its own code's certification in that order, and
+one that fails raises there with the same message and witness; only a
+witness that names a failing code's words or messages builds that
+code.
 
 The closed forms read only a two-weight profile's fields (n, |C|, b0,
 w1, w2, b1, b2 and the index), so each is evaluated once per distinct
 profile in a search: the checked profile, the predicted graph, the
 dual weights, the checked dual profile and its graph, and the
 predicted dual graph.  Every record still compares its own facts with
-them: the shared coset graph srg, the dual's message classes, counted
+them: the coset graph srg, the dual's message classes, counted
 frequencies, graph and triviality, and the difference-set graph of
 the equivalence verdict.  A form that raises is not kept, so the
 search fails at the first record that reads it, as it would with
@@ -37,25 +41,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .codes import (
-    LinearCode,
     TwoWeightProfile,
+    _checked_profile,
     build_code,
     one_weight_verdict,
 )
 from .cyclotomic import divisors
-from .duality import DualMeasurement, DualReport, certify_dual
+from .duality import (
+    DualReport,
+    _check_index_one,
+    _check_messages_span,
+    _ColumnModule,
+    _dual_messages,
+    certify_dual,
+)
 from .errors import CapExceededError, IdentityCheckError, PreconditionError
 from .graphs import (
     EquivalenceReport,
     PdsCertificate,
     SrgParams,
-    build_coset_graph,
-    coset_graph_srg,
+    _certified,
+    _difference_counts,
+    _level,
+    _shift_failure,
+    _srg_from_counts,
     equivalence_verdict,
     predicted_srg,
 )
@@ -130,13 +144,13 @@ def _admissible_indices(orbit_sizes, n_max, mult_cap, index_one):
     if index_one:
         return [Fraction(1)] if total <= n_max and largest <= mult_cap else []
     g = math.gcd(*orbit_sizes)
-    found = set()
+    # each a/b in lowest terms once, so no Fraction is hashed
+    found = []
     for b in divisors(g):
         # r = a/b needs r * total <= n_max and r * largest <= mult_cap
         top = min(n_max * b // total, mult_cap * b // largest)
-        for a in range(1, top + 1):
-            if math.gcd(a, b) == 1:
-                found.add(Fraction(a, b))
+        found += [Fraction(a, b) for a in range(1, top + 1)
+                  if math.gcd(a, b) == 1]
     return sorted(found)
 
 
@@ -204,7 +218,6 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     # a mask costs |R^k| message entries and count^2 point-pair terms
     step = max(1, BLOCK_ENTRIES // max(count * count, len(vectors)))
     records = []
-    base = None
     for start in range(1, 1 << count, step):
         masks = np.arange(start, min(start + step, 1 << count))
         chosen = (masks[:, None] >> np.arange(count)) & 1
@@ -215,50 +228,9 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
             sizes = [p.orbit_size for p in subset]
             for index in _admissible_indices(sizes, n_max, mult_cap,
                                              index_one):
-                record, base = tables.record(ring, k, subset, index, row,
-                                             cap, base)
-                records.append(record)
-            # a subset's measurement serves its own indices only
-            base = None
+                records.append(tables.record(ring, k, subset, index, row,
+                                             cap))
     return records
-
-
-@dataclass(frozen=True)
-class _Base:
-    """What a two-weight point subset measured at its first index: the
-    code there, the srg of its coset graph, and for b0 = 1 the
-    measurement of its dual."""
-    index: Fraction
-    code: LinearCode
-    srg: SrgParams
-    dual: DualMeasurement | None
-
-    def check(self, code, subset, index):
-        """Certify the subset's code at a further index as the base code
-        scaled: m = index / base index is an integer, its numerators are
-        m times the base's and its kernel is the base's.  Its zero-weight
-        and smaller-weight messages, so its coset graph, are then the
-        base's, and with the base's points so are its column module and
-        dual words."""
-        m = index / self.index
-        if (m.denominator != 1
-                or not np.array_equal(code.numerators,
-                                      m.numerator * self.code.numerators)
-                or not np.array_equal(code.kernel, self.code.kernel)):
-            raise IdentityCheckError(
-                "code is not its subset's base code scaled by the index "
-                "ratio",
-                witness={"points": [p.pid for p in subset],
-                         "index": str(index),
-                         "base_index": str(self.index)})
-
-
-def _level(values, mask):
-    """Per row: the largest value under the mask (0 when the mask is
-    empty), and whether every value under the mask equals it."""
-    high = np.where(mask, values, -1).max(axis=1)
-    constant = np.where(mask, values, high[:, None]).min(axis=1) == high
-    return np.maximum(high, 0), constant
 
 
 _CLASSIFICATIONS = {1: "one-weight", 2: "two-weight"}
@@ -284,6 +256,11 @@ class _PointTables:
     The column module Z = sum_p rep_p R is such a union, kept as a
     point mask, and Z(S + p) = Z(S) + rep_p R is memoised on
     (module, point).
+
+    The rows with two weights or b0 > 1 are measured on the messages
+    (see _measure), with tables of R^k built at first use: the key of
+    -x, the least key of the left unit orbit of x and, a block of
+    columns z at a time, w(x . z) for every message x.
     """
 
     def __init__(self, ring, points, vectors, labels):
@@ -293,6 +270,8 @@ class _PointTables:
                         dtype=ELEMENT_DTYPE)
         self.sizes = np.array([p.orbit_size for p in points], dtype=np.int64)
         table = weight_table(ring)
+        self.ring, self.table = ring, table
+        self.vectors, self.labels = vectors, labels
         self.ring_text = ring.spec.text()
         self.denominator = table.denominator
         self._weights = {}
@@ -303,9 +282,9 @@ class _PointTables:
             raise CapExceededError(
                 f"weight numerators up to {bound} exceed int64")
         # vectors is all of R^k, already within the cap
-        products = message_words(ring, reps.T, cap=len(vectors))
-        self.weights = table.numerators[products].T
-        self.nonzero = (products != 0).T.astype(np.int64)
+        self.products = message_words(ring, reps.T, cap=len(vectors))
+        self.weights = table.numerators[self.products].T
+        self.nonzero = (self.products != 0).T.astype(np.int64)
         diffs = np.empty((count, count, count), dtype=np.int64)
         for r in range(count):
             shifted = ring.add_table[vectors, ring.neg_table[reps[r]]]
@@ -327,33 +306,48 @@ class _PointTables:
 
     def classify(self, chosen):
         """For each 0/1 row over the points: the numerators of its
-        distinct nonzero weights at index 1, its code size, its b0, and
-        for b0 = 1 its equivalence facts (see _equivalence), else None."""
-        kernel = (chosen @ self.nonzero == 0).sum(axis=1)
-        numerators = np.sort((chosen * self.sizes) @ self.weights, axis=1)
-        first = np.ones(numerators.shape, dtype=bool)
-        first[:, 1:] = numerators[:, 1:] != numerators[:, :-1]
-        first &= numerators != 0
-        b0 = (numerators == 0).sum(axis=1) // kernel
-        sizes = numerators.shape[1] // kernel
+        distinct nonzero weights at index 1, its code size, its b0, for
+        b0 = 1 its equivalence facts (see _equivalence), else None, and
+        for two weights or zero-weight messages other than ker G its
+        _RowFacts (see _measure), else None."""
+        numerators = (chosen * self.sizes) @ self.weights
+        in_kernel = chosen @ self.nonzero == 0
+        kernel = in_kernel.sum(axis=1)
+        ordered = np.sort(numerators, axis=1)
+        first = np.ones(ordered.shape, dtype=bool)
+        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        first &= ordered != 0
+        b0 = (ordered == 0).sum(axis=1) // kernel
+        sizes = ordered.shape[1] // kernel
         trivial = np.flatnonzero(b0 == 1)
+        modules = np.zeros(len(chosen), dtype=np.int64)
         facts = [None] * len(chosen)
-        for row, eq in zip(trivial.tolist(),
-                           self._equivalence(chosen[trivial])):
-            facts[row] = eq
-        return [(values[keep].tolist(), size, b, eq)
-                for values, keep, size, b, eq in zip(
-                    numerators, first, sizes.tolist(), b0.tolist(), facts)]
+        if len(trivial):
+            modules[trivial] = self._column_modules(chosen[trivial])
+            for row, eq in zip(trivial.tolist(), self._equivalence(
+                    chosen[trivial], modules[trivial])):
+                facts[row] = eq
+        measured = [None] * len(chosen)
+        rows = np.flatnonzero((first.sum(axis=1) == 2) | (b0 > 1) | (
+            (numerators == 0) != in_kernel).any(axis=1))
+        if len(rows):
+            for row, found in zip(rows.tolist(), self._measure(
+                    chosen[rows], numerators[rows], ordered[rows],
+                    first[rows], in_kernel[rows], b0[rows], modules[rows])):
+                measured[row] = found
+        return [(values[keep].tolist(), size, b, eq, found)
+                for values, keep, size, b, eq, found in zip(
+                    ordered, first, sizes.tolist(), b0.tolist(), facts,
+                    measured)]
 
-    def _equivalence(self, chosen):
-        """Per row: the difference-set certificate of the chosen orbits
-        in the column module (None when their difference counts are not
-        constant on them and on the rest of the module), whether they
-        form a right submodule with 0, whether their complement in the
-        column module does, and the sizes of the orbits' union and of
-        the column module."""
+    def _equivalence(self, chosen, modules):
+        """Per row, with the id of its column module: the difference-set
+        certificate of the chosen orbits in the column module (None when
+        their difference counts are not constant on them and on the rest
+        of the module), whether they form a right submodule with 0,
+        whether their complement in the column module does, and the
+        sizes of the orbits' union and of the column module."""
         member = chosen == 1
-        modules = self._column_modules(chosen)
         outside = (np.stack(self.modules)[modules]
                    & ~member).astype(np.int64)
         counts = self._difference_counts(chosen)
@@ -412,44 +406,188 @@ class _PointTables:
             self._sums[m, p] = found
         return self._sums[m, p]
 
-    def record(self, ring, k, subset, index, row, cap, base=None):
-        """The certified record of a candidate with classify's row, and
-        the measurement its subset's further indices share.  A code is
-        built only for the claims that read its codewords: the coset
-        graph and dual of a two-weight candidate, and the zero-weight
-        subgroup check of a candidate with b0 > 1.  The intended index
-        needs no check: the columns are the point representatives with
-        multiplicities index * orbit size.
+    @cached_property
+    def _negated(self):
+        """The key of -x for each message x."""
+        return encode_vectors(self.ring.neg_table[self.vectors],
+                              self.ring.order)
 
-        A two-weight candidate's coset graph srg and, for b0 = 1, its
-        dual measurement are measured at its subset's first index and
-        returned as the base.  Given that base, a further index builds
-        its own code, certifies it as the base code scaled by
-        index / base index, and checks its own closed forms (see _form)
-        against the shared srg and dual measurement."""
-        numerators, size, b0, equivalence = row
+    @cached_property
+    def _left_orbits(self):
+        """The least key of the left unit orbit {u x} of each message x,
+        a block of units at a time."""
+        ring, vectors = self.ring, self.vectors
+        least = np.arange(len(vectors))
+        units = ring.units_array
+        block = max(1, BLOCK_ENTRIES // vectors.size)
+        for start in range(0, len(units), block):
+            images = ring.mul_table[units[start:start + block, None, None],
+                                    vectors[None]]
+            np.minimum(least, encode_vectors(images, ring.order).min(axis=0),
+                       out=least)
+        return least
+
+    def _measure(self, chosen, numerators, ordered, first, in_kernel, b0,
+                 modules):
+        """The _RowFacts of rows that classify measures, given their
+        message-order and sorted numerators at index 1, the first of
+        each distinct nonzero value, the ker G mask, b0 and, for b0 = 1,
+        the column module id.  Zero-weight messages other than ker G,
+        a group, get _zero_shifts.  The smaller-weight masks of the
+        two-weight rows, on one message per coset of the zero-weight
+        messages and labelled by coset, and for b0 = 1 the masks of
+        their occurring points are one stack for
+        graphs._difference_counts on the message group; the dual graph
+        counts are read on the column module.  Index one is the
+        smaller-weight mask constant on left unit orbits, and the dual
+        word weights come from _dual_numerators."""
+        facts = [_RowFacts() for _ in range(len(chosen))]
+        keys = np.arange(len(self.vectors))
+        # the least key of each message's coset of the zero-weight
+        # messages: ker G, the messages with the same word, unless
+        # other messages have weight zero
+        least = np.broadcast_to(keys, numerators.shape).copy()
+        extra_zero = ((numerators == 0) != in_kernel).any(axis=1)
+        for j in np.flatnonzero(extra_zero).tolist():
+            found = facts[j]
+            found.closed, found.constant, least[j] = self._zero_shifts(
+                numerators[j])
+        plain = ~extra_zero & (in_kernel.sum(axis=1) > 1)
+        for j in np.flatnonzero(plain).tolist():
+            _, at, word = np.unique(self.products[:, chosen[j] == 1], axis=0,
+                                    return_index=True, return_inverse=True)
+            least[j] = at[word.ravel()]
+        hits = np.flatnonzero(first.sum(axis=1) == 2)
+        if not len(hits):
+            return facts
+        kernel = in_kernel.sum(axis=1)
+        values = ordered[hits][first[hits]].reshape(-1, 2)
+        smaller = numerators[hits] == values[:, :1]
+        larger = numerators[hits] == values[:, 1:]
+        symmetric = (smaller[:, self._negated] == smaller).all(axis=1)
+        trivial = np.flatnonzero(b0[hits] == 1)
+        rows = hits[trivial]
+        omega = (chosen[rows][:, self.labels] == 1) & (self.labels >= 0)
+        in_module = np.concatenate(
+            [np.ones((len(rows), 1), dtype=bool),
+             np.stack(self.modules)[modules[rows]]],
+            axis=1)[:, self.labels + 1]
+        # the coset graph is counted on one message per coset, under the
+        # coset's least key; the dual graph on the messages themselves
+        vertex = least[hits] == keys
+        counts = _difference_counts(
+            self.ring, self.vectors, None,
+            np.concatenate([least[hits], np.broadcast_to(keys, omega.shape)]),
+            np.concatenate([smaller & vertex, omega]))
+        adjacent = smaller & vertex
+        coset_srgs = _srg_from_counts(
+            vertex.sum(axis=1).tolist(), adjacent.sum(axis=1).tolist(),
+            counts[:len(hits)], adjacent, larger & vertex)
+        others = in_module & ~omega
+        others[:, 0] = False
+        dual_srgs = _srg_from_counts(
+            in_module.sum(axis=1).tolist(), omega.sum(axis=1).tolist(),
+            counts[len(hits):], omega, others)
+        # x . z is constant on each coset of ker G for z in the column
+        # module, so each smaller-weight word counts |ker G| times
+        words = (self._dual_numerators(smaller[trivial], in_module)
+                 // kernel[rows][:, None])
+        left_closed = (smaller[trivial][:, self._left_orbits]
+                       == smaller[trivial]).all(axis=1)
+        b1 = smaller.sum(axis=1) // kernel[hits]
+        b2 = larger.sum(axis=1) // kernel[hits]
+        for j, row in enumerate(hits.tolist()):
+            found = facts[row]
+            found.symmetric, found.srg = bool(symmetric[j]), coset_srgs[j]
+            found.b1, found.b2 = int(b1[j]), int(b2[j])
+        for t, row in enumerate(rows.tolist()):
+            found, z = facts[row], in_module[t]
+            found.module = _ColumnModule(
+                self.vectors[z], np.flatnonzero(z), words[t][z], omega[t][z])
+            found.smaller, found.kernel = smaller[trivial[t]], int(kernel[row])
+            found.left_closed = bool(left_closed[t])
+            found.dual_srg = dual_srgs[t]
+        return facts
+
+    def _zero_shifts(self, numerators):
+        """For one row whose zero-weight messages are not ker G: whether
+        they hold 0 and are closed under addition, whether every weight
+        is constant on their cosets, and the least key of each
+        message's coset, from the key of x + s for every message x and
+        zero-weight message s, a block of x at a time."""
+        count = len(self.vectors)
+        zero = numerators == 0
+        least = np.arange(count)
+        if not zero[0]:
+            return False, False, least
+        shifts = self.vectors[zero]
+        closed = constant = True
+        block = max(1, BLOCK_ENTRIES // shifts.size)
+        for start in range(0, count, block):
+            sums = encode_vectors(self.ring.add_table[
+                self.vectors[start:start + block, None, :], shifts[None]],
+                self.ring.order)
+            shifted = numerators[sums]
+            own = numerators[start:start + block]
+            constant &= bool((shifted == own[:, None]).all())
+            closed &= bool((shifted[own == 0] == 0).all())
+            least[start:start + block] = sums.min(axis=1)
+        return closed, constant, least
+
+    def _dual_numerators(self, smaller, modules):
+        """Row j, message z of module j: the numerator of the weight of
+        the dual word, the sum over the smaller-weight messages x of row
+        j of w(x . z).  The table of w(x . z) for every message x is
+        formed for a block of z of at most BLOCK_ENTRIES entries at a
+        time, and each block is one int64 matmul with the masks."""
+        count = len(self.vectors)
+        sums = np.zeros(smaller.shape, dtype=np.int64)
+        needed = np.flatnonzero(modules.any(axis=0))
+        width = max(1, BLOCK_ENTRIES // count)
+        masks = smaller.astype(np.int64)
+        for start in range(0, len(needed), width):
+            z = needed[start:start + width]
+            products = message_words(self.ring, self.vectors[z].T, count)
+            sums[:, z] = masks @ self.table.numerators[products]
+        return sums
+
+    def record(self, ring, k, subset, index, row, cap):
+        """The certified record of a candidate with classify's row.  Its
+        checks run in the order of certifying the candidate's own code,
+        on what the row's block measured (see _measure), and a failing
+        check raises what that certification raises.  A code is built
+        only for the witness of a failure that names its words or
+        messages: weights that change under zero-weight shifts, and a
+        dual not of index one.  The intended index needs no check: the
+        columns are the point representatives with multiplicities
+        index * orbit size, so the numerators are index times the
+        row's."""
+        numerators, size, b0, equivalence, facts = row
         r, s = index.numerator, index.denominator
         n = r * sum(p.orbit_size for p in subset) // s
         weights = tuple(self._weight(v, r, s) for v in numerators)
         classification = _CLASSIFICATIONS.get(len(weights), "mixed")
         generator = partial(_candidate_generator, ring, subset, index)
         profile = srg = dual = report = None
-        if classification == "two-weight" or b0 > 1:
-            code = build_code(ring, generator(), cap, self._form)
+        if facts is not None and not facts.closed:
+            raise IdentityCheckError(
+                "zero-weight words are not closed under addition",
+                witness={"ring": self.ring_text})
         if classification == "one-weight" and b0 == 1:
             # every candidate is modular by construction
             one_weight_verdict(ring, is_one=True, is_mod=True,
                                is_sub=equivalence[1], generator=generator)
         if classification == "two-weight":
-            profile = code.profile
+            profile = self._form(_checked_profile, TwoWeightProfile(
+                n=n, size=size, b0=b0, w1=weights[0], w2=weights[1],
+                b1=facts.b1, b2=facts.b2, index=index))
             predicted = self._form(predicted_srg, profile)
-            if base is None:
-                base = _Base(index, code,
-                             coset_graph_srg(build_coset_graph(code)),
-                             DualMeasurement(code, cap) if b0 == 1 else None)
-            else:
-                base.check(code, subset, index)
-            srg = base.srg
+            if not facts.constant:
+                # the witness names a word and its shift
+                raise _shift_failure(build_code(ring, generator(), cap))
+            if not facts.symmetric:
+                raise IdentityCheckError("coset adjacency is not symmetric")
+            srg = _certified(facts.srg)
             if srg != predicted:
                 raise IdentityCheckError(
                     "measured graph parameters disagree with the closed "
@@ -459,7 +597,8 @@ class _PointTables:
                              "points": [p.pid for p in subset],
                              "index": str(index)})
             if b0 == 1:
-                dual = certify_dual(profile, base.dual, self._form)
+                dual = certify_dual(profile, _RowDual(self, facts, generator,
+                                                      cap), self._form)
         if b0 == 1:
             # the column module lies in R^k, which _point_layer
             # enumerated under the cap
@@ -475,7 +614,7 @@ class _PointTables:
             point_ids=tuple(p.pid for p in subset), index=index, n=n,
             size=size, b0=b0, classification=classification,
             weights=weights, profile=profile, srg=srg, dual=dual,
-            equivalence=report), base
+            equivalence=report)
 
     def _weight(self, numerator, r, s):
         """The weight of a word with this numerator at index r/s: one
@@ -488,10 +627,74 @@ class _PointTables:
 
     def _form(self, form, profile):
         """form(profile), evaluated once per distinct profile in this
-        search and kept by its exact fields.  A form that raises is not
-        kept, so each record that reads it raises again."""
-        key = form, profile
+        search and kept by the profile's integer fields (see
+        TwoWeightProfile.key).  A form that raises is not kept, so each
+        record that reads it raises again."""
+        key = form, profile.key
         found = self._forms.get(key)
         if found is None:
             found = self._forms[key] = form(profile)
         return found
+
+
+@dataclass
+class _RowFacts:
+    """What a classify block measured of one row that it measures:
+    whether its zero-weight messages are closed under addition and its
+    weights constant on their cosets; with two weights, whether
+    the smaller-weight messages are closed under negation, the word
+    counts b1 and b2, and the coset graph srg (or the
+    IdentityCheckError that refutes it); with b0 = 1 too, the dual's
+    column module, the smaller-weight mask and |ker G|, whether the
+    mask is closed under left units, the dual graph srg (or its error)
+    and, once a record reads it, the outcome of the span check."""
+    closed: bool = True
+    constant: bool = True
+    symmetric: bool = True
+    b1: int = 0
+    b2: int = 0
+    srg: object = None
+    module: _ColumnModule | None = None
+    smaller: np.ndarray | None = None
+    kernel: int = 1
+    left_closed: bool = True
+    dual_srg: object = None
+    spanned: object = None
+
+
+class _RowDual:
+    """A record's dual measurement, read from its row's facts with the
+    attributes certify_dual reads of a DualMeasurement.  Only a failing
+    index-one check builds the candidate's code, for its witness."""
+
+    def __init__(self, tables, facts, generator, cap):
+        self.tables, self.facts = tables, facts
+        self.generator, self.cap = generator, cap
+        self.order, self.denominator = tables.ring.order, tables.denominator
+        self.module = facts.module
+
+    @property
+    def index_one(self):
+        if not self.facts.left_closed:
+            code = build_code(self.tables.ring, self.generator(), self.cap)
+            _check_index_one(code, _dual_messages(code))
+
+    @property
+    def srg(self):
+        return _certified(self.facts.dual_srg)
+
+    @property
+    def spans(self):
+        """None, once the smaller-weight messages span R^k; checked once
+        per row."""
+        facts, tables = self.facts, self.tables
+        if facts.spanned is None:
+            try:
+                _check_messages_span(tables.ring,
+                                     tables.vectors[facts.smaller],
+                                     facts.kernel, facts.module.keys.size,
+                                     self.cap)
+                facts.spanned = True
+            except IdentityCheckError as exc:
+                facts.spanned = exc
+        _certified(facts.spanned)

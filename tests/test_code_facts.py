@@ -49,22 +49,26 @@ def test_each_fact_is_computed_once_per_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(codes.LinearCode, "__init__", init)
     path = tmp_path / "f3.code"
     path.write_text(F3_IDENTITY)
-    runs = [["search", "GF(3)", "k=3", "n_max=9", "--index1"],
-            ["search", "GF(2)", "k=3", "n_max=7"],
-            ["analyze", str(path)], ["graph", str(path)],
-            ["dual", str(path)]]
-    for argv in runs:
+    # the searches certify every candidate from their tables of R^k and
+    # build no code
+    for argv in (["search", "GF(3)", "k=3", "n_max=9", "--index1"],
+                 ["search", "GF(2)", "k=3", "n_max=7"]):
+        assert main(argv) == 0
+    assert built == []
+    for argv in (["analyze", str(path)], ["graph", str(path)],
+                 ["dual", str(path)]):
         assert main(argv) == 0
     capsys.readouterr()
     ids = {id(code) for code in built}
     for name in SPIED:
         assert set(calls[name]) <= ids
         assert max(calls[name].values()) == 1, name
-    # every code built is indexed; most are profiled and give their
-    # support to the one-weight or equivalence checks
-    assert len(calls["modular_index"]) == len(built) > 200
-    assert len(calls["two_weight_profile"]) > 200
-    assert len(calls["support_with_zero"]) > 100
+    # each command builds its code once, which is indexed and profiled;
+    # analyze gives its support to the equivalence check
+    assert len(built) == 3
+    assert len(calls["modular_index"]) == 3
+    assert len(calls["two_weight_profile"]) == 3
+    assert len(calls["support_with_zero"]) >= 1
 
 
 SPECS = ["Z4", "GF(4)", "M2(GF(2))", "prod(Z2,Z2)"]

@@ -150,7 +150,6 @@ def test_classification_counts_fibres():
     ring, code = make("Z4", [[1, 3]])
     module = _column_module(code, None)
     assert module.elements.tolist() == [[0], [1], [2], [3]]
-    assert module.fibre == 4
     report = dual_pipeline(code)
     assert report.kernel_size == 4
     assert report.class_counts == (4, 8, 4)
@@ -160,14 +159,15 @@ def test_classification_witness_is_a_column_module_element():
     ring, code = make("GF(3)", [[1, 0], [0, 1]])
     module = _column_module(code, None)
     report = dual_pipeline(code)
+    # each z is hit by 3**2 / 9 = 1 message vector
     on_point, counts = _check_message_classification(
-        code, module, report.w1_dual, report.w2_dual)
+        module, code.denominator, 1, report.w1_dual, report.w2_dual)
     assert counts == report.class_counts
     assert module.elements[on_point].tolist() == [
         [0, 1], [0, 2], [1, 0], [2, 0]]
     with pytest.raises(IdentityCheckError) as info:
         _check_message_classification(
-            code, module, report.w1_dual + 1, report.w2_dual)
+            module, code.denominator, 1, report.w1_dual + 1, report.w2_dual)
     assert set(info.value.witness) == {"z", "weight"}
     assert len(info.value.witness["z"]) == code.k
 
@@ -376,17 +376,16 @@ def test_column_module_graph_fails_like_coset_graph():
     ring, code = make("GF(2)", np.eye(3, dtype=np.int32).tolist())
     z, keys = column_module(ring, code.generator)
     connection = np.isin(keys, [1, 2])
-    with pytest.raises(IdentityCheckError) as on_z:
-        _cayley_srg(ring, z[connection], keys, np.arange(len(z)),
-                    connection)
+    (on_z,) = _cayley_srg(ring, z, keys, np.arange(len(z)),
+                          connection[None])
     graph = CosetGraph(code, np.arange(code.size),
                        enumerate_vectors(ring.order, code.k), connection)
     with pytest.raises(IdentityCheckError) as on_cosets:
         coset_graph_srg(graph)
-    assert str(on_z.value) == str(on_cosets.value) \
+    assert isinstance(on_z, IdentityCheckError)
+    assert str(on_z) == str(on_cosets.value) \
         == "nonadjacent pairs disagree on common neighbours"
-    assert on_z.value.witness == on_cosets.value.witness \
-        == {"values": [0, 2]}
+    assert on_z.witness == on_cosets.value.witness == {"values": [0, 2]}
 
 
 # ------------------------------------------------ agreement with oracle

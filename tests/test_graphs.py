@@ -8,11 +8,15 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobcode
+from frobcode import graphs
 from frobcode.codes import LinearCode, build_code, two_weight_profile
 from frobcode.errors import (
     CapExceededError,
@@ -29,7 +33,7 @@ from frobcode.graphs import (
     predicted_dual_srg,
     predicted_srg,
 )
-from frobcode.homweight import WeightTable
+from frobcode.homweight import WeightTable, weight_table
 from frobcode.rings import ring_from_text
 from frobcode.search import generator_for_record, search_modular_codes
 from frobcode.spans import (
@@ -39,7 +43,8 @@ from frobcode.spans import (
     enumerate_vectors,
     row_space,
 )
-from srg_oracle import oracle_coset_graph
+from search_oracle import search_per_candidate
+from srg_oracle import oracle_coset_graph, oracle_srg
 
 
 def make(text, rows):
@@ -348,6 +353,103 @@ def test_random_product_ring_codes_match_srg_oracle(spec):
     assert params <= with_fat_zero
     assert with_kernel == {False, True}
     assert failures == messages
+
+
+# -------------------------------------------- the stacked counting kernel
+
+STACK_RINGS = {spec: ring_from_text(spec)
+               for spec in ("Z4", "GF(4)", "Z9", "M2(GF(2))")}
+
+
+@st.composite
+def connection_stacks(draw):
+    """A ring, k, and a stack of connection masks over the messages of
+    R^k: the smaller-weight masks of random full two-weight codes with
+    b0 = 1 (with their codes), random masks closed under negation and,
+    outside characteristic 2, one mask {x} with -x != x, which is
+    not."""
+    spec = draw(st.sampled_from(sorted(STACK_RINGS)))
+    ring, k = STACK_RINGS[spec], draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = enumerate_vectors(ring.order, k)
+    negated = encode_vectors(ring.neg_table[vectors], ring.order)
+    stack = []
+    for _ in range(draw(st.integers(0, 3))):
+        generator = rng.integers(1, ring.order, size=(k, int(
+            rng.integers(1, 4))))
+        code = build_code(ring, generator)
+        profile = two_weight_profile(code)
+        if profile is None or profile.b0 != 1 or code.size < len(vectors):
+            continue
+        w1 = int(profile.w1 * code.denominator)
+        stack.append((code.numerators == w1, code))
+    for _ in range(draw(st.integers(0, 3))):
+        mask = rng.random(len(vectors)) < rng.random()
+        mask |= mask[negated]
+        mask[0] = False
+        stack.append((mask, None))
+    one_sided = np.flatnonzero(negated != np.arange(len(vectors)))
+    if len(one_sided):
+        asymmetric = np.zeros(len(vectors), dtype=bool)
+        asymmetric[one_sided[draw(st.integers(0, len(one_sided) - 1))]] = 1
+        stack.insert(draw(st.integers(0, len(stack))), (asymmetric, None))
+    if not stack:
+        stack.append((np.zeros(len(vectors), dtype=bool), None))
+    codes = [(j, code) for j, (_, code) in enumerate(stack)
+             if code is not None]
+    return ring, vectors, np.array([mask for mask, _ in stack]), codes
+
+
+def _srg_outcome(result):
+    if isinstance(result, IdentityCheckError):
+        return str(result), result.witness
+    return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(connection_stacks(), st.sampled_from([1, 5, 300, graphs.BLOCK_ENTRIES]))
+def test_stacked_counts_equal_one_mask_at_a_time(case, block):
+    # the stacked kernel gives each mask the counts and the srg (or the
+    # failure) of a stack of one, and on the smaller-weight mask of a
+    # code the dense oracle's outcome, whether the stack is counted in
+    # parts of one mask and blocks of one row or all at once
+    ring, vectors, masks, codes = case
+    keys = np.arange(len(vectors))
+    with mock.patch.object(graphs, "BLOCK_ENTRIES", block):
+        counts = graphs._difference_counts(ring, vectors, keys, keys, masks)
+        results = graphs._cayley_srg(ring, vectors, None, keys, masks)
+    assert len(counts) == len(results) == len(masks)
+    for j in range(len(masks)):
+        one = masks[j:j + 1]
+        assert np.array_equal(
+            counts[j], graphs._difference_counts(ring, vectors, keys, keys,
+                                                 one)[0])
+        (alone,) = graphs._cayley_srg(ring, vectors, keys, keys, one)
+        assert _srg_outcome(results[j]) == _srg_outcome(alone)
+    for j, code in codes:
+        assert _srg_outcome(results[j]) == srg_outcome(
+            lambda: oracle_srg(code))
+
+
+def test_smaller_weights_not_closed_under_negation_fail_like_oracle(
+        monkeypatch):
+    # Z4 with w(2) and w(3) moved apart: a two-weight candidate's
+    # smaller-weight messages are not closed under negation, so the
+    # search fails with the message certifying its code gives, the
+    # dense oracle's own
+    ring = ring_from_text("Z4")
+    numerators = weight_table(ring).numerators.copy()
+    numerators[2] -= 2
+    numerators[3] += 2
+    table = WeightTable(numerators, weight_table(ring).denominator)
+    monkeypatch.setitem(ring.derived, "weight_table", table)
+    outcomes = []
+    for route in (search_modular_codes, search_per_candidate):
+        with pytest.raises(IdentityCheckError) as info:
+            route(ring, 2, 4)
+        outcomes.append((str(info.value), info.value.witness))
+    assert outcomes[0] == outcomes[1] == (
+        "coset adjacency is not symmetric", None)
 
 
 # --------------------------------------------------- difference sets

@@ -5,6 +5,7 @@ spanned by each candidate's generator, and each distinct profile's
 closed forms evaluated once per search."""
 
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from frobcode.errors import FrobcodeError, IdentityCheckError
 from frobcode.rings import ring_from_text
 from frobcode.spans import column_module, encode_vectors, is_submodule
 
-from identity_oracle import bump_unit_orbit
+from identity_oracle import bump_one_sided_orbit, bump_unit_orbit
 from search_oracle import certify_candidate, search_per_candidate
 
 # (spec, k, n_max, index_one): every classification, indices other than
@@ -179,6 +180,102 @@ def test_bumped_orbit_fails_like_oracle(spec, x, delta, monkeypatch):
     assert batched[2]["two_weight"] is False and batched[2]["pds"] is True
 
 
+def _first_failure(monkeypatch, ring, search_args, kwargs):
+    """The outcomes of the search and of the oracle, and how many
+    records each made before it failed."""
+    made = {"search": 0, "oracle": 0}
+    for module, key in ((search, "search"), (search_oracle, "oracle")):
+        def counted(*args, _real=module.SearchRecord, _key=key, **fields):
+            made[_key] += 1
+            return _real(*args, **fields)
+        monkeypatch.setattr(module, "SearchRecord", counted)
+    batched = _outcome(lambda: search.search_modular_codes(
+        ring, *search_args, **kwargs))
+    oracle = _outcome(lambda: search_per_candidate(ring, *search_args,
+                                                   **kwargs))
+    return batched, oracle, made
+
+
+def test_dual_class_fault_mid_block_fails_like_oracle(monkeypatch):
+    # M2(GF(2)), k=1, index one, no column on the unit point: the codes
+    # read the weight only on one left ideal, so moving the left unit
+    # orbit of the element 3 leaves every primal check alone and first
+    # fails the dual words of the third row of the one classify block,
+    # a two-weight hit
+    ring = _ring("M2(GF(2))")
+    search_args, kwargs = (1, 9), {"index_one": True, "mult_cap": 3}
+    clean = search.search_modular_codes(ring, *search_args, **kwargs)
+    table = bump_one_sided_orbit(ring, homweight.weight_table(ring), 3, -2,
+                                 "left")
+    monkeypatch.setitem(ring.derived, "weight_table", table)
+    blocks = []
+    real = search._PointTables.classify
+
+    def classify(self, chosen):
+        blocks.append(len(chosen))
+        return real(self, chosen)
+    monkeypatch.setattr(search._PointTables, "classify", classify)
+    batched, oracle, made = _first_failure(monkeypatch, ring, search_args,
+                                           kwargs)
+    assert batched == oracle == (
+        IdentityCheckError,
+        "dual word weight disagrees with its on-point class",
+        {"z": [3], "weight": "3"})
+    assert blocks == [7]
+    assert made["search"] == made["oracle"] == 2
+    failing = clean[made["search"]]
+    assert failing.classification == "two-weight"
+    assert [r.point_ids for r in clean[:3]] == [(2,), (5,), (2, 5)]
+
+
+def test_shift_fault_fails_like_oracle(monkeypatch):
+    # prod(Z4,Z2), k=1: with w(3) and w(4) moved apart, a two-weight
+    # candidate with b0 > 1 has weights that change under its zero-weight
+    # shifts; the witness names words, so the search builds that code
+    ring = _ring("prod(Z4,Z2)")
+    numerators = homweight.weight_table(ring).numerators.copy()
+    numerators[3] += 2
+    numerators[4] -= 2
+    monkeypatch.setitem(ring.derived, "weight_table", homweight.WeightTable(
+        numerators, homweight.weight_table(ring).denominator))
+    batched, oracle, _ = _first_failure(monkeypatch, ring, (1, 6),
+                                        {"mult_cap": 2})
+    assert batched == oracle == (
+        IdentityCheckError, "weights change under zero-weight shifts",
+        {"word": [4], "shift": [5]})
+
+
+def test_index_one_failure_names_the_codes_witness(monkeypatch):
+    # Z9 with w(4) = 2: the unit point's smaller-weight messages miss
+    # 4 = 2 * 2, so its dual is not of index one.  No search reaches
+    # this check with a planted table: a weight moved inside a left
+    # unit orbit first fails a one-point candidate's profile or
+    # difference-set claims, here the power-sum relation, which is
+    # therefore skipped.  The row's facts raise what the dual
+    # measurement of its code raises.
+    _replace_everywhere(monkeypatch, "_checked_profile",
+                        lambda real: lambda profile: profile)
+    ring = _ring("Z9")
+    table = homweight.WeightTable(np.array([0, 1, 1, 1, 2, 1, 1, 1, 1]), 1)
+    monkeypatch.setitem(ring.derived, "weight_table", table)
+    points, vectors, labels = search._point_layer(ring, 1, None)
+    tables = search._PointTables(ring, points, vectors, labels)
+    (row,) = tables.classify(np.array([[1, 0]]))
+    facts = row[4]
+    assert len(row[0]) == 2 and row[2] == 1 and not facts.left_closed
+    generator = partial(search._candidate_generator, ring, points[:1],
+                        Fraction(1))
+    with pytest.raises(IdentityCheckError) as got:
+        search._RowDual(tables, facts, generator, None).index_one
+    with pytest.raises(IdentityCheckError) as want:
+        duality.DualMeasurement(codes.build_code(ring, generator()),
+                                None).index_one
+    assert str(got.value) == str(want.value) \
+        == "dual is not modular of index one"
+    assert got.value.witness == want.value.witness \
+        == {"message": [2], "unit": 2}
+
+
 def test_each_settled_candidate_fails_like_oracle(monkeypatch):
     # every candidate, under tables with a whole unit orbit bumped,
     # against its own per-candidate certification
@@ -209,9 +306,9 @@ def test_search_cap_overrides_env_cap_like_oracle(monkeypatch):
 
 def _compare_each(ring, k, n_max, index_one, cap=None):
     """The failure messages of every candidate, each one asserted equal
-    to the oracle's outcome for it.  A subset's further indices are
-    certified from the base its first passing two-weight index
-    measured, as the search certifies them."""
+    to the oracle's outcome for it.  Every index of a subset is
+    certified from the facts its classify row measured, as the search
+    certifies them."""
     points, vectors, labels = search._point_layer(ring, k, cap)
     tables = search._PointTables(ring, points, vectors, labels)
     masks = np.arange(1, 1 << len(points))
@@ -220,13 +317,10 @@ def _compare_each(ring, k, n_max, index_one, cap=None):
     for mask, row in zip(masks.tolist(), tables.classify(chosen)):
         subset = [p for i, p in enumerate(points) if mask >> i & 1]
         sizes = [p.orbit_size for p in subset]
-        base = None
         for index in search._admissible_indices(sizes, n_max, n_max,
                                                 index_one):
             got = _outcome(lambda: tables.record(ring, k, subset, index,
-                                                 row, cap, base))
-            if isinstance(got[0], search.SearchRecord):
-                got, base = got
+                                                 row, cap))
             want = _outcome(lambda: certify_candidate(
                 ring, k, subset, index, cap))
             assert got == want
@@ -235,103 +329,98 @@ def _compare_each(ring, k, n_max, index_one, cap=None):
     return failures
 
 
+def _spy(monkeypatch, calls, module, name):
+    """Count the calls of module.name in calls[name]."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+# what certifying a candidate's own code runs, by defining module
+PER_CANDIDATE = {"build_code": codes, "build_coset_graph": graphs,
+                 "DualMeasurement": duality, "equivalence_check": graphs,
+                 "pds_check": graphs, "coset_graph_srg": graphs}
+
+
 def test_settled_candidates_skip_code_and_equivalence(monkeypatch):
-    # a code is built only for two-weight and b0 > 1 candidates, and
-    # equivalence_check never runs: pds_check runs only inside it,
-    # however either is bound
-    calls = {"build_code": 0, "equivalence_check": 0, "pds_check": 0}
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    spy(search, "build_code")
-    spy(graphs, "equivalence_check")
-    spy(graphs, "pds_check")
+    # no candidate builds a code, a coset graph, a dual measurement or
+    # runs equivalence_check, with b0 > 1 (prod(Z2,Z2)) and without,
+    # however these are bound
+    calls = dict.fromkeys(PER_CANDIDATE, 0)
+    for name, module in PER_CANDIDATE.items():
+        for bound in (module, search):
+            if getattr(bound, name, None) is getattr(module, name):
+                _spy(monkeypatch, calls, bound, name)
     for spec, k, n_max, index_one in (("GF(3)", 3, 9, True),
-                                      ("prod(Z2,Z2)", 2, 3, False)):
-        calls["build_code"] = 0
+                                      ("prod(Z2,Z2)", 2, 3, False),
+                                      ("prod(Z2,Z2)", 2, 4, False)):
         records = search.search_modular_codes(_ring(spec), k, n_max,
                                               index_one=index_one)
-        assert calls["build_code"] == sum(
-            r.classification == "two-weight" or r.b0 > 1 for r in records)
-        assert 0 < calls["build_code"] < len(records)
-    assert calls["equivalence_check"] == calls["pds_check"] == 0
+        assert any(r.classification == "two-weight" for r in records)
+    assert calls == dict.fromkeys(PER_CANDIDATE, 0)
 
 
 def _two_weight_counts(records):
-    """The two-weight or b0 > 1 records, and the distinct two-weight
-    point subsets."""
-    return (sum(r.classification == "two-weight" or r.b0 > 1
-                for r in records),
+    """The two-weight records, and the distinct two-weight point
+    subsets."""
+    return (sum(r.classification == "two-weight" for r in records),
             len({r.point_ids for r in records
                  if r.classification == "two-weight"}))
 
 
 def test_subset_measured_once_across_its_indices(monkeypatch):
-    # k=2, n_max=8: each two-weight point subset's coset graph and dual
-    # are measured once, and each of its indices still builds its code
-    calls = {"build_code": 0, "coset_graph_srg": 0, "DualMeasurement": 0}
+    # k=2, n_max=8: each classify block that holds two-weight subsets
+    # counts their coset graphs and dual graphs in one stacked call of
+    # the counting kernel, one smaller-weight mask and one point mask
+    # per subset, and no candidate builds a code, graph or dual
+    calls = dict.fromkeys(PER_CANDIDATE, 0)
+    for name, module in PER_CANDIDATE.items():
+        _spy(monkeypatch, calls, module, name)
+    stacks = []
+    real = search._difference_counts
 
-    def spy(name):
-        real = getattr(search, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(search, name, counted)
-
-    for name in calls:
-        spy(name)
+    def counted(ring, rows, keys, labels, connections):
+        stacks.append(len(connections))
+        return real(ring, rows, keys, labels, connections)
+    monkeypatch.setattr(search, "_difference_counts", counted)
     totals = [0, 0]
     for spec in ("GF(2)", "GF(3)", "GF(4)", "Z4"):
+        stacks.clear()
         records = search.search_modular_codes(_ring(spec), 2, 8)
-        built, subsets = _two_weight_counts(records)
+        hits, subsets = _two_weight_counts(records)
         assert all(r.b0 == 1 for r in records)
-        assert calls == {"build_code": built, "coset_graph_srg": subsets,
-                         "DualMeasurement": subsets}
-        totals[0] += built
+        assert sum(stacks) == 2 * subsets
+        assert 1 <= len(stacks) <= 2
+        totals[0] += hits
         totals[1] += subsets
-        calls.update(dict.fromkeys(calls, 0))
+    assert calls == dict.fromkeys(PER_CANDIDATE, 0)
     assert totals == [254, 101]
 
 
-def test_base_of_another_subset_or_index_is_refused():
-    # GF(3), k=2: points {1, 3} and {1, 4} are two-weight at indices 1/2
-    # and 1; the base of another subset, or of a later index, certifies
-    # nothing
+def test_row_facts_serve_every_index_of_their_subset():
+    # GF(3), k=2: points {1, 3} are two-weight at indices 1/2 and 1;
+    # both records read one row's facts, which check the span once, and
+    # each equals its own certification
     ring = _ring("GF(3)")
     points, vectors, labels = search._point_layer(ring, 2, None)
     tables = search._PointTables(ring, points, vectors, labels)
     masks = np.arange(1, 1 << len(points))
     chosen = (masks[:, None] >> np.arange(len(points))) & 1
     rows = dict(zip(masks.tolist(), tables.classify(chosen)))
-    half, one = Fraction(1, 2), Fraction(1)
-
-    def record(mask, index, base=None):
-        subset = [p for i, p in enumerate(points) if mask >> i & 1]
-        return tables.record(ring, 2, subset, index, rows[mask], None, base)
-
-    first, second = 0b0011, 0b0101
-    got, base = record(first, half)
-    assert got.classification == "two-weight"
-    assert record(first, one, base)[0] == record(first, one)[0]
-    _, other = record(second, half)
-    _, later = record(first, one)
-    for mask, index, wrong, base_index in ((first, one, other, "1/2"),
-                                           (first, half, later, "1")):
-        with pytest.raises(IdentityCheckError,
-                           match="^code is not its subset's base code "
-                                 "scaled by the index ratio$") as info:
-            record(mask, index, wrong)
-        assert info.value.witness == {
-            "points": [p.pid for i, p in enumerate(points)
-                       if mask >> i & 1],
-            "index": str(index), "base_index": base_index}
+    mask = 0b0011
+    subset = [p for i, p in enumerate(points) if mask >> i & 1]
+    facts = rows[mask][4]
+    assert facts.spanned is None
+    for index in (Fraction(1, 2), Fraction(1)):
+        got = tables.record(ring, 2, subset, index, rows[mask], None)
+        assert got.classification == "two-weight"
+        assert got == certify_candidate(ring, 2, subset, index, None)
+        assert facts.spanned is True
+    # a one-weight subset of b0 = 1 measures nothing
+    assert rows[0b0001][4] is None
 
 
 # each closed form of a profile, by its defining module; the first two
