@@ -12,17 +12,17 @@ import argparse
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .codes import (
-    TwoWeightProfile,
     build_code,
     parse_code_file,
     sweep_code_identities,
 )
-from .duality import DualReport, dual_pipeline
+from .duality import dual_pipeline
 from .errors import (
     CapExceededError,
     CharacterError,
@@ -33,8 +33,6 @@ from .errors import (
     ZeroColumnError,
 )
 from .graphs import (
-    EquivalenceReport,
-    SrgParams,
     build_coset_graph,
     coset_graph_srg,
     predicted_srg,
@@ -307,52 +305,49 @@ def cmd_dual(args):
 # -------------------------------------------------------------- search
 
 
-def _record_line(rec):
-    bits = [f"[{rec.classification}]",
-            f"points={','.join(str(p) for p in rec.point_ids)}",
-            f"r={rec.index}", f"n={rec.n}", f"|C|={rec.size}",
-            f"b0={rec.b0}",
-            "w=(" + ",".join(str(w) for w in rec.weights) + ")"]
-    if rec.srg is not None:
-        bits.append("srg=" + str(rec.srg.as_tuple()).replace(" ", ""))
-        bits.append(f"trivial={str(rec.srg.trivial).lower()}")
-    if rec.dual is not None:
-        bits.append(f"dual_w=({rec.dual.w1_dual},{rec.dual.w2_dual})")
-    if rec.equivalence is not None:
-        cert = rec.equivalence.pds
+def _record_line(rec, tails):
+    """A search record's stdout line.  The text from its index on, but
+    for n, |C| and b0, is made once per distinct index, weights, srg,
+    dual and equivalence report objects and kept in tails by their
+    ids, with the objects, so that no id is reused while tails lives."""
+    parts = rec.index, rec.weights, rec.srg, rec.dual, rec.equivalence
+    key = tuple(map(id, parts))
+    found = tails.get(key)
+    if found is None:
+        found = tails[key] = parts, f"r={rec.index}", _line_tail(*parts[1:])
+    return (f"[{rec.classification}] "
+            f"points={','.join(map(int.__repr__, rec.point_ids))} "
+            f"{found[1]} n={rec.n} |C|={rec.size} b0={rec.b0} {found[2]}")
+
+
+def _line_tail(weights, srg, dual, equivalence):
+    bits = ["w=(" + ",".join(str(w) for w in weights) + ")"]
+    if srg is not None:
+        bits.append("srg=" + str(srg.as_tuple()).replace(" ", ""))
+        bits.append(f"trivial={str(srg.trivial).lower()}")
+    if dual is not None:
+        bits.append(f"dual_w=({dual.w1_dual},{dual.w2_dual})")
+    if equivalence is not None:
+        cert = equivalence.pds
         bits.append("pds=" + (
             "none" if cert is None else str(cert.srg_params().as_tuple())
             .replace(" ", "")))
     return " ".join(bits)
 
 
-def _record_payload(rec):
-    """A search record's report entry.  Its index, weights, srg,
-    profile, dual and equivalence stay objects, for _RecordRenderer to
-    render once per report."""
-    return {
-        "ring": rec.ring_text,
-        "k": rec.k,
-        "point_ids": list(rec.point_ids),
-        "index": rec.index,
-        "n": rec.n,
-        "size": rec.size,
-        "b0": rec.b0,
-        "classification": rec.classification,
-        "weights": rec.weights,
-        "profile": rec.profile,
-        "srg": rec.srg,
-        "trivial": rec.srg.trivial if rec.srg is not None else None,
-        "dual": rec.dual,
-        "equivalence": rec.equivalence,
-    }
+def _srg_payload(srg):
+    return list(srg.as_tuple())
+
+
+def _weights_payload(weights):
+    return [_rat(w) for w in weights]
 
 
 def _dual_payload(dual):
     return {
         "w1_dual": _rat(dual.w1_dual),
         "w2_dual": _rat(dual.w2_dual),
-        "srg": dual.srg,
+        "srg": _srg_payload(dual.srg),
     }
 
 
@@ -371,55 +366,71 @@ def _equivalence_payload(report):
     }
 
 
-def _fraction_key(x):
-    return x.numerator, x.denominator
-
-
-def _same(value):
-    return value
-
-
-# the payload of each sub-object type of a search record, and the key
-# of its text: what the payload reads, with each Fraction as its
-# numerator and denominator, so that no Fraction is hashed; the tuple
-# is its weights
-_SUB_OBJECTS = {
-    Fraction: (_rat, _fraction_key),
-    tuple: (lambda weights: [_rat(w) for w in weights],
-            lambda weights: tuple(map(_fraction_key, weights))),
-    SrgParams: (lambda srg: list(srg.as_tuple()), _same),
-    TwoWeightProfile: (_profile_payload, lambda profile: profile.key),
-    DualReport: (_dual_payload,
-                 lambda dual: (_fraction_key(dual.w1_dual),
-                               _fraction_key(dual.w2_dual), dual.srg)),
-    EquivalenceReport: (_equivalence_payload, _same),
-}
+# the keys of a search record's report entry, sorted
+_RECORD_KEYS = ("b0", "classification", "dual", "equivalence", "index", "k",
+                "n", "point_ids", "profile", "ring", "size", "srg",
+                "trivial", "weights")
 
 
 class _RecordRenderer:
     """The render hook of the search report.  It writes each search
-    record's payload, and renders each distinct sub-object once per
-    report, keyed by its type, its payload's source fields and the
-    indentation: a repeat reuses that text."""
+    record from one template over _RECORD_KEYS.  The text of each index,
+    weight tuple, profile, srg, dual and equivalence report is rendered
+    once per object and kept with it, so the parts a search's records
+    share are rendered once per report."""
 
     def __init__(self):
-        self._texts = {}
+        self._layouts = {}
 
-    def __call__(self, value, write, newline):
-        if type(value) is SearchRecord:
-            write(self._text(_record_payload(value), newline))
-            return
-        payload, key = _SUB_OBJECTS[type(value)]
-        key = type(value), key(value), newline
-        text = self._texts.get(key)
-        if text is None:
-            text = self._texts[key] = self._text(payload(value), newline)
-        write(text)
+    def __call__(self, rec, write, newline):
+        if type(rec) is not SearchRecord:
+            raise TypeError(f"Object of type {type(rec).__name__} "
+                            "is not JSON serializable")
+        layout = self._layouts.get(newline)
+        if layout is None:
+            inner = newline + "  "
+            template = "{" + ",".join(
+                f"{inner}{encode_basestring_ascii(key)}: %s"
+                for key in _RECORD_KEYS) + newline + "}"
+            layout = self._layouts[newline] = (template, inner, {})
+        template, inner, texts = layout
+        part = partial(_part_text, texts, inner)
+        srg = rec.srg
+        write(template % (
+            int.__repr__(rec.b0), encode_basestring_ascii(rec.classification),
+            part(rec.dual, _dual_payload),
+            part(rec.equivalence, _equivalence_payload),
+            part(rec.index, _rat), int.__repr__(rec.k), int.__repr__(rec.n),
+            _int_list(rec.point_ids, inner),
+            part(rec.profile, _profile_payload),
+            encode_basestring_ascii(rec.ring_text), int.__repr__(rec.size),
+            part(srg, _srg_payload),
+            "null" if srg is None else "true" if srg.trivial else "false",
+            part(rec.weights, _weights_payload)))
 
-    def _text(self, payload, newline):
+
+def _part_text(texts, newline, value, payload):
+    """The text of a record's part, rendered from payload(value) at
+    first sight and kept in texts by the part's id, with the part, so
+    that the id is not reused while texts lives."""
+    if value is None:
+        return "null"
+    found = texts.get(id(value))
+    if found is None:
         chunks = []
-        _write_json(payload, chunks.append, newline, self)
-        return "".join(chunks)
+        _write_json(payload(value), chunks.append, newline)
+        found = texts[id(value)] = value, "".join(chunks)
+    return found[1]
+
+
+def _int_list(values, newline):
+    """The text of a list of ints that starts on a line whose
+    indentation newline ends with."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return ("[" + inner + ("," + inner).join(map(int.__repr__, values))
+            + newline + "]")
 
 
 SEARCH_DEFAULTS = {"k": 2, "n_max": 4, "mult_cap": None}
@@ -449,9 +460,10 @@ def cmd_search(args):
         ring, params["k"], params["n_max"], index_one=args.index1,
         mult_cap=params["mult_cap"], cap=args.cap)
     counts = {"one-weight": 0, "two-weight": 0, "mixed": 0}
+    tails = {}
     for rec in records:
         counts[rec.classification] += 1
-        print(_record_line(rec))
+        print(_record_line(rec, tails))
     print(f"candidates: {len(records)} "
           f"(one-weight: {counts['one-weight']}, "
           f"two-weight: {counts['two-weight']}, "

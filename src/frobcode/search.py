@@ -3,7 +3,8 @@
 A modular code is determined, up to the irrelevant choices, by the set
 of cyclic-submodule points its columns cover and the common ratio of
 column multiplicity to orbit size.  The search enumerates every subset
-of points and every admissible rational ratio within a length budget,
+of points that fits a length budget of n_max columns, so of at most
+n_max points, and every admissible rational ratio within it,
 classifies each candidate by its number of nonzero weights, and
 certifies all the predicted graph, dual, and difference-set structure
 on the spot.  No candidate's code is built: everything is measured on
@@ -30,10 +31,13 @@ profile in a search: the checked profile, the predicted graph, the
 dual weights, the checked dual profile and its graph, and the
 predicted dual graph.  Every record still compares its own facts with
 them: the coset graph srg, the dual's message classes, counted
-frequencies, graph and triviality, and the difference-set graph of
-the equivalence verdict.  A form that raises is not kept, so the
-search fails at the first record that reads it, as it would with
-every form evaluated at every record.
+frequencies, graph and triviality.  A form that raises is not kept, so
+the search fails at the first record that reads it, as it would with
+every form evaluated at every record.  The equivalence verdict reads
+only a record's classification, profile and facts, so it too is
+judged once per distinct set of them, and the records share one
+object per distinct weight tuple, graph, dual report and equivalence
+report.
 """
 
 from __future__ import annotations
@@ -164,6 +168,32 @@ def _has_index(chosen, orbit_sizes, n_max, mult_cap, index_one):
             & (sizes.max(axis=1) <= mult_cap * g))
 
 
+def _subset_masks(count, most, step):
+    """The masks over count bits with 1 to most bits set, ascending, in
+    blocks of at most step: each value of the high bits with the masks
+    of the low bits that its set bits leave room for."""
+    low_bits = min(count, step.bit_length() - 1)
+    low = np.arange(1 << low_bits)
+    ones = np.zeros(len(low), dtype=np.int64)
+    for bit in range(low_bits):
+        ones += low >> bit & 1
+    block, size = [], 0
+    for high in range(1 << (count - low_bits)):
+        room = most - bin(high).count("1")
+        if room < 0:
+            continue
+        part = (high << low_bits) | low[ones <= room]
+        if not high:
+            part = part[1:]
+        if size + len(part) > step:
+            yield np.concatenate(block)
+            block, size = [], 0
+        block.append(part)
+        size += len(part)
+    if size:
+        yield np.concatenate(block)
+
+
 def _candidate_generator(ring, subset, index):
     columns = []
     for point in subset:
@@ -186,8 +216,8 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     """Enumerate all modular codes of rank k and length at most n_max
     over the ring, one per (point subset, index) pair, and certify each
     classification as it is found.  The record list is deterministic.
-    Point subsets are classified in blocks of bit masks, and each
-    candidate is then certified in order, so failures surface as if
+    Point subsets, of at most n_max points, are classified in blocks
+    of bit masks, and each candidate is then certified in order, so failures surface as if
     every candidate were certified in turn.  Every column multiplicity
     is at most mult_cap, with index_one too.
     """
@@ -217,19 +247,26 @@ def search_modular_codes(ring, k, n_max, index_one=False, mult_cap=None,
     tables = _PointTables(ring, points, vectors, labels)
     # a mask costs |R^k| message entries and count^2 point-pair terms
     step = max(1, BLOCK_ENTRIES // max(count * count, len(vectors)))
+    # the ratios of each (total, largest, gcd) of the chosen orbit
+    # sizes, which is all _admissible_indices reads
+    indices = {}
     records = []
-    for start in range(1, 1 << count, step):
-        masks = np.arange(start, min(start + step, 1 << count))
+    # each chosen point takes at least one column
+    for masks in _subset_masks(count, min(n_max, count), step):
         chosen = (masks[:, None] >> np.arange(count)) & 1
-        keep = _has_index(chosen, tables.sizes, n_max, mult_cap, index_one)
-        rows = tables.classify(chosen[keep])
-        for mask, row in zip(masks[keep].tolist(), rows):
-            subset = [points[i] for i in range(count) if mask >> i & 1]
-            sizes = [p.orbit_size for p in subset]
-            for index in _admissible_indices(sizes, n_max, mult_cap,
-                                             index_one):
-                records.append(tables.record(ring, k, subset, index, row,
-                                             cap))
+        chosen = chosen[_has_index(chosen, tables.sizes, n_max, mult_cap,
+                                   index_one)]
+        sizes = chosen * tables.sizes
+        keys = zip(sizes.sum(axis=1).tolist(), sizes.max(axis=1).tolist(),
+                   np.gcd.reduce(sizes, axis=1).tolist())
+        for at, (row, key) in enumerate(zip(tables.classify(chosen), keys)):
+            found = indices.get(key)
+            if found is None:
+                found = indices[key] = _admissible_indices(
+                    sizes[at][sizes[at] > 0].tolist(), n_max, mult_cap,
+                    index_one)
+            for index in found:
+                records.append(tables.record(row, index, cap))
     return records
 
 
@@ -268,6 +305,8 @@ class _PointTables:
         count = len(points)
         reps = np.array([p.representative for p in points],
                         dtype=ELEMENT_DTYPE)
+        self.points = points
+        self.pids = np.array([p.pid for p in points], dtype=np.int64)
         self.sizes = np.array([p.orbit_size for p in points], dtype=np.int64)
         table = weight_table(ring)
         self.ring, self.table = ring, table
@@ -276,6 +315,8 @@ class _PointTables:
         self.denominator = table.denominator
         self._weights = {}
         self._forms = {}
+        self._verdicts = {}
+        self._duals = {}
         self.zero_only = table.zero_set() == {0}
         bound = int(np.abs(table.numerators).max()) * int(self.sizes.sum())
         if bound >= 1 << 63:
@@ -305,11 +346,12 @@ class _PointTables:
         self._sums = {}
 
     def classify(self, chosen):
-        """For each 0/1 row over the points: the numerators of its
-        distinct nonzero weights at index 1, its code size, its b0, for
-        b0 = 1 its equivalence facts (see _equivalence), else None, and
-        for two weights or zero-weight messages other than ker G its
-        _RowFacts (see _measure), else None."""
+        """For each 0/1 row over the points: the tuple of the numerators
+        of its distinct nonzero weights at index 1, its code size, its
+        b0, for b0 = 1 its equivalence facts (see _equivalence), else
+        None, for two weights or zero-weight messages other than ker G
+        its _RowFacts (see _measure), else None, its point ids and the
+        sum of its orbit sizes."""
         numerators = (chosen * self.sizes) @ self.weights
         in_kernel = chosen @ self.nonzero == 0
         kernel = in_kernel.sum(axis=1)
@@ -335,18 +377,20 @@ class _PointTables:
                     chosen[rows], numerators[rows], ordered[rows],
                     first[rows], in_kernel[rows], b0[rows], modules[rows])):
                 measured[row] = found
-        return [(values[keep].tolist(), size, b, eq, found)
-                for values, keep, size, b, eq, found in zip(
-                    ordered, first, sizes.tolist(), b0.tolist(), facts,
-                    measured)]
+        return list(zip(_split(ordered[first], first.sum(axis=1)),
+                        sizes.tolist(), b0.tolist(), facts, measured,
+                        _split(self.pids[np.nonzero(chosen)[1]],
+                               chosen.sum(axis=1)),
+                        (chosen @ self.sizes).tolist()))
 
     def _equivalence(self, chosen, modules):
-        """Per row, with the id of its column module: the difference-set
-        certificate of the chosen orbits in the column module (None when
-        their difference counts are not constant on them and on the rest
-        of the module), whether they form a right submodule with 0,
-        whether their complement in the column module does, and the
-        sizes of the orbits' union and of the column module."""
+        """Per row, with the id of its column module: the fields of the
+        difference-set certificate of the chosen orbits in the column
+        module (None when their difference counts are not constant on
+        them and on the rest of the module), whether they form a right
+        submodule with 0, whether their complement in the column module
+        does, and the sizes of the orbits' union and of the column
+        module."""
         member = chosen == 1
         outside = (np.stack(self.modules)[modules]
                    & ~member).astype(np.int64)
@@ -361,7 +405,7 @@ class _PointTables:
                 (on_omega & off_omega).tolist(), lam.tolist(), mu.tolist(),
                 self._closed(chosen, counts).tolist(), comp_sub.tolist(),
                 omega_size.tolist(), ambient.tolist()):
-            cert = PdsCertificate(total, size, lam_j, mu_j) if pds else None
+            cert = (total, size, lam_j, mu_j) if pds else None
             yield cert, omega_sub, comp, size, total
 
     def _difference_counts(self, chosen):
@@ -551,7 +595,7 @@ class _PointTables:
             sums[:, z] = masks @ self.table.numerators[products]
         return sums
 
-    def record(self, ring, k, subset, index, row, cap):
+    def record(self, row, index, cap):
         """The certified record of a candidate with classify's row.  Its
         checks run in the order of certifying the candidate's own code,
         on what the row's block measured (see _measure), and a failing
@@ -561,13 +605,22 @@ class _PointTables:
         dual not of index one.  The intended index needs no check: the
         columns are the point representatives with multiplicities
         index * orbit size, so the numerators are index times the
-        row's."""
-        numerators, size, b0, equivalence, facts = row
+        row's.
+
+        Records share their parts: one weight tuple per distinct
+        (numerators, index), the predicted graph object for an equal
+        coset graph, one dual report per distinct value and one
+        equivalence report per distinct verdict (see _verdict)."""
+        numerators, size, b0, equivalence, facts, ids, total = row
         r, s = index.numerator, index.denominator
-        n = r * sum(p.orbit_size for p in subset) // s
-        weights = tuple(self._weight(v, r, s) for v in numerators)
+        key = numerators, r, s
+        weights = self._weights.get(key)
+        if weights is None:
+            weights = self._weights[key] = tuple(
+                Fraction(v * r, self.denominator * s) for v in numerators)
+        n = r * total // s
         classification = _CLASSIFICATIONS.get(len(weights), "mixed")
-        generator = partial(_candidate_generator, ring, subset, index)
+        generator = partial(self._generator, ids, index)
         profile = srg = dual = report = None
         if facts is not None and not facts.closed:
             raise IdentityCheckError(
@@ -575,7 +628,7 @@ class _PointTables:
                 witness={"ring": self.ring_text})
         if classification == "one-weight" and b0 == 1:
             # every candidate is modular by construction
-            one_weight_verdict(ring, is_one=True, is_mod=True,
+            one_weight_verdict(self.ring, is_one=True, is_mod=True,
                                is_sub=equivalence[1], generator=generator)
         if classification == "two-weight":
             profile = self._form(_checked_profile, TwoWeightProfile(
@@ -584,46 +637,61 @@ class _PointTables:
             predicted = self._form(predicted_srg, profile)
             if not facts.constant:
                 # the witness names a word and its shift
-                raise _shift_failure(build_code(ring, generator(), cap))
+                raise _shift_failure(build_code(self.ring, generator(), cap))
             if not facts.symmetric:
                 raise IdentityCheckError("coset adjacency is not symmetric")
-            srg = _certified(facts.srg)
-            if srg != predicted:
+            if _certified(facts.srg) != predicted:
                 raise IdentityCheckError(
                     "measured graph parameters disagree with the closed "
                     "forms",
-                    witness={"measured": srg.as_tuple(),
+                    witness={"measured": facts.srg.as_tuple(),
                              "predicted": predicted.as_tuple(),
-                             "points": [p.pid for p in subset],
-                             "index": str(index)})
+                             "points": list(ids), "index": str(index)})
+            srg = predicted
             if b0 == 1:
                 dual = certify_dual(profile, _RowDual(self, facts, generator,
                                                       cap), self._form)
+                # the rest of a report is the profile's forms, or equal
+                # to them, as certify_dual checked
+                dual = self._duals.setdefault(
+                    (profile.key, dual.b1_dual, dual.b2_dual,
+                     dual.class_counts), dual)
         if b0 == 1:
+            report = self._verdict(classification, profile, equivalence,
+                                   generator)
+        return SearchRecord(
+            ring_text=self.ring_text, k=self.vectors.shape[1],
+            point_ids=ids, index=index, n=n, size=size, b0=b0,
+            classification=classification, weights=weights,
+            profile=profile, srg=srg, dual=dual, equivalence=report)
+
+    def _generator(self, ids, index):
+        """The generator matrix of the candidate on these point ids."""
+        by_pid = dict(zip(self.pids.tolist(), self.points))
+        return _candidate_generator(self.ring, [by_pid[p] for p in ids],
+                                    index)
+
+    def _verdict(self, classification, profile, equivalence, generator):
+        """equivalence_verdict on a record's facts, one report per
+        distinct classification, profile and equivalence facts in this
+        search, which are all it reads.  A verdict that fails is not
+        kept, so each record that reads it raises again with its own
+        generator as the witness."""
+        key = (classification, None if profile is None else profile.key,
+               equivalence)
+        found = self._verdicts.get(key)
+        if found is None:
             # the column module lies in R^k, which _point_layer
             # enumerated under the cap
             pds, omega_sub, comp_sub, omega_size, ambient = equivalence
-            report = equivalence_verdict(
+            found = self._verdicts[key] = equivalence_verdict(
                 one_weight=classification == "one-weight", profile=profile,
-                pds=pds, omega_sub=omega_sub, comp_sub=comp_sub,
+                pds=None if pds is None else PdsCertificate(*pds),
+                omega_sub=omega_sub, comp_sub=comp_sub,
                 zero_only=self.zero_only, omega_size=omega_size,
                 ambient_size=ambient, generator=generator,
                 evaluate=self._form)
-        return SearchRecord(
-            ring_text=self.ring_text, k=k,
-            point_ids=tuple(p.pid for p in subset), index=index, n=n,
-            size=size, b0=b0, classification=classification,
-            weights=weights, profile=profile, srg=srg, dual=dual,
-            equivalence=report)
-
-    def _weight(self, numerator, r, s):
-        """The weight of a word with this numerator at index r/s: one
-        Fraction per distinct (numerator, index) in a search."""
-        key = numerator, r, s
-        if key not in self._weights:
-            self._weights[key] = Fraction(numerator * r,
-                                          self.denominator * s)
-        return self._weights[key]
+        return found
 
     def _form(self, form, profile):
         """form(profile), evaluated once per distinct profile in this
@@ -635,6 +703,13 @@ class _PointTables:
         if found is None:
             found = self._forms[key] = form(profile)
         return found
+
+
+def _split(values, counts):
+    """The consecutive runs of values of these lengths, as tuples."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 @dataclass

@@ -5,15 +5,17 @@ for every payload it accepts, and refuse floats and numpy scalars.
 ``search --json`` must give the bytes of the one-piece oracle in
 report_oracle.py, while holding no more than the search itself."""
 
+import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobcode.cli import _write_json, main
+from frobcode.cli import _RecordRenderer, _write_json, main
 from frobcode.rings import ring_from_text
 from frobcode.search import search_modular_codes
 from report_oracle import search_report
@@ -83,6 +85,68 @@ def test_search_report_matches_oracle(capsys, tmp_path, spec, k, n_max,
     assert capsys.readouterr().out == lines + want
     if index_one:
         assert records == []
+
+
+def _pool():
+    """Records with every kind of part: two-weight ones with duals, b0 > 1
+    ones without equivalence reports, non-integer indices."""
+    found = []
+    for spec, k, n_max in (("GF(3)", 2, 6), ("prod(Z2,Z2)", 2, 3)):
+        found += search_modular_codes(ring_from_text(spec), k, n_max)
+    return found
+
+
+POOL = _pool()
+PARTS = ("index", "weights", "profile", "srg", "dual", "equivalence",
+         "point_ids")
+# the parts a record may lack
+OPTIONAL = ("profile", "srg", "dual", "equivalence")
+
+
+def _equal_but_distinct(value):
+    """A new object equal to value."""
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    if isinstance(value, tuple):
+        return tuple(_equal_but_distinct(item) for item in value)
+    if isinstance(value, int):
+        return value
+    return dataclasses.replace(value)
+
+
+@st.composite
+def _records(draw):
+    """Records drawn from POOL, each part kept shared with the pool,
+    replaced by an equal but distinct object, or, if optional, dropped
+    to None."""
+    records = []
+    for rec in draw(st.lists(st.sampled_from(POOL), max_size=8)):
+        changes = {}
+        for name in PARTS:
+            value = getattr(rec, name)
+            how = draw(st.sampled_from(("shared", "copy", "none")))
+            if how == "copy" and value is not None:
+                changes[name] = _equal_but_distinct(value)
+            elif how == "none" and name in OPTIONAL:
+                changes[name] = None
+        records.append(dataclasses.replace(rec, **changes))
+    return records
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_records())
+def test_record_renderer_matches_oracle(records):
+    payload = {"ring": "R", "k": 2, "n_max": 6, "index_one": False,
+               "records": records}
+    chunks = []
+    _write_json(payload, chunks.append, render=_RecordRenderer())
+    assert "".join(chunks) + "\n" == search_report("R", 2, 6, False,
+                                                   records)
+
+
+def test_record_renderer_refuses_other_objects():
+    with pytest.raises(TypeError):
+        _write_json([Fraction(1, 2)], [].append, render=_RecordRenderer())
 
 
 def test_search_report_is_streamed(capsys, tmp_path):

@@ -2,14 +2,20 @@
 determinism, and the certified record stream."""
 
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frobcode import search
 from frobcode.codes import build_code, modular_index
 from frobcode.errors import CapExceededError
 from frobcode.rings import ring_from_text
 from frobcode.search import (
     _admissible_indices,
+    _subset_masks,
     generator_for_record,
     projective_points,
     search_modular_codes,
@@ -124,3 +130,54 @@ def test_records_hold_dual_only_for_clean_two_weight():
             eq = rec.equivalence
             assert (rec.classification == "two-weight") == (
                 eq.pds is not None and not eq.omega_with_zero_submodule)
+
+
+def _masks_up_to(count, most):
+    """The masks over count bits with 1 to most bits set, ascending."""
+    return sorted(sum(1 << i for i in bits)
+                  for size in range(1, most + 1)
+                  for bits in combinations(range(count), size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 9), most=st.integers(1, 10),
+       step=st.integers(1, 70))
+def test_subset_masks_ascend_in_bounded_blocks(count, most, step):
+    blocks = [block.tolist() for block in _subset_masks(count, most, step)]
+    assert all(0 < len(block) <= step for block in blocks)
+    assert sum(blocks, []) == _masks_up_to(count, min(most, count))
+
+
+def test_search_screens_only_masks_that_can_hold_a_candidate(monkeypatch):
+    # Z8, k=2: 21 points, and each chosen point takes at least one of
+    # the n_max = 4 columns, so _has_index sees the 7546 masks with 1 to
+    # 4 points, in ascending order, not all 2^21 - 1
+    seen = []
+    real = search._has_index
+
+    def counted(chosen, *args):
+        seen.append(chosen @ (1 << np.arange(chosen.shape[1])))
+        return real(chosen, *args)
+    monkeypatch.setattr(search, "_has_index", counted)
+    records = search_modular_codes(ring_from_text("Z8"), 2, 4)
+    assert np.concatenate(seen).tolist() == _masks_up_to(21, 4)
+    assert len(_masks_up_to(21, 4)) == 7546
+    assert max(len(r.point_ids) for r in records) == 4
+
+
+def test_records_share_their_parts():
+    # the 4095 records of GF(3), k=3, n_max=13, index one hold one
+    # object per distinct equivalence report, weight tuple, dual report,
+    # coset graph and profile
+    records = search_modular_codes(ring_from_text("GF(3)"), 3, 13,
+                                   index_one=True)
+    assert len(records) == 4095
+    held = {name: {id(getattr(r, name)) for r in records
+                   if getattr(r, name) is not None}
+            for name in ("equivalence", "weights", "dual", "srg", "profile")}
+    assert {name: len(ids) for name, ids in held.items()} == {
+        "equivalence": 8, "weights": 12, "dual": 2, "srg": 2, "profile": 2}
+    # no two of them are equal
+    for name in held:
+        assert len({getattr(r, name) for r in records}
+                   - {None}) == len(held[name])

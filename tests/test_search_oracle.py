@@ -319,8 +319,7 @@ def _compare_each(ring, k, n_max, index_one, cap=None):
         sizes = [p.orbit_size for p in subset]
         for index in search._admissible_indices(sizes, n_max, n_max,
                                                 index_one):
-            got = _outcome(lambda: tables.record(ring, k, subset, index,
-                                                 row, cap))
+            got = _outcome(lambda: tables.record(row, index, cap))
             want = _outcome(lambda: certify_candidate(
                 ring, k, subset, index, cap))
             assert got == want
@@ -415,7 +414,7 @@ def test_row_facts_serve_every_index_of_their_subset():
     facts = rows[mask][4]
     assert facts.spanned is None
     for index in (Fraction(1, 2), Fraction(1)):
-        got = tables.record(ring, 2, subset, index, rows[mask], None)
+        got = tables.record(rows[mask], index, None)
         assert got.classification == "two-weight"
         assert got == certify_candidate(ring, 2, subset, index, None)
         assert facts.spanned is True
@@ -460,10 +459,11 @@ def _count_calls(monkeypatch, names):
 def test_each_profile_forms_evaluated_once_per_search(monkeypatch):
     # the forms run once per distinct profile (a dual profile equal to
     # a primal one shares its forms), and every record still compares
-    # its own measured facts with them: four srg comparisons per
-    # two-weight record (coset graph, dual graph against both forms,
-    # difference-set graph), a dual certificate per two-weight record
-    # and an equivalence verdict per b0 = 1 record
+    # its own measured facts with them: three srg comparisons per
+    # two-weight record (coset graph, dual graph against both forms)
+    # and a dual certificate per two-weight record.  The equivalence
+    # verdict reads only facts, so it runs, with its difference-set
+    # graph comparison, once per distinct report
     calls = _count_calls(monkeypatch, [*FORMS, "certify_dual",
                                        "equivalence_verdict"])
     compared = [0]
@@ -491,8 +491,11 @@ def test_each_profile_forms_evaluated_once_per_search(monkeypatch):
         hits = sum(r.classification == "two-weight" for r in records)
         assert all(r.b0 == 1 for r in records)
         assert calls["certify_dual"] == hits
-        assert compared[0] == 4 * hits
-        assert calls["equivalence_verdict"] == len(records)
+        verdicts = {id(r.equivalence) for r in records}
+        assert compared[0] == 3 * hits + len(
+            {id(r.equivalence) for r in records
+             if r.classification == "two-weight"})
+        assert calls["equivalence_verdict"] == len(verdicts) < len(records)
         two_weight.append((hits, len(records)))
     assert [sum(h for h, _ in two_weight[:4]),
             sum(n for _, n in two_weight[:4])] == [254, 741]
@@ -573,3 +576,61 @@ def test_planted_form_fault_fails_like_oracle(name, side, monkeypatch):
     assert batched == oracle == (IdentityCheckError, "planted fault",
                                  {"profile": repr(chosen)})
     assert made == {"search": first, "oracle": first}
+
+
+@pytest.mark.parametrize("kind,at", [("one-weight", 4), ("mixed", 13)])
+def test_shared_verdict_fault_fails_like_oracle(kind, at, monkeypatch):
+    # Z4, k=2, n_max=4, one classify block: the verdict facts of record
+    # `at`, a one-weight or mixed row after two-weight rows of its
+    # block, are first read there and read again later.  A planted
+    # fault fails that verdict: the search raises at that record, with
+    # its own generator as the witness, and every later reader raises
+    # again with its own
+    case = ("Z4", 2, 4, False)
+    ring = _ring(case[0])
+    clean = _oracle_records(case)
+
+    def facts(record):
+        eq = record.equivalence
+        return (record.classification == "one-weight", record.profile,
+                eq.pds, eq.omega_with_zero_submodule,
+                eq.complement_submodule, eq.omega_size, eq.ambient_size)
+
+    target = clean[at]
+    assert target.classification == kind and target.b0 == 1
+    assert any(r.classification == "two-weight" for r in clean[:at])
+    readers = [j for j, r in enumerate(clean)
+               if r.b0 == 1 and facts(r) == facts(target)]
+    assert readers[0] == at and len(readers) > 1
+
+    def make(real):
+        def faulty(**kwargs):
+            if (kwargs["one_weight"], kwargs["profile"], kwargs["pds"],
+                    kwargs["omega_sub"], kwargs["comp_sub"],
+                    kwargs["omega_size"],
+                    kwargs["ambient_size"]) == facts(target):
+                raise IdentityCheckError("planted fault", witness={
+                    "generator": kwargs["generator"]().tolist()})
+            return real(**kwargs)
+        return faulty
+
+    real_verdict = graphs.equivalence_verdict
+    fake = make(real_verdict)
+    for module in (graphs, search):
+        monkeypatch.setattr(module, "equivalence_verdict", fake)
+    blocks = []
+    real_classify = search._PointTables.classify
+
+    def classify(self, chosen):
+        blocks.append(len(chosen))
+        return real_classify(self, chosen)
+    monkeypatch.setattr(search._PointTables, "classify", classify)
+    batched, oracle, made = _first_failure(monkeypatch, ring, case[1:3], {})
+    assert len(blocks) == 1
+    assert batched == oracle == (
+        IdentityCheckError, "planted fault",
+        {"generator": search.generator_for_record(ring, target).tolist()})
+    assert made == {"search": at, "oracle": at}
+    # each reader, certified in turn from one set of tables, fails like
+    # its own certification
+    assert _compare_each(ring, *case[1:]) == {"planted fault"}
