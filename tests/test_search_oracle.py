@@ -491,11 +491,11 @@ def test_each_profile_forms_evaluated_once_per_search(monkeypatch):
         hits = sum(r.classification == "two-weight" for r in records)
         assert all(r.b0 == 1 for r in records)
         assert calls["certify_dual"] == hits
-        verdicts = {id(r.equivalence) for r in records}
         assert compared[0] == 3 * hits + len(
             {id(r.equivalence) for r in records
              if r.classification == "two-weight"})
-        assert calls["equivalence_verdict"] == len(verdicts) < len(records)
+        assert calls["equivalence_verdict"] == len(
+            {id(r.equivalence) for r in records}) < len(records)
         two_weight.append((hits, len(records)))
     assert [sum(h for h, _ in two_weight[:4]),
             sum(n for _, n in two_weight[:4])] == [254, 741]
@@ -603,21 +603,18 @@ def test_shared_verdict_fault_fails_like_oracle(kind, at, monkeypatch):
                if r.b0 == 1 and facts(r) == facts(target)]
     assert readers[0] == at and len(readers) > 1
 
-    def make(real):
-        def faulty(**kwargs):
-            if (kwargs["one_weight"], kwargs["profile"], kwargs["pds"],
-                    kwargs["omega_sub"], kwargs["comp_sub"],
-                    kwargs["omega_size"],
-                    kwargs["ambient_size"]) == facts(target):
-                raise IdentityCheckError("planted fault", witness={
-                    "generator": kwargs["generator"]().tolist()})
-            return real(**kwargs)
-        return faulty
-
     real_verdict = graphs.equivalence_verdict
-    fake = make(real_verdict)
+
+    def faulty(**kwargs):
+        if (kwargs["one_weight"], kwargs["profile"], kwargs["pds"],
+                kwargs["omega_sub"], kwargs["comp_sub"], kwargs["omega_size"],
+                kwargs["ambient_size"]) == facts(target):
+            raise IdentityCheckError("planted fault", witness={
+                "generator": kwargs["generator"]().tolist()})
+        return real_verdict(**kwargs)
+
     for module in (graphs, search):
-        monkeypatch.setattr(module, "equivalence_verdict", fake)
+        monkeypatch.setattr(module, "equivalence_verdict", faulty)
     blocks = []
     real_classify = search._PointTables.classify
 
